@@ -4,19 +4,14 @@ Rationals are passed as "P/Q" or integer strings and serialized the same way,
 so no precision is lost on the way in or out.  Exit codes: 0 success, 1 an
 identity check failed, 2 usage error (bad flags, malformed rationals, or an
 adjacency-violating weight query).
-
-The verification suites fan out over parameter tuples; FUSION_SOS_THREADS
-caps the worker count (default: sequential).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import random
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from . import lattice as lattice_mod
@@ -77,29 +72,27 @@ def _emit(payload: dict, fmt: str, csv_header: list[str] | None = None) -> None:
             print(f"{key}: {payload[key]}")
 
 
-def _worker_count() -> int:
-    raw = os.environ.get("FUSION_SOS_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def _run_suite(name: str, cases, check) -> int:
     """Evaluate ``check`` over ``cases``, print one line per case, count failures."""
     failures = 0
-    workers = _worker_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(check, cases))
-    else:
-        results = [check(case) for case in cases]
+    results = [check(case) for case in cases]
     for case, ok in zip(cases, results):
         status = "pass" if ok else "FAIL"
         print(f"[{name}] {case}: {status}")
         if not ok:
             failures += 1
     return failures
+
+
+def _triples(max_sum: int) -> list[tuple[int, int, int]]:
+    """All (k, n, l) with positive entries and k + n + l <= max_sum, lexicographic."""
+    return [
+        (k, n, l)
+        for k in range(1, max_sum - 1)
+        for n in range(1, max_sum - 1)
+        for l in range(1, max_sum - 1)
+        if k + n + l <= max_sum
+    ]
 
 
 def _random_rat(rng: random.Random) -> Fraction:
@@ -209,15 +202,8 @@ def cmd_partition(args) -> int:
 
 def _suite_ybe_vertex(params: ModelParams, max_sum: int, samples: int, seed: int) -> int:
     rng = random.Random(seed)
-    triples = [
-        (k, n, l)
-        for k in range(1, max_sum - 1)
-        for n in range(1, max_sum - 1)
-        for l in range(1, max_sum - 1)
-        if k + n + l <= max_sum
-    ]
     cases = []
-    for triple in triples:
+    for triple in _triples(max_sum):
         for _ in range(samples):
             cases.append((triple, *_random_spectral_pair(rng)))
 
@@ -230,15 +216,8 @@ def _suite_ybe_vertex(params: ModelParams, max_sum: int, samples: int, seed: int
 
 def _suite_ybe_sos(params: ModelParams, max_sum: int, boundaries: int, seed: int) -> int:
     rng = random.Random(seed)
-    triples = [
-        (k, n, l)
-        for k in range(1, max_sum - 1)
-        for n in range(1, max_sum - 1)
-        for l in range(1, max_sum - 1)
-        if k + n + l <= max_sum
-    ]
     cases = []
-    for triple in triples:
+    for triple in _triples(max_sum):
         for _ in range(boundaries):
             bd = sample_admissible_boundary(*triple, rng)
             spect = (_random_rat(rng), _random_rat(rng), _random_rat(rng))

@@ -1,10 +1,41 @@
 """Fusion of the elementary R-matrix into higher-spin operators.
 
-An operator with n+1 by m+1 edge states is produced by sandwiching ordered
-products of elementary 4x4 factors between symmetrizers, then restricting to
-the symmetric subspaces.  The restriction uses the unnormalized monomial
-basis, so the matrices here agree entrywise with the difference-operator
-realization in :mod:`fusion_sos.polyrep` without any diagonal gauge.
+The fused (n,m) operator is defined on (C^2)^(x n) (x) (C^2)^(x m) as the
+ordered product of n*m elementary 4x4 factors sandwiched between
+symmetrizers (the fusion procedure), then restricted to Sym_n (x) Sym_m.
+:func:`fuse_nm_unrestricted` evaluates that definition literally in the
+2**(n+m)-dimensional space; :func:`fuse_nm` computes the same matrix
+without leaving restricted spaces.
+
+Write E_k, P_k for the embedding of Sym_k into (C^2)^(x k) and its
+projection (:func:`sym_basis`), and Sym_k for the symmetrizer.  The build
+uses only four identities:
+
+1. Sym_k = E_k P_k;
+2. P_k E_k = I;
+3. Sym_k = Sym_k (I (x) Sym_{k-1}) = Sym_k (Sym_{k-1} (x) I), and the
+   transposes of these (Sym_k is a symmetric matrix);
+4. operators on disjoint slots commute.
+
+From 1-3, P_k = P_k (I (x) Sym_{k-1}) and E_k = (I (x) Sym_{k-1}) E_k,
+and likewise with Sym_{k-1} (x) I.
+
+With these, a symmetrizer moves past every factor that does not touch its
+slots and splits as E P, so each product collapses onto a smaller
+restricted space.  Two recursions result:
+
+- over n, for the raw (n,1) operator raw(n, x) = P_n T_n(x) E_n with
+  T_n(x) = R_{0a}(x+n-1) ... R_{n-1,a}(x):
+  raw(n, x) = [P_n (I (x) E_{n-1})] R_{0a}(x+n-1) (I (x) raw(n-1, x))
+  [(I (x) P_{n-1}) E_n], on C^2 (x) Sym_{n-1} (x) C^2 (dimension 4n);
+- over m: raw(n, m, u) = [P_m (E_{m-1} (x) I)] raw(n, u)_{aux m}
+  (raw(n, m-1, u-1) (x) I) [(P_{m-1} (x) I) E_m], on
+  Sym_n (x) Sym_{m-1} (x) C^2 (dimension 2m(n+1)).
+
+The result is divided once by prod_{j<m} fusion_scalar(n, u-j).  The
+restriction uses the unnormalized monomial basis, so the matrices here
+agree entrywise with the difference-operator realization in
+:mod:`fusion_sos.polyrep` without any diagonal gauge.
 """
 
 from __future__ import annotations
@@ -71,10 +102,6 @@ def sym_basis(n: int) -> SymBasis:
     return SymBasis(n, ExactMatrix(embed), ExactMatrix(project))
 
 
-def _sym_on_first(n: int, aux_dim: int) -> ExactMatrix:
-    return kron(symmetrizer(n), ExactMatrix.identity(aux_dim))
-
-
 def fusion_scalar(n: int, u: Fraction) -> Fraction:
     """Normalization prod_{j=1}^{n-1} (u + j) relating the raw ordered product
     to the difference-operator realization of the (n,1) operator.
@@ -90,62 +117,30 @@ def fusion_scalar(n: int, u: Fraction) -> Fraction:
     return out
 
 
-@lru_cache(maxsize=None)
-def fuse_n1_unrestricted(n: int, u: Fraction, params: ModelParams) -> ExactMatrix:
-    """The fused (n,1) operator on (C^2)^(x n) (x) C^2, before restriction."""
-    u = rat(u)
-    scale = fusion_scalar(n, u)
-    if scale == 0:
-        raise ZeroDivisionError(
-            f"fusion normalization vanishes at u = {u}; the (n,1) product degenerates"
-        )
-    dims = tuple([2] * (n + 1))
-    prod = None
-    for i in range(1, n + 1):
-        factor = embed_two_site(r7v(u + n - i, params), (i - 1, n), dims)
-        prod = factor if prod is None else mat_mul(prod, factor)
-    return mat_mul(_sym_on_first(n, 2), prod).scale(1 / scale)
-
-
-@lru_cache(maxsize=None)
-def fuse_n1(n: int, u: Fraction, params: ModelParams) -> ExactMatrix:
-    """The fused (n,1) operator restricted to the symmetric space, 2(n+1) square."""
-    basis = sym_basis(n)
-    op = fuse_n1_unrestricted(n, rat(u), params)
-    left = kron(basis.project, ExactMatrix.identity(2))
-    right = kron(basis.embed, ExactMatrix.identity(2))
-    return mat_mul(mat_mul(left, op), right)
-
-
-@lru_cache(maxsize=None)
 def fuse_nm_unrestricted(n: int, m: int, u: Fraction, params: ModelParams) -> ExactMatrix:
-    """The fused (n,m) operator on (C^2)^(x (n+m)), before restriction.
+    """The raw fused (n,m) product on (C^2)^(x (n+m)), unnormalized and unrestricted.
 
-    Products are evaluated in the full 2**(n+m)-dimensional space and only
-    restricted at the end; intermediate factors need not preserve the
-    symmetric subspaces until the outer projector acts.
+    This is the defining product, evaluated literally in the full
+    2**(n+m)-dimensional space: slots 0..n-1 carry the n quantum factors and
+    slots n..n+m-1 the m auxiliary ones.  It is the reference the restricted
+    build in :func:`fuse_nm` must reproduce, and what
+    :func:`symmetric_residual` tests for containment.
     """
     u = rat(u)
     nslots = n + m
     dims = tuple([2] * nslots)
     sym_n_full = embed_op_on_slots(symmetrizer(n), range(n), nslots) if n > 1 else ExactMatrix.identity(1 << nslots)
     prod = None
-    scale = Fraction(1)
     # Leftmost factor couples the last auxiliary slot at the undecremented argument.
     for j in range(m, 0, -1):
-        scale *= fusion_scalar(n, u - (m - j))
         block = None
         for i in range(1, n + 1):
             factor = embed_two_site(r7v(u - (m - j) + n - i, params), (i - 1, n + j - 1), dims)
             block = factor if block is None else mat_mul(block, factor)
         block = mat_mul(sym_n_full, block)
         prod = block if prod is None else mat_mul(prod, block)
-    if scale == 0:
-        raise ZeroDivisionError(
-            f"fusion normalization vanishes at u = {u}; the (n,m) product degenerates"
-        )
     sym_m_full = embed_op_on_slots(symmetrizer(m), range(n, n + m), nslots) if m > 1 else ExactMatrix.identity(1 << nslots)
-    return mat_mul(sym_m_full, prod).scale(1 / scale)
+    return mat_mul(sym_m_full, prod)
 
 
 def embed_op_on_slots(op: ExactMatrix, slots, nslots: int) -> ExactMatrix:
@@ -167,14 +162,85 @@ def embed_op_on_slots(op: ExactMatrix, slots, nslots: int) -> ExactMatrix:
 
 
 @lru_cache(maxsize=None)
+def _peel_first(k: int) -> tuple[ExactMatrix, ExactMatrix]:
+    """(P_k (I (x) E_{k-1}), (I (x) P_{k-1}) E_k), each (x) I_2.
+
+    The first maps C^2 (x) Sym_{k-1} onto Sym_k, the second embeds Sym_k
+    back; the trailing C^2 is the auxiliary slot of an (n,1) operator.
+    """
+    big, small, eye = sym_basis(k), sym_basis(k - 1), ExactMatrix.identity(2)
+    merge = mat_mul(big.project, kron(eye, small.embed))
+    split = mat_mul(kron(eye, small.project), big.embed)
+    return kron(merge, eye), kron(split, eye)
+
+
+@lru_cache(maxsize=None)
+def _peel_last(k: int, outer: int) -> tuple[ExactMatrix, ExactMatrix]:
+    """I_outer (x) (P_k (E_{k-1} (x) I), (P_{k-1} (x) I) E_k).
+
+    The same couplings as :func:`_peel_first` with the split slot trailing,
+    behind the ``outer``-dimensional quantum space Sym_n.
+    """
+    big, small, eye = sym_basis(k), sym_basis(k - 1), ExactMatrix.identity(2)
+    merge = mat_mul(big.project, kron(small.embed, eye))
+    split = mat_mul(kron(small.project, eye), big.embed)
+    lift = ExactMatrix.identity(outer)
+    return kron(lift, merge), kron(lift, split)
+
+
+def _raw_n1(n: int, x: Fraction, params: ModelParams) -> ExactMatrix:
+    """P_n T_n(x) E_n on Sym_n (x) C^2, where T_n(x) is the raw (n,1) product.
+
+    Peels quantum slot 0 off each step: raw(k) = merge R(x+k-1) (I (x) raw(k-1))
+    split, on C^2 (x) Sym_{k-1} (x) C^2, with R on factors 0 and 2.
+    """
+    eye = ExactMatrix.identity(2)
+    op = r7v(x, params)
+    for k in range(2, n + 1):
+        merge, split = _peel_first(k)
+        r = embed_two_site(r7v(x + k - 1, params), (0, 2), (2, k, 2))
+        op = mat_mul(merge, mat_mul(r, mat_mul(kron(eye, op), split)))
+    return op
+
+
+@lru_cache(maxsize=None)
 def fuse_nm(n: int, m: int, u: Fraction, params: ModelParams) -> ExactMatrix:
-    """The fused (n,m) operator restricted to its (n+1)(m+1)-dimensional space."""
+    """The fused (n,m) operator on Sym_n (x) Sym_m, (n+1)(m+1) square.
+
+    Equal to (P_n (x) P_m) fuse_nm_unrestricted(n, m, u) (E_n (x) E_m) divided
+    by prod_{j<m} fusion_scalar(n, u - j), but no intermediate leaves a
+    restricted space.  Two recursions build it: over n, each raw (n,1) factor
+    is grown one quantum slot at a time on C^2 (x) Sym_{k-1} (x) C^2
+    (:func:`_raw_n1`); over m, the product is grown one auxiliary slot at a
+    time on Sym_n (x) Sym_{j-1} (x) C^2.  Each step is exact by the four
+    identities of the module docstring: Sym_k = E_k P_k, P_k E_k = I,
+    Sym_k = Sym_k (I (x) Sym_{k-1}) = Sym_k (Sym_{k-1} (x) I), and
+    disjoint-slot commutation.
+
+    For n >= 2 the normalization vanishes at the integers -(n-1) <= u <= m-2;
+    there it raises ZeroDivisionError before anything is built.
+    """
     u = rat(u)
-    op = fuse_nm_unrestricted(n, m, u, params)
-    bn, bm = sym_basis(n), sym_basis(m)
-    left = kron(bn.project, bm.project)
-    right = kron(bn.embed, bm.embed)
-    return mat_mul(mat_mul(left, op), right)
+    scale = Fraction(1)
+    for j in range(m):
+        scale *= fusion_scalar(n, u - j)
+    if scale == 0:
+        raise ZeroDivisionError(
+            f"fusion normalization vanishes at u = {u}; the (n,m) product degenerates"
+        )
+    eye = ExactMatrix.identity(2)
+    op = _raw_n1(n, u - m + 1, params)
+    # With u' = u - m + j: raw(n, j, u') = merge raw(n, 1, u')_{aux j} (raw(n, j-1, u'-1) (x) I) split.
+    for j in range(2, m + 1):
+        merge, split = _peel_last(j, n + 1)
+        r = embed_two_site(_raw_n1(n, u - m + j, params), (0, 2), (n + 1, j, 2))
+        op = mat_mul(merge, mat_mul(r, mat_mul(kron(op, eye), split)))
+    return op.scale(1 / scale)
+
+
+def fuse_n1(n: int, u: Fraction, params: ModelParams) -> ExactMatrix:
+    """The fused (n,1) operator, 2(n+1) square; an alias of ``fuse_nm(n, 1, u, params)``."""
+    return fuse_nm(n, 1, u, params)
 
 
 def symmetric_residual(n: int, m: int, u: Fraction, params: ModelParams) -> ExactMatrix:

@@ -111,10 +111,3 @@ def test_verify_ybe_vertex_passes(capsys):
     code, out = run_cli(capsys, "verify", "ybe-vertex", "--max-sum", "4", "--samples", "1")
     assert code == 0
     assert "FAIL" not in out
-
-
-def test_verify_threads_env(capsys, monkeypatch):
-    monkeypatch.setenv("FUSION_SOS_THREADS", "2")
-    code, out = run_cli(capsys, "verify", "om")
-    assert code == 0
-    assert "all identity checks passed" in out

@@ -7,8 +7,8 @@ from fusion_sos.exactcore import ExactMatrix, kron, mat_mul
 from fusion_sos.fusion import (
     check_fused_ybe,
     fuse_n1,
-    fuse_n1_unrestricted,
     fuse_nm,
+    fuse_nm_unrestricted,
     fusion_scalar,
     sym_basis,
     symmetric_residual,
@@ -48,17 +48,17 @@ def test_fuse_n1_trivial_case(params):
 
 
 def test_fuse_n1_image_in_symmetric_subspace(params_unit):
-    op = fuse_n1_unrestricted(2, Fraction(1, 3), params_unit)
-    residual = mat_mul(
-        ExactMatrix.identity(8) - kron(symmetrizer(2), ExactMatrix.identity(2)), op
-    )
-    assert residual.is_zero()
+    assert symmetric_residual(2, 1, Fraction(1, 3), params_unit).is_zero()
 
 
 def test_fusion_scalar_zero_raises(params_unit):
     with pytest.raises(ZeroDivisionError):
         fuse_n1(2, Fraction(-1), params_unit)
     assert fusion_scalar(3, Fraction(-2)) == 0
+    # A shifted factor's scalar vanishing is enough: (2,2) at 0 needs (2,1) at -1.
+    for n, m, u in ((2, 2, 0), (3, 2, -2)):
+        with pytest.raises(ZeroDivisionError):
+            fuse_nm(n, m, Fraction(u), params_unit)
 
 
 def test_fuse_nm_trivial_case(params):
@@ -70,6 +70,19 @@ def test_fuse_nm_trivial_case(params):
 def test_fuse_nm_m1_matches_fuse_n1(n, params):
     u = Fraction(5, 6)
     assert fuse_nm(n, 1, u, params) == fuse_n1(n, u, params)
+
+
+@pytest.mark.parametrize("n,m", [(n, m) for n in range(1, 6) for m in range(1, 7 - n)])
+def test_fuse_nm_matches_dense_definition(n, m, params):
+    # The restricted recursive build against the literal 2**(n+m) product.
+    bn, bm = sym_basis(n), sym_basis(m)
+    left, right = kron(bn.project, bm.project), kron(bn.embed, bm.embed)
+    for u in (Fraction(5, 3), Fraction(-11, 4), Fraction(22, 7)):
+        scale = Fraction(1)
+        for j in range(m):
+            scale *= fusion_scalar(n, u - j)
+        expected = mat_mul(mat_mul(left, fuse_nm_unrestricted(n, m, u, params)), right)
+        assert fuse_nm(n, m, u, params) == expected.scale(1 / scale)
 
 
 @pytest.mark.parametrize("n,m", [(1, 2), (2, 2), (2, 3)])
