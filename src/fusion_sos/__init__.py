@@ -14,6 +14,7 @@ from .exactcore import (
     rat,
     rat_to_str,
     solve_exact,
+    trace_product,
 )
 from .vertex import (
     ModelParams,

@@ -3,16 +3,27 @@
 Everything downstream computes over the rationals, so all identities can be
 checked as exact equalities instead of within floating-point tolerances.
 Scalars are ``fractions.Fraction`` (always in lowest terms, positive
-denominator); matrices and polynomials are small immutable containers on top
-of them.  Sizes stay tiny (spaces of dimension at most 2**6), so dense
-storage and schoolbook algorithms are the right tool.
+denominator); polynomials are small immutable containers of them.
+
+Matrices are dense, but not small: fused operators act on spaces of
+dimension up to a few dozen and lattice transfer products on spaces of
+dimension 256.  An :class:`ExactMatrix` therefore has two storages.  One
+is rows of ``Fraction`` entries, which is what a matrix built from
+scalars holds and what ``entries`` returns.  The other is rows of integer
+numerators over one positive common denominator, in lowest terms, which
+is what the kernels (:func:`mat_mul`, :func:`kron`, :func:`trace_product`
+and the matrix arithmetic) compute on and return.  Either form is derived
+from the other on first use and cached.  The integer form is canonical,
+so equality and hashing need no ``Fraction`` at all.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
-from math import comb
+from itertools import chain, repeat
+from math import comb, gcd, lcm
+from operator import floordiv, mul
 from typing import Iterable, Sequence, Union
 
 #: The field every model quantity lives in.
@@ -52,34 +63,125 @@ def rat_to_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-class ExactMatrix:
-    """A dense matrix of exact scalars, immutable after construction."""
+def _check_shape(rows: tuple) -> int:
+    if not rows or not rows[0]:
+        raise ShapeMismatchError("matrix must have at least one row and column")
+    ncols = len(rows[0])
+    if any(len(r) != ncols for r in rows):
+        raise ShapeMismatchError("ragged rows")
+    return ncols
 
-    __slots__ = ("rows", "cols", "entries")
+
+class ExactMatrix:
+    """A dense matrix of exact scalars, immutable after construction.
+
+    It holds ``Fraction`` rows, integer numerator rows over one common
+    denominator, or both (see the module docstring).  ``ExactMatrix(rows)``
+    keeps the given scalars as ``Fraction`` rows; :meth:`from_integers` and
+    every kernel keep only the integer form.  ``entries``, indexing,
+    ``repr`` and JSON give the same ``Fraction`` values whichever form a
+    matrix was built in, and equal matrices compare and hash equal.
+    """
+
+    __slots__ = ("rows", "cols", "_frac", "_num", "_den")
 
     def __init__(self, entries: Iterable[Iterable[ScalarLike]]):
         rows = tuple(tuple(rat(x) for x in row) for row in entries)
-        if not rows or not rows[0]:
-            raise ShapeMismatchError("matrix must have at least one row and column")
-        ncols = len(rows[0])
-        if any(len(r) != ncols for r in rows):
-            raise ShapeMismatchError("ragged rows")
-        object.__setattr__(self, "entries", rows)
+        ncols = _check_shape(rows)
+        object.__setattr__(self, "_frac", rows)
+        object.__setattr__(self, "_num", None)
+        object.__setattr__(self, "_den", None)
         object.__setattr__(self, "rows", len(rows))
         object.__setattr__(self, "cols", ncols)
 
+    @classmethod
+    def _canonical(cls, num: tuple, den: int, ncols: int) -> "ExactMatrix":
+        """Wrap integer rows (tuples) already in lowest terms over den > 0."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "_frac", None)
+        object.__setattr__(m, "_num", num)
+        object.__setattr__(m, "_den", den)
+        object.__setattr__(m, "rows", len(num))
+        object.__setattr__(m, "cols", ncols)
+        return m
+
+    @classmethod
+    def _reduced(cls, num, den: int, ncols: int) -> "ExactMatrix":
+        """Bring integer rows over den > 0 to lowest terms and wrap them."""
+        g = den
+        for row in num:
+            if g == 1:
+                break
+            g = gcd(g, *row)
+        if g == 1:
+            return cls._canonical(tuple(map(tuple, num)), den, ncols)
+        return cls._canonical(
+            tuple(tuple(map(floordiv, row, repeat(g))) for row in num), den // g, ncols
+        )
+
+    @classmethod
+    def from_integers(cls, numerators: Iterable[Iterable[int]], denominator: int = 1) -> "ExactMatrix":
+        """The matrix with entries numerators[i][j] / denominator."""
+        num = tuple(tuple(row) for row in numerators)
+        ncols = _check_shape(num)
+        if type(denominator) is not int or not set(map(type, chain.from_iterable(num))) <= {int}:
+            raise TypeError("numerators and denominator must be ints")
+        if denominator == 0:
+            raise ZeroDivisionError("matrix denominator is zero")
+        if denominator < 0:
+            num = tuple(tuple(-x for x in row) for row in num)
+            denominator = -denominator
+        return cls._reduced(num, denominator, ncols)
+
     def __setattr__(self, name, value):
         raise AttributeError("ExactMatrix is immutable")
+
+    # -- the two storages ------------------------------------------------
+
+    @property
+    def entries(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The rows as tuples of ``Fraction``."""
+        frac = self._frac
+        if frac is None:
+            den = self._den
+            if den == 1:
+                frac = tuple(tuple(map(Fraction, row)) for row in self._num)
+            else:
+                frac = tuple(tuple(Fraction(x, den) for x in row) for row in self._num)
+            object.__setattr__(self, "_frac", frac)
+        return frac
+
+    def _ints(self) -> tuple[tuple[tuple[int, ...], ...], int]:
+        num = self._num
+        if num is None:
+            frac = self._frac
+            den = lcm(*(x.denominator for row in frac for x in row))
+            num = tuple(
+                tuple(x.numerator * (den // x.denominator) for x in row) for row in frac
+            )
+            object.__setattr__(self, "_num", num)
+            object.__setattr__(self, "_den", den)
+        return num, self._den
+
+    @property
+    def numerators(self) -> tuple[tuple[int, ...], ...]:
+        """Integer rows over :attr:`denominator`, in lowest terms."""
+        return self._ints()[0]
+
+    @property
+    def denominator(self) -> int:
+        """The least positive common denominator of all entries."""
+        return self._ints()[1]
 
     # -- constructors -------------------------------------------------
 
     @classmethod
     def identity(cls, n: int) -> "ExactMatrix":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        return cls.from_integers([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "ExactMatrix":
-        return cls([[0] * cols for _ in range(rows)])
+        return cls.from_integers([[0] * cols for _ in range(rows)])
 
     @classmethod
     def column(cls, values: Sequence[ScalarLike]) -> "ExactMatrix":
@@ -92,50 +194,67 @@ class ExactMatrix:
         return self.entries[i][j]
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, ExactMatrix)
-            and self.rows == other.rows
-            and self.cols == other.cols
-            and self.entries == other.entries
-        )
+        if not isinstance(other, ExactMatrix):
+            return False
+        if (self.rows, self.cols) != (other.rows, other.cols):
+            return False
+        if self._num is None and other._num is None:
+            return self._frac == other._frac
+        sn, sd = self._ints()
+        on, od = other._ints()
+        return sd == od and sn == on
 
     def __hash__(self):
-        return hash(self.entries)
+        return hash(self._ints())
 
     def __repr__(self):
         body = "; ".join(" ".join(rat_to_str(x) for x in row) for row in self.entries)
         return f"ExactMatrix({self.rows}x{self.cols}: {body})"
 
-    def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
+    def _combine(self, other: "ExactMatrix", sign: int) -> "ExactMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ShapeMismatchError("addition needs equal shapes")
-        return ExactMatrix(
-            [
-                [a + b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.entries, other.entries)
-            ]
-        )
+        an, ad = self._ints()
+        bn, bd = other._ints()
+        den = lcm(ad, bd)
+        fa, fb = den // ad, sign * (den // bd)
+        out = [
+            [x * fa + y * fb for x, y in zip(ra, rb)] for ra, rb in zip(an, bn)
+        ]
+        return ExactMatrix._reduced(out, den, self.cols)
+
+    def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
+        return self._combine(other, 1)
 
     def __sub__(self, other: "ExactMatrix") -> "ExactMatrix":
-        return self + other.scale(-1)
+        return self._combine(other, -1)
 
     def scale(self, s: ScalarLike) -> "ExactMatrix":
         s = rat(s)
-        return ExactMatrix([[s * x for x in row] for row in self.entries])
+        num, den = self._ints()
+        p = s.numerator
+        out = [[x * p for x in row] for row in num]
+        return ExactMatrix._reduced(out, den * s.denominator, self.cols)
 
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
         return mat_mul(self, other)
 
     def transpose(self) -> "ExactMatrix":
-        return ExactMatrix(list(zip(*self.entries)))
+        if self._num is None:
+            return ExactMatrix(zip(*self._frac))
+        return ExactMatrix._canonical(tuple(zip(*self._num)), self._den, self.rows)
 
     def trace(self) -> Fraction:
         if self.rows != self.cols:
             raise ShapeMismatchError("trace needs a square matrix")
-        return sum((self.entries[i][i] for i in range(self.rows)), Fraction(0))
+        if self._num is None:
+            return sum((self._frac[i][i] for i in range(self.rows)), Fraction(0))
+        return Fraction(sum(row[i] for i, row in enumerate(self._num)), self._den)
 
     def is_zero(self) -> bool:
-        return all(x == 0 for row in self.entries for x in row)
+        if self._num is None:
+            return all(x == 0 for row in self._frac for x in row)
+        return not any(map(any, self._num))
 
     def column_vector(self, j: int = 0) -> tuple[Fraction, ...]:
         return tuple(row[j] for row in self.entries)
@@ -165,34 +284,62 @@ class ExactMatrix:
 
 
 def mat_mul(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
-    """Exact matrix product.
+    """Exact matrix product, on integer numerators over one denominator.
 
-    Skips zero entries of the left factor; the fused operators are built from
-    very sparse embedded factors, and this keeps those chains cheap.
+    The product of the numerator rows is taken over the product of the
+    two denominators and then reduced once.  Zeros are skipped on both
+    sides: each right-hand row is listed once as its nonzero (column,
+    value) pairs, and each nonzero left entry adds its multiple of that
+    list.  The fused operators are chains of very sparse embedded
+    factors, and this keeps those chains cheap.
     """
     if a.cols != b.rows:
         raise ShapeMismatchError(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
-    brows = b.entries
-    out = [[Fraction(0)] * b.cols for _ in range(a.rows)]
-    for i, arow in enumerate(a.entries):
-        oi = out[i]
+    an, ad = a._ints()
+    bn, bd = b._ints()
+    ncols = b.cols
+    bnz = [[(k, x) for k, x in enumerate(row) if x] for row in bn]
+    out = []
+    for arow in an:
+        acc = [0] * ncols
         for j, aij in enumerate(arow):
-            if not aij:
-                continue
-            brow = brows[j]
-            for k, bjk in enumerate(brow):
-                if bjk:
-                    oi[k] += aij * bjk
-    return ExactMatrix(out)
+            if aij:
+                for k, x in bnz[j]:
+                    acc[k] += aij * x
+        out.append(acc)
+    return ExactMatrix._reduced(out, ad * bd, ncols)
 
 
 def kron(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
-    """Kronecker product with (a x b)[(i*rb + k), (j*cb + l)] = a[i,j] * b[k,l]."""
+    """Kronecker product with (a x b)[(i*rb + k), (j*cb + l)] = a[i,j] * b[k,l].
+
+    Runs on integer numerators; a zero entry of ``a`` gives a zero block
+    without a multiplication.
+    """
+    an, ad = a._ints()
+    bn, bd = b._ints()
+    zero = (0,) * b.cols
     out = []
-    for arow in a.entries:
-        for brow in b.entries:
-            out.append([aij * bkl for aij in arow for bkl in brow])
-    return ExactMatrix(out)
+    for arow in an:
+        for brow in bn:
+            row = []
+            for x in arow:
+                if x:
+                    row.extend(map(mul, repeat(x), brow))
+                else:
+                    row.extend(zero)
+            out.append(row)
+    return ExactMatrix._reduced(out, ad * bd, a.cols * b.cols)
+
+
+def trace_product(a: ExactMatrix, b: ExactMatrix) -> Fraction:
+    """trace(a @ b), summing a[i, j] * b[j, i] without forming the product."""
+    if a.cols != b.rows or a.rows != b.cols:
+        raise ShapeMismatchError(f"a @ b is not square for {a.rows}x{a.cols} and {b.rows}x{b.cols}")
+    an, ad = a._ints()
+    bn, bd = b._ints()
+    total = sum(sum(map(mul, arow, bcol)) for arow, bcol in zip(an, zip(*bn)))
+    return Fraction(total, ad * bd)
 
 
 def solve_exact(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
@@ -370,29 +517,10 @@ def poly_shift(p: ExactPolynomial, h: ScalarLike) -> ExactPolynomial:
 def poly_gcd(a: ExactPolynomial, b: ExactPolynomial) -> ExactPolynomial:
     """Monic greatest common divisor via the Euclidean algorithm."""
     while not b.is_zero():
-        a, b = b, _poly_mod(a, b)
+        a, b = b, poly_divmod(a, b)[1]
     if a.is_zero():
         return a
     return a.scale(1 / a.coeffs[-1])
-
-
-def _poly_mod(a: ExactPolynomial, b: ExactPolynomial) -> ExactPolynomial:
-    if b.is_zero():
-        raise ZeroDivisionError("polynomial modulo zero")
-    r = list(a.coeffs)
-    d = b.degree
-    lead = b.coeffs[-1]
-    while len(r) - 1 >= d and r:
-        if r[-1] == 0:
-            r.pop()
-            continue
-        f = r[-1] / lead
-        shift = len(r) - 1 - d
-        for i, c in enumerate(b.coeffs):
-            r[shift + i] -= f * c
-        while r and r[-1] == 0:
-            r.pop()
-    return ExactPolynomial(r)
 
 
 def poly_divmod(a: ExactPolynomial, b: ExactPolynomial):

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-from .exactcore import ExactMatrix, ScalarLike, mat_mul, rat
+from .exactcore import ExactMatrix, ScalarLike, mat_mul, rat, trace_product
 from .fusion import fuse_nm
 from .sos import WeightQuery, w_nm_sum
 from .vertex import ModelParams, embed_two_site
@@ -50,28 +50,33 @@ def transfer_matrix_vertex(spec: LatticeSpec, params: ModelParams) -> ExactMatri
     for i in range(N - 1, -1, -1):
         factor = embed_two_site(r, (i, N), dims)
         prod_op = factor if prod_op is None else mat_mul(prod_op, factor)
-    # Partial trace over the auxiliary (last) factor.
-    qdim = (n + 1) ** N
+    # Partial trace over the auxiliary (last) factor, on the integer numerators:
+    # row r of the trace sums, over beta, row r*adim + beta of the product read
+    # at the columns j*adim + beta (the slice [beta::adim]).
     adim = m + 1
-    rows = []
-    for i in range(qdim):
-        row = []
-        for j in range(qdim):
-            acc = Fraction(0)
-            for beta in range(adim):
-                acc += prod_op[i * adim + beta, j * adim + beta]
-            row.append(acc)
-        rows.append(row)
-    return ExactMatrix(rows)
+    num = prod_op.numerators
+    rows = [
+        list(map(sum, zip(*(num[r * adim + beta][beta::adim] for beta in range(adim)))))
+        for r in range(prod_op.rows // adim)
+    ]
+    return ExactMatrix.from_integers(rows, prod_op.denominator)
 
 
 def partition_vertex_transfer(spec: LatticeSpec, params: ModelParams) -> Fraction:
-    """Partition sum as trace of the M-th transfer-matrix power."""
+    """Partition sum as trace of the M-th transfer-matrix power.
+
+    trace(T^M) is taken as sum_ij (T^(M-1))_ij T_ji: the last product is
+    never formed, only its diagonal is summed.
+    """
     t = transfer_matrix_vertex(spec, params)
-    power = ExactMatrix.identity(t.rows)
-    for _ in range(spec.M):
+    if spec.M == 0:
+        return Fraction(t.rows)
+    if spec.M == 1:
+        return t.trace()
+    power = t
+    for _ in range(spec.M - 2):
         power = mat_mul(power, t)
-    return power.trace()
+    return trace_product(power, t)
 
 
 def partition_vertex_bruteforce(spec: LatticeSpec, params: ModelParams) -> Fraction:

@@ -215,13 +215,6 @@ def w_nm_sum(q: WeightQuery, params: ModelParams) -> Fraction:
     return _w_nm_sum(q.n, q.m, q.a, q.b, q.bprime, q.c, q.u, params.w)
 
 
-def _rising(y: Fraction, k: int) -> Fraction:
-    out = Fraction(1)
-    for j in range(k):
-        out *= y + j
-    return out
-
-
 def _gamma_ratio(top: Fraction, bottom: Fraction) -> Fraction:
     """Gamma(top)/Gamma(bottom) for arguments differing by an integer."""
     d = top - bottom
@@ -229,11 +222,11 @@ def _gamma_ratio(top: Fraction, bottom: Fraction) -> Fraction:
         raise ValueError("gamma ratio needs an integer offset")
     d = int(d)
     if d >= 0:
-        val = _rising(bottom, d)
+        val = signed_pochhammer(bottom, d, 1)
         if val == 0:
             raise DegenerateParameterPoint("gamma ratio hit a pole/zero collision")
         return val
-    val = _rising(top, -d)
+    val = signed_pochhammer(top, -d, 1)
     if val == 0:
         raise DegenerateParameterPoint("gamma ratio hit a pole/zero collision")
     return Fraction(1) / val
@@ -303,7 +296,7 @@ def _hyper_low_branch(n, m, a, b, bp, c, u, w) -> Fraction:
     )
     coeff = (bp + w) * comb(int(m_p), int(mp_p))
     coeff *= _gamma_ratio(a - mp_m + w, a + w + 1)
-    coeff *= _rising(n_m + half + 1, int(-half))
+    coeff *= signed_pochhammer(n_m + half + 1, int(-half), 1)
     coeff *= _gamma_ratio(b + n_m + 1 + w, c + n_m - m_p + 1 + w)
     coeff *= _gamma_ratio(a - m_m + w + 1, Fraction(bp - b + a + c, 2) + w + 1)
     coeff *= _gamma_ratio(u + c - m_p + n_m + w + 1, u + b + n_m - mp_m + w + 1)

@@ -117,7 +117,18 @@ def embed_two_site(op: ExactMatrix, pos: tuple[int, int], dims: tuple[int, ...])
         strides[i] = acc
         acc *= dims[i]
 
-    out = [[Fraction(0)] * total for _ in range(total)]
+    # Nonzero numerators of each operator row, at their offsets in the big row.
+    onum = op.numerators
+    nonzero = [
+        [
+            (jp * strides[p] + jq * strides[q], v)
+            for jp in range(dims[p])
+            for jq in range(dims[q])
+            if (v := orow[jp * dims[q] + jq])
+        ]
+        for orow in onum
+    ]
+    out = [[0] * total for _ in range(total)]
     others = [i for i in range(len(dims)) if i not in (p, q)]
 
     def rest_indices():
@@ -135,14 +146,10 @@ def embed_two_site(op: ExactMatrix, pos: tuple[int, int], dims: tuple[int, ...])
     for base in rest_indices():
         for ip in range(dims[p]):
             for iq in range(dims[q]):
-                row = base + ip * strides[p] + iq * strides[q]
-                orow = op.entries[ip * dims[q] + iq]
-                for jp in range(dims[p]):
-                    for jq in range(dims[q]):
-                        v = orow[jp * dims[q] + jq]
-                        if v:
-                            out[row][base + jp * strides[p] + jq * strides[q]] = v
-    return ExactMatrix(out)
+                out_row = out[base + ip * strides[p] + iq * strides[q]]
+                for offset, v in nonzero[ip * dims[q] + iq]:
+                    out_row[base + offset] = v
+    return ExactMatrix.from_integers(out, op.denominator)
 
 
 def check_ybe_vertex(

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -14,9 +15,11 @@ from fusion_sos.exactcore import (
     kron,
     lagrange_interpolate,
     mat_mul,
+    poly_gcd,
     poly_shift,
     rat_to_str,
     solve_exact,
+    trace_product,
 )
 
 from conftest import rand_rat
@@ -38,6 +41,173 @@ def schoolbook_product(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
             row.append(acc)
         rows.append(row)
     return ExactMatrix(rows)
+
+
+# Entries with many zeros, negative values and mixed denominators.
+entries = st.one_of(st.just(Fraction(0)), st.just(Fraction(0)), rationals)
+units = st.sampled_from([0, 1, -1])
+dims = st.integers(min_value=1, max_value=4)
+
+
+@st.composite
+def fraction_matrices(draw, rows=None, cols=None):
+    """A matrix built from Fraction scalars; one draw in six is all zero and
+    one in six has entries in {0, 1, -1} only."""
+    r = draw(dims) if rows is None else rows
+    c = draw(dims) if cols is None else cols
+    kind = draw(st.integers(0, 5))
+    if kind == 0:
+        return ExactMatrix([[0] * c for _ in range(r)])
+    pick = units if kind == 1 else entries
+    return ExactMatrix([[draw(pick) for _ in range(c)] for _ in range(r)])
+
+
+def integer_twin(m: ExactMatrix, extra: int) -> ExactMatrix:
+    """The same values built only in integer form, over a denominator that is
+    not reduced (and negative when ``extra`` is) so that normalization runs."""
+    den = extra * lcm(*(x.denominator for row in m.entries for x in row))
+    return ExactMatrix.from_integers(
+        [[int(x * den) for x in row] for row in m.entries], den
+    )
+
+
+extras = st.sampled_from([1, 2, 6, -1, -4])
+
+
+def kron_definition(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
+    return ExactMatrix(
+        [
+            [a[i, j] * b[k, l] for j in range(a.cols) for l in range(b.cols)]
+            for i in range(a.rows)
+            for k in range(b.rows)
+        ]
+    )
+
+
+def assert_canonical(m: ExactMatrix):
+    for row in m.entries:
+        for x in row:
+            assert type(x) is Fraction
+            assert x.denominator > 0 and gcd(x.numerator, x.denominator) == 1
+    assert m.denominator > 0
+    assert gcd(m.denominator, *(x for row in m.numerators for x in row)) == 1
+
+
+@st.composite
+def chains(draw):
+    n, k, p, q = (draw(dims) for _ in range(4))
+    return (
+        draw(fraction_matrices(n, k)),
+        draw(fraction_matrices(k, p)),
+        draw(fraction_matrices(p, q)),
+    )
+
+
+class TestIntegerForm:
+    @settings(max_examples=60, deadline=None)
+    @given(chains(), extras)
+    def test_products_match_schoolbook(self, abc, extra):
+        a, b, c = abc
+        for x, y in ((a, b), (integer_twin(a, extra), integer_twin(b, extra))):
+            assert mat_mul(x, y) == schoolbook_product(a, b)
+        ab = mat_mul(integer_twin(a, extra), b)
+        assert mat_mul(ab, integer_twin(c, extra)) == schoolbook_product(
+            schoolbook_product(a, b), c
+        )
+        assert_canonical(mat_mul(ab, c))
+
+    @settings(max_examples=40, deadline=None)
+    @given(fraction_matrices(), fraction_matrices(), extras)
+    def test_kron_matches_definition(self, a, b, extra):
+        expected = kron_definition(a, b)
+        assert kron(a, b) == expected
+        k = kron(integer_twin(a, extra), integer_twin(b, extra))
+        assert k == expected
+        assert k.entries == expected.entries
+        assert_canonical(k)
+
+    @settings(max_examples=60, deadline=None)
+    @given(fraction_matrices(), extras)
+    def test_forms_equal_and_hash_equal(self, m, extra):
+        twin = integer_twin(m, extra)
+        assert twin == m and m == twin
+        assert hash(twin) == hash(m)
+        assert twin.entries == m.entries
+        assert twin.numerators == m.numerators
+        assert twin.denominator == m.denominator
+        assert_canonical(twin)
+        assert_canonical(m)
+        assert repr(twin) == repr(m)
+        assert twin.to_jsonable() == m.to_jsonable()
+        assert ExactMatrix.from_json(twin.to_json()) == m
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data(), extras)
+    def test_operations_agree_across_forms(self, data, extra):
+        a = data.draw(fraction_matrices())
+        b = data.draw(fraction_matrices(a.rows, a.cols))
+        s = data.draw(entries)
+        ta, tb = integer_twin(a, extra), integer_twin(b, extra)
+        plus = ExactMatrix([[x + y for x, y in zip(r, q)] for r, q in zip(a.entries, b.entries)])
+        minus = ExactMatrix([[x - y for x, y in zip(r, q)] for r, q in zip(a.entries, b.entries)])
+        scaled = ExactMatrix([[s * x for x in r] for r in a.entries])
+        for x, y in ((a, b), (ta, tb), (a, tb), (ta, b)):
+            assert x + y == plus
+            assert x - y == minus
+        for x in (a, ta):
+            assert x.scale(s) == scaled
+            assert x.transpose() == ExactMatrix(list(zip(*a.entries)))
+            assert x.is_zero() == all(v == 0 for r in a.entries for v in r)
+            assert x.to_jsonable() == a.to_jsonable()
+            if a.rows == a.cols:
+                assert x.trace() == sum((a[i, i] for i in range(a.rows)), Fraction(0))
+        for m in (ta + tb, ta - tb, ta.scale(s), ta.transpose()):
+            assert_canonical(m)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.data(), extras)
+    def test_trace_product(self, data, extra):
+        a = data.draw(fraction_matrices())
+        b = data.draw(fraction_matrices(a.cols, a.rows))
+        expected = schoolbook_product(a, b).trace()
+        assert trace_product(a, b) == expected
+        assert trace_product(integer_twin(a, extra), integer_twin(b, extra)) == expected
+
+    @settings(max_examples=20, deadline=None)
+    @given(fraction_matrices(), extras)
+    def test_no_public_mutable_row(self, m, extra):
+        def frozen(value):
+            if isinstance(value, tuple):
+                return all(frozen(v) for v in value)
+            return isinstance(value, (int, Fraction))
+
+        for mat in (m, integer_twin(m, extra), mat_mul(m, m.transpose())):
+            for name in dir(mat):
+                if name.startswith("_"):
+                    continue
+                value = getattr(mat, name)
+                if not callable(value):
+                    assert frozen(value), name
+            with pytest.raises(AttributeError):
+                mat.rows = 7
+
+    def test_from_integers_validates(self):
+        with pytest.raises(TypeError):
+            ExactMatrix.from_integers([[Fraction(1, 2)]])
+        with pytest.raises(TypeError):
+            ExactMatrix.from_integers([[1]], Fraction(2))
+        with pytest.raises(ZeroDivisionError):
+            ExactMatrix.from_integers([[1]], 0)
+        with pytest.raises(ShapeMismatchError):
+            ExactMatrix.from_integers([[1, 2], [3]])
+        assert ExactMatrix.from_integers([[2, -4], [0, 6]], -4) == ExactMatrix(
+            [["-1/2", 1], [0, "-3/2"]]
+        )
+
+    def test_identity_and_zeros(self):
+        assert ExactMatrix.identity(3) == ExactMatrix([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+        z = ExactMatrix.zeros(2, 3)
+        assert z.is_zero() and z == ExactMatrix([[0] * 3] * 2) and z.denominator == 1
 
 
 class TestMatMul:
@@ -162,6 +332,12 @@ class TestFieldAxioms:
     def test_division_inverts_multiplication(self, x, y):
         if y != 0:
             assert (x / y) * y == x
+
+
+def test_poly_gcd_is_monic_common_factor():
+    f = ExactPolynomial.from_roots([1, Fraction(2, 3)])
+    g = ExactPolynomial.from_roots([Fraction(2, 3), -5])
+    assert poly_gcd(f.scale(7), g.scale(Fraction(-1, 2))) == ExactPolynomial.from_roots([Fraction(2, 3)])
 
 
 def test_lagrange_interpolation_recovers_polynomial():

@@ -36,6 +36,16 @@ def test_partition_transfer_equals_bruteforce(shape, params_unit):
     )
 
 
+@pytest.mark.parametrize("periods", [0, 1, 2, 3])
+def test_partition_transfer_is_trace_of_power(periods, params_unit):
+    spec = LatticeSpec(3, periods, 1, 2, Fraction(-5, 3))
+    t = transfer_matrix_vertex(spec, params_unit)
+    power = ExactMatrix.identity(t.rows)
+    for _ in range(periods):
+        power = mat_mul(power, t)
+    assert partition_vertex_transfer(spec, params_unit) == power.trace()
+
+
 def test_partition_mixed_orders(params_unit):
     # Unequal quantum/auxiliary orders exercise the rectangular local blocks.
     spec = LatticeSpec(2, 2, 1, 2, Fraction(5, 4))
