@@ -24,15 +24,7 @@ from .exactcore import (
 )
 from .fusion import fuse_nm, sym_basis, symmetrizer
 from .polyrep import intertwiner_poly, o_m_product_form
-from .vertex import ModelParams
-
-
-def _up_step_count(a: int, b: int, n: int):
-    """Number of +1 steps on any unit-step path a -> b of length n, or None."""
-    diff = b - a
-    if abs(diff) > n or (n + diff) % 2:
-        return None
-    return (n + diff) // 2
+from .vertex import ModelParams, up_steps
 
 
 def fused_intertwiner_tensor(
@@ -52,7 +44,7 @@ def fused_intertwiner_tensor(
     space.
     """
     u = rat(u)
-    ups = _up_step_count(a, b, n)
+    ups = up_steps(a, b, n)
     if ups is None:
         return tuple(Fraction(0) for _ in range(1 << n))
     if path == "canonical":

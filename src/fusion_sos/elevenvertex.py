@@ -15,6 +15,7 @@ from functools import lru_cache
 
 from .exactcore import ExactMatrix, ExactPolynomial, ScalarLike, kron, mat_mul, rat
 from .fusion import fuse_nm, sym_basis
+from .polyrep import intertwiner_poly
 from .vertex import ModelParams
 
 
@@ -68,13 +69,9 @@ def similarity_fused(
 
 
 def psi_const(n: int, a: int, b: int, params: ModelParams) -> ExactPolynomial:
-    """Spectral-parameter-free intertwining polynomial of the shifted family."""
-    d = b - a
-    if abs(d) > n or (n + d) % 2:
-        return ExactPolynomial.zero()
-    n_plus = (n + d) // 2
-    n_minus = (n - d) // 2
-    alpha, s, t = params.alpha, params.s, params.t
-    roots = [alpha * (n - a - 2 * p + 1 - t) for p in range(1, n_plus + 1)]
-    roots += [alpha * (n + a - 2 * q + 1 + s) for q in range(1, n_minus + 1)]
-    return ExactPolynomial.from_roots(roots).scale((-1) ** n)
+    """Spectral-parameter-free intertwining polynomial of the shifted family.
+
+    This is the u = 0 intertwiner: the shift z -> z + alpha*u removes the
+    spectral parameter, so every u gives this polynomial after the shift.
+    """
+    return intertwiner_poly(n, 0, a, b, params)

@@ -39,7 +39,7 @@ from .exactcore import (
     poly_shift,
     rat,
 )
-from .vertex import ModelParams
+from .vertex import ModelParams, up_steps
 
 
 class UnsupportedEvaluationPoint(ValueError):
@@ -73,18 +73,18 @@ class DiffOp:
             raise ShapeMismatchError("cannot pad to a smaller output space")
         if out_dim == self.out_dim:
             return self
-        rows = [list(r) for r in self.matrix.entries]
-        rows += [[Fraction(0)] * self.in_dim for _ in range(out_dim - self.out_dim)]
-        return DiffOp(ExactMatrix(rows))
+        m = self.matrix
+        zeros = ((0,) * self.in_dim,) * (out_dim - self.out_dim)
+        return DiffOp(ExactMatrix.from_integers(m.numerators + zeros, m.denominator))
 
     def truncate(self, out_dim: int) -> "DiffOp":
         """Drop output rows above ``out_dim``, asserting they are exactly zero."""
-        if out_dim > self.out_dim:
+        if out_dim >= self.out_dim:
             return self.pad_out(out_dim)
-        for row in self.matrix.entries[out_dim:]:
-            if any(x != 0 for x in row):
-                raise ShapeMismatchError("truncation would discard nonzero coefficients")
-        return DiffOp(ExactMatrix(self.matrix.entries[:out_dim]))
+        num = self.matrix.numerators
+        if any(map(any, num[out_dim:])):
+            raise ShapeMismatchError("truncation would discard nonzero coefficients")
+        return DiffOp(ExactMatrix.from_integers(num[:out_dim], self.matrix.denominator))
 
     def compose(self, other: "DiffOp") -> "DiffOp":
         """self applied after other."""
@@ -106,12 +106,8 @@ class DiffOp:
         return DiffOp(self.matrix.scale(s))
 
     def apply(self, p: ExactPolynomial) -> ExactPolynomial:
-        vec = p.coeff_vector(self.in_dim)
-        out = [
-            sum((row[j] * vec[j] for j in range(self.in_dim)), Fraction(0))
-            for row in self.matrix.entries
-        ]
-        return ExactPolynomial(out)
+        column = ExactMatrix.column(p.coeff_vector(self.in_dim))
+        return ExactPolynomial(mat_mul(self.matrix, column).column_vector())
 
     def __eq__(self, other) -> bool:
         return isinstance(other, DiffOp) and self.matrix == other.matrix
@@ -243,8 +239,8 @@ def r_n1_matrix(n: int, u: ScalarLike, params: ModelParams) -> tuple[tuple[DiffO
     z1 = mul_z(work)
 
     def crop(op: DiffOp) -> DiffOp:
-        body = DiffOp(ExactMatrix([row[:dim] for row in op.matrix.entries]))
-        return body.truncate(dim)
+        rows = [row[:dim] for row in op.matrix.numerators]
+        return DiffOp(ExactMatrix.from_integers(rows, op.matrix.denominator)).truncate(dim)
 
     z2 = DiffOp(mat_mul(mul_z(work + 1).matrix, z1.matrix))  # times z^2, shape (work+2, work)
 
@@ -294,11 +290,10 @@ def monomial_to_coeff_matrix(n: int) -> ExactMatrix:
 def intertwiner_poly(n: int, u: ScalarLike, a: int, b: int, params: ModelParams) -> ExactPolynomial:
     """The degree-n intertwining polynomial for heights (a, b); zero off adjacency."""
     u = rat(u)
-    d = b - a
-    if abs(d) > n or (n + d) % 2:
+    n_plus = up_steps(a, b, n)
+    if n_plus is None:
         return ExactPolynomial.zero()
-    n_plus = (n + d) // 2
-    n_minus = (n - d) // 2
+    n_minus = n - n_plus
     alpha, s, t = params.alpha, params.s, params.t
     roots = [alpha * (u + n - a - 2 * p + 1 - t) for p in range(1, n_plus + 1)]
     roots += [alpha * (u + n + a - 2 * q + 1 + s) for q in range(1, n_minus + 1)]
@@ -314,11 +309,10 @@ def o_m_product_form(
     preserves the degree bound; the whole operator carries alpha^(-m).
     """
     u = rat(u)
-    diff = c - b
-    if abs(diff) > m or (m + diff) % 2:
+    m_plus = up_steps(b, c, m)
+    if m_plus is None:
         raise ValueError("heights b, c are not adjacent at distance m")
-    m_plus = (m + diff) // 2
-    m_minus = (m - diff) // 2
+    m_minus = m - m_plus
     alpha, s, t = params.alpha, params.s, params.t
     dim = degree_bound + 1
     dp = delta_op(1, degree_bound, params)
@@ -414,11 +408,10 @@ def o_m_gamma_form(
             f"gamma exponents are integers only for integer u in 0..{m}, got {u}"
         )
     ui = int(u)
-    diff = c - b
-    if abs(diff) > m or (m + diff) % 2:
+    m_plus = up_steps(b, c, m)
+    if m_plus is None:
         raise ValueError("heights b, c are not adjacent at distance m")
-    m_plus = (m + diff) // 2
-    m_minus = (m - diff) // 2
+    m_minus = m - m_plus
     alpha, s, t = params.alpha, params.s, params.t
     u1 = alpha * (-u + Fraction(m - b - c, 2) - t)
     u2 = alpha * (-u + Fraction(m + b + c, 2) + s)

@@ -24,10 +24,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, isqrt
+from math import comb
 
 from .exactcore import ScalarLike, rat
-from .vertex import ModelParams
+from .vertex import ModelParams, up_steps
 
 
 class PoleError(ZeroDivisionError):
@@ -36,10 +36,6 @@ class PoleError(ZeroDivisionError):
 
 class DegenerateParameterPoint(ValueError):
     """A lower series parameter hit a nonpositive integer before termination."""
-
-
-def _adjacent(diff: int, k: int) -> bool:
-    return abs(diff) <= k and (diff + k) % 2 == 0
 
 
 @dataclass(frozen=True)
@@ -65,10 +61,10 @@ class WeightQuery:
 
     def is_valid(self) -> bool:
         return (
-            _adjacent(self.a - self.b, self.n)
-            and _adjacent(self.bprime - self.c, self.n)
-            and _adjacent(self.a - self.bprime, self.m)
-            and _adjacent(self.b - self.c, self.m)
+            up_steps(self.a, self.b, self.n) is not None
+            and up_steps(self.c, self.bprime, self.n) is not None
+            and up_steps(self.bprime, self.a, self.m) is not None
+            and up_steps(self.c, self.b, self.m) is not None
         )
 
 
@@ -443,13 +439,17 @@ def sample_admissible_boundary(k: int, n: int, l: int, rng, spread: int = 3):
         d = c - rng.choice(range(-l, l + 1, 2))
         f = a - rng.choice(range(-l, l + 1, 2))
         e = f - rng.choice(range(-n, n + 1, 2))
-        if not _adjacent(e - d, k):
+        if up_steps(d, e, k) is None:
             continue
         has_term = any(
-            _adjacent(f - g, k) and _adjacent(g - d, n) and _adjacent(b - g, l)
+            up_steps(g, f, k) is not None
+            and up_steps(d, g, n) is not None
+            and up_steps(g, b, l) is not None
             for g in _g_range((f, k), (d, n), (b, l))
         ) or any(
-            _adjacent(a - g, n) and _adjacent(g - c, k) and _adjacent(g - e, l)
+            up_steps(g, a, n) is not None
+            and up_steps(c, g, k) is not None
+            and up_steps(e, g, l) is not None
             for g in _g_range((a, n), (c, k), (e, l))
         )
         if has_term:
@@ -462,51 +462,47 @@ def sample_admissible_boundary(k: int, n: int, l: int, rng, spread: int = 3):
 def gauge_weights(q: WeightQuery, params: ModelParams, mode: str = "float"):
     """The rescaled elementary family whose off-diagonal entries carry square roots.
 
-    ``mode="float"`` evaluates in double precision (refusing negative
-    radicands); ``mode="exact-squared"`` returns the exact square of the
-    weight, which is rational and enough for identity checking.
+    ``mode="float"`` is :func:`gauge_w11_float` at float(u), float(w);
+    ``mode="exact-squared"`` returns the exact square of the weight, which
+    is rational and enough for identity checking.
     """
     if (q.n, q.m) != (1, 1):
         raise ValueError("gauge weights are defined for n = m = 1")
     if mode not in ("float", "exact-squared"):
         raise ValueError("mode must be 'float' or 'exact-squared'")
+    if mode == "float":
+        return gauge_w11_float(q.a, q.b, q.bprime, q.c, float(q.u), float(params.w))
     if not q.is_valid():
-        return Fraction(0) if mode == "exact-squared" else 0.0
+        return Fraction(0)
     a, b, bp, c, u, w = q.a, q.b, q.bprime, q.c, q.u, params.w
     if abs(a - c) == 2 or b == bp:
         plain = w11(q, params)
-        return plain * plain if mode == "exact-squared" else float(plain)
+        return plain * plain
     # a == c, b != b': the square-root family.
     l = c
     if l + w == 0:
         raise PoleError("vanishing height denominator")
-    radicand = (l - 1 + w) * (l + 1 + w)
-    squared = u * u * radicand / (l + w) ** 2
-    if mode == "exact-squared":
-        return squared
-    if radicand < 0:
-        raise ValueError("unsupported parameter region: negative radicand")
-    return float(u) * _float_sqrt(radicand) / float(l + w)
-
-
-def _float_sqrt(x: Fraction) -> float:
-    # Exact when the radicand is a perfect rational square, float sqrt otherwise.
-    num, den = x.numerator, x.denominator
-    rn, rd = isqrt(num), isqrt(den)
-    if rn * rn == num and rd * rd == den:
-        return rn / rd
-    return float(x) ** 0.5
+    return u * u * (l - 1 + w) * (l + 1 + w) / (l + w) ** 2
 
 
 def gauge_w11_float(a: int, b: int, bp: int, c: int, u: float, w: float) -> float:
-    """Double-precision gauge weight for numeric identity checks."""
+    """Double-precision gauge weight: the only float evaluation of the family.
+
+    Raises :class:`PoleError` where l + w = 0 (l = c) and the face has a
+    denominator, as :func:`w11` does, and refuses negative radicands.
+    """
     if not (
-        _adjacent(a - b, 1) and _adjacent(bp - c, 1) and _adjacent(a - bp, 1) and _adjacent(b - c, 1)
+        up_steps(a, b, 1) is not None
+        and up_steps(c, bp, 1) is not None
+        and up_steps(bp, a, 1) is not None
+        and up_steps(c, b, 1) is not None
     ):
         return 0.0
     if abs(a - c) == 2:
         return u + 1.0
     l = c
+    if l + w == 0:
+        raise PoleError("vanishing height denominator")
     if b == bp:
         return (-u + l + w) / (l + w) if b == l + 1 else (u + l + w) / (l + w)
     radicand = (l - 1.0 + w) * (l + 1.0 + w)

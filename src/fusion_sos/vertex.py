@@ -49,6 +49,20 @@ class ModelParams:
         return (self.s + self.t) / 2
 
 
+def up_steps(a: int, b: int, n: int) -> int | None:
+    """Number of +1 steps on a unit-step path of length n from a to b.
+
+    This is the adjacency rule of the fused models: b is adjacent to a at
+    distance n when |b - a| <= n and n + b - a is even.  Off adjacency the
+    result is None; otherwise the path has ``n - up_steps(a, b, n)`` down
+    steps.
+    """
+    d = b - a
+    if abs(d) > n or (n + d) % 2:
+        return None
+    return (n + d) // 2
+
+
 @lru_cache(maxsize=None)
 def r7v(u: Fraction, params: ModelParams) -> ExactMatrix:
     """Seven-vertex weight matrix at spectral parameter u."""

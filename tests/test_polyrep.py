@@ -2,7 +2,14 @@ from fractions import Fraction
 
 import pytest
 
-from fusion_sos.exactcore import ExactMatrix, ExactPolynomial, kron, lagrange_interpolate, mat_mul
+from fusion_sos.exactcore import (
+    ExactMatrix,
+    ExactPolynomial,
+    ShapeMismatchError,
+    kron,
+    lagrange_interpolate,
+    mat_mul,
+)
 from fusion_sos.fusion import fuse_n1
 from fusion_sos.polyrep import (
     DiffOp,
@@ -103,6 +110,45 @@ def test_commutation_identities(p, params):
     ).scale(p * a).pad_out(gdim + 2)
     rhs2 = bracket2.compose(mul_poly(gp1, d + 1))
     assert lhs2.pad_out(rhs2.out_dim) == rhs2
+
+
+class TestDiffOpShapes:
+    def test_truncate_refuses_nonzero_integer_rows(self):
+        # A kernel result (integer form) whose top row is z^2 * z^2 / 3.
+        op = mul_z(4).compose(mul_z(3)).scale(Fraction(1, 3))
+        assert op.out_dim == 5
+        with pytest.raises(ShapeMismatchError):
+            op.truncate(4)
+
+    def test_truncate_refuses_nonzero_fraction_rows(self):
+        # mul_z is built from Fraction rows; its top row holds z^3 -> z^4.
+        with pytest.raises(ShapeMismatchError):
+            mul_z(3).truncate(3)
+
+    def test_truncate_keeps_exact_action(self, params):
+        # delta(-) lowers the degree, so z * delta(-) fits back in degree < 4.
+        dm = delta_op(-1, 3, params).scale(Fraction(2, 5))
+        op = mul_z(4).compose(dm)
+        cut = op.truncate(4)
+        assert cut.out_dim == 4
+        p = ExactPolynomial((Fraction(1, 2), -3, Fraction(7, 4), 2))
+        assert cut.apply(p) == op.apply(p) == Z * dm.apply(p)
+
+    def test_pad_out_refuses_smaller_space(self, params):
+        with pytest.raises(ShapeMismatchError):
+            delta_op(1, 3, params).pad_out(3)
+        with pytest.raises(ShapeMismatchError):
+            mul_z(4).compose(mul_z(3)).pad_out(4)
+
+    def test_pad_then_truncate_round_trip(self, params):
+        for op in (
+            delta_op(1, 3, params),
+            mul_z(3),
+            mul_z(4).compose(delta_op(-1, 3, params)).scale(Fraction(-3, 7)),
+        ):
+            padded = op.pad_out(op.out_dim + 3)
+            assert padded.out_dim == op.out_dim + 3
+            assert padded.truncate(op.out_dim) == op
 
 
 class TestRn1Matrix:

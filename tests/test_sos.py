@@ -304,3 +304,41 @@ class TestGaugeModel:
     def test_w0_model_values(self):
         for l in range(0, 4):
             assert abs(w0_model_float(l, l + 1, l - 1, l, 0.73) - gauge_w11_float(l, l + 1, l - 1, l, 0.73, 1.0)) < 1e-15
+
+    @pytest.mark.parametrize("w", [0, 1, -2])
+    def test_pole_at_l_plus_w_zero_on_every_route(self, w):
+        p = ModelParams(1, w, w)
+        l = -w
+        for b in (l - 1, l + 1):
+            for bp in (l - 1, l + 1):
+                q = WeightQuery(1, 1, l, b, bp, l, U)
+                assert q.is_valid()
+                with pytest.raises(PoleError):
+                    gauge_weights(q, p, "float")
+                with pytest.raises(PoleError):
+                    gauge_weights(q, p, "exact-squared")
+                with pytest.raises(PoleError):
+                    gauge_w11_float(l, b, bp, l, float(U), float(w))
+        # Faces with |a - c| = 2 have no denominator.
+        for a in (l - 2, l + 2):
+            mid = (a + l) // 2
+            q = WeightQuery(1, 1, a, mid, mid, l, U)
+            assert gauge_weights(q, p, "float") == float(U) + 1
+            assert gauge_w11_float(a, mid, mid, l, float(U), float(w)) == float(U) + 1
+            assert gauge_weights(q, p, "exact-squared") == (U + 1) ** 2
+
+    def test_float_mode_is_gauge_w11_float(self):
+        for num in range(-20, 21):
+            w = Fraction(num, 7)
+            if w.denominator == 1:
+                continue
+            p = ModelParams(1, w, w)
+            for a, b, bp, c in valid_quads(1, 1, 3):
+                q = WeightQuery(1, 1, a, b, bp, c, U)
+                try:
+                    expected = gauge_w11_float(a, b, bp, c, float(U), float(w))
+                except ValueError:
+                    with pytest.raises(ValueError, match="negative radicand"):
+                        gauge_weights(q, p, "float")
+                    continue
+                assert gauge_weights(q, p, "float") == expected

@@ -1,9 +1,15 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fusion_sos.correspondence import fused_intertwiner_tensor
 from fusion_sos.exactcore import ExactMatrix
+from fusion_sos.polyrep import intertwiner_poly, o_m_gamma_form, o_m_product_form
+from fusion_sos.sos import WeightQuery
 from fusion_sos.vertex import (
     ModelParams,
     check_degeneracy,
@@ -11,6 +17,7 @@ from fusion_sos.vertex import (
     embed_two_site,
     permutation_op,
     r7v,
+    up_steps,
 )
 
 from conftest import rand_rat
@@ -107,3 +114,42 @@ def test_embed_two_site_reversed_positions(params_unit):
     swapped = embed_two_site(r, (1, 0), dims)
     p = permutation_op(2)
     assert swapped == p @ r @ p
+
+
+# -- the adjacency rule --------------------------------------------------------
+
+ADJ_PARAMS = ModelParams(Fraction(3, 2), Fraction(1, 3), Fraction(2, 3))
+
+
+def brute_force_up_steps(a, b, n):
+    """Up-step counts of all +-1 paths of length n from a to b."""
+    return {steps.count(1) for steps in product((1, -1), repeat=n) if a + sum(steps) == b}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 5), st.integers(-6, 6), st.integers(-6, 6))
+def test_up_steps_counts_unit_step_paths(n, a, b):
+    counts = brute_force_up_steps(a, b, n)
+    ups = up_steps(a, b, n)
+    if counts:
+        assert counts == {ups}
+    else:
+        assert ups is None
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 5), st.integers(-6, 6), st.integers(-6, 6))
+def test_adjacency_consumers_agree_with_up_steps(n, a, b):
+    adjacent = up_steps(a, b, n) is not None
+    u = Fraction(5, 7)
+    p = ADJ_PARAMS
+    assert intertwiner_poly(n, u, a, b, p).is_zero() is not adjacent
+    tensor = fused_intertwiner_tensor(n, u, a, b, "canonical", p)
+    assert all(x == 0 for x in tensor) is not adjacent
+    assert WeightQuery(n, n, a, b, b, a, u).is_valid() is adjacent
+    for build, at in ((o_m_product_form, u), (o_m_gamma_form, 0)):
+        if adjacent:
+            build(n, at, a, b, p, n)
+        else:
+            with pytest.raises(ValueError, match="not adjacent at distance m"):
+                build(n, at, a, b, p, n)
