@@ -2,6 +2,7 @@
 the matching height (SOS) models, and the eleven-vertex family."""
 
 from .exactcore import (
+    DegeneratePointError,
     ExactMatrix,
     ExactPolynomial,
     ExactScalar,

@@ -2,8 +2,10 @@
 
 Rationals are passed as "P/Q" or integer strings and serialized the same way,
 so no precision is lost on the way in or out.  Exit codes: 0 success, 1 an
-identity check failed, 2 usage error (bad flags, malformed rationals, or an
-adjacency-violating weight query).
+identity check failed, 2 a usage error (bad flags, malformed rationals, or an
+adjacency-violating weight query) or any other ``ValueError`` or
+``ZeroDivisionError`` -- among them a degenerate parameter point
+(``PoleError``, ``DegenerateParameterPoint``, ``SingularMatrixError``).
 """
 
 from __future__ import annotations

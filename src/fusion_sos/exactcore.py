@@ -36,7 +36,17 @@ class ShapeMismatchError(ValueError):
     """Operands do not have conforming shapes."""
 
 
-class SingularMatrixError(ValueError):
+class DegeneratePointError(Exception):
+    """A computation has no finite value at this parameter point.
+
+    Base of :class:`SingularMatrixError` and of the face-weight errors
+    :class:`fusion_sos.sos.PoleError` and
+    :class:`fusion_sos.sos.DegenerateParameterPoint`, which keep their
+    ``ValueError`` / ``ZeroDivisionError`` bases as well.
+    """
+
+
+class SingularMatrixError(DegeneratePointError, ValueError):
     """Coefficient matrix is rank deficient."""
 
 

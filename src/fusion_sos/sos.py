@@ -17,6 +17,16 @@ All weights depend on the model constants only through w = (s + t)/2, which
 must avoid the integers for the height-label denominators to stay nonzero.
 Every denominator is still guarded explicitly and raises :class:`PoleError`
 when hit, so degenerate parameter choices fail loudly.
+
+The sum and hypergeometric routes run on plain integers.  Every quantity
+they form (theta, ladder factor, series parameter, gamma-ratio argument) is
+an affine expression in u, w and half-integers, some halved once more.  Per
+call they are held as integer numerators over one denominator
+D = 2 lcm(2, den u, den w): then D u and D w are even, so the halved
+parameters stay integral, a parameter is a nonpositive integer exactly when
+its numerator is a nonpositive multiple of D, and Pochhammer products are
+products of ints.  Each weight becomes one :class:`~fractions.Fraction` at
+the end.  The linear-solve oracle stays on ``Fraction`` and checks them.
 """
 
 from __future__ import annotations
@@ -24,17 +34,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, lcm
 
-from .exactcore import ScalarLike, rat
+from .exactcore import DegeneratePointError, ScalarLike, rat
 from .vertex import ModelParams, up_steps
 
 
-class PoleError(ZeroDivisionError):
+class PoleError(DegeneratePointError, ZeroDivisionError):
     """A weight denominator vanished (integer w or colliding heights)."""
 
 
-class DegenerateParameterPoint(ValueError):
+class DegenerateParameterPoint(DegeneratePointError, ValueError):
     """A lower series parameter hit a nonpositive integer before termination."""
 
 
@@ -112,15 +122,20 @@ def w_n1(q: WeightQuery, params: ModelParams) -> Fraction:
     return _safe_div((u + n_minus) * (c - 1 - n_minus + w), a + w)
 
 
+def _poch(y: int, k: int, step: int) -> int:
+    """prod_{j=0}^{k-1} (y + j * step) on integers."""
+    out = 1
+    for j in range(k):
+        out *= y + j * step
+    return out
+
+
 def signed_pochhammer(y: ScalarLike, k: int, sign: int) -> Fraction:
     """prod_{j=0}^{k-1} (y + sign * j)."""
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     y = rat(y)
-    out = Fraction(1)
-    for j in range(k):
-        out *= y + sign * j
-    return out
+    return Fraction(_poch(y.numerator, k, sign * y.denominator), y.denominator**k)
 
 
 def path_function_bruteforce(kappa_plus: int, kappa_minus: int, x: ScalarLike) -> Fraction:
@@ -162,21 +177,34 @@ def path_function_closed(kappa_plus: int, kappa_minus: int, x: ScalarLike) -> Fr
     return Fraction(comb(kappa_plus + kappa_minus, kappa_plus)) / den
 
 
+def _over_common_denominator(u: Fraction, w: Fraction) -> tuple[int, int, int]:
+    """The per-call denominator D = 2 lcm(2, den u, den w) and the integers D u, D w.
+
+    D u and D w are even, so a halved affine form in u, w and half-integers
+    is still an integer multiple of 1/D.
+    """
+    d = 2 * lcm(2, u.denominator, w.denominator)
+    return d, u.numerator * (d // u.denominator), w.numerator * (d // w.denominator)
+
+
 @lru_cache(maxsize=None)
 def _w_nm_sum(n: int, m: int, a: int, b: int, bp: int, c: int, u: Fraction, w: Fraction) -> Fraction:
+    # Every theta and ladder factor is held as D times its value.
+    d, du, dw = _over_common_denominator(u, w)
+    h = d // 2
     mu = b - c
     nu = a - b
     mu_prime = bp - a
     m_plus = (m - mu) // 2
     m_minus = (m + mu) // 2
-    x = a + w
-    th1 = Fraction(n - nu, 2)
-    th2 = -u + c + m_minus - Fraction(n - nu, 2) + w
-    th3 = u - m_plus + Fraction(n + nu, 2)
-    th4 = c + mu + Fraction(n + nu, 2) + w
+    x = a * d + dw
+    th1 = (n - nu) * h
+    th2 = -du + (c + m_minus) * d - (n - nu) * h + dw
+    th3 = du - m_plus * d + (n + nu) * h
+    th4 = (c + mu) * d + (n + nu) * h + dw
     if x == 0:
         raise PoleError("a + w vanished")
-    total = Fraction(0)
+    total_num, total_den = 0, 1
     for sig in range(-m_minus, m_minus + 1, 2):
         kp = (m_minus + sig) // 2
         km = (m_minus - sig) // 2
@@ -186,22 +214,24 @@ def _w_nm_sum(n: int, m: int, a: int, b: int, bp: int, c: int, u: Fraction, w: F
             continue
         rp = rp2 // 2
         rm = m_plus - rp
-        th5 = u + Fraction(n - nu - sig - m_minus, 2)
-        th6 = c + mu - Fraction(n - nu - sig + m_minus, 2) + w
-        th7 = Fraction(n + nu + sig + m_minus, 2)
-        th8 = u + c + mu + Fraction(n + nu + sig - m_minus, 2) + w
-        num = (x + mu_prime) * comb(m_minus, kp) * comb(m_plus, rp)
-        num *= signed_pochhammer(th1, kp, -1) * signed_pochhammer(th2, kp, 1)
-        num *= signed_pochhammer(th3, km, -1) * signed_pochhammer(th4, km, -1)
-        num *= signed_pochhammer(th5, rp, -1) * signed_pochhammer(th6, rp, 1)
-        num *= signed_pochhammer(th7, rm, -1) * signed_pochhammer(th8, rm, -1)
+        th5 = du + (n - nu - sig - m_minus) * h
+        th6 = (c + mu) * d - (n - nu - sig + m_minus) * h + dw
+        th7 = (n + nu + sig + m_minus) * h
+        th8 = du + (c + mu) * d + (n + nu + sig - m_minus) * h + dw
+        num = (x + mu_prime * d) * comb(m_minus, kp) * comb(m_plus, rp)
+        num *= _poch(th1, kp, -d) * _poch(th2, kp, d)
+        num *= _poch(th3, km, -d) * _poch(th4, km, -d)
+        num *= _poch(th5, rp, -d) * _poch(th6, rp, d)
+        num *= _poch(th7, rm, -d) * _poch(th8, rm, -d)
         den = x
-        den *= signed_pochhammer(x + 1, kp, 1) * signed_pochhammer(x - 1, km, -1)
-        den *= signed_pochhammer(x + sig + 1, rp, 1) * signed_pochhammer(x + sig - 1, rm, -1)
+        den *= _poch(x + d, kp, d) * _poch(x - d, km, -d)
+        den *= _poch(x + (sig + 1) * d, rp, d) * _poch(x + (sig - 1) * d, rm, -d)
         if den == 0:
             raise PoleError("height-ladder denominator vanished")
-        total += num / den
-    return total
+        total_num = total_num * den + num * total_den
+        total_den *= den
+    # Each term has 1 + 2K scaled factors above and 1 + K below, K = m_+ + m_-.
+    return Fraction(total_num, total_den * d ** (m_plus + m_minus))
 
 
 def w_nm_sum(q: WeightQuery, params: ModelParams) -> Fraction:
@@ -211,143 +241,150 @@ def w_nm_sum(q: WeightQuery, params: ModelParams) -> Fraction:
     return _w_nm_sum(q.n, q.m, q.a, q.b, q.bprime, q.c, q.u, params.w)
 
 
-def _gamma_ratio(top: Fraction, bottom: Fraction) -> Fraction:
-    """Gamma(top)/Gamma(bottom) for arguments differing by an integer."""
-    d = top - bottom
-    if d.denominator != 1:
+def _gamma_ratio(top: int, bottom: int, d: int) -> tuple[int, int]:
+    """Gamma(top/d)/Gamma(bottom/d) as (numerator, denominator), for arguments
+    differing by an integer."""
+    steps, rest = divmod(top - bottom, d)
+    if rest:
         raise ValueError("gamma ratio needs an integer offset")
-    d = int(d)
-    if d >= 0:
-        val = signed_pochhammer(bottom, d, 1)
+    if steps >= 0:
+        val = _poch(bottom, steps, d)
         if val == 0:
             raise DegenerateParameterPoint("gamma ratio hit a pole/zero collision")
-        return val
-    val = signed_pochhammer(top, -d, 1)
+        return val, d**steps
+    val = _poch(top, -steps, d)
     if val == 0:
         raise DegenerateParameterPoint("gamma ratio hit a pole/zero collision")
-    return Fraction(1) / val
+    return d**-steps, val
 
 
-def _terminating_9f8(alphas, betas) -> Fraction:
+def _terminating_9f8(alphas, betas, d: int) -> tuple[int, int]:
     """Sum the series at unit argument up to the first vanishing upper factor.
 
-    Termination is driven by the nonpositive-integer upper parameters; if a
-    lower parameter reaches zero strictly before termination the point is
-    degenerate and is reported rather than silently cancelled.
+    Parameters are D times their value; the sum is returned as
+    (numerator, denominator).  Termination is driven by the nonpositive-integer
+    upper parameters; if a lower parameter reaches zero strictly before
+    termination the point is degenerate and is reported rather than silently
+    cancelled.
     """
     kmax = None
     for aj in alphas:
-        if aj.denominator == 1 and aj <= 0:
-            k = -int(aj)
+        if aj % d == 0 and aj <= 0:
+            k = -aj // d
             kmax = k if kmax is None else min(kmax, k)
     if kmax is None:
         raise DegenerateParameterPoint("series does not terminate")
-    total = Fraction(0)
-    term = Fraction(1)
+    # The running sum and the current term share the denominator ``den``.
+    total = 0
+    term = 1
+    den = 1
     for k in range(kmax + 1):
         total += term
         if k == kmax:
             break
-        num = Fraction(1)
+        shift = k * d
+        num = 1
         for aj in alphas:
-            num *= aj + k
-        den = Fraction(k + 1)
+            num *= aj + shift
+        # Nine scaled upper factors over eight lower ones leave one factor D.
+        step_den = (k + 1) * d
         for bj in betas:
-            den *= bj + k
-        if den == 0:
+            step_den *= bj + shift
+        if step_den == 0:
             raise DegenerateParameterPoint("lower parameter vanished before termination")
-        term *= num / den
-    return total
+        term *= num
+        total *= step_den
+        den *= step_den
+    return total, den
 
 
-def _hyper_low_branch(n, m, a, b, bp, c, u, w) -> Fraction:
+def _hyper_value(num: int, den: int, gammas, alphas, betas, d: int) -> Fraction:
+    """Prefactor num/den times the gamma ratios, in order, times the series."""
+    for top, bottom in gammas:
+        g_num, g_den = _gamma_ratio(top, bottom, d)
+        num *= g_num
+        den *= g_den
+    if num == 0:
+        return Fraction(0)
+    s_num, s_den = _terminating_9f8(alphas, betas, d)
+    return Fraction(num * s_num, den * s_den)
+
+
+def _hyper_low_branch(m, a, b, bp, c, d, du, dw, labels) -> Fraction:
     """Series and prefactor for the regime b + b' <= a + c."""
-    n_p = Fraction(n + (b - a), 2)
-    n_m = Fraction(n - (b - a), 2)
-    m_p = Fraction(m + (c - b), 2)
-    m_m = Fraction(m - (c - b), 2)
-    mp_p = Fraction(m + (bp - a), 2)
-    mp_m = Fraction(m - (bp - a), 2)
-    half = Fraction(b + bp - a - c, 2)
+    n_p, n_m, m_p, m_m, mp_p, mp_m, half = labels
+    h = d // 2
     alphas = (
-        -m_m,
-        -n_p,
-        -mp_p,
-        a - m_m + w,
-        -u + c - n_p + m_m + w,
-        (a - m_m + w + 2) / 2,
-        a - mp_m + w,
-        n_m + 1,
-        u + c - m_p + n_m + w + 1,
+        -m_m * d,
+        -n_p * d,
+        -mp_p * d,
+        (a - m_m) * d + dw,
+        -du + (c - n_p + m_m) * d + dw,
+        ((a - m_m + 2) * d + dw) // 2,
+        (a - mp_m) * d + dw,
+        (n_m + 1) * d,
+        du + (c - m_p + n_m + 1) * d + dw,
     )
     betas = (
-        a + w + 1,
-        u - m + n_m + 1,
-        c + n_m - m_p + 1 + w,
-        1 - half,
-        Fraction(bp - b + a + c, 2) + w + 1,
-        (a - m_m + w) / 2,
-        -u - n_p,
-        c - m_p - n_p + w,
+        (a + 1) * d + dw,
+        du + (n_m + 1 - m) * d,
+        (c + n_m - m_p + 1) * d + dw,
+        (1 - half) * d,
+        (bp - b + a + c) * h + d + dw,
+        ((a - m_m) * d + dw) // 2,
+        -du - n_p * d,
+        (c - m_p - n_p) * d + dw,
     )
-    coeff = (bp + w) * comb(int(m_p), int(mp_p))
-    coeff *= _gamma_ratio(a - mp_m + w, a + w + 1)
-    coeff *= signed_pochhammer(n_m + half + 1, int(-half), 1)
-    coeff *= _gamma_ratio(b + n_m + 1 + w, c + n_m - m_p + 1 + w)
-    coeff *= _gamma_ratio(a - m_m + w + 1, Fraction(bp - b + a + c, 2) + w + 1)
-    coeff *= _gamma_ratio(u + c - m_p + n_m + w + 1, u + b + n_m - mp_m + w + 1)
-    coeff *= _gamma_ratio(u + n_p + 1, u + n_p - mp_p + 1)
-    coeff *= _gamma_ratio(Fraction(b + bp + c - a, 2) - n_p + w, c - m_p - n_p + w)
-    coeff *= _gamma_ratio(u + n_m - m_p + 1, u - m + n_m + 1)
-    if coeff == 0:
-        return Fraction(0)
-    return coeff * _terminating_9f8(alphas, betas)
+    gammas = (
+        ((a - mp_m) * d + dw, (a + 1) * d + dw),
+        ((b + n_m + 1) * d + dw, (c + n_m - m_p + 1) * d + dw),
+        ((a - m_m + 1) * d + dw, (bp - b + a + c) * h + d + dw),
+        (du + (c - m_p + n_m + 1) * d + dw, du + (b + n_m - mp_m + 1) * d + dw),
+        (du + (n_p + 1) * d, du + (n_p - mp_p + 1) * d),
+        ((b + bp + c - a) * h - n_p * d + dw, (c - m_p - n_p) * d + dw),
+        (du + (n_m - m_p + 1) * d, du + (n_m + 1 - m) * d),
+    )
+    num = (bp * d + dw) * comb(m_p, mp_p) * _poch(n_m + half + 1, -half, 1)
+    return _hyper_value(num, d, gammas, alphas, betas, d)
 
 
-def _hyper_high_branch(n, m, a, b, bp, c, u, w) -> Fraction:
+def _hyper_high_branch(m, a, b, bp, c, d, du, dw, labels) -> Fraction:
     """Series and prefactor for the regime b + b' >= a + c."""
-    n_p = Fraction(n + (b - a), 2)
-    n_m = Fraction(n - (b - a), 2)
-    m_p = Fraction(m + (c - b), 2)
-    m_m = Fraction(m - (c - b), 2)
-    mp_p = Fraction(m + (bp - a), 2)
-    mp_m = Fraction(m - (bp - a), 2)
-    half = Fraction(b + bp - a - c, 2)
+    n_p, n_m, m_p, m_m, mp_p, mp_m, half = labels
+    h = d // 2
     alphas = (
-        -mp_m,
-        -n_p + half,
-        -m_p,
-        a - mp_m + w,
-        -u + b - n_p + mp_p + w,
-        (bp - m_p + w + 2) / 2,
-        bp - m_p + w,
-        n_m + 1 + half,
-        u + b - mp_m + n_m + w + 1,
+        -mp_m * d,
+        (half - n_p) * d,
+        -m_p * d,
+        (a - mp_m) * d + dw,
+        -du + (b - n_p + mp_p) * d + dw,
+        ((bp - m_p + 2) * d + dw) // 2,
+        (bp - m_p) * d + dw,
+        (n_m + 1 + half) * d,
+        du + (b - mp_m + n_m + 1) * d + dw,
     )
     betas = (
-        Fraction(b + bp + a - c, 2) + w + 1,
-        u - m_p - mp_m + n_m + 1,
-        b + n_m - mp_m + 1 + w,
-        1 + half,
-        bp + w + 1,
-        (bp - m_p + w) / 2,
-        -u - n_p + half,
-        b - mp_m - n_p + w,
+        (b + bp + a - c) * h + d + dw,
+        du + (n_m + 1 - m_p - mp_m) * d,
+        (b + n_m - mp_m + 1) * d + dw,
+        (1 + half) * d,
+        (bp + 1) * d + dw,
+        ((bp - m_p) * d + dw) // 2,
+        -du + (half - n_p) * d,
+        (b - mp_m - n_p) * d + dw,
     )
-    coeff = Fraction(comb(int(m_m), int(mp_m)))
-    coeff *= _gamma_ratio(a - mp_m + w, Fraction(b + bp + a - c, 2) + w + 1)
-    # Falling product n_+ (n_+ - 1) ... (n_+ - half + 1).
-    for j in range(int(half)):
-        coeff *= n_p - j
-    coeff *= _gamma_ratio(-u + b - n_p + mp_p + w, -u + c - n_p + m_m + w)
-    coeff *= _gamma_ratio(u + n_m - m_p + 1, u - m_p - mp_m + n_m + 1)
-    coeff *= _gamma_ratio(b + n_m + 1 + w, b + n_m - mp_m + 1 + w)
-    coeff *= _gamma_ratio(bp - m_p + w + 1, bp + w)
-    coeff *= _gamma_ratio(u + n_p - half + 1, u + n_p - mp_p + 1)
-    coeff *= _gamma_ratio(Fraction(b + bp - a + c, 2) - n_p + w, b - mp_m - n_p + w)
-    if coeff == 0:
-        return Fraction(0)
-    return coeff * _terminating_9f8(alphas, betas)
+    gammas = (
+        ((a - mp_m) * d + dw, (b + bp + a - c) * h + d + dw),
+        (-du + (b - n_p + mp_p) * d + dw, -du + (c - n_p + m_m) * d + dw),
+        (du + (n_m - m_p + 1) * d, du + (n_m + 1 - m_p - mp_m) * d),
+        ((b + n_m + 1) * d + dw, (b + n_m - mp_m + 1) * d + dw),
+        ((bp - m_p + 1) * d + dw, bp * d + dw),
+        (du + (n_p - half + 1) * d, du + (n_p - mp_p + 1) * d),
+        ((b + bp - a + c) * h - n_p * d + dw, (b - mp_m - n_p) * d + dw),
+    )
+    # comb(m_-, m'_-) times the falling product n_+ (n_+ - 1) ... (n_+ - half + 1).
+    num = comb(m_m, mp_m) * _poch(n_p, half, -1)
+    return _hyper_value(num, 1, gammas, alphas, betas, d)
 
 
 @lru_cache(maxsize=None)
@@ -355,12 +392,25 @@ def _w_nm_hyper(n: int, m: int, a: int, b: int, bp: int, c: int, u: Fraction, w:
     # The parameter tables were validated entry-by-entry against the
     # defining-relation solver; see the three-way agreement tests.  On the
     # regime boundary both branches apply and must agree.
+    # Both branches share D and the labels n_+-, m_+-, m'_+- and half, which
+    # are integers because the caller has checked adjacency.
+    d, du, dw = _over_common_denominator(u, w)
+    labels = (
+        (n + b - a) // 2,
+        (n - b + a) // 2,
+        (m + c - b) // 2,
+        (m - c + b) // 2,
+        (m + bp - a) // 2,
+        (m - bp + a) // 2,
+        (b + bp - a - c) // 2,
+    )
+    args = (m, a, b, bp, c, d, du, dw, labels)
     if b + bp < a + c:
-        return _hyper_low_branch(n, m, a, b, bp, c, u, w)
+        return _hyper_low_branch(*args)
     if b + bp > a + c:
-        return _hyper_high_branch(n, m, a, b, bp, c, u, w)
-    low = _hyper_low_branch(n, m, a, b, bp, c, u, w)
-    high = _hyper_high_branch(n, m, a, b, bp, c, u, w)
+        return _hyper_high_branch(*args)
+    low = _hyper_low_branch(*args)
+    high = _hyper_high_branch(*args)
     if low != high:
         raise DegenerateParameterPoint(
             "regime overlap mismatch at b + b' = a + c: %s vs %s" % (low, high)

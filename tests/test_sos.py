@@ -2,10 +2,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import fusion_sos
 from fusion_sos.correspondence import solve_weights_from_relation
-from fusion_sos.exactcore import lagrange_interpolate
+from fusion_sos.exactcore import DegeneratePointError, SingularMatrixError, lagrange_interpolate
 from fusion_sos.sos import (
+    DegenerateParameterPoint,
     PoleError,
     WeightQuery,
     check_ybe_sos,
@@ -342,3 +346,111 @@ class TestGaugeModel:
                         gauge_weights(q, p, "float")
                     continue
                 assert gauge_weights(q, p, "float") == expected
+
+
+@st.composite
+def oracle_points(draw):
+    """(n, m, a, b, c, u, w) with n, m <= 3, u and w non-integer of denominator
+    2..7; about a third of the draws put u + w on the integers."""
+    n = draw(st.integers(1, 3))
+    m = draw(st.integers(1, 3))
+    a = draw(st.integers(-3, 3))
+    b = a - draw(st.sampled_from(range(-n, n + 1, 2)))
+    c = b - draw(st.sampled_from(range(-m, m + 1, 2)))
+
+    def noninteger():
+        den = draw(st.integers(2, 7))
+        num = draw(st.integers(-4 * den, 4 * den).filter(lambda k: k % den))
+        return Fraction(num, den)
+
+    w = noninteger()
+    if draw(st.integers(0, 2)) == 0:
+        u = draw(st.integers(-4, 4)) - w
+    else:
+        u = noninteger()
+    return n, m, a, b, c, u, w
+
+
+class TestRoutesAgainstOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(oracle_points())
+    def test_sum_and_hyper_match_linear_solve(self, point):
+        n, m, a, b, c, u, w = point
+        p = ModelParams(1, w, w)
+        for bp, expected in solve_weights_from_relation(n, m, a, b, c, u, p).items():
+            q = WeightQuery(n, m, a, b, bp, c, u)
+            assert w_nm_sum(q, p) == expected
+            try:
+                hyper = w_nm_hypergeometric(q, p)
+            except DegenerateParameterPoint:
+                continue
+            assert hyper == expected
+
+
+# Outcomes of the two routes at points where at least one of them raises,
+# recorded from the Fraction implementation the integer one replaced:
+# ((n, m, a, b, b', c), u, w, sum outcome, hypergeometric outcome).  An
+# outcome is a value or (exception class, message).  The first rows have
+# non-integer w with u + w an integer; the rest have integer w.  No point of
+# |a|, |c| <= 2, n, m <= 3 and ten u by nine w values reaches the other three
+# messages ("series does not terminate", "regime overlap mismatch ...",
+# "gamma ratio needs an integer offset").
+_GAMMA = (DegenerateParameterPoint, "gamma ratio hit a pole/zero collision")
+_LOWER = (DegenerateParameterPoint, "lower parameter vanished before termination")
+_A_POLE = (PoleError, "a + w vanished")
+_LADDER = (PoleError, "height-ladder denominator vanished")
+DEGENERATE_POINTS = [
+    ((1, 1, -2, -3, -3, -2), "3/2", "1/2", "0", _GAMMA),
+    ((3, 3, -2, -5, -5, -2), "1/2", "3/2", "0", _GAMMA),
+    ((2, 1, -2, -2, -3, -1), "1/2", "1/2", "0", _GAMMA),
+    ((1, 1, 1, 2, 2, 1), "3/2", "1/2", "0", _GAMMA),
+    ((1, 1, -2, -1, -1, -2), "-3/2", "1/2", "0", _GAMMA),
+    ((1, 1, -2, -3, -1, -2), "0", "1/3", "0", _GAMMA),
+    ((2, 2, -2, 0, 0, 0), "-1", "3/5", "0", _GAMMA),
+    ((1, 1, -1, -2, -2, -1), "7/3", "1", _A_POLE, _GAMMA),
+    ((2, 2, -1, -1, 1, -1), "7/3", "1", _A_POLE, _GAMMA),
+    ((3, 2, -1, -4, 1, -2), "7/3", "1", _A_POLE, _GAMMA),
+    ((1, 1, -2, -3, -1, -2), "7/3", "1", _LADDER, _GAMMA),
+    ((1, 2, -2, -1, 0, -1), "7/3", "0", _LADDER, "70/9"),
+    ((2, 2, -2, -2, 0, -2), "7/3", "0", _LADDER, "91/6"),
+    ((3, 3, -2, -5, -3, -2), "7/3", "1", _LADDER, _GAMMA),
+    ((1, 3, -2, -1, -1, 0), "7/3", "0", _LADDER, _LOWER),
+    ((2, 3, -2, -2, -1, -1), "7/3", "0", _LADDER, _LOWER),
+    ((3, 3, -2, -3, -1, -2), "7/3", "0", _LADDER, _LOWER),
+]
+
+
+class TestDegeneratePoints:
+    @pytest.mark.parametrize("heights, u, w, sum_outcome, hyper_outcome", DEGENERATE_POINTS)
+    def test_pinned_outcomes(self, heights, u, w, sum_outcome, hyper_outcome):
+        p = ModelParams(1, Fraction(w), Fraction(w))
+        q = WeightQuery(*heights, Fraction(u))
+        assert q.is_valid()
+        for route, outcome in ((w_nm_sum, sum_outcome), (w_nm_hypergeometric, hyper_outcome)):
+            if isinstance(outcome, str):
+                assert route(q, p) == Fraction(outcome)
+                continue
+            cls, message = outcome
+            with pytest.raises(cls) as info:
+                route(q, p)
+            assert type(info.value) is cls
+            assert str(info.value) == message
+            assert isinstance(info.value, DegeneratePointError)
+
+    def test_errors_share_one_base(self):
+        assert fusion_sos.DegeneratePointError is DegeneratePointError
+        assert issubclass(PoleError, DegeneratePointError)
+        assert issubclass(PoleError, ZeroDivisionError)
+        for cls in (DegenerateParameterPoint, SingularMatrixError):
+            assert issubclass(cls, DegeneratePointError)
+            assert issubclass(cls, ValueError)
+        # At a + w = 0 every route refuses the point with the shared type.
+        p = ModelParams(1, 1, 1)
+        q = WeightQuery(1, 1, -1, -2, -2, -1, U)
+        for call in (
+            lambda: w_nm_sum(q, p),
+            lambda: w_nm_hypergeometric(q, p),
+            lambda: solve_weights_from_relation(1, 1, -1, -2, -1, U, p),
+        ):
+            with pytest.raises(DegeneratePointError):
+                call()
