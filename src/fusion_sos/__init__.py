@@ -35,7 +35,6 @@ from .fusion import (
 )
 from .polyrep import (
     DiffOp,
-    GammaFactor,
     UnsupportedEvaluationPoint,
     delta_op,
     gamma_poly,

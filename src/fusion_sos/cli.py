@@ -352,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--s", default=None, help="model constant s (rational)")
         p.add_argument("--t", default=None, help="model constant t (rational)")
         if with_w:
-            p.add_argument("--w", default=None, help="shortcut for (s+t)/2; overrides --s/--t")
+            p.add_argument("--w", default=None, help="shortcut for (s+t)/2, setting s = w - 1/2, t = w + 1/2; not with --s/--t")
         p.add_argument(
             "--format", choices=("json", "csv", "pretty"), default="json", help="output format"
         )

@@ -524,37 +524,6 @@ def poly_shift(p: ExactPolynomial, h: ScalarLike) -> ExactPolynomial:
     return ExactPolynomial(out)
 
 
-def poly_gcd(a: ExactPolynomial, b: ExactPolynomial) -> ExactPolynomial:
-    """Monic greatest common divisor via the Euclidean algorithm."""
-    while not b.is_zero():
-        a, b = b, poly_divmod(a, b)[1]
-    if a.is_zero():
-        return a
-    return a.scale(1 / a.coeffs[-1])
-
-
-def poly_divmod(a: ExactPolynomial, b: ExactPolynomial):
-    """Exact polynomial division: returns (q, r) with a = q*b + r, deg r < deg b."""
-    if b.is_zero():
-        raise ZeroDivisionError("polynomial division by zero")
-    q = [Fraction(0)] * max(len(a.coeffs) - len(b.coeffs) + 1, 1)
-    r = list(a.coeffs)
-    d = b.degree
-    lead = b.coeffs[-1]
-    while len(r) - 1 >= d and r:
-        if r[-1] == 0:
-            r.pop()
-            continue
-        f = r[-1] / lead
-        shift = len(r) - 1 - d
-        q[shift] = f
-        for i, c in enumerate(b.coeffs):
-            r[shift + i] -= f * c
-        while r and r[-1] == 0:
-            r.pop()
-    return ExactPolynomial(q), ExactPolynomial(r)
-
-
 def lagrange_interpolate(points: Sequence[tuple[ScalarLike, ScalarLike]]) -> ExactPolynomial:
     """The unique polynomial of degree < len(points) through the given points."""
     xs = [rat(x) for x, _ in points]

@@ -15,14 +15,24 @@ The averaged shift operators
 are the primitive moves: delta(-) lowers the degree by one, delta(+)
 preserves the leading coefficient.  The factor gamma(z, p) is the finite
 product prod_{j=0}^{p-1} (z + alpha (2j + 1 - p)) for integer p >= 0 and its
-reciprocal for p < 0; reciprocal factors are handled through exact
-rational-function arithmetic so that operator compositions whose
-intermediate stages leave the polynomial ring can still be evaluated without
-ever using floating point.
+reciprocal for p < 0.
+
+A reciprocal factor only appears inside a sandwich
+gamma(z, C) delta(-)^B gamma(z, D) with B = C + D >= 0.  Expanding
+
+    delta(-)^B = 2^-B sum_k (-1)^k C(B, k) T_{(B - 2k) alpha},
+    T_h f(z) = f(z + h),
+
+turns each term into multiplication by gamma(z, C) gamma(z + (B - 2k) alpha, D)
+followed by a shift.  Since |B - 2k| <= B and B - 2k = B (mod 2), the roots
+of the reciprocal factor always lie among those of the polynomial factor, so
+that product is a polynomial and the sandwich is assembled from polynomial
+operators alone.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -34,8 +44,6 @@ from .exactcore import (
     ScalarLike,
     ShapeMismatchError,
     mat_mul,
-    poly_divmod,
-    poly_gcd,
     poly_shift,
     rat,
 )
@@ -164,34 +172,13 @@ def delta_minus_power(k: int, dim: int, params: ModelParams) -> DiffOp:
     return op
 
 
-@dataclass(frozen=True)
-class GammaFactor:
-    """gamma(z - shift, p) for integer p: a polynomial, or its reciprocal for p < 0."""
-
-    p: int
-    shift: Fraction
-    poly: ExactPolynomial
-    reciprocal: bool
-
-    def as_rational(self) -> "RationalFunction":
-        if self.reciprocal:
-            return RationalFunction(ExactPolynomial.one(), self.poly)
-        return RationalFunction(self.poly, ExactPolynomial.one())
-
-
-def gamma_poly(p: int, shift: ScalarLike, params: ModelParams) -> GammaFactor:
-    """gamma(z - shift, p) = prod_{j=0}^{|p|-1} (z - shift + alpha(2j + 1 - |p|)).
-
-    The product telescopes so that gamma(z, p) * gamma(z, -p) = 1; negative p
-    is returned as a reciprocal marker around the |p| product.
-    """
+def gamma_poly(p: int, shift: ScalarLike, params: ModelParams) -> ExactPolynomial:
+    """gamma(z - shift, p) = prod_{j=0}^{p-1} (z - shift + alpha(2j + 1 - p)) for p >= 0."""
+    if p < 0:
+        raise ValueError("gamma_poly needs a nonnegative exponent")
     shift = rat(shift)
     alpha = params.alpha
-    q = abs(p)
-    poly = ExactPolynomial.one()
-    for j in range(q):
-        poly = poly * ExactPolynomial((-shift + alpha * (2 * j + 1 - q), 1))
-    return GammaFactor(p, shift, poly, p < 0)
+    return ExactPolynomial.from_roots([shift + alpha * (p - 1 - 2 * j) for j in range(p)])
 
 
 def star_triangle_check(
@@ -206,9 +193,9 @@ def star_triangle_check(
         raise ValueError("k and l must be nonnegative")
     shift = rat(shift)
     d = degree_bound
-    gk = gamma_poly(k, shift, params).poly
-    gl = gamma_poly(l, shift, params).poly
-    gkl = gamma_poly(k + l, shift, params).poly
+    gk = gamma_poly(k, shift, params)
+    gl = gamma_poly(l, shift, params)
+    gkl = gamma_poly(k + l, shift, params)
 
     lhs = mul_poly(gl, d + 1)
     lhs = delta_minus_power(k + l, lhs.out_dim, params).compose(lhs)
@@ -333,61 +320,42 @@ def o_m_product_form(
     return op.scale(alpha ** (-m))
 
 
-class RationalFunction:
-    """Quotient of exact polynomials, reduced and with monic denominator."""
+def _shift_op(h: Fraction, dim: int) -> DiffOp:
+    """The shift f(z) -> f(z + h) on polynomials of degree < dim."""
+    cols = [poly_shift(ExactPolynomial.monomial(j), h).coeff_vector(dim) for j in range(dim)]
+    return DiffOp(ExactMatrix(list(zip(*cols))))
 
-    __slots__ = ("num", "den")
 
-    def __init__(self, num: ExactPolynomial, den: ExactPolynomial):
-        if den.is_zero():
-            raise ZeroDivisionError("zero denominator")
-        if num.is_zero():
-            den = ExactPolynomial.one()
-        else:
-            g = poly_gcd(num, den)
-            if g.degree > 0:
-                num, _ = poly_divmod(num, g)
-                den, _ = poly_divmod(den, g)
-            lead = den.coeffs[-1]
-            if lead != 1:
-                num = num.scale(1 / lead)
-                den = den.scale(1 / lead)
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
+def _gamma_sandwich(c: int, d: int, center: Fraction, dim: int, params: ModelParams) -> DiffOp:
+    """gamma(z - center, c) delta(-)^(c+d) gamma(z - center, d) on degree < dim.
 
-    def __setattr__(self, name, value):
-        raise AttributeError("RationalFunction is immutable")
-
-    @classmethod
-    def from_poly(cls, p: ExactPolynomial) -> "RationalFunction":
-        return cls(p, ExactPolynomial.one())
-
-    def __add__(self, other: "RationalFunction") -> "RationalFunction":
-        return RationalFunction(
-            self.num * other.den + other.num * self.den, self.den * other.den
-        )
-
-    def __mul__(self, other: "RationalFunction") -> "RationalFunction":
-        return RationalFunction(self.num * other.num, self.den * other.den)
-
-    def scale(self, s: ScalarLike) -> "RationalFunction":
-        return RationalFunction(self.num.scale(s), self.den)
-
-    def shift(self, h: ScalarLike) -> "RationalFunction":
-        return RationalFunction(poly_shift(self.num, h), poly_shift(self.den, h))
-
-    def delta(self, sign: int, params: ModelParams) -> "RationalFunction":
-        a = params.alpha
-        plus = self.shift(a)
-        minus = self.shift(-a)
-        if sign == 1:
-            return (plus + minus).scale(Fraction(1, 2))
-        return (plus + minus.scale(-1)).scale(Fraction(1, 2))
-
-    def as_polynomial(self) -> ExactPolynomial:
-        if self.den.degree != 0:
-            raise ValueError("rational function is not a polynomial")
-        return self.num.scale(1 / self.den.coeffs[0])
+    Either exponent may be negative (a reciprocal factor) as long as
+    B = c + d >= 0.  With delta(-)^B = 2^-B sum_k (-1)^k C(B, k) T_{s alpha},
+    s = B - 2k, the sandwich is 2^-B sum_k (-1)^k C(B, k) g_s T_{s alpha}
+    with g_s(z) = gamma(z - center, c) gamma(z - center + s alpha, d).  In
+    units of alpha from ``center`` the roots of g_s are {c-1, c-3, .., 1-c}
+    counted with the sign of c and {d-1-s, .., 1-d-s} with the sign of d;
+    for |s| <= B and s = B (mod 2) the reciprocal run lies inside the
+    polynomial run, so every g_s is a polynomial.  The operator preserves
+    the degree and is cut back to ``dim`` with the zero-loss check.
+    """
+    b = c + d
+    if b < 0:
+        raise ValueError("gamma sandwich needs c + d >= 0")
+    alpha = params.alpha
+    total = DiffOp(ExactMatrix.zeros(dim, dim))
+    for k in range(b + 1):
+        s = b - 2 * k
+        mult = Counter()
+        for p, offset in ((c, 0), (d, s)):
+            for r in range(abs(p) - 1, -abs(p), -2):
+                mult[r - offset] += 1 if p > 0 else -1
+        if any(e < 0 for e in mult.values()):
+            raise ValueError("gamma sandwich left a reciprocal factor")
+        g = ExactPolynomial.from_roots([center + alpha * r for r in mult.elements()])
+        term = mul_poly(g, dim).compose(_shift_op(s * alpha, dim))
+        total = total + term.scale((-1) ** k * comb(b, k))
+    return total.scale(Fraction(1, 2**b)).truncate(dim)
 
 
 def o_m_gamma_form(
@@ -395,12 +363,11 @@ def o_m_gamma_form(
 ) -> DiffOp:
     """The factorized form of the height-changing operator, at integer u in {0..m}.
 
-    The factorization is a sandwich of gamma factors and powers of delta(-);
-    away from integer u the gamma exponents are non-integers, which the
-    rational field cannot represent, so those points are refused.  At
-    integer u one exponent is typically negative: the evaluation therefore
-    runs through exact rational-function arithmetic, and the final result is
-    checked to be polynomial before the matrix is assembled.
+    The operator is alpha^(-m) S(m+ - u, u; u1) S(m - u, u - m+; u2), where
+    S(C, D; x0) = gamma(z - x0, C) delta(-)^(C+D) gamma(z - x0, D) is built
+    by ``_gamma_sandwich`` without leaving the polynomial ring.  Away from
+    integer u the gamma exponents are non-integers, which the rational field
+    cannot represent, so those points are refused.
     """
     u = rat(u)
     if u.denominator != 1 or not (0 <= u <= m):
@@ -411,31 +378,10 @@ def o_m_gamma_form(
     m_plus = up_steps(b, c, m)
     if m_plus is None:
         raise ValueError("heights b, c are not adjacent at distance m")
-    m_minus = m - m_plus
     alpha, s, t = params.alpha, params.s, params.t
     u1 = alpha * (-u + Fraction(m - b - c, 2) - t)
     u2 = alpha * (-u + Fraction(m + b + c, 2) + s)
-
-    stages = [
-        gamma_poly(ui - m_plus, u2, params),
-        ("delta_minus", m_minus),
-        gamma_poly(m - ui, u2, params),
-        gamma_poly(ui, u1, params),
-        ("delta_minus", m_plus),
-        gamma_poly(m_plus - ui, u1, params),
-    ]
-
     dim = degree_bound + 1
-    cols = []
-    for j in range(dim):
-        rf = RationalFunction.from_poly(ExactPolynomial.monomial(j))
-        for stage in stages:
-            if isinstance(stage, GammaFactor):
-                rf = rf * stage.as_rational()
-            else:
-                _, k = stage
-                for _ in range(k):
-                    rf = rf.delta(-1, params)
-        poly = rf.as_polynomial().scale(alpha ** (-m))
-        cols.append(poly.coeff_vector(dim))
-    return DiffOp(ExactMatrix(list(zip(*cols))))
+    half2 = _gamma_sandwich(m - ui, ui - m_plus, u2, dim, params)
+    half1 = _gamma_sandwich(m_plus - ui, ui, u1, dim, params)
+    return half1.compose(half2).scale(alpha ** (-m))

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from fusion_sos.cli import main
 from fusion_sos.exactcore import ExactMatrix
 
@@ -91,13 +93,24 @@ def test_partition_vertex(capsys):
     assert payload["value"] == "83764/81"
 
 
+@pytest.mark.parametrize("other", ["--s", "--t"])
+def test_w_with_s_or_t_rejected(capsys, other):
+    code = main([
+        "weights", "--n", "1", "--m", "1", "--a", "2", "--b", "1",
+        "--bprime", "1", "--c", "0", "--u", "3", "--w", "1/2", other, "1/3",
+    ])
+    assert code == 2
+    assert "give either --w or --s/--t, not both" in capsys.readouterr().err
+
+
 def test_partition_sos_requires_range(capsys):
     code, _ = run_cli(capsys, "partition", "--model", "sos", "--N", "2", "--M", "2", "--u", "7/3")
     assert code == 2
 
 
-def test_verify_om_suite_passes(capsys):
-    code, out = run_cli(capsys, "verify", "om")
+@pytest.mark.parametrize("extra", [[], ["--alpha", "2/3", "--w", "1/5"]], ids=["unit", "alpha-w"])
+def test_verify_om_suite_passes(capsys, extra):
+    code, out = run_cli(capsys, "verify", "om", *extra)
     assert code == 0
     assert "all identity checks passed" in out
 

@@ -15,7 +15,6 @@ from fusion_sos.exactcore import (
     kron,
     lagrange_interpolate,
     mat_mul,
-    poly_gcd,
     poly_shift,
     rat_to_str,
     solve_exact,
@@ -332,12 +331,6 @@ class TestFieldAxioms:
     def test_division_inverts_multiplication(self, x, y):
         if y != 0:
             assert (x / y) * y == x
-
-
-def test_poly_gcd_is_monic_common_factor():
-    f = ExactPolynomial.from_roots([1, Fraction(2, 3)])
-    g = ExactPolynomial.from_roots([Fraction(2, 3), -5])
-    assert poly_gcd(f.scale(7), g.scale(Fraction(-1, 2))) == ExactPolynomial.from_roots([Fraction(2, 3)])
 
 
 def test_lagrange_interpolation_recovers_polynomial():

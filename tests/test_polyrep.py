@@ -13,8 +13,8 @@ from fusion_sos.exactcore import (
 from fusion_sos.fusion import fuse_n1
 from fusion_sos.polyrep import (
     DiffOp,
-    RationalFunction,
     UnsupportedEvaluationPoint,
+    _gamma_sandwich,
     assemble_2x2,
     delta_minus_power,
     delta_op,
@@ -55,25 +55,67 @@ class TestDeltaOps:
 
 class TestGammaFactor:
     def test_p0(self, params):
-        assert gamma_poly(0, Fraction(2), params).poly == ExactPolynomial.one()
+        assert gamma_poly(0, Fraction(2), params) == ExactPolynomial.one()
 
     def test_p1(self, params):
         g = gamma_poly(1, Fraction(2, 3), params)
-        assert g.poly == ExactPolynomial((Fraction(-2, 3), 1))
-        assert not g.reciprocal
+        assert g == ExactPolynomial((Fraction(-2, 3), 1))
 
     def test_p2(self, params):
         sh = Fraction(1, 5)
         a = params.alpha
         g = gamma_poly(2, sh, params)
         expected = ExactPolynomial((-sh - a, 1)) * ExactPolynomial((-sh + a, 1))
-        assert g.poly == expected
+        assert g == expected
 
-    def test_reciprocal_cancels(self, params):
-        g = gamma_poly(3, Fraction(1, 7), params)
-        ginv = gamma_poly(-3, Fraction(1, 7), params)
-        prod = g.as_rational() * ginv.as_rational()
-        assert prod.as_polynomial() == ExactPolynomial.one()
+    def test_negative_exponent_raises(self, params):
+        with pytest.raises(ValueError):
+            gamma_poly(-1, Fraction(1, 7), params)
+
+
+SANDWICH_CENTER = Fraction(2, 7)
+SANDWICH_DIM = 5
+
+
+def _mul_gamma(p, dim, params):
+    return mul_poly(gamma_poly(p, SANDWICH_CENTER, params), dim)
+
+
+class TestGammaSandwich:
+    @pytest.mark.parametrize("k", range(4))
+    @pytest.mark.parametrize("l", range(4))
+    def test_polynomial_factors(self, k, l, params):
+        """For k, l >= 0 the sandwich is gamma(k) delta-^(k+l) gamma(l) cut back."""
+        dim = SANDWICH_DIM
+        inner = _mul_gamma(l, dim, params)
+        inner = delta_minus_power(k + l, inner.out_dim, params).compose(inner)
+        expected = _mul_gamma(k, inner.out_dim, params).compose(inner).truncate(dim)
+        assert _gamma_sandwich(k, l, SANDWICH_CENTER, dim, params) == expected
+
+    @pytest.mark.parametrize(
+        "c, d", [(c, d) for c in range(-3, 4) for d in range(-3, 4) if c + d >= 0 and min(c, d) < 0]
+    )
+    def test_reciprocal_factor_cancels(self, c, d, params):
+        """Clearing the reciprocal factor gives a product of polynomial operators."""
+        dim, b = SANDWICH_DIM, c + d
+        if d < 0:
+            # S(c, d) gamma(|d|) = gamma(c) delta-^b
+            lhs = _gamma_sandwich(c, d, SANDWICH_CENTER, dim - d, params).compose(
+                _mul_gamma(-d, dim, params)
+            )
+            rhs = _mul_gamma(c, dim, params).compose(delta_minus_power(b, dim, params))
+        else:
+            # gamma(|c|) S(c, d) = delta-^b gamma(d)
+            lhs = _mul_gamma(-c, dim, params).compose(
+                _gamma_sandwich(c, d, SANDWICH_CENTER, dim, params)
+            )
+            inner = _mul_gamma(d, dim, params)
+            rhs = delta_minus_power(b, inner.out_dim, params).compose(inner)
+        assert rhs.truncate(lhs.out_dim) == lhs
+
+    def test_negative_power_raises(self, params):
+        with pytest.raises(ValueError):
+            _gamma_sandwich(-2, 1, SANDWICH_CENTER, SANDWICH_DIM, params)
 
 
 class TestStarTriangle:
@@ -92,8 +134,8 @@ def test_commutation_identities(p, params):
     """delta- gamma(p) = gamma(p-1)[z delta- + p alpha delta+] and its mirror."""
     d = 6
     a = params.alpha
-    gp = gamma_poly(p, Fraction(0), params).poly
-    gp1 = gamma_poly(p - 1, Fraction(0), params).poly
+    gp = gamma_poly(p, Fraction(0), params)
+    gp1 = gamma_poly(p - 1, Fraction(0), params)
     dm = delta_op(-1, d + p, params)
     dp_small = delta_op(1, d, params)
     dm_small = delta_op(-1, d, params)
@@ -244,8 +286,8 @@ class TestOmOperators:
         a = params.alpha
         u1 = a * (Fraction(m - b - c, 2) - params.t)
         u2 = a * (Fraction(m + b + c, 2) + params.s)
-        g1 = gamma_poly(m_plus, u1, params).poly
-        g2 = gamma_poly(m_minus, u2, params).poly
+        g1 = gamma_poly(m_plus, u1, params)
+        g2 = gamma_poly(m_minus, u2, params)
         expected = (
             mul_poly(g1 * g2, d + 1)
             .compose(delta_minus_power(m, d + 1, params))
@@ -263,8 +305,8 @@ class TestOmOperators:
         a = params.alpha
         u1 = a * (-m + Fraction(m - b - c, 2) - params.t)
         u2 = a * (-m + Fraction(m + b + c, 2) + params.s)
-        g1 = gamma_poly(m_plus, u1, params).poly
-        g2 = gamma_poly(m_minus, u2, params).poly
+        g1 = gamma_poly(m_plus, u1, params)
+        g2 = gamma_poly(m_minus, u2, params)
         expected = (
             delta_minus_power(m, d + 1 + m, params)
             .compose(mul_poly(g1 * g2, d + 1))
@@ -276,7 +318,6 @@ class TestOmOperators:
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_product_form_degree_in_u(self, m, params):
         """Entrywise, the operator is polynomial of degree <= m in u."""
-        b, c = 1, 1 - m if m % 2 == 0 else (1, 1 - m)
         b, c = 1, 1 + (-m if m % 2 else -m)  # keep adjacency: c - b = -m
         d = 4
         nodes = [Fraction(k, 1) + Fraction(1, 5) for k in range(m + 2)]
@@ -289,10 +330,3 @@ class TestOmOperators:
                 poly = lagrange_interpolate(pts)
                 assert poly.degree <= m
                 assert poly(extra) == extra_mat[i, j]
-
-
-def test_rational_function_delta_matches_poly_delta(params):
-    p = ExactPolynomial((1, 2, 0, 3))
-    rf = RationalFunction.from_poly(p).delta(-1, params)
-    direct = delta_op(-1, 3, params).apply(p)
-    assert rf.as_polynomial() == direct
