@@ -70,8 +70,10 @@ from .elevenvertex import ShiftOp, psi_const, r11v, shift_op, similarity_fused
 from .lattice import (
     LatticeSpec,
     partition_sos,
+    partition_sos_transfer,
     partition_vertex_bruteforce,
     partition_vertex_transfer,
+    transfer_matrix_sos,
     transfer_matrix_vertex,
 )
 

@@ -414,10 +414,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_range(argv: list[str]) -> list[str]:
+    """Pass ``--range LO..HI`` as ``--range=LO..HI``: argparse reads a value
+    with a negative LO, such as ``-2..2``, as an option name and refuses it."""
+    argv = list(argv)
+    if "--range" in argv[:-1]:
+        k = argv.index("--range")
+        argv[k : k + 2] = [f"--range={argv[k + 1]}"]
+    return argv
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_range(sys.argv[1:] if argv is None else argv))
         return args.handler(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

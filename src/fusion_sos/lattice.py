@@ -1,14 +1,30 @@
 """Small periodic lattices: transfer matrices and exact partition sums.
 
-These are desk-scale sanity checks, not thermodynamics: lattices are tiny
-enough for exhaustive enumeration, which supplies the oracle for the
-transfer-matrix route, and commuting transfer matrices are the operational
-meaning of exact solvability at this scale.
+These are desk-scale sanity checks, not thermodynamics.  Each model is
+summed two independent ways, and each route is the other's oracle:
+
+* vertex model: trace(T^M) of the row transfer matrix, against a
+  depth-first enumeration of the edge states;
+* height (SOS) model: trace(T^M) of the height transfer matrix on the
+  admissible periodic height rows inside a window, against a depth-first
+  enumeration of the heights.
+
+The enumerations assign one edge state or height at a time in a fixed
+order.  Each vertex or face factor is applied at the depth where its last
+variable is assigned, and a subtree is pruned at the first zero factor (a
+zero entry of R, a non-adjacent pair of heights, a vanishing face weight).
+They stay exhaustive: every configuration with a nonzero weight is visited.
+The sizes stay small because the enumerations still grow exponentially in
+the number of sites and the transfer matrices in the row length.  Commuting
+transfer matrices are the operational meaning of exact solvability at this
+scale.
 
 Conventions: the weight of a vertex is the matrix element with row index
 (state above, state right) and column index (state below, state left); a row
 transfer matrix is the auxiliary-space trace of the ordered product of
-R-operators along the row, leftmost column first.
+R-operators along the row, leftmost column first.  Heights sit on the
+vertices of the N x M torus, and face (i, j) has the corners
+a = h(i, j), b = h(i+1, j), b' = h(i, j+1), c = h(i+1, j+1).
 """
 
 from __future__ import annotations
@@ -20,12 +36,16 @@ from itertools import product
 from .exactcore import ExactMatrix, ScalarLike, mat_mul, rat, trace_product
 from .fusion import fuse_nm
 from .sos import WeightQuery, w_nm_sum
-from .vertex import ModelParams, embed_two_site
+from .vertex import ModelParams, embed_two_site, up_steps
 
 
 @dataclass(frozen=True)
 class LatticeSpec:
-    """Periodic N x M lattice for a model with edge orders (n, m)."""
+    """Periodic N x M lattice for a model with edge orders (n, m).
+
+    N and M must be at least 1: below that there is no lattice, and the
+    transfer and enumeration routes would disagree on what to return.
+    """
 
     N: int
     M: int
@@ -34,11 +54,27 @@ class LatticeSpec:
     u: Fraction
 
     def __init__(self, N: int, M: int, n: int, m: int, u: ScalarLike):
+        if int(N) < 1 or int(M) < 1:
+            raise ValueError(f"lattice size must be at least 1 x 1, got N = {N}, M = {M}")
         object.__setattr__(self, "N", int(N))
         object.__setattr__(self, "M", int(M))
         object.__setattr__(self, "n", int(n))
         object.__setattr__(self, "m", int(m))
         object.__setattr__(self, "u", rat(u))
+
+
+def _trace_power(t: ExactMatrix, periods: int) -> Fraction:
+    """trace(t^periods) for periods >= 1.
+
+    It is taken as sum_ij (t^(periods-1))_ij t_ji: the last product is
+    never formed, only its diagonal is summed.
+    """
+    if periods == 1:
+        return t.trace()
+    power = t
+    for _ in range(periods - 2):
+        power = mat_mul(power, t)
+    return trace_product(power, t)
 
 
 def transfer_matrix_vertex(spec: LatticeSpec, params: ModelParams) -> ExactMatrix:
@@ -63,51 +99,132 @@ def transfer_matrix_vertex(spec: LatticeSpec, params: ModelParams) -> ExactMatri
 
 
 def partition_vertex_transfer(spec: LatticeSpec, params: ModelParams) -> Fraction:
-    """Partition sum as trace of the M-th transfer-matrix power.
+    """Partition sum as trace of the M-th transfer-matrix power."""
+    return _trace_power(transfer_matrix_vertex(spec, params), spec.M)
 
-    trace(T^M) is taken as sum_ij (T^(M-1))_ij T_ji: the last product is
-    never formed, only its diagonal is summed.
+
+def _height_rows(spec: LatticeSpec, window: tuple[int, int]) -> list[tuple[int, ...]]:
+    """Periodic rows (h(0, j), ..., h(N-1, j)) of heights in the window whose
+    N neighbouring pairs, h(N-1, j) and h(0, j) included, are n-adjacent."""
+    lo, hi = window
+    n, N = spec.n, spec.N
+    return [
+        row
+        for row in product(range(lo, hi + 1), repeat=N)
+        if all(up_steps(row[i], row[(i + 1) % N], n) is not None for i in range(N))
+    ]
+
+
+def _height_transfer(
+    spec: LatticeSpec, rows: list[tuple[int, ...]], params: ModelParams
+) -> ExactMatrix:
+    """T[s, s'] = product over i of the face weight with top corners s_i,
+    s_{i+1} and bottom corners s'_i, s'_{i+1}; zero at the first
+    non-m-adjacent corner pair or vanishing face."""
+    n, m, N, u = spec.n, spec.m, spec.N, spec.u
+
+    def entry(s, t):
+        if any(up_steps(s[i], t[i], m) is None for i in range(N)):
+            return 0
+        weight = Fraction(1)
+        for i in range(N):
+            k = (i + 1) % N
+            weight *= w_nm_sum(WeightQuery(n, m, s[i], s[k], t[i], t[k], u), params)
+            if weight == 0:
+                break
+        return weight
+
+    return ExactMatrix([[entry(s, t) for t in rows] for s in rows])
+
+
+def transfer_matrix_sos(
+    spec: LatticeSpec, window: tuple[int, int], params: ModelParams
+) -> ExactMatrix:
+    """Row-to-row height transfer matrix on the admissible periodic height
+    rows inside the window [lo, hi], in lexicographic order of the rows.
+
+    Raises ``ValueError`` when the window holds no admissible row (an empty
+    window, or an odd n on a row of odd length N).
     """
-    t = transfer_matrix_vertex(spec, params)
-    if spec.M == 0:
-        return Fraction(t.rows)
-    if spec.M == 1:
-        return t.trace()
-    power = t
-    for _ in range(spec.M - 2):
-        power = mat_mul(power, t)
-    return trace_product(power, t)
+    rows = _height_rows(spec, window)
+    if not rows:
+        raise ValueError(f"no admissible periodic height row of length {spec.N} in {window}")
+    return _height_transfer(spec, rows, params)
+
+
+def partition_sos_transfer(
+    spec: LatticeSpec, window: tuple[int, int], params: ModelParams
+) -> Fraction:
+    """Windowed height-model partition sum as trace(T^M) of the height
+    transfer matrix; zero when the window holds no admissible row."""
+    rows = _height_rows(spec, window)
+    if not rows:
+        return Fraction(0)
+    return _trace_power(_height_transfer(spec, rows, params), spec.M)
+
+
+def _depth_first_sum(domains, factors):
+    """Sum over all assignments x in product(*domains) of the product of factors.
+
+    Each factor is (positions, weight): ``weight(x)`` reads x only at those
+    positions.  It is applied once the last of them is assigned, in the
+    order given, and the subtree below the first zero factor is skipped.
+    """
+    last = len(domains) - 1
+    at_depth = [[] for _ in domains]
+    for positions, weight in factors:
+        at_depth[max(positions)].append(weight)
+    x = [None] * len(domains)
+
+    def visit(depth):
+        total = 0
+        applied = at_depth[depth]
+        for state in domains[depth]:
+            x[depth] = state
+            local = 1
+            for weight in applied:
+                local *= weight(x)
+                if not local:
+                    break
+            else:
+                total += local if depth == last else local * visit(depth + 1)
+        return total
+
+    return visit(0)
 
 
 def partition_vertex_bruteforce(spec: LatticeSpec, params: ModelParams) -> Fraction:
-    """Exhaustive sum over all periodic edge configurations."""
+    """Exhaustive sum over all periodic edge configurations.
+
+    The edge states below row 0 and left of column 0 (the periodic wrap)
+    are assigned first, then the two edges above and right of each vertex
+    in raster order, so every vertex factor is applied as soon as its own
+    upper and right edges are set.  Weights are taken on the integer
+    numerators of R over its one denominator.
+    """
     n, m, N, M = spec.n, spec.m, spec.N, spec.M
     r = fuse_nm(n, m, spec.u, params)
-    vdim, hdim = n + 1, m + 1
-    total = Fraction(0)
-    vertical_configs = product(range(vdim), repeat=N * M)
-    for vconf in vertical_configs:
-        def vstate(i, j):
-            return vconf[(i % N) * M + (j % M)]
+    num, den = r.numerators, r.denominator
+    hdim = m + 1
+    order = [("v", i, M - 1) for i in range(N)] + [("h", N - 1, j) for j in range(M)]
+    for j in range(M):
+        for i in range(N):
+            order += [e for e in (("v", i, j), ("h", i, j)) if e not in order]
+    pos = {e: k for k, e in enumerate(order)}
+    domains = [range(n + 1 if kind == "v" else hdim) for kind, _, _ in order]
 
-        acc = Fraction(0)
-        for hconf in product(range(hdim), repeat=N * M):
-            def hstate(i, j):
-                return hconf[(i % N) * M + (j % M)]
+    def vertex(up, right, down, left):
+        def weight(x):
+            return num[x[up] * hdim + x[right]][x[down] * hdim + x[left]]
 
-            weight = Fraction(1)
-            for i in range(N):
-                for j in range(M):
-                    row = vstate(i, j) * hdim + hstate(i, j)
-                    col = vstate(i, j - 1) * hdim + hstate(i - 1, j)
-                    weight *= r[row, col]
-                    if weight == 0:
-                        break
-                if weight == 0:
-                    break
-            acc += weight
-        total += acc
-    return total
+        return (up, right, down, left), weight
+
+    factors = [
+        vertex(pos["v", i, j], pos["h", i, j], pos["v", i, (j - 1) % M], pos["h", (i - 1) % N, j])
+        for j in range(M)
+        for i in range(N)
+    ]
+    return Fraction(_depth_first_sum(domains, factors), den ** (N * M))
 
 
 def partition_sos(
@@ -117,30 +234,31 @@ def partition_sos(
 
     Heights live on the N x M torus of vertices (face corners wrap modulo N
     and M).  The height lattice is unbounded, so the sum is over the window
-    [lo, hi] and the result is reported as window-dependent.
+    [lo, hi] and the result is reported as window-dependent.  Heights are
+    assigned in raster order h(0, 0), h(0, 1), ...; each neighbouring pair
+    is checked for adjacency once both are set, and each face weight is
+    taken once its last corner is set.
     """
     lo, hi = state_range
-    if lo > hi:
-        return Fraction(0)
-    N, M = spec.N, spec.M
-    total = Fraction(0)
-    for heights in product(range(lo, hi + 1), repeat=N * M):
-        def h(i, j):
-            return heights[(i % N) * M + (j % M)]
+    n, m, N, M, u = spec.n, spec.m, spec.N, spec.M, spec.u
 
-        weight = Fraction(1)
-        for i in range(N):
-            for j in range(M):
-                q = WeightQuery(
-                    spec.n, spec.m, h(i, j), h(i + 1, j), h(i, j + 1), h(i + 1, j + 1), spec.u
-                )
-                if not q.is_valid():
-                    weight = Fraction(0)
-                    break
-                weight *= w_nm_sum(q, params)
-                if weight == 0:
-                    break
-            if weight == 0:
-                break
-        total += weight
-    return total
+    def site(i, j):
+        return (i % N) * M + (j % M)
+
+    def adjacent(p, q, order):
+        return (p, q), lambda x: 1 if up_steps(x[p], x[q], order) is not None else 0
+
+    def face(i, j):
+        a, b, bp, c = site(i, j), site(i + 1, j), site(i, j + 1), site(i + 1, j + 1)
+
+        def weight(x):
+            return w_nm_sum(WeightQuery(n, m, x[a], x[b], x[bp], x[c], u), params)
+
+        return (a, b, bp, c), weight
+
+    factors = []
+    for i in range(N):
+        for j in range(M):
+            factors += [adjacent(site(i, j), site(i + 1, j), n), adjacent(site(i, j), site(i, j + 1), m)]
+    factors += [face(i, j) for i in range(N) for j in range(M)]
+    return Fraction(_depth_first_sum([range(lo, hi + 1)] * (N * M), factors))

@@ -1,9 +1,12 @@
 import json
+from fractions import Fraction
 
 import pytest
 
 from fusion_sos.cli import main
 from fusion_sos.exactcore import ExactMatrix
+from fusion_sos.lattice import LatticeSpec, partition_sos
+from fusion_sos.vertex import ModelParams
 
 
 def run_cli(capsys, *argv):
@@ -106,6 +109,33 @@ def test_w_with_s_or_t_rejected(capsys, other):
 def test_partition_sos_requires_range(capsys):
     code, _ = run_cli(capsys, "partition", "--model", "sos", "--N", "2", "--M", "2", "--u", "7/3")
     assert code == 2
+
+
+def test_partition_sos_readme_example(capsys):
+    code, out = run_cli(
+        capsys,
+        "partition", "--model", "sos", "--N", "2", "--M", "2", "--u", "7/3",
+        "--w", "1/2", "--range", "-2..2",
+    )
+    assert code == 0
+    payload = json.loads(out)
+    # --w 1/2 sets s = 0, t = 1; alpha defaults to 1.
+    expected = partition_sos(LatticeSpec(2, 2, 1, 1, Fraction(7, 3)), (-2, 2), ModelParams(1, 0, 1))
+    assert expected != 0
+    assert Fraction(payload["value"]) == expected
+    assert payload["range"] == "-2..2"
+
+
+@pytest.mark.parametrize("model", [["vertex"], ["sos", "--range", "-2..2"]], ids=["vertex", "sos"])
+@pytest.mark.parametrize("size", [("0", "2"), ("-1", "2"), ("2", "0"), ("2", "-1")])
+def test_partition_rejects_empty_lattice(capsys, model, size):
+    code = main([
+        "partition", "--model", *model, "--N", size[0], "--M", size[1], "--u", "7/3", "--alpha", "1",
+    ])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "lattice size must be at least 1 x 1" in captured.err
 
 
 @pytest.mark.parametrize("extra", [[], ["--alpha", "2/3", "--w", "1/5"]], ids=["unit", "alpha-w"])

@@ -3,18 +3,43 @@ from itertools import product
 
 import pytest
 
-from fusion_sos.exactcore import ExactMatrix, mat_mul
+from fusion_sos.exactcore import DegeneratePointError, ExactMatrix, mat_mul
+from fusion_sos.fusion import fuse_nm
 from fusion_sos.lattice import (
     LatticeSpec,
     partition_sos,
+    partition_sos_transfer,
     partition_vertex_bruteforce,
     partition_vertex_transfer,
+    transfer_matrix_sos,
     transfer_matrix_vertex,
 )
-from fusion_sos.sos import WeightQuery, w_nm_sum
-from fusion_sos.vertex import r7v
+from fusion_sos.sos import PoleError, WeightQuery, w_nm_sum
+from fusion_sos.vertex import ModelParams, r7v
 
 U = Fraction(7, 3)
+# (N, M, n, m) and (N, M, n, m, window width) of the lattice benchmark
+# workload (perfbench/workloads.py, _BRUTE and _SOS), copied.
+BRUTE_SHAPES = [
+    (2, 2, 1, 1), (3, 2, 1, 1), (2, 3, 1, 1), (3, 1, 1, 1),
+    (1, 3, 1, 1), (2, 2, 2, 1), (2, 1, 2, 2), (4, 1, 1, 1),
+]
+SOS_SHAPES = [
+    (2, 2, 1, 1, 5), (2, 2, 2, 1, 5), (2, 2, 1, 2, 5),
+    (2, 2, 2, 2, 5), (2, 4, 1, 1, 3), (4, 2, 1, 1, 3),
+]
+
+
+def _params_w(alpha, w):
+    return ModelParams(alpha, w - Fraction(1, 2), w + Fraction(1, 2))
+
+
+def _outcome(route, *args):
+    """The value of a route, or the class of the degenerate-point error it raised."""
+    try:
+        return route(*args)
+    except DegeneratePointError as exc:
+        return type(exc)
 
 
 def test_single_column_transfer_is_partial_trace(params_unit):
@@ -38,6 +63,11 @@ def test_partition_transfer_equals_bruteforce(shape, params_unit):
 
 @pytest.mark.parametrize("periods", [0, 1, 2, 3])
 def test_partition_transfer_is_trace_of_power(periods, params_unit):
+    if periods == 0:
+        # There is no lattice with zero rows: the spec itself is refused.
+        with pytest.raises(ValueError):
+            LatticeSpec(3, periods, 1, 2, Fraction(-5, 3))
+        return
     spec = LatticeSpec(3, periods, 1, 2, Fraction(-5, 3))
     t = transfer_matrix_vertex(spec, params_unit)
     power = ExactMatrix.identity(t.rows)
@@ -71,6 +101,7 @@ class TestSosPartition:
         # odd-order adjacency, so the sum is empty.
         spec = LatticeSpec(1, 1, 1, 1, U)
         assert partition_sos(spec, (-2, 2), params_unit) == 0
+        assert partition_sos_transfer(spec, (-2, 2), params_unit) == 0
 
     def test_reenumeration_oracle(self, params_unit):
         """Independent summation order (faces innermost, heights outermost swapped)."""
@@ -110,3 +141,109 @@ class TestSosPartition:
             w_nm_sum(WeightQuery(2, 2, h, h, h, h, U), params_unit) for h in (-1, 0, 1)
         )
         assert value == expected
+        assert partition_sos_transfer(spec, (-1, 1), params_unit) == expected
+
+
+ROUTES = [
+    partition_vertex_transfer,
+    partition_vertex_bruteforce,
+    transfer_matrix_vertex,
+    lambda spec, p: partition_sos(spec, (-2, 2), p),
+    lambda spec, p: partition_sos_transfer(spec, (-2, 2), p),
+    lambda spec, p: transfer_matrix_sos(spec, (-2, 2), p),
+]
+
+
+@pytest.mark.parametrize("size", [(0, 2), (-1, 2), (2, 0), (2, -1), (0, 0)])
+@pytest.mark.parametrize("route", range(len(ROUTES)))
+def test_every_route_rejects_empty_lattice(size, route, params_unit):
+    with pytest.raises(ValueError, match="lattice size must be at least 1 x 1"):
+        ROUTES[route](LatticeSpec(*size, 1, 1, U), params_unit)
+
+
+class TestVertexEnumeration:
+    @pytest.mark.parametrize("shape", BRUTE_SHAPES)
+    def test_equals_transfer_on_benchmark_shapes(self, shape):
+        params = _params_w(Fraction(-3, 2), Fraction(2, 7))
+        spec = LatticeSpec(*shape, Fraction(-11, 5))
+        assert partition_vertex_bruteforce(spec, params) == partition_vertex_transfer(spec, params)
+
+    def test_pruning_drops_no_nonzero_term(self):
+        # A naive product over every edge configuration, with no pruning.
+        N, M, n, m = 2, 2, 2, 1
+        spec = LatticeSpec(N, M, n, m, Fraction(5, 4))
+        params = _params_w(Fraction(2, 3), Fraction(1, 3))
+        r = fuse_nm(n, m, spec.u, params)
+        total = Fraction(0)
+        for vconf in product(range(n + 1), repeat=N * M):
+            for hconf in product(range(m + 1), repeat=N * M):
+                weight = Fraction(1)
+                for i in range(N):
+                    for j in range(M):
+                        row = vconf[i * M + j] * (m + 1) + hconf[i * M + j]
+                        col = vconf[i * M + (j - 1) % M] * (m + 1) + hconf[((i - 1) % N) * M + j]
+                        weight *= r[row, col]
+                total += weight
+        assert total != 0
+        assert partition_vertex_bruteforce(spec, params) == total
+
+
+class TestSosTransfer:
+    @pytest.mark.parametrize("shape", SOS_SHAPES)
+    @pytest.mark.parametrize("w", [Fraction(1, 2), Fraction(-4, 3)])
+    def test_equals_enumeration_on_benchmark_shapes(self, shape, w):
+        N, M, n, m, width = shape
+        params = _params_w(Fraction(2, 3), w)
+        spec = LatticeSpec(N, M, n, m, Fraction(-9, 4))
+        for lo in (-3, 0):
+            window = (lo, lo + width - 1)
+            enumerated = _outcome(partition_sos, spec, window, params)
+            transferred = _outcome(partition_sos_transfer, spec, window, params)
+            # At non-integer w a failing route must fail the same way on both.
+            assert enumerated == transferred
+            assert isinstance(enumerated, Fraction)
+
+    def test_matrix_is_on_admissible_rows(self, params_unit):
+        spec = LatticeSpec(2, 1, 1, 1, U)
+        t = transfer_matrix_sos(spec, (0, 2), params_unit)
+        # Rows (h0, h1) with |h0 - h1| = 1: (0,1), (1,0), (1,2), (2,1).
+        assert (t.rows, t.cols) == (4, 4)
+        q = WeightQuery(1, 1, 0, 1, 1, 2, U)
+        # Row (0, 1) to row (1, 2): faces (0, 1, 1, 2) and (1, 0, 2, 1).
+        expected = w_nm_sum(q, params_unit) * w_nm_sum(WeightQuery(1, 1, 1, 0, 2, 1, U), params_unit)
+        assert t[0, 2] == expected
+        assert t[0, 0] == 0  # equal heights are not 1-adjacent
+
+    def test_no_admissible_row(self, params_unit):
+        spec = LatticeSpec(1, 2, 1, 1, U)
+        assert partition_sos_transfer(spec, (-2, 2), params_unit) == 0
+        assert partition_sos(spec, (-2, 2), params_unit) == 0
+        with pytest.raises(ValueError, match="no admissible periodic height row"):
+            transfer_matrix_sos(spec, (-2, 2), params_unit)
+
+
+_A_POLE = (PoleError, "a + w vanished")
+_LADDER = (PoleError, "height-ladder denominator vanished")
+
+# partition_sos outcomes at integer w, outside the domain of the weights,
+# as the full-product enumeration gave them before the depth-first rewrite.
+SOS_DEGENERATE = [
+    ((2, 2, 1, 1), "7/3", "1", (0, 4), "51944/81"),
+    ((2, 2, 1, 1), "7/3", "0", (0, 4), _A_POLE),
+    ((2, 2, 1, 1), "7/3", "0", (-2, 2), _LADDER),
+    ((2, 4, 1, 1), "7/3", "-2", (-2, 0), "609493697/52488"),
+]
+
+
+@pytest.mark.parametrize("shape, u, w, window, outcome", SOS_DEGENERATE)
+def test_sos_enumeration_degenerate_outcomes(shape, u, w, window, outcome):
+    spec = LatticeSpec(*shape, Fraction(u))
+    params = _params_w(Fraction(2, 3), Fraction(w))
+    if isinstance(outcome, str):
+        assert partition_sos(spec, window, params) == Fraction(outcome)
+        return
+    cls, message = outcome
+    with pytest.raises(cls) as info:
+        partition_sos(spec, window, params)
+    assert type(info.value) is cls
+    assert str(info.value) == message
