@@ -24,6 +24,7 @@ from .exactcore import (
 )
 from .fusion import fuse_nm, sym_basis, symmetrizer
 from .polyrep import intertwiner_poly, o_m_product_form
+from .sos import check_weight_domain
 from .vertex import ModelParams, up_steps
 
 
@@ -141,8 +142,10 @@ def solve_weights_from_relation(
 
     Returns the weight for every height b' adjacent to c at distance n; the
     expansion is a square exact solve, and weights automatically vanish for
-    b' not adjacent to a at distance m.
+    b' not adjacent to a at distance m.  Integer w is refused on entry, as
+    by the other weight routes (:func:`fusion_sos.sos.check_weight_domain`).
     """
+    check_weight_domain(params)
     return dict(_solve_weights(n, m, a, b, c, rat(u), params))
 
 

@@ -15,6 +15,12 @@ is what the kernels (:func:`mat_mul`, :func:`kron`, :func:`trace_product`
 and the matrix arithmetic) compute on and return.  Either form is derived
 from the other on first use and cached.  The integer form is canonical,
 so equality and hashing need no ``Fraction`` at all.
+
+:func:`solve_exact` and :func:`det` share one fraction-free elimination
+on the integer numerators (Bareiss, Math. Comp. 22, 1968), so they form no
+``Fraction`` until the result.  Polynomials with known roots are expanded
+the same way (:meth:`ExactPolynomial.from_integer_roots`): the product of
+integer linear factors first, one ``Fraction`` per coefficient at the end.
 """
 
 from __future__ import annotations
@@ -63,6 +69,12 @@ def rat(x: ScalarLike) -> Fraction:
     if isinstance(x, str):
         return Fraction(x)
     raise TypeError(f"cannot interpret {x!r} as an exact scalar")
+
+
+def common_denominator(*xs: Fraction) -> tuple[int, list[int]]:
+    """The least common denominator of the scalars, and their numerators over it."""
+    den = lcm(*(x.denominator for x in xs))
+    return den, [x.numerator * (den // x.denominator) for x in xs]
 
 
 def rat_to_str(x: Fraction) -> str:
@@ -352,62 +364,73 @@ def trace_product(a: ExactMatrix, b: ExactMatrix) -> Fraction:
     return Fraction(total, ad * bd)
 
 
+def _bareiss(rows: list[list[int]], pivots: int) -> tuple[int, int]:
+    """Fraction-free Gauss-Jordan elimination (Bareiss) of integer rows, in place.
+
+    Column k < ``pivots`` is cleared outside its pivot row by
+    row <- (p_k row - row[k] prow) / p_(k-1), with p_k the k-th pivot and
+    p_(-1) = 1.  By Sylvester's identity every division is exact, so the
+    rows stay integers of the size of a minor.  Afterwards the first
+    ``pivots`` diagonal entries all equal the last pivot, and every later
+    row is zero in the pivot columns.  Returns that pivot and the sign of
+    the row swaps, whose product is the determinant when the rows are
+    square; the pivot is 0 as soon as a column has no pivot.
+    """
+    sign, prev = 1, 1
+    n = len(rows)
+    for col in range(pivots):
+        pivot = next((r for r in range(col, n) if rows[r][col]), None)
+        if pivot is None:
+            return 0, sign
+        if pivot != col:
+            rows[col], rows[pivot] = rows[pivot], rows[col]
+            sign = -sign
+        prow = rows[col]
+        pv = prow[col]
+        for r in range(n):
+            if r != col:
+                f = rows[r][col]
+                rows[r] = [(pv * x - f * y) // prev for x, y in zip(rows[r], prow)]
+        prev = pv
+    return prev, sign
+
+
 def solve_exact(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
     """Solve a @ x = b exactly.
 
     ``a`` may be square or overdetermined; full column rank is required.  For
     an overdetermined system the pivot rows determine the solution and every
     remaining row is verified, so a consistent system solves and an
-    inconsistent one raises.
+    inconsistent one raises.  The elimination runs on the integer
+    numerators: a_num @ y = b_num by :func:`_bareiss`, then
+    x = y den(a) / den(b).
     """
     if a.rows != b.rows:
         raise ShapeMismatchError("matrix and right-hand side must have equal row count")
     if a.rows < a.cols:
         raise ShapeMismatchError("underdetermined systems are not supported")
-    n, m = a.rows, a.cols
-    aug = [list(ra) + list(rb) for ra, rb in zip(a.entries, b.entries)]
-    width = m + b.cols
-    pivot_row = 0
-    for col in range(m):
-        pivot = next((r for r in range(pivot_row, n) if aug[r][col] != 0), None)
-        if pivot is None:
-            raise SingularMatrixError("singular")
-        aug[pivot_row], aug[pivot] = aug[pivot], aug[pivot_row]
-        pv = aug[pivot_row][col]
-        aug[pivot_row] = [x / pv for x in aug[pivot_row]]
-        for r in range(n):
-            if r != pivot_row and aug[r][col] != 0:
-                f = aug[r][col]
-                row_p = aug[pivot_row]
-                aug[r] = [x - f * y for x, y in zip(aug[r], row_p)]
-        pivot_row += 1
-    for r in range(m, n):
-        if any(aug[r][c] != 0 for c in range(m, width)):
-            raise InconsistentSystemError("inconsistent")
-    return ExactMatrix([row[m:] for row in aug[:m]])
+    m = a.cols
+    an, ad = a._ints()
+    bn, bd = b._ints()
+    aug = [list(ra + rb) for ra, rb in zip(an, bn)]
+    pivot, _ = _bareiss(aug, m)
+    if not pivot:
+        raise SingularMatrixError("singular")
+    if any(any(row[m:]) for row in aug[m:]):
+        raise InconsistentSystemError("inconsistent")
+    # Each pivot row reads pivot * y_i = row[m:].
+    return ExactMatrix.from_integers(
+        [[x * ad for x in row[m:]] for row in aug[:m]], pivot * bd
+    )
 
 
 def det(a: ExactMatrix) -> Fraction:
-    """Exact determinant via fraction-free-enough Gaussian elimination."""
+    """Exact determinant, by :func:`_bareiss` on the integer numerators."""
     if a.rows != a.cols:
         raise ShapeMismatchError("determinant needs a square matrix")
-    n = a.rows
-    mat = [list(row) for row in a.entries]
-    result = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if mat[r][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            mat[col], mat[pivot] = mat[pivot], mat[col]
-            result = -result
-        pv = mat[col][col]
-        result *= pv
-        for r in range(col + 1, n):
-            if mat[r][col] != 0:
-                f = mat[r][col] / pv
-                mat[r] = [x - f * y for x, y in zip(mat[r], mat[col])]
-    return result
+    num, den = a._ints()
+    pivot, sign = _bareiss([list(row) for row in num], a.rows)
+    return Fraction(sign * pivot, den**a.rows)
 
 
 class ExactPolynomial:
@@ -442,10 +465,24 @@ class ExactPolynomial:
 
     @classmethod
     def from_roots(cls, roots: Sequence[ScalarLike]) -> "ExactPolynomial":
-        p = cls.one()
-        for r in roots:
-            p = p * cls((-rat(r), 1))
-        return p
+        """The monic polynomial prod (z - r) over the given roots."""
+        den, numerators = common_denominator(*map(rat, roots))
+        return cls.from_integer_roots(numerators, den)
+
+    @classmethod
+    def from_integer_roots(
+        cls, numerators: Sequence[int], denominator: int = 1, lead: int = 1
+    ) -> "ExactPolynomial":
+        """The polynomial lead * prod (z - r / denominator) over r in ``numerators``.
+
+        The integer product q(y) = lead * prod (y - r) is expanded first; the
+        coefficient of z^j is then q_j / denominator^(k - j) for k roots.
+        """
+        q = [lead]
+        for r in numerators:
+            q = [x - r * y for x, y in zip([0] + q, q + [0])]
+        k = len(q) - 1
+        return cls(Fraction(x, denominator ** (k - j)) for j, x in enumerate(q))
 
     @property
     def degree(self) -> int:

@@ -35,7 +35,7 @@ from itertools import product
 
 from .exactcore import ExactMatrix, ScalarLike, mat_mul, rat, trace_product
 from .fusion import fuse_nm
-from .sos import WeightQuery, w_nm_sum
+from .sos import WeightQuery, check_weight_domain, w_nm_sum
 from .vertex import ModelParams, embed_two_site, up_steps
 
 
@@ -143,9 +143,11 @@ def transfer_matrix_sos(
     """Row-to-row height transfer matrix on the admissible periodic height
     rows inside the window [lo, hi], in lexicographic order of the rows.
 
-    Raises ``ValueError`` when the window holds no admissible row (an empty
-    window, or an odd n on a row of odd length N).
+    Raises ``DegenerateParameterPoint`` at integer w, outside the domain of
+    the face weights, and ``ValueError`` when the window holds no admissible
+    row (an empty window, or an odd n on a row of odd length N).
     """
+    check_weight_domain(params)
     rows = _height_rows(spec, window)
     if not rows:
         raise ValueError(f"no admissible periodic height row of length {spec.N} in {window}")
@@ -156,7 +158,9 @@ def partition_sos_transfer(
     spec: LatticeSpec, window: tuple[int, int], params: ModelParams
 ) -> Fraction:
     """Windowed height-model partition sum as trace(T^M) of the height
-    transfer matrix; zero when the window holds no admissible row."""
+    transfer matrix; zero when the window holds no admissible row.  Integer
+    w is refused first, as by :func:`transfer_matrix_sos`."""
+    check_weight_domain(params)
     rows = _height_rows(spec, window)
     if not rows:
         return Fraction(0)
@@ -237,8 +241,10 @@ def partition_sos(
     [lo, hi] and the result is reported as window-dependent.  Heights are
     assigned in raster order h(0, 0), h(0, 1), ...; each neighbouring pair
     is checked for adjacency once both are set, and each face weight is
-    taken once its last corner is set.
+    taken once its last corner is set.  Integer w, outside the domain of the
+    face weights, is refused before any height is assigned.
     """
+    check_weight_domain(params)
     lo, hi = state_range
     n, m, N, M, u = spec.n, spec.m, spec.N, spec.M, spec.u
 

@@ -8,6 +8,14 @@ degree even when the composite operator preserves it.  Truncation back to
 the target bound asserts that the dropped coefficients vanish, so a wrong
 composition cannot pass silently.
 
+Every building block is built as integer numerators over one denominator
+(``ExactMatrix.from_integers``), so compositions run on the integer kernel
+without a ``Fraction`` per entry.  A shift by h = p/q has entry (i, j)
+C(j, i) p^(j-i) q^(dim-1-(j-i)) over q^(dim-1); multiplication by z or by
+a polynomial has the polynomial's numerators over their least common
+denominator; gamma factors and intertwining polynomials put their roots
+over one common denominator and expand the integer product.
+
 The averaged shift operators
 
     [delta(+|-) f](z) = (f(z + alpha) +|- f(z - alpha)) / 2
@@ -43,8 +51,8 @@ from .exactcore import (
     ExactPolynomial,
     ScalarLike,
     ShapeMismatchError,
+    common_denominator,
     mat_mul,
-    poly_shift,
     rat,
 )
 from .vertex import ModelParams, up_steps
@@ -125,43 +133,52 @@ class DiffOp:
 
 
 def delta_op(sign: int, degree_bound: int, params: ModelParams) -> DiffOp:
-    """The averaged shift operator on polynomials of degree <= degree_bound."""
+    """The averaged shift operator on polynomials of degree <= degree_bound.
+
+    ((z + alpha)^j +|- (z - alpha)^j) / 2 keeps the binomial terms of
+    (z + alpha)^j with j - i even (delta(+)) or odd (delta(-)).
+    """
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    alpha = params.alpha
-    dim = degree_bound + 1
-    cols = []
-    for j in range(dim):
-        col = [Fraction(0)] * dim
-        ap = Fraction(1)
-        for i in range(j, -1, -1):
-            # coefficient of z^i in ((z+a)^j +|- (z-a)^j)/2
-            parity = (j - i) % 2
-            if (sign == 1 and parity == 0) or (sign == -1 and parity == 1):
-                col[i] = comb(j, i) * ap
-            ap *= alpha
-        cols.append(col)
-    return DiffOp(ExactMatrix(list(zip(*cols))))
+    return _shift_op(params.alpha, degree_bound + 1, parity=(1 - sign) // 2)
+
+
+def _shift_op(h: Fraction, dim: int, parity: int | None = None) -> DiffOp:
+    """The shift f(z) -> f(z + h) on polynomials of degree < dim.
+
+    Entry (i, j) is C(j, i) h^(j-i), held as the integer
+    C(j, i) p^(j-i) q^(dim-1-(j-i)) over q^(dim-1) for h = p/q.  With
+    ``parity``, only the terms with j - i = parity (mod 2) are kept.
+    """
+    p, q = h.numerator, h.denominator
+    top = dim - 1
+    powers = [p**k * q ** (top - k) for k in range(dim)]
+    rows = [[0] * dim for _ in range(dim)]
+    for i, row in enumerate(rows):
+        for j in range(i, dim):
+            if parity is None or (j - i) % 2 == parity:
+                row[j] = comb(j, i) * powers[j - i]
+    return DiffOp(ExactMatrix.from_integers(rows, q**top))
 
 
 def mul_z(in_dim: int) -> DiffOp:
     """Multiplication by z: raises the degree bound by one."""
-    rows = [[Fraction(0)] * in_dim for _ in range(in_dim + 1)]
+    rows = [[0] * in_dim for _ in range(in_dim + 1)]
     for j in range(in_dim):
-        rows[j + 1][j] = Fraction(1)
-    return DiffOp(ExactMatrix(rows))
+        rows[j + 1][j] = 1
+    return DiffOp(ExactMatrix.from_integers(rows))
 
 
 def mul_poly(q: ExactPolynomial, in_dim: int) -> DiffOp:
     """Multiplication by a fixed polynomial."""
     if q.is_zero():
         return DiffOp(ExactMatrix.zeros(1, in_dim))
-    out_dim = in_dim + q.degree
-    rows = [[Fraction(0)] * in_dim for _ in range(out_dim)]
+    den, nums = common_denominator(*q.coeffs)
+    rows = [[0] * in_dim for _ in range(in_dim + q.degree)]
     for j in range(in_dim):
-        for i, c in enumerate(q.coeffs):
+        for i, c in enumerate(nums):
             rows[i + j][j] = c
-    return DiffOp(ExactMatrix(rows))
+    return DiffOp(ExactMatrix.from_integers(rows, den))
 
 
 def delta_minus_power(k: int, dim: int, params: ModelParams) -> DiffOp:
@@ -176,9 +193,8 @@ def gamma_poly(p: int, shift: ScalarLike, params: ModelParams) -> ExactPolynomia
     """gamma(z - shift, p) = prod_{j=0}^{p-1} (z - shift + alpha(2j + 1 - p)) for p >= 0."""
     if p < 0:
         raise ValueError("gamma_poly needs a nonnegative exponent")
-    shift = rat(shift)
-    alpha = params.alpha
-    return ExactPolynomial.from_roots([shift + alpha * (p - 1 - 2 * j) for j in range(p)])
+    den, (x0, step) = common_denominator(rat(shift), params.alpha)
+    return ExactPolynomial.from_integer_roots([x0 + step * (p - 1 - 2 * j) for j in range(p)], den)
 
 
 def star_triangle_check(
@@ -281,10 +297,17 @@ def intertwiner_poly(n: int, u: ScalarLike, a: int, b: int, params: ModelParams)
     if n_plus is None:
         return ExactPolynomial.zero()
     n_minus = n - n_plus
-    alpha, s, t = params.alpha, params.s, params.t
-    roots = [alpha * (u + n - a - 2 * p + 1 - t) for p in range(1, n_plus + 1)]
-    roots += [alpha * (u + n + a - 2 * q + 1 + s) for q in range(1, n_minus + 1)]
-    return ExactPolynomial.from_roots(roots).scale((-1) ** n)
+    alpha = params.alpha
+    # The roots alpha (u + n - a - 2p + 1 - t) and alpha (u + n + a - 2q + 1 + s),
+    # over den(alpha) times the common denominator of u, s and t.
+    den, (du, ds, dt) = common_denominator(u, params.s, params.t)
+    up = du + (n - a + 1) * den - dt
+    down = du + (n + a + 1) * den + ds
+    roots = [up - 2 * p * den for p in range(1, n_plus + 1)]
+    roots += [down - 2 * q * den for q in range(1, n_minus + 1)]
+    return ExactPolynomial.from_integer_roots(
+        [alpha.numerator * r for r in roots], den * alpha.denominator, lead=(-1) ** n
+    )
 
 
 def o_m_product_form(
@@ -304,7 +327,6 @@ def o_m_product_form(
     dim = degree_bound + 1
     dp = delta_op(1, degree_bound, params)
     dm = delta_op(-1, degree_bound, params)
-    z1 = mul_z(dim)
 
     def factor(z0: Fraction, coef: Fraction) -> DiffOp:
         linear = ExactPolynomial((-z0, 1))
@@ -318,12 +340,6 @@ def o_m_product_form(
     for l in range(m_plus):
         op = factor(alpha * (-u + Fraction(m - b - c, 2) - t), u - l).compose(op)
     return op.scale(alpha ** (-m))
-
-
-def _shift_op(h: Fraction, dim: int) -> DiffOp:
-    """The shift f(z) -> f(z + h) on polynomials of degree < dim."""
-    cols = [poly_shift(ExactPolynomial.monomial(j), h).coeff_vector(dim) for j in range(dim)]
-    return DiffOp(ExactMatrix(list(zip(*cols))))
 
 
 def _gamma_sandwich(c: int, d: int, center: Fraction, dim: int, params: ModelParams) -> DiffOp:
@@ -343,6 +359,7 @@ def _gamma_sandwich(c: int, d: int, center: Fraction, dim: int, params: ModelPar
     if b < 0:
         raise ValueError("gamma sandwich needs c + d >= 0")
     alpha = params.alpha
+    den, (x0, step) = common_denominator(center, alpha)
     total = DiffOp(ExactMatrix.zeros(dim, dim))
     for k in range(b + 1):
         s = b - 2 * k
@@ -352,7 +369,7 @@ def _gamma_sandwich(c: int, d: int, center: Fraction, dim: int, params: ModelPar
                 mult[r - offset] += 1 if p > 0 else -1
         if any(e < 0 for e in mult.values()):
             raise ValueError("gamma sandwich left a reciprocal factor")
-        g = ExactPolynomial.from_roots([center + alpha * r for r in mult.elements()])
+        g = ExactPolynomial.from_integer_roots([x0 + step * r for r in mult.elements()], den)
         term = mul_poly(g, dim).compose(_shift_op(s * alpha, dim))
         total = total + term.scale((-1) ** k * comb(b, k))
     return total.scale(Fraction(1, 2**b)).truncate(dim)

@@ -15,8 +15,13 @@ oracle for the other three.
 
 All weights depend on the model constants only through w = (s + t)/2, which
 must avoid the integers for the height-label denominators to stay nonzero.
-Every denominator is still guarded explicitly and raises :class:`PoleError`
-when hit, so degenerate parameter choices fail loudly.
+That is the domain of the weights: the sum, hypergeometric and linear-solve
+routes (and the height lattice sums built on them) refuse integer w on
+entry through :func:`check_weight_domain`, with one
+:class:`DegenerateParameterPoint`, before any arithmetic.  Every
+denominator is still guarded explicitly and raises :class:`PoleError` when
+hit; inside the domain those guards are checks on an invariant.  The gauge
+family of :func:`gauge_weights` keeps integer w.
 
 The sum and hypergeometric routes run on plain integers.  Every quantity
 they form (theta, ladder factor, series parameter, gamma-ratio argument) is
@@ -46,6 +51,21 @@ class PoleError(DegeneratePointError, ZeroDivisionError):
 
 class DegenerateParameterPoint(DegeneratePointError, ValueError):
     """A lower series parameter hit a nonpositive integer before termination."""
+
+
+def check_weight_domain(params: ModelParams) -> None:
+    """Refuse a point outside the domain of the face weights: integer w.
+
+    There some height label h + w vanishes, and the weight routes would
+    each fail at different faces, or not at all.  Raises
+    :class:`DegenerateParameterPoint`.  w = (s + t)/2 is an integer exactly
+    when den(s) den(t) (s + t) is a multiple of 2 den(s) den(t), which
+    needs no ``Fraction``.
+    """
+    s, t = params.s, params.t
+    den = s.denominator * t.denominator
+    if (s.numerator * t.denominator + t.numerator * s.denominator) % (2 * den) == 0:
+        raise DegenerateParameterPoint("w is an integer, outside the domain of the face weights")
 
 
 @dataclass(frozen=True)
@@ -236,6 +256,7 @@ def _w_nm_sum(n: int, m: int, a: int, b: int, bp: int, c: int, u: Fraction, w: F
 
 def w_nm_sum(q: WeightQuery, params: ModelParams) -> Fraction:
     """General (n, m) face weight as a single sum over intermediate height drift."""
+    check_weight_domain(params)
     if not q.is_valid():
         return Fraction(0)
     return _w_nm_sum(q.n, q.m, q.a, q.b, q.bprime, q.c, q.u, params.w)
@@ -424,6 +445,7 @@ def w_nm_hypergeometric(q: WeightQuery, params: ModelParams) -> Fraction:
     At the boundary b + b' = a + c both parameter regimes apply; they are
     evaluated and checked against each other there.
     """
+    check_weight_domain(params)
     if not q.is_valid():
         return Fraction(0)
     return _w_nm_hyper(q.n, q.m, q.a, q.b, q.bprime, q.c, q.u, params.w)

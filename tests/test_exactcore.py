@@ -12,6 +12,7 @@ from fusion_sos.exactcore import (
     InconsistentSystemError,
     ShapeMismatchError,
     SingularMatrixError,
+    det,
     kron,
     lagrange_interpolate,
     mat_mul,
@@ -294,6 +295,142 @@ class TestSolve:
         a = ExactMatrix([[1, 0], [0, 1], [1, 1]])
         with pytest.raises(InconsistentSystemError):
             solve_exact(a, ExactMatrix.column([2, 3, 6]))
+
+
+def fraction_gauss_jordan(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
+    """Independent Gauss-Jordan elimination on Fraction rows: the oracle for
+    solve_exact, with the same errors in the same order."""
+    n, m = a.rows, a.cols
+    aug = [list(ra) + list(rb) for ra, rb in zip(a.entries, b.entries)]
+    for col in range(m):
+        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
+        if pivot is None:
+            raise SingularMatrixError("singular")
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        aug[col] = [x / aug[col][col] for x in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col] != 0:
+                f = aug[r][col]
+                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
+    if any(x != 0 for row in aug[m:] for x in row[m:]):
+        raise InconsistentSystemError("inconsistent")
+    return ExactMatrix([row[m:] for row in aug[:m]])
+
+
+def fraction_det(a: ExactMatrix) -> Fraction:
+    """Independent cofactor expansion along the first row on Fractions."""
+    rows = [list(r) for r in a.entries]
+
+    def expand(rows):
+        if len(rows) == 1:
+            return rows[0][0]
+        return sum(
+            (-1) ** j * x * expand([r[:j] + r[j + 1 :] for r in rows[1:]])
+            for j, x in enumerate(rows[0])
+            if x
+        )
+
+    return Fraction(expand(rows))
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (SingularMatrixError, InconsistentSystemError) as exc:
+        return type(exc)
+
+
+def _mixed(rng) -> Fraction:
+    """Zero one time in four, else a rational with denominator 1, 3, 7 or 12."""
+    if rng.random() < 0.25:
+        return Fraction(0)
+    return Fraction(rng.randint(-20, 20), rng.choice((1, 3, 7, 12)))
+
+
+class TestIntegerSolveMatchesFractionReference:
+    """solve_exact and det eliminate on integer numerators; a Fraction
+    Gauss-Jordan and a cofactor expansion are the references."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_square(self, seed):
+        rng = random.Random(100 + seed)
+        for n in (1, 2, 3, 4, 5):
+            a = ExactMatrix([[_mixed(rng) for _ in range(n)] for _ in range(n)])
+            b = ExactMatrix([[_mixed(rng) for _ in range(2)] for _ in range(n)])
+            assert _outcome(solve_exact, a, b) == _outcome(fraction_gauss_jordan, a, b)
+            assert det(a) == fraction_det(a)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_overdetermined(self, seed):
+        rng = random.Random(200 + seed)
+        for n, m in ((2, 2), (3, 2), (4, 3), (3, 1)):
+            rows = [[_mixed(rng) for _ in range(m)] for _ in range(n)]
+            # The last row repeats row 0, so a bumped right-hand side on it
+            # is inconsistent unless the matrix is singular.
+            a = ExactMatrix(rows + [rows[0]])
+            x = ExactMatrix([[_mixed(rng), _mixed(rng)] for _ in range(m)])
+            consistent = mat_mul(a, x)
+            last = consistent.entries[-1]
+            bumped = ExactMatrix(consistent.entries[:-1] + ((last[0] + Fraction(1, 7), last[1]),))
+            for b in (consistent, bumped):
+                assert _outcome(solve_exact, a, b) == _outcome(fraction_gauss_jordan, a, b)
+            if _outcome(solve_exact, a, consistent) is not SingularMatrixError:
+                assert solve_exact(a, consistent) == x
+                assert _outcome(solve_exact, a, bumped) is InconsistentSystemError
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_singular(self, seed):
+        rng = random.Random(300 + seed)
+        for n in (2, 3, 4):
+            rows = [[_mixed(rng) for _ in range(n)] for _ in range(n - 1)]
+            f, g = _mixed(rng), Fraction(rng.randint(1, 9), 5)
+            combo = [f * x + g * y for x, y in zip(rows[0], rows[-1])]
+            rows.insert(rng.randrange(n), combo)
+            a = ExactMatrix(rows)
+            b = ExactMatrix.column([_mixed(rng) for _ in range(n)])
+            assert det(a) == 0 == fraction_det(a)
+            with pytest.raises(SingularMatrixError):
+                solve_exact(a, b)
+            tall = ExactMatrix(rows + [[_mixed(rng) for _ in range(n)]])
+            assert _outcome(solve_exact, tall, ExactMatrix.column([1] * (n + 1))) == _outcome(
+                fraction_gauss_jordan, tall, ExactMatrix.column([1] * (n + 1))
+            )
+
+    def test_pivot_swaps_and_signs(self):
+        # A zero leading entry forces a row swap; the swap flips the sign of det.
+        a = ExactMatrix([[0, Fraction(2, 3)], [Fraction(5, 7), 1]])
+        assert det(a) == Fraction(-10, 21) == fraction_det(a)
+        b = ExactMatrix.column([Fraction(1, 3), 2])
+        assert solve_exact(a, b) == fraction_gauss_jordan(a, b)
+
+    def test_shape_errors_come_first(self):
+        singular = ExactMatrix([[1, 2], [2, 4]])
+        with pytest.raises(ShapeMismatchError):
+            solve_exact(singular, ExactMatrix.column([1, 2, 3]))
+        with pytest.raises(ShapeMismatchError):
+            solve_exact(ExactMatrix([[1, 2, 3]]), ExactMatrix.column([1]))
+        with pytest.raises(ShapeMismatchError):
+            det(ExactMatrix([[1, 2, 3], [4, 5, 6]]))
+
+
+class TestFromRoots:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_equals_product_of_linear_factors(self, seed):
+        rng = random.Random(400 + seed)
+        for k in range(6):
+            roots = [_mixed(rng) for _ in range(k)]
+            expected = ExactPolynomial.one()
+            for r in roots:
+                expected = expected * ExactPolynomial((-r, 1))
+            assert ExactPolynomial.from_roots(roots) == expected
+
+    def test_repeated_roots_and_leading_factor(self):
+        r = Fraction(-2, 3)
+        linear = ExactPolynomial((-r, 1))
+        assert ExactPolynomial.from_roots([r, r]) == linear * linear
+        assert ExactPolynomial.from_roots([]) == ExactPolynomial.one()
+        assert ExactPolynomial.from_integer_roots([-2, -2], 3, lead=-5) == (linear * linear).scale(-5)
+        assert ExactPolynomial.from_integer_roots([4], 1, lead=0).is_zero()
 
 
 class TestPolyShift:

@@ -14,7 +14,13 @@ from fusion_sos.lattice import (
     transfer_matrix_sos,
     transfer_matrix_vertex,
 )
-from fusion_sos.sos import PoleError, WeightQuery, w_nm_sum
+from fusion_sos.correspondence import solve_weights_from_relation
+from fusion_sos.sos import (
+    DegenerateParameterPoint,
+    WeightQuery,
+    w_nm_hypergeometric,
+    w_nm_sum,
+)
 from fusion_sos.vertex import ModelParams, r7v
 
 U = Fraction(7, 3)
@@ -222,16 +228,18 @@ class TestSosTransfer:
             transfer_matrix_sos(spec, (-2, 2), params_unit)
 
 
-_A_POLE = (PoleError, "a + w vanished")
-_LADDER = (PoleError, "height-ladder denominator vanished")
+_INTEGER_W = (DegenerateParameterPoint, "w is an integer, outside the domain of the face weights")
 
-# partition_sos outcomes at integer w, outside the domain of the weights,
-# as the full-product enumeration gave them before the depth-first rewrite.
+# Height sums at integer w, outside the domain of the weights.  Both routes
+# refuse them on entry.  Before that guard the full-product enumeration gave
+# 51944/81, "a + w vanished", "height-ladder denominator vanished" and
+# 609493697/52488 on these rows, and the transfer route disagreed with the
+# depth-first enumeration on 70 of 288 such points.
 SOS_DEGENERATE = [
-    ((2, 2, 1, 1), "7/3", "1", (0, 4), "51944/81"),
-    ((2, 2, 1, 1), "7/3", "0", (0, 4), _A_POLE),
-    ((2, 2, 1, 1), "7/3", "0", (-2, 2), _LADDER),
-    ((2, 4, 1, 1), "7/3", "-2", (-2, 0), "609493697/52488"),
+    ((2, 2, 1, 1), "7/3", "1", (0, 4), _INTEGER_W),
+    ((2, 2, 1, 1), "7/3", "0", (0, 4), _INTEGER_W),
+    ((2, 2, 1, 1), "7/3", "0", (-2, 2), _INTEGER_W),
+    ((2, 4, 1, 1), "7/3", "-2", (-2, 0), _INTEGER_W),
 ]
 
 
@@ -239,11 +247,41 @@ SOS_DEGENERATE = [
 def test_sos_enumeration_degenerate_outcomes(shape, u, w, window, outcome):
     spec = LatticeSpec(*shape, Fraction(u))
     params = _params_w(Fraction(2, 3), Fraction(w))
-    if isinstance(outcome, str):
-        assert partition_sos(spec, window, params) == Fraction(outcome)
-        return
     cls, message = outcome
-    with pytest.raises(cls) as info:
-        partition_sos(spec, window, params)
-    assert type(info.value) is cls
-    assert str(info.value) == message
+    for route in (partition_sos, partition_sos_transfer, transfer_matrix_sos):
+        with pytest.raises(cls) as info:
+            route(spec, window, params)
+        assert type(info.value) is cls
+        assert str(info.value) == message
+
+
+@pytest.mark.parametrize("w", [0, 1, -2])
+def test_integer_w_refused_by_every_weight_route(w):
+    """Integer w is outside the domain of the face weights: the three weight
+    routes and both height-lattice routes raise one error, with one message,
+    before any arithmetic (so also on a face that violates adjacency, and on
+    a lattice with no admissible row)."""
+    params = _params_w(Fraction(2, 3), Fraction(w))
+    valid = WeightQuery(1, 2, -2, -1, 0, -1, U)
+    invalid = WeightQuery(1, 1, 0, 0, 0, 0, U)
+    assert valid.is_valid() and not invalid.is_valid()
+    calls = [
+        lambda: w_nm_sum(valid, params),
+        lambda: w_nm_sum(invalid, params),
+        lambda: w_nm_hypergeometric(valid, params),
+        lambda: w_nm_hypergeometric(invalid, params),
+        lambda: solve_weights_from_relation(1, 2, -2, -1, -1, U, params),
+        lambda: solve_weights_from_relation(1, 1, 0, 0, 0, U, params),
+    ]
+    for spec, window in ((LatticeSpec(2, 2, 1, 1, U), (-2, 2)), (LatticeSpec(1, 2, 1, 1, U), (0, 1))):
+        calls += [
+            lambda spec=spec, window=window: partition_sos(spec, window, params),
+            lambda spec=spec, window=window: partition_sos_transfer(spec, window, params),
+            lambda spec=spec, window=window: transfer_matrix_sos(spec, window, params),
+        ]
+    cls, message = _INTEGER_W
+    for call in calls:
+        with pytest.raises(cls) as info:
+            call()
+        assert type(info.value) is cls
+        assert str(info.value) == message

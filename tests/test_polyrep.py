@@ -9,12 +9,14 @@ from fusion_sos.exactcore import (
     kron,
     lagrange_interpolate,
     mat_mul,
+    poly_shift,
 )
 from fusion_sos.fusion import fuse_n1
 from fusion_sos.polyrep import (
     DiffOp,
     UnsupportedEvaluationPoint,
     _gamma_sandwich,
+    _shift_op,
     assemble_2x2,
     delta_minus_power,
     delta_op,
@@ -28,7 +30,7 @@ from fusion_sos.polyrep import (
     r_n1_matrix,
     star_triangle_check,
 )
-from fusion_sos.vertex import r7v
+from fusion_sos.vertex import ModelParams, r7v
 
 Z = ExactPolynomial((0, 1))
 
@@ -51,6 +53,71 @@ class TestDeltaOps:
         big = delta_minus_power(d + 1, d + 1, params)
         for j in range(d + 1):
             assert big.apply(ExactPolynomial.monomial(j)).is_zero()
+
+
+# Step sizes with denominators 1, 3 and 7, of both signs.
+STEPS = [Fraction(2), Fraction(-1), Fraction(5, 3), Fraction(-4, 3), Fraction(3, 7), Fraction(-9, 7)]
+
+
+def fraction_shift(h, dim):
+    """The shift f(z) -> f(z + h) from Fraction rows: column j is poly_shift of z^j."""
+    cols = [poly_shift(ExactPolynomial.monomial(j), h).coeff_vector(dim) for j in range(dim)]
+    return DiffOp(ExactMatrix(list(zip(*cols))))
+
+
+def linear_product(roots, lead=1):
+    """lead * prod (z - r), multiplied out one Fraction linear factor at a time."""
+    p = ExactPolynomial((lead,))
+    for r in roots:
+        p = p * ExactPolynomial((-r, 1))
+    return p
+
+
+class TestIntegerBuildersMatchFractionReferences:
+    """The shift, averaged-shift and multiplication operators and the
+    polynomials with known roots are built on integer numerators; the Fraction
+    constructions they replaced are the references."""
+
+    @pytest.mark.parametrize("h", STEPS)
+    def test_shift_op_is_poly_shift_of_monomials(self, h):
+        for dim in (1, 2, 5, 7):
+            assert _shift_op(h, dim) == fraction_shift(h, dim)
+
+    @pytest.mark.parametrize("alpha", STEPS)
+    def test_delta_ops_are_averaged_shifts(self, alpha):
+        params = ModelParams(alpha, Fraction(1, 3), Fraction(2, 3))
+        for d in (0, 1, 4, 6):
+            forward, backward = fraction_shift(alpha, d + 1), fraction_shift(-alpha, d + 1)
+            assert delta_op(1, d, params) == (forward + backward).scale(Fraction(1, 2))
+            assert delta_op(-1, d, params) == (forward - backward).scale(Fraction(1, 2))
+
+    def test_multiplication_operators(self):
+        q = ExactPolynomial((Fraction(-2, 7), Fraction(5, 3), 0, Fraction(1, 21)))
+        p = ExactPolynomial((Fraction(1, 2), -3, Fraction(7, 4)))
+        assert mul_poly(q, 3).apply(p) == q * p
+        assert mul_poly(ExactPolynomial.zero(), 3).apply(p).is_zero()
+        assert mul_z(3).apply(p) == Z * p
+
+    @pytest.mark.parametrize("alpha", STEPS)
+    def test_gamma_poly_is_product_of_linear_factors(self, alpha):
+        params = ModelParams(alpha, Fraction(1, 3), Fraction(2, 3))
+        for shift in (Fraction(0), Fraction(2, 7), Fraction(-5, 3)):
+            for p in range(5):
+                roots = [shift + alpha * (p - 1 - 2 * j) for j in range(p)]
+                assert gamma_poly(p, shift, params) == linear_product(roots)
+
+    @pytest.mark.parametrize("alpha", STEPS)
+    def test_intertwiner_poly_is_product_of_linear_factors(self, alpha):
+        params = ModelParams(alpha, Fraction(-3, 7), Fraction(4, 3))
+        s, t = params.s, params.t
+        for u in (Fraction(0), Fraction(7, 3), Fraction(-1, 2)):
+            for n in range(4):
+                for a in (-2, 1):
+                    for n_plus in range(n + 1):
+                        b = a + 2 * n_plus - n
+                        roots = [alpha * (u + n - a - 2 * p + 1 - t) for p in range(1, n_plus + 1)]
+                        roots += [alpha * (u + n + a - 2 * q + 1 + s) for q in range(1, n - n_plus + 1)]
+                        assert intertwiner_poly(n, u, a, b, params) == linear_product(roots, (-1) ** n)
 
 
 class TestGammaFactor:
@@ -163,9 +230,10 @@ class TestDiffOpShapes:
             op.truncate(4)
 
     def test_truncate_refuses_nonzero_fraction_rows(self):
-        # mul_z is built from Fraction rows; its top row holds z^3 -> z^4.
+        # Multiplication by z built from Fraction rows; its top row holds z^3 -> z^4.
+        rows = [[Fraction(int(i == j + 1)) for j in range(3)] for i in range(4)]
         with pytest.raises(ShapeMismatchError):
-            mul_z(3).truncate(3)
+            DiffOp(ExactMatrix(rows)).truncate(3)
 
     def test_truncate_keeps_exact_action(self, params):
         # delta(-) lowers the degree, so z * delta(-) fits back in degree < 4.

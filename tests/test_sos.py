@@ -387,18 +387,22 @@ class TestRoutesAgainstOracle:
             assert hyper == expected
 
 
-# Outcomes of the two routes at points where at least one of them raises,
-# recorded from the Fraction implementation the integer one replaced:
+# Outcomes of the routes at points where at least one of them raises:
 # ((n, m, a, b, b', c), u, w, sum outcome, hypergeometric outcome).  An
-# outcome is a value or (exception class, message).  The first rows have
-# non-integer w with u + w an integer; the rest have integer w.  No point of
-# |a|, |c| <= 2, n, m <= 3 and ten u by nine w values reaches the other three
-# messages ("series does not terminate", "regime overlap mismatch ...",
-# "gamma ratio needs an integer offset").
+# outcome is a value or (exception class, message); the linear-solve route
+# must give the sum outcome.  The first rows have non-integer w with u + w
+# an integer, recorded from the Fraction implementation the integer one
+# replaced.  The rest have integer w, outside the domain of the weights,
+# which every route refuses on entry.  Before that guard the two routes
+# failed there in different ways ("a + w vanished", "height-ladder
+# denominator vanished", "lower parameter vanished before termination",
+# "gamma ratio hit a pole/zero collision"), and the hypergeometric route
+# gave 70/9 and 91/6 on two faces where the sum route raised.  No point of
+# |a|, |c| <= 2, n, m <= 3 and ten u by nine w values reaches the other
+# three messages ("series does not terminate", "regime overlap mismatch
+# ...", "gamma ratio needs an integer offset").
 _GAMMA = (DegenerateParameterPoint, "gamma ratio hit a pole/zero collision")
-_LOWER = (DegenerateParameterPoint, "lower parameter vanished before termination")
-_A_POLE = (PoleError, "a + w vanished")
-_LADDER = (PoleError, "height-ladder denominator vanished")
+_INTEGER_W = (DegenerateParameterPoint, "w is an integer, outside the domain of the face weights")
 DEGENERATE_POINTS = [
     ((1, 1, -2, -3, -3, -2), "3/2", "1/2", "0", _GAMMA),
     ((3, 3, -2, -5, -5, -2), "1/2", "3/2", "0", _GAMMA),
@@ -407,17 +411,21 @@ DEGENERATE_POINTS = [
     ((1, 1, -2, -1, -1, -2), "-3/2", "1/2", "0", _GAMMA),
     ((1, 1, -2, -3, -1, -2), "0", "1/3", "0", _GAMMA),
     ((2, 2, -2, 0, 0, 0), "-1", "3/5", "0", _GAMMA),
-    ((1, 1, -1, -2, -2, -1), "7/3", "1", _A_POLE, _GAMMA),
-    ((2, 2, -1, -1, 1, -1), "7/3", "1", _A_POLE, _GAMMA),
-    ((3, 2, -1, -4, 1, -2), "7/3", "1", _A_POLE, _GAMMA),
-    ((1, 1, -2, -3, -1, -2), "7/3", "1", _LADDER, _GAMMA),
-    ((1, 2, -2, -1, 0, -1), "7/3", "0", _LADDER, "70/9"),
-    ((2, 2, -2, -2, 0, -2), "7/3", "0", _LADDER, "91/6"),
-    ((3, 3, -2, -5, -3, -2), "7/3", "1", _LADDER, _GAMMA),
-    ((1, 3, -2, -1, -1, 0), "7/3", "0", _LADDER, _LOWER),
-    ((2, 3, -2, -2, -1, -1), "7/3", "0", _LADDER, _LOWER),
-    ((3, 3, -2, -3, -1, -2), "7/3", "0", _LADDER, _LOWER),
+    ((1, 1, -1, -2, -2, -1), "7/3", "1", _INTEGER_W, _INTEGER_W),
+    ((2, 2, -1, -1, 1, -1), "7/3", "1", _INTEGER_W, _INTEGER_W),
+    ((3, 2, -1, -4, 1, -2), "7/3", "1", _INTEGER_W, _INTEGER_W),
+    ((1, 1, -2, -3, -1, -2), "7/3", "1", _INTEGER_W, _INTEGER_W),
+    ((1, 2, -2, -1, 0, -1), "7/3", "0", _INTEGER_W, _INTEGER_W),
+    ((2, 2, -2, -2, 0, -2), "7/3", "0", _INTEGER_W, _INTEGER_W),
+    ((3, 3, -2, -5, -3, -2), "7/3", "1", _INTEGER_W, _INTEGER_W),
+    ((1, 3, -2, -1, -1, 0), "7/3", "0", _INTEGER_W, _INTEGER_W),
+    ((2, 3, -2, -2, -1, -1), "7/3", "0", _INTEGER_W, _INTEGER_W),
+    ((3, 3, -2, -3, -1, -2), "7/3", "0", _INTEGER_W, _INTEGER_W),
 ]
+
+
+def _solve_route(q, p):
+    return solve_weights_from_relation(q.n, q.m, q.a, q.b, q.c, q.u, p)[q.bprime]
 
 
 class TestDegeneratePoints:
@@ -426,7 +434,12 @@ class TestDegeneratePoints:
         p = ModelParams(1, Fraction(w), Fraction(w))
         q = WeightQuery(*heights, Fraction(u))
         assert q.is_valid()
-        for route, outcome in ((w_nm_sum, sum_outcome), (w_nm_hypergeometric, hyper_outcome)):
+        routes = (
+            (w_nm_sum, sum_outcome),
+            (w_nm_hypergeometric, hyper_outcome),
+            (_solve_route, sum_outcome),
+        )
+        for route, outcome in routes:
             if isinstance(outcome, str):
                 assert route(q, p) == Fraction(outcome)
                 continue
@@ -444,7 +457,8 @@ class TestDegeneratePoints:
         for cls in (DegenerateParameterPoint, SingularMatrixError):
             assert issubclass(cls, DegeneratePointError)
             assert issubclass(cls, ValueError)
-        # At a + w = 0 every route refuses the point with the shared type.
+        # At integer w (here w = 1) every route refuses the point with the
+        # shared type.
         p = ModelParams(1, 1, 1)
         q = WeightQuery(1, 1, -1, -2, -2, -1, U)
         for call in (
