@@ -50,7 +50,8 @@ class PoleError(DegeneratePointError, ZeroDivisionError):
 
 
 class DegenerateParameterPoint(DegeneratePointError, ValueError):
-    """A lower series parameter hit a nonpositive integer before termination."""
+    """A face weight has no value here: w is an integer, or a series or
+    gamma-ratio parameter hit a nonpositive integer."""
 
 
 def check_weight_domain(params: ModelParams) -> None:
