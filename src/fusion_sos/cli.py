@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import random
+import re
 import sys
 from fractions import Fraction
 
@@ -414,20 +415,33 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _attach_range(argv: list[str]) -> list[str]:
-    """Pass ``--range LO..HI`` as ``--range=LO..HI``: argparse reads a value
-    with a negative LO, such as ``-2..2``, as an option name and refuses it."""
-    argv = list(argv)
-    if "--range" in argv[:-1]:
-        k = argv.index("--range")
-        argv[k : k + 2] = [f"--range={argv[k + 1]}"]
-    return argv
+# An option followed by a value that starts like a negative number, such as
+# -1/3 or -2..2: argparse reads any such value but a plain negative number
+# as an option name and refuses it.
+_OPTION = re.compile(r"--[^=]+")
+_NEGATIVE_VALUE = re.compile(r"-\d")
+
+
+def _attach_negative_values(argv: list[str]) -> list[str]:
+    """Pass ``--name VALUE`` as ``--name=VALUE`` when VALUE starts with ``-`` and a digit."""
+    out = []
+    for token in argv:
+        if out and _OPTION.fullmatch(out[-1]) and _NEGATIVE_VALUE.match(token):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
+_PARSER: argparse.ArgumentParser | None = None
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
     try:
-        args = parser.parse_args(_attach_range(sys.argv[1:] if argv is None else argv))
+        args = _PARSER.parse_args(_attach_negative_values(sys.argv[1:] if argv is None else argv))
         return args.handler(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -4,7 +4,11 @@ The fused intertwining vectors convert the action of a fused R-operator into
 face weights.  Expanding the image of one intertwining polynomial in the
 basis of neighbouring ones is an exact linear solve, and the weights it
 produces are the ground truth against which the closed-form and series
-formulas in :mod:`fusion_sos.sos` are tested.
+formulas in :mod:`fusion_sos.sos` are tested.  That route stays on integers
+until the solve returns: the intertwining polynomials are integer
+coefficient columns over one denominator, and the height-changing operator
+acts on the source column factor by factor (``polyrep._o_m_apply``)
+without its matrix ever being formed.
 """
 
 from __future__ import annotations
@@ -17,13 +21,14 @@ from .exactcore import (
     ExactMatrix,
     ExactPolynomial,
     ScalarLike,
+    _root_product,
     det,
     mat_mul,
     rat,
     solve_exact,
 )
 from .fusion import fuse_nm, sym_basis, symmetrizer
-from .polyrep import intertwiner_poly, o_m_product_form
+from .polyrep import _intertwiner_roots, _o_m_apply, intertwiner_poly
 from .sos import check_weight_domain
 from .vertex import ModelParams, up_steps
 
@@ -116,21 +121,29 @@ def independence_determinant(family: IntertwinerSet) -> Fraction:
     return det(ExactMatrix(list(zip(*cols))))
 
 
+def _intertwiner_column(n: int, a: int, b: int, params: ModelParams):
+    """psi(0)^a_b as integer coefficients over D^n, D the denominator of its
+    roots (independent of a and b); None off adjacency."""
+    found = _intertwiner_roots(n, Fraction(0), a, b, params)
+    if found is None:
+        return None
+    roots, den = found
+    return [x * den**j for j, x in enumerate(_root_product(roots, (-1) ** n))], den**n
+
+
 @lru_cache(maxsize=None)
 def _solve_weights(
     n: int, m: int, a: int, b: int, c: int, u: Fraction, params: ModelParams
 ) -> tuple[tuple[int, Fraction], ...]:
-    source = intertwiner_poly(n, 0, a, b, params)
-    if source.is_zero():
+    source = _intertwiner_column(n, a, b, params)
+    if source is None:
         raise ValueError("heights a, b are not adjacent at distance n")
-    operator = o_m_product_form(m, u, b, c, params, n)
-    image = operator.apply(source)
-    dim = n + 1
-    heights = [c - n + 2 * j for j in range(dim)]
-    basis_cols = [intertwiner_poly(n, 0, bp, c, params).coeff_vector(dim) for bp in heights]
-    basis = ExactMatrix(list(zip(*basis_cols)))
-    rhs = ExactMatrix.column(image.coeff_vector(dim))
-    solution = solve_exact(basis, rhs)
+    column, den = source
+    (image,), image_den = _o_m_apply(m, u, b, c, params, [column], den)
+    heights = [c - n + 2 * j for j in range(n + 1)]
+    basis_cols = [_intertwiner_column(n, bp, c, params)[0] for bp in heights]
+    basis = ExactMatrix.from_integers(zip(*basis_cols), den)
+    solution = solve_exact(basis, ExactMatrix.from_integers([[x] for x in image], image_den))
     return tuple((bp, solution[j, 0]) for j, bp in enumerate(heights))
 
 

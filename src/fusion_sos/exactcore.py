@@ -433,6 +433,14 @@ def det(a: ExactMatrix) -> Fraction:
     return Fraction(sign * pivot, den**a.rows)
 
 
+def _root_product(numerators: Sequence[int], lead: int = 1) -> list[int]:
+    """The integer coefficients, lowest power first, of lead * prod (y - r)."""
+    q = [lead]
+    for r in numerators:
+        q = [x - r * y for x, y in zip([0] + q, q + [0])]
+    return q
+
+
 class ExactPolynomial:
     """A polynomial in one variable with exact coefficients, lowest power first.
 
@@ -478,9 +486,7 @@ class ExactPolynomial:
         The integer product q(y) = lead * prod (y - r) is expanded first; the
         coefficient of z^j is then q_j / denominator^(k - j) for k roots.
         """
-        q = [lead]
-        for r in numerators:
-            q = [x - r * y for x, y in zip([0] + q, q + [0])]
+        q = _root_product(numerators, lead)
         k = len(q) - 1
         return cls(Fraction(x, denominator ** (k - j)) for j, x in enumerate(q))
 

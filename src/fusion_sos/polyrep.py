@@ -13,8 +13,11 @@ Every building block is built as integer numerators over one denominator
 without a ``Fraction`` per entry.  A shift by h = p/q has entry (i, j)
 C(j, i) p^(j-i) q^(dim-1-(j-i)) over q^(dim-1); multiplication by z or by
 a polynomial has the polynomial's numerators over their least common
-denominator; gamma factors and intertwining polynomials put their roots
-over one common denominator and expand the integer product.
+denominator; gamma factors and intertwining polynomials expand the integer
+product of their roots over one common denominator.  The height-changing
+operator is not composed factor by factor: its m first-order factors act on
+integer coefficient columns (``_o_m_apply``), the identity's for the matrix
+and one intertwining polynomial's for the face weights.
 
 The averaged shift operators
 
@@ -44,7 +47,9 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from itertools import chain
+from math import comb, gcd
+from operator import mul
 
 from .exactcore import (
     ExactMatrix,
@@ -125,12 +130,6 @@ class DiffOp:
         column = ExactMatrix.column(p.coeff_vector(self.in_dim))
         return ExactPolynomial(mat_mul(self.matrix, column).column_vector())
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, DiffOp) and self.matrix == other.matrix
-
-    def __hash__(self):
-        return hash(self.matrix)
-
 
 def delta_op(sign: int, degree_bound: int, params: ModelParams) -> DiffOp:
     """The averaged shift operator on polynomials of degree <= degree_bound.
@@ -163,10 +162,7 @@ def _shift_op(h: Fraction, dim: int, parity: int | None = None) -> DiffOp:
 
 def mul_z(in_dim: int) -> DiffOp:
     """Multiplication by z: raises the degree bound by one."""
-    rows = [[0] * in_dim for _ in range(in_dim + 1)]
-    for j in range(in_dim):
-        rows[j + 1][j] = 1
-    return DiffOp(ExactMatrix.from_integers(rows))
+    return mul_poly(ExactPolynomial((0, 1)), in_dim)
 
 
 def mul_poly(q: ExactPolynomial, in_dim: int) -> DiffOp:
@@ -230,32 +226,22 @@ def r_n1_matrix(n: int, u: ScalarLike, params: ModelParams) -> tuple[tuple[DiffO
 
     Entries act on polynomials of degree <= n; each entry maps that space
     into itself even though the individual terms overshoot by up to two
-    degrees, so they are built in a padded space and truncated with a
+    degrees, so sums are padded to the largest term and truncated with a
     zero-loss check.
     """
     u = rat(u)
     alpha = params.alpha
     dim = n + 1
-    work = dim + 2
-    dp = delta_op(1, work - 1, params)
-    dm = delta_op(-1, work - 1, params)
-    z1 = mul_z(work)
-
-    def crop(op: DiffOp) -> DiffOp:
-        rows = [row[:dim] for row in op.matrix.numerators]
-        return DiffOp(ExactMatrix.from_integers(rows, op.matrix.denominator)).truncate(dim)
-
-    z2 = DiffOp(mat_mul(mul_z(work + 1).matrix, z1.matrix))  # times z^2, shape (work+2, work)
+    dp = delta_op(1, n, params)
+    dm = delta_op(-1, n, params)
+    z1 = mul_z(dim)
+    z2 = mul_z(dim + 1).compose(z1)
 
     a11 = dp.scale(u) + z1.compose(dm).scale(1 / alpha)
     a12 = dm.scale(-1 / alpha)
-    a21 = (
-        z2.compose(dm).scale(1 / alpha)
-        + z1.compose(dp).scale(-n)
-        + dm.scale(-alpha * u * (u + n))
-    )
+    a21 = z2.compose(dm).scale(1 / alpha) + z1.compose(dp).scale(-n) + dm.scale(-alpha * u * (u + n))
     a22 = dp.scale(u + n) + z1.compose(dm).scale(-1 / alpha)
-    return ((crop(a11), crop(a12)), (crop(a21), crop(a22)))
+    return ((a11.truncate(dim), a12), (a21.truncate(dim), a22.truncate(dim)))
 
 
 def assemble_2x2(ops: tuple[tuple[DiffOp, DiffOp], tuple[DiffOp, DiffOp]]) -> ExactMatrix:
@@ -265,16 +251,9 @@ def assemble_2x2(ops: tuple[tuple[DiffOp, DiffOp], tuple[DiffOp, DiffOp]]) -> Ex
     matching the restricted fused matrices after the monomial-to-coefficient
     change of basis.
     """
-    dim = ops[0][0].in_dim
-    size = 2 * dim
-    rows = [[Fraction(0)] * size for _ in range(size)]
-    for bi in range(2):
-        for bj in range(2):
-            mat = ops[bi][bj].matrix
-            for i in range(dim):
-                for j in range(dim):
-                    rows[2 * i + bi][2 * j + bj] = mat[i, j]
-    return ExactMatrix(rows)
+    size = 2 * ops[0][0].in_dim
+    mats = [[op.matrix for op in row] for row in ops]
+    return ExactMatrix([[mats[i % 2][j % 2][i // 2, j // 2] for j in range(size)] for i in range(size)])
 
 
 @lru_cache(maxsize=None)
@@ -284,62 +263,83 @@ def monomial_to_coeff_matrix(n: int) -> ExactMatrix:
     Coordinate k (the monomial with k powers of the second variable) maps to
     the polynomial (-z)^(n-k), so entry [n-k, k] is (-1)^(n-k).
     """
-    rows = [[Fraction(0)] * (n + 1) for _ in range(n + 1)]
-    for k in range(n + 1):
-        rows[n - k][k] = Fraction((-1) ** (n - k))
-    return ExactMatrix(rows)
+    return ExactMatrix.from_integers([[(-1) ** (n - k) * (i + k == n) for k in range(n + 1)] for i in range(n + 1)])
 
 
-def intertwiner_poly(n: int, u: ScalarLike, a: int, b: int, params: ModelParams) -> ExactPolynomial:
-    """The degree-n intertwining polynomial for heights (a, b); zero off adjacency."""
-    u = rat(u)
+def _intertwiner_roots(n: int, u: Fraction, a: int, b: int, params: ModelParams):
+    """(roots, D) with psi = (-1)^n prod (z - r/D) over the integer roots r;
+    None off adjacency.  The roots are alpha (u + n - a - 2p + 1 - t) and
+    alpha (u + n + a - 2q + 1 + s), D is den(alpha) times the common
+    denominator of u, s and t."""
     n_plus = up_steps(a, b, n)
     if n_plus is None:
-        return ExactPolynomial.zero()
-    n_minus = n - n_plus
+        return None
     alpha = params.alpha
-    # The roots alpha (u + n - a - 2p + 1 - t) and alpha (u + n + a - 2q + 1 + s),
-    # over den(alpha) times the common denominator of u, s and t.
     den, (du, ds, dt) = common_denominator(u, params.s, params.t)
     up = du + (n - a + 1) * den - dt
     down = du + (n + a + 1) * den + ds
     roots = [up - 2 * p * den for p in range(1, n_plus + 1)]
-    roots += [down - 2 * q * den for q in range(1, n_minus + 1)]
-    return ExactPolynomial.from_integer_roots(
-        [alpha.numerator * r for r in roots], den * alpha.denominator, lead=(-1) ** n
-    )
+    roots += [down - 2 * q * den for q in range(1, n - n_plus + 1)]
+    return [alpha.numerator * r for r in roots], den * alpha.denominator
 
 
-def o_m_product_form(
-    m: int, u: ScalarLike, b: int, c: int, params: ModelParams, degree_bound: int
-) -> DiffOp:
-    """The height-changing operator as an ordered product of first-order factors.
+def intertwiner_poly(n: int, u: ScalarLike, a: int, b: int, params: ModelParams) -> ExactPolynomial:
+    """The degree-n intertwining polynomial for heights (a, b); zero off adjacency."""
+    found = _intertwiner_roots(n, rat(u), a, b, params)
+    if found is None:
+        return ExactPolynomial.zero()
+    return ExactPolynomial.from_integer_roots(*found, lead=(-1) ** n)
 
-    Each factor is {[z - z0] delta(-) + alpha(u - shift) delta(+)} and
-    preserves the degree bound; the whole operator carries alpha^(-m).
+
+def _o_m_apply(m: int, u: Fraction, b: int, c: int, params: ModelParams, cols, den: int):
+    """The height-changing operator on ``cols``, integer coefficient vectors
+    (lowest power first, degree < dim) over ``den`` > 0; returns the image
+    columns and their denominator.  Each factor, divided by alpha, acts on
+    the integers, delta(+) and delta(-) being the even and odd terms of the
+    shift by alpha, and a gcd reduction follows.  A nonzero top coefficient
+    of delta(-) f would leave the space under z - z0: ``ShapeMismatchError``.
     """
-    u = rat(u)
     m_plus = up_steps(b, c, m)
     if m_plus is None:
         raise ValueError("heights b, c are not adjacent at distance m")
-    m_minus = m - m_plus
-    alpha, s, t = params.alpha, params.s, params.t
-    dim = degree_bound + 1
-    dp = delta_op(1, degree_bound, params)
-    dm = delta_op(-1, degree_bound, params)
-
-    def factor(z0: Fraction, coef: Fraction) -> DiffOp:
-        linear = ExactPolynomial((-z0, 1))
-        term1 = mul_poly(linear, dim).compose(dm).truncate(dim)
-        return term1 + dp.scale(alpha * coef)
-
-    op = DiffOp.identity(dim)
+    alpha = params.alpha
+    shift = _shift_op(alpha, len(cols[0])).matrix
+    dp, dm = (
+        [[x if (j - i) % 2 == parity else 0 for j, x in enumerate(row)] for i, row in enumerate(shift.numerators)]
+        for parity in (0, 1)
+    )
+    # Over alpha = p/q a factor is (z/alpha - Z) delta(-) + C delta(+), z0 = alpha Z, coef = C.
+    # Z, C are put over 2 den(u, s, t) and all times |p|: z/alpha is q sign(p), den stays > 0.
+    p, q = abs(alpha.numerator), alpha.denominator if alpha > 0 else -alpha.denominator
+    d, (du, ds, dt) = common_denominator(u, params.s, params.t)
+    lz, step = 2 * d * q, 2 * d * p * shift.denominator
     # Rightmost factors act first: the second product, ascending l' applied first.
-    for lp in range(m_minus):
-        op = factor(alpha * (-u + Fraction(m + b + c, 2) + s), u - m_plus - lp).compose(op)
-    for l in range(m_plus):
-        op = factor(alpha * (-u + Fraction(m - b - c, 2) - t), u - l).compose(op)
-    return op.scale(alpha ** (-m))
+    factors = [(p * (2 * (ds - du) + (m + b + c) * d), 2 * p * (du - (m_plus + lp) * d)) for lp in range(m - m_plus)]
+    factors += [(p * ((m - b - c) * d - 2 * (du + dt)), 2 * p * (du - l * d)) for l in range(m_plus)]
+    for nz, nc in factors:
+        out = []
+        for f in cols:
+            low = [sum(map(mul, row, f)) for row in dm]
+            if low[-1]:
+                raise ShapeMismatchError("truncation would discard nonzero coefficients")
+            high = [sum(map(mul, row, f)) for row in dp]
+            out.append([lz * x - nz * y + nc * h for x, y, h in zip([0] + low, low, high)])
+        den *= step
+        g = gcd(den, *chain.from_iterable(out))
+        cols, den = [[x // g for x in col] for col in out], den // g
+    return cols, den
+
+
+def o_m_product_form(m: int, u: ScalarLike, b: int, c: int, params: ModelParams, degree_bound: int) -> DiffOp:
+    """The height-changing operator as an ordered product of first-order factors.
+
+    Each factor is {[z - z0] delta(-) + alpha(u - shift) delta(+)} and
+    preserves the degree bound; the whole operator carries alpha^(-m).  Its
+    columns are those of the identity, put through :func:`_o_m_apply`.
+    """
+    unit = ExactMatrix.identity(degree_bound + 1).numerators
+    cols, den = _o_m_apply(m, rat(u), b, c, params, unit, 1)
+    return DiffOp(ExactMatrix.from_integers(zip(*cols), den))
 
 
 def _gamma_sandwich(c: int, d: int, center: Fraction, dim: int, params: ModelParams) -> DiffOp:

@@ -28,9 +28,10 @@ class ModelParams:
     ``alpha`` rescales the corner weight and must be nonzero; ``s`` and ``t``
     enter only through the intertwining vectors, and the derived combination
     ``w = (s + t)/2`` is the single parameter the face weights depend on.
-    Integer ``w`` is accepted here because degenerate-``w`` behaviour is
-    itself under test; operations that need ``w`` non-integer guard their own
-    denominators.
+    ``w`` is computed once, here, and is not a field: equality, hashing and
+    ``repr`` see only (alpha, s, t).  Integer ``w`` is accepted here because
+    degenerate-``w`` behaviour is itself under test; operations that need
+    ``w`` non-integer guard their own denominators.
     """
 
     alpha: Fraction
@@ -41,12 +42,9 @@ class ModelParams:
         object.__setattr__(self, "alpha", rat(alpha))
         object.__setattr__(self, "s", rat(s))
         object.__setattr__(self, "t", rat(t))
+        object.__setattr__(self, "w", (self.s + self.t) / 2)
         if self.alpha == 0:
             raise ValueError("alpha must be nonzero")
-
-    @property
-    def w(self) -> Fraction:
-        return (self.s + self.t) / 2
 
 
 def up_steps(a: int, b: int, n: int) -> int | None:

@@ -1,12 +1,22 @@
+import contextlib
+import io
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from fusion_sos.cli import main
 from fusion_sos.exactcore import ExactMatrix
+from fusion_sos.fusion import fuse_nm
 from fusion_sos.lattice import LatticeSpec, partition_sos
+from fusion_sos.sos import WeightQuery, w_nm_sum
 from fusion_sos.vertex import ModelParams
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def run_cli(capsys, *argv):
@@ -154,3 +164,83 @@ def test_verify_ybe_vertex_passes(capsys):
     code, out = run_cli(capsys, "verify", "ybe-vertex", "--max-sum", "4", "--samples", "1")
     assert code == 0
     assert "FAIL" not in out
+
+
+@pytest.mark.parametrize(
+    "argv, option, value",
+    [
+        (["fuse", "--n", "1", "--m", "1"], "--u", "-1/3"),
+        (["weights", "--n", "1", "--m", "1", "--a", "2", "--b", "1", "--bprime", "1", "--c", "0", "--w", "1/2"],
+         "--u", "-7/3"),
+        (["partition", "--model", "sos", "--N", "2", "--M", "2", "--u", "7/3", "--w", "1/2"], "--range", "-2..2"),
+    ],
+    ids=["fuse-u", "weights-u", "partition-range"],
+)
+def test_negative_option_values(capsys, argv, option, value):
+    """A value such as -1/3 or -2..2 after an option is read as its value,
+    exactly as when it is attached with '='."""
+    code, out = run_cli(capsys, *argv, option, value)
+    assert code == 0
+    assert json.loads(out)[option[2:]] == value
+    assert run_cli(capsys, *argv, f"{option}={value}") == (0, out)
+
+
+def test_negative_option_values_reach_the_library(capsys):
+    code, out = run_cli(capsys, "fuse", "--n", "1", "--m", "1", "--u", "-1/3")
+    assert code == 0
+    assert ExactMatrix.from_jsonable(json.loads(out)["matrix"]) == fuse_nm(1, 1, Fraction(-1, 3), ModelParams(1))
+    code, out = run_cli(
+        capsys,
+        "weights", "--n", "1", "--m", "1", "--a", "2", "--b", "1",
+        "--bprime", "1", "--c", "0", "--u", "-7/3", "--w", "1/2",
+    )
+    assert code == 0
+    query = WeightQuery(1, 1, 2, 1, 1, 0, Fraction(-7, 3))
+    assert Fraction(json.loads(out)["value"]) == w_nm_sum(query, ModelParams(1, 0, 1))
+
+
+def test_verify_weights_at_negative_alpha(capsys):
+    code, out = run_cli(capsys, "verify", "weights", "--alpha", "-3/2", "--w", "1/5")
+    assert code == 0
+    assert out.endswith("all identity checks passed\n")
+
+
+def _in_process(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def _fresh_process(argv, env):
+    done = subprocess.run(
+        [sys.executable, "-m", "fusion_sos.cli", *argv], capture_output=True, text=True, env=env
+    )
+    return done.returncode, done.stdout, done.stderr
+
+
+def test_repeated_main_calls_match_fresh_processes(monkeypatch):
+    """One process calls main several times (mixed subcommands, an argparse
+    error, then valid calls); each call's exit code and output equal those
+    of the same command in a new process."""
+    # Usage messages wrap at the terminal width; fix it for both sides.
+    monkeypatch.setenv("COLUMNS", "80")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    calls = [
+        ["fuse", "--n", "1", "--m", "1", "--u", "-1/3"],
+        ["weights", "--n", "1", "--m", "1", "--a", "2", "--b", "1", "--bprime", "1", "--c", "0",
+         "--u", "3", "--w", "1/2", "--format", "csv"],
+        ["fuse", "--n", "1", "--u", "1/2"],
+        ["verify", "ybe-vertex", "--max-sum", "3", "--samples", "1", "--alpha", "-2/3"],
+        ["partition", "--model", "sos", "--N", "2", "--M", "2", "--u", "7/3", "--range", "-2..2"],
+        ["weights", "--n", "1", "--m", "1", "--a", "2", "--b", "1", "--bprime", "1", "--c", "0",
+         "--u", "3", "--w", "1/2", "--format", "csv"],
+    ]
+    results = [_in_process(argv) for argv in calls]
+    assert [code for code, _, _ in results] == [0, 0, 2, 0, 0, 0]
+    assert "the following arguments are required: --m" in results[2][2]
+    for argv, result in zip(calls, results):
+        assert result == _fresh_process(argv, env), argv

@@ -7,6 +7,7 @@ from fusion_sos.exactcore import DegeneratePointError, ExactMatrix, mat_mul
 from fusion_sos.fusion import fuse_nm
 from fusion_sos.lattice import (
     LatticeSpec,
+    _height_rows,
     partition_sos,
     partition_sos_transfer,
     partition_vertex_bruteforce,
@@ -285,3 +286,54 @@ def test_integer_w_refused_by_every_weight_route(w):
             call()
         assert type(info.value) is cls
         assert str(info.value) == message
+
+
+# Every (N, n, m) with N <= 4 and n, m <= 2 that has an admissible periodic
+# row in the window [-3, 3].
+COMMUTE_SHAPES = [
+    (N, n, m) for N in range(1, 5) for n in (1, 2) for m in (1, 2) if (N * n) % 2 == 0
+]
+COMMUTE_WINDOW = (-3, 3)
+
+
+def _inner_rows(spec, window):
+    """Indices of the rows whose heights all lie at least m inside the window."""
+    lo, hi = window
+    return [
+        k for k, row in enumerate(_height_rows(spec, window))
+        if all(lo + spec.m <= h <= hi - spec.m for h in row)
+    ]
+
+
+class TestHeightTransferCommutation:
+    """T(u) T(v) = T(v) T(u) on the rows whose heights lie at least m inside
+    the window.  From such a row every m-adjacent row is in the window, so
+    no term of the sum over the middle row is cut off; on the whole window
+    the two products differ."""
+
+    U, V = Fraction(7, 3), Fraction(-5, 4)
+    PARAMS = _params_w(Fraction(3, 2), Fraction(1, 5))
+
+    def _products(self, N, n, m, params_v):
+        t_u = transfer_matrix_sos(LatticeSpec(N, 1, n, m, self.U), COMMUTE_WINDOW, self.PARAMS)
+        t_v = transfer_matrix_sos(LatticeSpec(N, 1, n, m, self.V), COMMUTE_WINDOW, params_v)
+        return mat_mul(t_u, t_v).entries, mat_mul(t_v, t_u).entries
+
+    @pytest.mark.parametrize("N, n, m", COMMUTE_SHAPES)
+    def test_inner_rows_commute(self, N, n, m):
+        uv, vu = self._products(N, n, m, self.PARAMS)
+        inner = _inner_rows(LatticeSpec(N, 1, n, m, self.U), COMMUTE_WINDOW)
+        assert inner
+        assert [uv[k] for k in inner] == [vu[k] for k in inner]
+
+    def test_whole_window_does_not_commute(self):
+        uv, vu = self._products(2, 2, 1, self.PARAMS)
+        assert uv != vu
+
+    def test_different_w_does_not_commute(self):
+        """Negative control: T(v) at another w breaks the inner block."""
+        uv, vu = self._products(2, 2, 1, _params_w(Fraction(3, 2), Fraction(2, 7)))
+        inner = _inner_rows(LatticeSpec(2, 1, 2, 1, self.U), COMMUTE_WINDOW)
+        assert len(inner) == 11
+        mismatches = sum(uv[i][j] != vu[i][j] for i in inner for j in inner)
+        assert mismatches == 51

@@ -10,7 +10,9 @@ from fusion_sos.exactcore import (
     lagrange_interpolate,
     mat_mul,
     poly_shift,
+    solve_exact,
 )
+from fusion_sos import correspondence, polyrep
 from fusion_sos.fusion import fuse_n1
 from fusion_sos.polyrep import (
     DiffOp,
@@ -30,7 +32,7 @@ from fusion_sos.polyrep import (
     r_n1_matrix,
     star_triangle_check,
 )
-from fusion_sos.vertex import ModelParams, r7v
+from fusion_sos.vertex import ModelParams, r7v, up_steps
 
 Z = ExactPolynomial((0, 1))
 
@@ -398,3 +400,72 @@ class TestOmOperators:
                 poly = lagrange_interpolate(pts)
                 assert poly.degree <= m
                 assert poly(extra) == extra_mat[i, j]
+
+
+def composed_product_form(m, u, b, c, params, degree_bound):
+    """The height-changing operator composed one DiffOp factor at a time:
+    mul_poly(z - z0).compose(delta-).truncate(dim) + delta+.scale(alpha coef),
+    rightmost factor first, times alpha^(-m)."""
+    m_plus = up_steps(b, c, m)
+    alpha, dim = params.alpha, degree_bound + 1
+    dp, dm = delta_op(1, degree_bound, params), delta_op(-1, degree_bound, params)
+
+    def factor(z0, coef):
+        return mul_poly(ExactPolynomial((-z0, 1)), dim).compose(dm).truncate(dim) + dp.scale(alpha * coef)
+
+    op = DiffOp.identity(dim)
+    for lp in range(m - m_plus):
+        op = factor(alpha * (-u + Fraction(m + b + c, 2) + params.s), u - m_plus - lp).compose(op)
+    for l in range(m_plus):
+        op = factor(alpha * (-u + Fraction(m - b - c, 2) - params.t), u - l).compose(op)
+    return op.scale(alpha ** (-m))
+
+
+class TestColumnKernel:
+    """``o_m_product_form`` and the solve route apply the m factors to
+    integer columns (``_o_m_apply``); the operator composed factor by factor
+    is the reference."""
+
+    @pytest.mark.parametrize("alpha", STEPS)
+    @pytest.mark.parametrize("u", [Fraction(2), Fraction(-5, 3)], ids=["u-int", "u-frac"])
+    def test_matches_composed_factors(self, alpha, u):
+        params = ModelParams(alpha, Fraction(-3, 7), Fraction(4, 3))
+        for m in range(4):
+            for b in range(-3, 4):
+                for c in range(max(b - m, -3), min(b + m, 3) + 1):
+                    if up_steps(b, c, m) is None:
+                        continue
+                    for d in range(1, 7):
+                        assert o_m_product_form(m, u, b, c, params, d) == composed_product_form(
+                            m, u, b, c, params, d
+                        ), (m, b, c, d)
+
+    @pytest.mark.parametrize("alpha", [Fraction(3, 2), Fraction(-9, 7)])
+    def test_solve_route_image_is_operator_applied_to_source(self, alpha, monkeypatch):
+        """The right-hand side the solve route hands to ``solve_exact`` is
+        O_m applied to the source polynomial psi(0)^a_b."""
+        params = ModelParams(alpha, Fraction(-2, 5), Fraction(3, 7))
+        seen = []
+
+        def spy(basis, rhs):
+            seen.append(rhs)
+            return solve_exact(basis, rhs)
+
+        monkeypatch.setattr(correspondence, "solve_exact", spy)
+        correspondence._solve_weights.cache_clear()
+        u = Fraction(7, 3)
+        for n, m, a, b, c in [(1, 1, 0, 1, 0), (2, 1, 1, -1, 0), (2, 3, 0, 0, 3), (3, 2, -1, 2, 2)]:
+            seen.clear()
+            correspondence.solve_weights_from_relation(n, m, a, b, c, u, params)
+            source = intertwiner_poly(n, 0, a, b, params)
+            image = o_m_product_form(m, u, b, c, params, n).apply(source)
+            assert seen[0] == ExactMatrix.column(image.coeff_vector(n + 1))
+
+    def test_zero_loss_check(self, params, monkeypatch):
+        """A delta(-) that does not lower the degree is refused, not truncated."""
+        shift = polyrep._shift_op
+        monkeypatch.setattr(
+            polyrep, "_shift_op", lambda h, dim, parity=None: DiffOp(shift(h, dim, parity).matrix.transpose())
+        )
+        with pytest.raises(ShapeMismatchError):
+            o_m_product_form(1, Fraction(5, 3), 0, 1, params, 3)

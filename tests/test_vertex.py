@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 from itertools import product
@@ -28,6 +29,19 @@ ALPHAS = (Fraction(1), Fraction(5, 3), Fraction(-2, 7))
 def test_params_reject_zero_alpha():
     with pytest.raises(ValueError):
         ModelParams(0)
+
+
+def test_params_w_is_computed_once_and_is_not_a_field():
+    p = ModelParams(Fraction(3, 2), Fraction(1, 3), Fraction(2, 3))
+    assert p.w == Fraction(1, 2) and p.w is p.w
+    same, other = ModelParams(Fraction(3, 2), Fraction(1, 3), Fraction(2, 3)), ModelParams(Fraction(3, 2), 0, 1)
+    # Equality, hashing and repr see (alpha, s, t) only, as before w was stored.
+    assert p == same and hash(p) == hash(same) == hash((p.alpha, p.s, p.t))
+    assert p != other and other.w == p.w
+    assert repr(p) == "ModelParams(alpha=Fraction(3, 2), s=Fraction(1, 3), t=Fraction(2, 3))"
+    assert [f.name for f in dataclasses.fields(p)] == ["alpha", "s", "t"]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        p.w = Fraction(0)
 
 
 def test_r7v_at_zero_is_permutation(params_unit):
