@@ -442,13 +442,13 @@ class TestColumnKernel:
 
     @pytest.mark.parametrize("alpha", [Fraction(3, 2), Fraction(-9, 7)])
     def test_solve_route_image_is_operator_applied_to_source(self, alpha, monkeypatch):
-        """The right-hand side the solve route hands to ``solve_exact`` is
-        O_m applied to the source polynomial psi(0)^a_b."""
+        """The solve route hands ``solve_exact`` the intertwining polynomials
+        psi(0)^b'_c as basis and O_m applied to psi(0)^a_b as right-hand side."""
         params = ModelParams(alpha, Fraction(-2, 5), Fraction(3, 7))
         seen = []
 
         def spy(basis, rhs):
-            seen.append(rhs)
+            seen.extend([basis, rhs])
             return solve_exact(basis, rhs)
 
         monkeypatch.setattr(correspondence, "solve_exact", spy)
@@ -459,7 +459,8 @@ class TestColumnKernel:
             correspondence.solve_weights_from_relation(n, m, a, b, c, u, params)
             source = intertwiner_poly(n, 0, a, b, params)
             image = o_m_product_form(m, u, b, c, params, n).apply(source)
-            assert seen[0] == ExactMatrix.column(image.coeff_vector(n + 1))
+            basis = [intertwiner_poly(n, 0, c - n + 2 * j, c, params).coeff_vector(n + 1) for j in range(n + 1)]
+            assert seen == [ExactMatrix(list(zip(*basis))), ExactMatrix.column(image.coeff_vector(n + 1))]
 
     def test_zero_loss_check(self, params, monkeypatch):
         """A delta(-) that does not lower the degree is refused, not truncated."""
