@@ -203,7 +203,16 @@ def _raw_n1(n: int, x: Fraction, params: ModelParams) -> ExactMatrix:
     return op
 
 
-@lru_cache(maxsize=None)
+def check_fusion_orders(n: int, m: int) -> None:
+    """Raise ``ValueError`` unless both fusion orders are at least 1.
+
+    Below that there is no fused operator, and the recursions of
+    :func:`fuse_nm` would return one of another order at a shifted argument.
+    """
+    if n < 1 or m < 1:
+        raise ValueError(f"fusion orders must be at least 1, got n = {n}, m = {m}")
+
+
 def fuse_nm(n: int, m: int, u: Fraction, params: ModelParams) -> ExactMatrix:
     """The fused (n,m) operator on Sym_n (x) Sym_m, (n+1)(m+1) square.
 
@@ -217,9 +226,18 @@ def fuse_nm(n: int, m: int, u: Fraction, params: ModelParams) -> ExactMatrix:
     Sym_k = Sym_k (I (x) Sym_{k-1}) = Sym_k (Sym_{k-1} (x) I), and
     disjoint-slot commutation.
 
-    For n >= 2 the normalization vanishes at the integers -(n-1) <= u <= m-2;
-    there it raises ZeroDivisionError before anything is built.
+    Orders below 1 raise ``ValueError`` (:func:`check_fusion_orders`) before
+    the cache is consulted.  For n >= 2 the normalization vanishes at the
+    integers -(n-1) <= u <= m-2; there it raises ZeroDivisionError before
+    anything is built.
     """
+    check_fusion_orders(n, m)
+    return _fuse_nm(n, m, u, params)
+
+
+@lru_cache(maxsize=None)
+def _fuse_nm(n: int, m: int, u: Fraction, params: ModelParams) -> ExactMatrix:
+    """:func:`fuse_nm` for orders already checked, cached per argument tuple."""
     u = rat(u)
     scale = Fraction(1)
     for j in range(m):

@@ -4,7 +4,10 @@ These are desk-scale sanity checks, not thermodynamics.  Each model is
 summed two independent ways, and each route is the other's oracle:
 
 * vertex model: trace(T^M) of the row transfer matrix, against a
-  depth-first enumeration of the edge states;
+  depth-first enumeration of the edge states.  T is built one basis row at
+  a time: the row state and each auxiliary state are pushed through the N
+  local R factors as a sparse integer vector, and the matrix is reduced
+  once at the end.  No operator on the whole row space is formed;
 * height (SOS) model: trace(T^M) of the height transfer matrix on the
   admissible periodic height rows inside a window, against a depth-first
   enumeration of the heights.
@@ -24,7 +27,8 @@ Conventions: the weight of a vertex is the matrix element with row index
 transfer matrix is the auxiliary-space trace of the ordered product of
 R-operators along the row, leftmost column first.  Heights sit on the
 vertices of the N x M torus, and face (i, j) has the corners
-a = h(i, j), b = h(i+1, j), b' = h(i, j+1), c = h(i+1, j+1).
+a = h(i, j), b = h(i+1, j), b' = h(i, j+1), c = h(i+1, j+1).  N, M and the
+edge orders n, m are integers, all at least 1.
 """
 
 from __future__ import annotations
@@ -34,17 +38,18 @@ from fractions import Fraction
 from itertools import product
 
 from .exactcore import ExactMatrix, ScalarLike, mat_mul, rat, trace_product
-from .fusion import fuse_nm
+from .fusion import check_fusion_orders, fuse_nm
 from .sos import WeightQuery, check_weight_domain, w_nm_sum
-from .vertex import ModelParams, embed_two_site, up_steps
+from .vertex import ModelParams, up_steps
 
 
 @dataclass(frozen=True)
 class LatticeSpec:
     """Periodic N x M lattice for a model with edge orders (n, m).
 
-    N and M must be at least 1: below that there is no lattice, and the
-    transfer and enumeration routes would disagree on what to return.
+    N, M, n and m must be integers, and all at least 1: below that there is
+    no lattice or no fused operator, and the transfer and enumeration routes
+    would disagree on what to return.
     """
 
     N: int
@@ -54,8 +59,12 @@ class LatticeSpec:
     u: Fraction
 
     def __init__(self, N: int, M: int, n: int, m: int, u: ScalarLike):
-        if int(N) < 1 or int(M) < 1:
+        for name, value in (("N", N), ("M", M), ("n", n), ("m", m)):
+            if int(value) != value:
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        if N < 1 or M < 1:
             raise ValueError(f"lattice size must be at least 1 x 1, got N = {N}, M = {M}")
+        check_fusion_orders(n, m)
         object.__setattr__(self, "N", int(N))
         object.__setattr__(self, "M", int(M))
         object.__setattr__(self, "n", int(n))
@@ -78,24 +87,48 @@ def _trace_power(t: ExactMatrix, periods: int) -> Fraction:
 
 
 def transfer_matrix_vertex(spec: LatticeSpec, params: ModelParams) -> ExactMatrix:
-    """Row-to-row transfer matrix on the (n+1)^N-dimensional row space."""
+    """Row-to-row transfer matrix on the (n+1)^N-dimensional row space.
+
+    T = tr_aux(R_{N-1,a} ... R_{1a} R_{0a}), built one row s at a time on
+    the integer numerators of R.  For each auxiliary state a, a sparse row
+    vector {(column index so far, auxiliary state): numerator} starts at
+    (0, a) and is pushed through the factors in that order, site N-1
+    first: site i replaces the row's edge s_i by every column edge t_i that
+    R allows.  The trace keeps the terms that end in auxiliary state a.
+    The one denominator is den(R)^N, reduced once.
+    """
     n, m, N = spec.n, spec.m, spec.N
     r = fuse_nm(n, m, spec.u, params)
-    dims = tuple([n + 1] * N + [m + 1])
-    prod_op = None
-    for i in range(N - 1, -1, -1):
-        factor = embed_two_site(r, (i, N), dims)
-        prod_op = factor if prod_op is None else mat_mul(prod_op, factor)
-    # Partial trace over the auxiliary (last) factor, on the integer numerators:
-    # row r of the trace sums, over beta, row r*adim + beta of the product read
-    # at the columns j*adim + beta (the slice [beta::adim]).
-    adim = m + 1
-    num = prod_op.numerators
-    rows = [
-        list(map(sum, zip(*(num[r * adim + beta][beta::adim] for beta in range(adim)))))
-        for r in range(prod_op.rows // adim)
+    qdim, adim = n + 1, m + 1
+    # local[x][a] lists the nonzero entries (y, b, numerator) of row (x, a)
+    # of R: edge x to edge y, auxiliary state a to b.
+    num = r.numerators
+    local = [
+        [
+            [(y, b, v) for y in range(qdim) for b in range(adim) if (v := row[y * adim + b])]
+            for row in num[x * adim : (x + 1) * adim]
+        ]
+        for x in range(qdim)
     ]
-    return ExactMatrix.from_integers(rows, prod_op.denominator)
+    strides = [qdim ** (N - 1 - i) for i in range(N)]
+    rows = []
+    for s in product(range(qdim), repeat=N):
+        out = [0] * qdim**N
+        for a in range(adim):
+            state = {(0, a): 1}
+            for i in range(N - 1, -1, -1):
+                pushed = {}
+                site_rows, stride = local[s[i]], strides[i]
+                for (t, c), v in state.items():
+                    for y, b, w in site_rows[c]:
+                        key = (t + y * stride, b)
+                        pushed[key] = pushed.get(key, 0) + v * w
+                state = pushed
+            for (t, c), v in state.items():
+                if c == a:
+                    out[t] += v
+        rows.append(out)
+    return ExactMatrix.from_integers(rows, r.denominator**N)
 
 
 def partition_vertex_transfer(spec: LatticeSpec, params: ModelParams) -> Fraction:

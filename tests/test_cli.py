@@ -148,6 +148,25 @@ def test_partition_rejects_empty_lattice(capsys, model, size):
     assert "lattice size must be at least 1 x 1" in captured.err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fuse", "--n", "0", "--m", "1", "--u", "7/3"],
+        ["fuse", "--n", "1", "--m", "-1", "--u", "7/3"],
+        ["partition", "--model", "vertex", "--n", "0", "--N", "2", "--M", "2", "--u", "7/3"],
+        ["partition", "--model", "sos", "--m", "0", "--N", "2", "--M", "2", "--u", "7/3",
+         "--w", "1/2", "--range", "-2..2"],
+    ],
+    ids=["fuse-n0", "fuse-m-1", "partition-vertex-n0", "partition-sos-m0"],
+)
+def test_orders_below_one_rejected(capsys, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "fusion orders must be at least 1" in captured.err
+
+
 @pytest.mark.parametrize("extra", [[], ["--alpha", "2/3", "--w", "1/5"]], ids=["unit", "alpha-w"])
 def test_verify_om_suite_passes(capsys, extra):
     code, out = run_cli(capsys, "verify", "om", *extra)

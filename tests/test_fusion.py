@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from fusion_sos import fusion
 from fusion_sos.exactcore import ExactMatrix, kron, mat_mul
 from fusion_sos.fusion import (
     check_fused_ybe,
@@ -59,6 +60,16 @@ def test_fusion_scalar_zero_raises(params_unit):
     for n, m, u in ((2, 2, 0), (3, 2, -2)):
         with pytest.raises(ZeroDivisionError):
             fuse_nm(n, m, Fraction(u), params_unit)
+
+
+@pytest.mark.parametrize("n, m", [(0, 1), (1, 0), (0, 0), (-1, 1), (1, -1), (-1, 2)])
+def test_fuse_nm_rejects_orders_below_one(n, m, params_unit):
+    before = fusion._fuse_nm.cache_info()
+    with pytest.raises(ValueError, match="fusion orders must be at least 1"):
+        fuse_nm(n, m, Fraction(7, 3), params_unit)
+    # Refused before the cache: no lookup, hit or miss, was made.
+    after = fusion._fuse_nm.cache_info()
+    assert (after.hits, after.misses) == (before.hits, before.misses)
 
 
 def test_fuse_nm_trivial_case(params):

@@ -22,7 +22,7 @@ from fusion_sos.sos import (
     w_nm_hypergeometric,
     w_nm_sum,
 )
-from fusion_sos.vertex import ModelParams, r7v
+from fusion_sos.vertex import ModelParams, embed_two_site, r7v
 
 U = Fraction(7, 3)
 # (N, M, n, m) and (N, M, n, m, window width) of the lattice benchmark
@@ -35,6 +35,9 @@ SOS_SHAPES = [
     (2, 2, 1, 1, 5), (2, 2, 2, 1, 5), (2, 2, 1, 2, 5),
     (2, 2, 2, 2, 5), (2, 4, 1, 1, 3), (4, 2, 1, 1, 3),
 ]
+# Every (N, n, m) of _TRANSFER and _COMMUTE in the same workload, copied;
+# (7, 1, 1) is the 128-row shape.
+ROW_SHAPES = [(7, 1, 1), (4, 2, 1), (5, 1, 1), (4, 1, 2), (3, 2, 1), (2, 2, 2), (3, 1, 1)]
 
 
 def _params_w(alpha, w):
@@ -47,6 +50,38 @@ def _outcome(route, *args):
         return route(*args)
     except DegeneratePointError as exc:
         return type(exc)
+
+
+def _transfer_by_embedding(spec, params):
+    """T built as the product F_{N-1} ... F_0 of R embedded on (site i,
+    auxiliary), each a dense operator on the whole (n+1)^N (m+1) space,
+    followed by the partial trace over the auxiliary factor."""
+    n, m, N = spec.n, spec.m, spec.N
+    r = fuse_nm(n, m, spec.u, params)
+    dims = tuple([n + 1] * N + [m + 1])
+    prod = embed_two_site(r, (N - 1, N), dims)
+    for i in range(N - 2, -1, -1):
+        prod = mat_mul(prod, embed_two_site(r, (i, N), dims))
+    adim = m + 1
+    return ExactMatrix([
+        [sum(prod[s * adim + a, t * adim + a] for a in range(adim)) for t in range(prod.cols // adim)]
+        for s in range(prod.rows // adim)
+    ])
+
+
+@pytest.mark.parametrize("N, n, m", ROW_SHAPES)
+@pytest.mark.parametrize(
+    "alpha, w, u",
+    [(Fraction(3, 2), Fraction(1, 5), Fraction(7, 2)), (Fraction(-5, 3), Fraction(2, 7), Fraction(-11, 4))],
+    ids=["alpha-3/2", "alpha--5/3"],
+)
+def test_transfer_equals_embedded_product(N, n, m, alpha, w, u):
+    spec = LatticeSpec(N, 1, n, m, u)
+    params = _params_w(alpha, w)
+    t = transfer_matrix_vertex(spec, params)
+    assert (t.rows, t.cols) == ((n + 1) ** N,) * 2
+    assert not t.is_zero()
+    assert t.entries == _transfer_by_embedding(spec, params).entries
 
 
 def test_single_column_transfer_is_partial_trace(params_unit):
@@ -166,6 +201,29 @@ ROUTES = [
 def test_every_route_rejects_empty_lattice(size, route, params_unit):
     with pytest.raises(ValueError, match="lattice size must be at least 1 x 1"):
         ROUTES[route](LatticeSpec(*size, 1, 1, U), params_unit)
+
+
+@pytest.mark.parametrize("orders", [(0, 1), (1, 0), (-1, 1), (1, -1), (0, 0)])
+@pytest.mark.parametrize("route", range(len(ROUTES)))
+def test_every_route_rejects_orders_below_one(orders, route, params_unit):
+    with pytest.raises(ValueError, match="fusion orders must be at least 1"):
+        ROUTES[route](LatticeSpec(2, 2, *orders, U), params_unit)
+
+
+@pytest.mark.parametrize(
+    "shape, name",
+    [((2.7, 2, 1, 1), "N"), ((2, 1.5, 1, 1), "M"), ((2, 2, Fraction(3, 2), 1), "n"), ((2, 2, 1, 1.25), "m")],
+)
+@pytest.mark.parametrize("route", range(len(ROUTES)))
+def test_every_route_rejects_non_integral_sizes(shape, name, route, params_unit):
+    with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+        ROUTES[route](LatticeSpec(*shape, U), params_unit)
+
+
+def test_integral_values_of_other_types_are_kept():
+    spec = LatticeSpec(2.0, Fraction(3), 1, 2.0, U)
+    assert (spec.N, spec.M, spec.n, spec.m) == (2, 3, 1, 2)
+    assert all(type(x) is int for x in (spec.N, spec.M, spec.n, spec.m))
 
 
 class TestVertexEnumeration:
