@@ -7,7 +7,8 @@ summed two independent ways, and each route is the other's oracle:
   depth-first enumeration of the edge states.  T is built one basis row at
   a time: the row state and each auxiliary state are pushed through the N
   local R factors as a sparse integer vector, and the matrix is reduced
-  once at the end.  No operator on the whole row space is formed;
+  once at the end.  No operator on the row space tensored with the
+  auxiliary space is formed;
 * height (SOS) model: trace(T^M) of the height transfer matrix on the
   admissible periodic height rows inside a window, against a depth-first
   enumeration of the heights.
