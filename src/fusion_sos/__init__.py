@@ -5,7 +5,6 @@ from .exactcore import (
     DegeneratePointError,
     ExactMatrix,
     ExactPolynomial,
-    ExactScalar,
     InconsistentSystemError,
     ShapeMismatchError,
     SingularMatrixError,
@@ -28,7 +27,6 @@ from .vertex import (
 from .fusion import (
     SymBasis,
     check_fused_ybe,
-    fuse_n1,
     fuse_nm,
     sym_basis,
     symmetrizer,
@@ -52,7 +50,6 @@ from .sos import (
     gauge_weights,
     path_function_bruteforce,
     path_function_closed,
-    signed_pochhammer,
     w11,
     w_n1,
     w_nm_hypergeometric,
@@ -66,7 +63,7 @@ from .correspondence import (
     intertwiner_set,
     solve_weights_from_relation,
 )
-from .elevenvertex import ShiftOp, psi_const, r11v, shift_op, similarity_fused
+from .elevenvertex import psi_const, r11v, shift_op, similarity_fused
 from .lattice import (
     LatticeSpec,
     partition_sos,

@@ -280,7 +280,7 @@ def _suite_correspondence(
         a = rng.randint(-3, 3)
         b = a - rng.choice(range(-n, n + 1, 2))
         c = b - rng.choice(range(-m, m + 1, 2))
-        if u is None or v is None:
+        if u is None:
             uu, vv = _random_spectral_pair(rng)
         else:
             uu, vv = u, v
@@ -320,10 +320,12 @@ def cmd_verify(args) -> int:
     params = _params_from_args(args)
     failures = 0
     suite = args.suite
+    if suite in ("correspondence", "all") and (args.u is None) != (args.v is None):
+        raise UsageError("give both --u and --v, or neither")
     if suite in ("ybe-vertex", "all"):
         failures += _suite_ybe_vertex(params, args.max_sum, args.samples, args.seed)
     if suite in ("ybe-sos", "all"):
-        failures += _suite_ybe_sos(params, min(args.max_sum, 5), args.samples, args.seed)
+        failures += _suite_ybe_sos(params, args.max_sum, args.samples, args.seed)
     if suite in ("star-triangle", "all"):
         failures += _suite_star_triangle(params)
     if suite in ("om", "all"):

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .exactcore import (
     ExactMatrix,
@@ -131,22 +130,6 @@ def _intertwiner_column(n: int, a: int, b: int, params: ModelParams):
     return [x * den**j for j, x in enumerate(_root_product(roots, (-1) ** n))], den**n
 
 
-@lru_cache(maxsize=None)
-def _solve_weights(
-    n: int, m: int, a: int, b: int, c: int, u: Fraction, params: ModelParams
-) -> tuple[tuple[int, Fraction], ...]:
-    source = _intertwiner_column(n, a, b, params)
-    if source is None:
-        raise ValueError("heights a, b are not adjacent at distance n")
-    column, den = source
-    (image,), image_den = _o_m_apply(m, u, b, c, params, [column], den)
-    heights = [c - n + 2 * j for j in range(n + 1)]
-    basis_cols = [_intertwiner_column(n, bp, c, params)[0] for bp in heights]
-    basis = ExactMatrix.from_integers(zip(*basis_cols), den)
-    solution = solve_exact(basis, ExactMatrix.from_integers([[x] for x in image], image_den))
-    return tuple((bp, solution[j, 0]) for j, bp in enumerate(heights))
-
-
 def solve_weights_from_relation(
     n: int, m: int, a: int, b: int, c: int, u: ScalarLike, params: ModelParams
 ) -> dict[int, Fraction]:
@@ -159,7 +142,16 @@ def solve_weights_from_relation(
     by the other weight routes (:func:`fusion_sos.sos.check_weight_domain`).
     """
     check_weight_domain(params)
-    return dict(_solve_weights(n, m, a, b, c, rat(u), params))
+    source = _intertwiner_column(n, a, b, params)
+    if source is None:
+        raise ValueError("heights a, b are not adjacent at distance n")
+    column, den = source
+    (image,), image_den = _o_m_apply(m, rat(u), b, c, params, [column], den)
+    heights = [c - n + 2 * j for j in range(n + 1)]
+    basis_cols = [_intertwiner_column(n, bp, c, params)[0] for bp in heights]
+    basis = ExactMatrix.from_integers(zip(*basis_cols), den)
+    solution = solve_exact(basis, ExactMatrix.from_integers([[x] for x in image], image_den))
+    return {bp: solution[j, 0] for j, bp in enumerate(heights)}
 
 
 def check_vertex_sos_matrix(

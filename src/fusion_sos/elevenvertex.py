@@ -9,9 +9,7 @@ spectral-parameter independent while the face weights stay unchanged.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .exactcore import ExactMatrix, ExactPolynomial, ScalarLike, kron, mat_mul, rat
 from .fusion import fuse_nm, sym_basis
@@ -19,25 +17,15 @@ from .polyrep import intertwiner_poly
 from .vertex import ModelParams
 
 
-@dataclass(frozen=True)
-class ShiftOp:
+def shift_op(n: int, u: Fraction, params: ModelParams) -> ExactMatrix:
     """Restriction of the n-fold elementary shift to the symmetric space."""
-
-    n: int
-    u: Fraction
-    matrix: ExactMatrix
-
-
-@lru_cache(maxsize=None)
-def shift_op(n: int, u: Fraction, params: ModelParams) -> ShiftOp:
     u = rat(u)
     a1 = ExactMatrix([[1, 0], [-params.alpha * u, 1]])
     full = a1
     for _ in range(n - 1):
         full = kron(full, a1)
     basis = sym_basis(n)
-    mat = mat_mul(mat_mul(basis.project, full), basis.embed)
-    return ShiftOp(n, u, mat)
+    return mat_mul(mat_mul(basis.project, full), basis.embed)
 
 
 def r11v(d: ScalarLike, params: ModelParams) -> ExactMatrix:
@@ -63,8 +51,8 @@ def similarity_fused(
     so the whole conjugation stays exact.
     """
     u, v = rat(u), rat(v)
-    left = kron(shift_op(n, u, params).matrix, shift_op(m, v, params).matrix)
-    right = kron(shift_op(n, -u, params).matrix, shift_op(m, -v, params).matrix)
+    left = kron(shift_op(n, u, params), shift_op(m, v, params))
+    right = kron(shift_op(n, -u, params), shift_op(m, -v, params))
     return mat_mul(mat_mul(left, fuse_nm(n, m, u - v, params)), right)
 
 

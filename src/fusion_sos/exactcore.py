@@ -7,14 +7,14 @@ denominator); polynomials are small immutable containers of them.
 
 Matrices are dense, but not small: fused operators act on spaces of
 dimension up to a few dozen and lattice transfer products on spaces of
-dimension 256.  An :class:`ExactMatrix` therefore has two storages.  One
-is rows of ``Fraction`` entries, which is what a matrix built from
-scalars holds and what ``entries`` returns.  The other is rows of integer
-numerators over one positive common denominator, in lowest terms, which
-is what the kernels (:func:`mat_mul`, :func:`kron`, :func:`trace_product`
-and the matrix arithmetic) compute on and return.  Either form is derived
-from the other on first use and cached.  The integer form is canonical,
-so equality and hashing need no ``Fraction`` at all.
+dimension 256.  An :class:`ExactMatrix` therefore has one storage: rows of
+integer numerators over one positive common denominator, in lowest terms.
+The kernels (:func:`mat_mul`, :func:`kron`, :func:`trace_product` and the
+matrix arithmetic) compute on it and return it, and a matrix built from
+scalars is put over the lcm of their denominators at once.  ``entries``
+is a ``Fraction`` view of the same numbers, formed on first use and
+cached.  The integer form is canonical, so equality and hashing need no
+``Fraction`` at all.
 
 :func:`solve_exact` and :func:`det` share one fraction-free elimination
 on the integer numerators (Bareiss, Math. Comp. 22, 1968), so they form no
@@ -25,15 +25,11 @@ integer linear factors first, one ``Fraction`` per coefficient at the end.
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 from itertools import chain, repeat
 from math import comb, gcd, lcm
 from operator import floordiv, mul
 from typing import Iterable, Sequence, Union
-
-#: The field every model quantity lives in.
-ExactScalar = Fraction
 
 ScalarLike = Union[int, str, Fraction]
 
@@ -97,12 +93,12 @@ def _check_shape(rows: tuple) -> int:
 class ExactMatrix:
     """A dense matrix of exact scalars, immutable after construction.
 
-    It holds ``Fraction`` rows, integer numerator rows over one common
-    denominator, or both (see the module docstring).  ``ExactMatrix(rows)``
-    keeps the given scalars as ``Fraction`` rows; :meth:`from_integers` and
-    every kernel keep only the integer form.  ``entries``, indexing,
-    ``repr`` and JSON give the same ``Fraction`` values whichever form a
-    matrix was built in, and equal matrices compare and hash equal.
+    It holds integer numerator rows over one positive common denominator,
+    in lowest terms (see the module docstring).  ``ExactMatrix(rows)`` puts
+    the given scalars over the lcm of their denominators and keeps them as
+    the cached ``entries`` view; :meth:`from_integers` takes the integers
+    directly.  Equal matrices compare and hash equal however they were
+    built.
     """
 
     __slots__ = ("rows", "cols", "_frac", "_num", "_den")
@@ -110,9 +106,13 @@ class ExactMatrix:
     def __init__(self, entries: Iterable[Iterable[ScalarLike]]):
         rows = tuple(tuple(rat(x) for x in row) for row in entries)
         ncols = _check_shape(rows)
+        # Reduced fractions over the lcm of their denominators are in
+        # lowest terms: no gcd pass is needed.
+        den = lcm(*(x.denominator for row in rows for x in row))
+        num = tuple(tuple(x.numerator * (den // x.denominator) for x in row) for row in rows)
         object.__setattr__(self, "_frac", rows)
-        object.__setattr__(self, "_num", None)
-        object.__setattr__(self, "_den", None)
+        object.__setattr__(self, "_num", num)
+        object.__setattr__(self, "_den", den)
         object.__setattr__(self, "rows", len(rows))
         object.__setattr__(self, "cols", ncols)
 
@@ -158,7 +158,7 @@ class ExactMatrix:
     def __setattr__(self, name, value):
         raise AttributeError("ExactMatrix is immutable")
 
-    # -- the two storages ------------------------------------------------
+    # -- the storage and its Fraction view -------------------------------
 
     @property
     def entries(self) -> tuple[tuple[Fraction, ...], ...]:
@@ -174,26 +174,17 @@ class ExactMatrix:
         return frac
 
     def _ints(self) -> tuple[tuple[tuple[int, ...], ...], int]:
-        num = self._num
-        if num is None:
-            frac = self._frac
-            den = lcm(*(x.denominator for row in frac for x in row))
-            num = tuple(
-                tuple(x.numerator * (den // x.denominator) for x in row) for row in frac
-            )
-            object.__setattr__(self, "_num", num)
-            object.__setattr__(self, "_den", den)
-        return num, self._den
+        return self._num, self._den
 
     @property
     def numerators(self) -> tuple[tuple[int, ...], ...]:
         """Integer rows over :attr:`denominator`, in lowest terms."""
-        return self._ints()[0]
+        return self._num
 
     @property
     def denominator(self) -> int:
         """The least positive common denominator of all entries."""
-        return self._ints()[1]
+        return self._den
 
     # -- constructors -------------------------------------------------
 
@@ -220,11 +211,7 @@ class ExactMatrix:
             return False
         if (self.rows, self.cols) != (other.rows, other.cols):
             return False
-        if self._num is None and other._num is None:
-            return self._frac == other._frac
-        sn, sd = self._ints()
-        on, od = other._ints()
-        return sd == od and sn == on
+        return self._den == other._den and self._num == other._num
 
     def __hash__(self):
         return hash(self._ints())
@@ -262,20 +249,14 @@ class ExactMatrix:
         return mat_mul(self, other)
 
     def transpose(self) -> "ExactMatrix":
-        if self._num is None:
-            return ExactMatrix(zip(*self._frac))
         return ExactMatrix._canonical(tuple(zip(*self._num)), self._den, self.rows)
 
     def trace(self) -> Fraction:
         if self.rows != self.cols:
             raise ShapeMismatchError("trace needs a square matrix")
-        if self._num is None:
-            return sum((self._frac[i][i] for i in range(self.rows)), Fraction(0))
         return Fraction(sum(row[i] for i, row in enumerate(self._num)), self._den)
 
     def is_zero(self) -> bool:
-        if self._num is None:
-            return all(x == 0 for row in self._frac for x in row)
         return not any(map(any, self._num))
 
     def column_vector(self, j: int = 0) -> tuple[Fraction, ...]:
@@ -290,19 +271,12 @@ class ExactMatrix:
             "entries": [[rat_to_str(x) for x in row] for row in self.entries],
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_jsonable())
-
     @classmethod
     def from_jsonable(cls, obj: dict) -> "ExactMatrix":
         m = cls(obj["entries"])
         if (m.rows, m.cols) != (obj["rows"], obj["cols"]):
             raise ShapeMismatchError("declared shape does not match entries")
         return m
-
-    @classmethod
-    def from_json(cls, text: str) -> "ExactMatrix":
-        return cls.from_jsonable(json.loads(text))
 
 
 def mat_mul(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:

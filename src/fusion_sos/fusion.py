@@ -256,11 +256,6 @@ def _fuse_nm(n: int, m: int, u: Fraction, params: ModelParams) -> ExactMatrix:
     return op.scale(1 / scale)
 
 
-def fuse_n1(n: int, u: Fraction, params: ModelParams) -> ExactMatrix:
-    """The fused (n,1) operator, 2(n+1) square; an alias of ``fuse_nm(n, 1, u, params)``."""
-    return fuse_nm(n, 1, u, params)
-
-
 def symmetric_residual(n: int, m: int, u: Fraction, params: ModelParams) -> ExactMatrix:
     """(I - Pi_n Pi_m) applied to the unrestricted fused operator; zero iff contained."""
     op = fuse_nm_unrestricted(n, m, rat(u), params)

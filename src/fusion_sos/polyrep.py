@@ -46,7 +46,6 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import chain
 from math import comb, gcd
 from operator import mul
@@ -256,7 +255,6 @@ def assemble_2x2(ops: tuple[tuple[DiffOp, DiffOp], tuple[DiffOp, DiffOp]]) -> Ex
     return ExactMatrix([[mats[i % 2][j % 2][i // 2, j // 2] for j in range(size)] for i in range(size)])
 
 
-@lru_cache(maxsize=None)
 def monomial_to_coeff_matrix(n: int) -> ExactMatrix:
     """Change of basis from symmetric-space monomial coordinates to z-coefficients.
 

@@ -151,14 +151,6 @@ def _poch(y: int, k: int, step: int) -> int:
     return out
 
 
-def signed_pochhammer(y: ScalarLike, k: int, sign: int) -> Fraction:
-    """prod_{j=0}^{k-1} (y + sign * j)."""
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
-    y = rat(y)
-    return Fraction(_poch(y.numerator, k, sign * y.denominator), y.denominator**k)
-
-
 def path_function_bruteforce(kappa_plus: int, kappa_minus: int, x: ScalarLike) -> Fraction:
     """Sum over all +-1 step paths from 0 to kappa_plus - kappa_minus.
 
@@ -409,17 +401,24 @@ def _hyper_high_branch(m, a, b, bp, c, d, du, dw, labels) -> Fraction:
     return _hyper_value(num, 1, gammas, alphas, betas, d)
 
 
-@lru_cache(maxsize=None)
-def _w_nm_hyper(n: int, m: int, a: int, b: int, bp: int, c: int, u: Fraction, w: Fraction) -> Fraction:
+def w_nm_hypergeometric(q: WeightQuery, params: ModelParams) -> Fraction:
+    """Face weight as a terminating hypergeometric series with explicit prefactor.
+
+    At the boundary b + b' = a + c both parameter regimes apply; they are
+    evaluated and checked against each other there.
+    """
+    check_weight_domain(params)
+    if not q.is_valid():
+        return Fraction(0)
     # The parameter tables were validated entry-by-entry against the
-    # defining-relation solver; see the three-way agreement tests.  On the
-    # regime boundary both branches apply and must agree.
+    # defining-relation solver; see the three-way agreement tests.
     # Both branches share D and the labels n_+-, m_+-, m'_+- and half, which
-    # are integers because the caller has checked adjacency.
-    d, du, dw = _over_common_denominator(u, w)
+    # are integers because adjacency has been checked.
+    m, a, b, bp, c = q.m, q.a, q.b, q.bprime, q.c
+    d, du, dw = _over_common_denominator(q.u, params.w)
     labels = (
-        (n + b - a) // 2,
-        (n - b + a) // 2,
+        (q.n + b - a) // 2,
+        (q.n - b + a) // 2,
         (m + c - b) // 2,
         (m - c + b) // 2,
         (m + bp - a) // 2,
@@ -438,18 +437,6 @@ def _w_nm_hyper(n: int, m: int, a: int, b: int, bp: int, c: int, u: Fraction, w:
             "regime overlap mismatch at b + b' = a + c: %s vs %s" % (low, high)
         )
     return low
-
-
-def w_nm_hypergeometric(q: WeightQuery, params: ModelParams) -> Fraction:
-    """Face weight as a terminating hypergeometric series with explicit prefactor.
-
-    At the boundary b + b' = a + c both parameter regimes apply; they are
-    evaluated and checked against each other there.
-    """
-    check_weight_domain(params)
-    if not q.is_valid():
-        return Fraction(0)
-    return _w_nm_hyper(q.n, q.m, q.a, q.b, q.bprime, q.c, q.u, params.w)
 
 
 # -- Yang-Baxter over faces -------------------------------------------------

@@ -76,7 +76,6 @@ def r7v(u: Fraction, params: ModelParams) -> ExactMatrix:
     )
 
 
-@lru_cache(maxsize=None)
 def permutation_op(d: int) -> ExactMatrix:
     """The operator P with P (v (x) w) = w (x) v on C^d (x) C^d."""
     if d < 1:

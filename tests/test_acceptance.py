@@ -25,7 +25,7 @@ from fusion_sos.exactcore import (
     lagrange_interpolate,
     mat_mul,
 )
-from fusion_sos.fusion import check_fused_ybe, fuse_n1
+from fusion_sos.fusion import check_fused_ybe, fuse_nm
 from fusion_sos.lattice import (
     LatticeSpec,
     partition_vertex_bruteforce,
@@ -132,7 +132,7 @@ def test_04_representation_agreement():
             u, _ = spectral_pair(rng)
             target = assemble_2x2(r_n1_matrix(n, u, PARAMS))
             conj = mat_mul(
-                mat_mul(kron(d, i2), fuse_n1(n, u, PARAMS)), kron(dinv, i2)
+                mat_mul(kron(d, i2), fuse_nm(n, 1, u, PARAMS)), kron(dinv, i2)
             )
             assert conj == target
     report(4, "fused/difference-operator agreement (n <= 4)", t0)

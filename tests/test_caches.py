@@ -1,0 +1,43 @@
+"""The library keeps a cache only where a benchmark workload hits it.
+
+Hits are hits/calls over one pass of each ``perfbench`` workload at seed
+2024, starting from empty caches.
+"""
+
+import importlib
+import pkgutil
+
+import fusion_sos
+
+KEPT_CACHES = {
+    # face-weights 1,491/5,547, lattice 1,498/1,784, verify-cli 32/1,964.
+    "fusion_sos.sos._w_nm_sum",
+    # lattice 33/96, fused-ybe 18/196.
+    "fusion_sos.fusion._fuse_nm",
+    # fused-ybe 219/498, lattice 92/185, verify-cli 8/210.
+    "fusion_sos.vertex.r7v",
+    # verify-cli 80/81, face-weights 21/22.
+    "fusion_sos.fusion.symmetrizer",
+    # verify-cli 176/178, fused-ybe 78/82, face-weights 48/50, lattice 4/6.
+    "fusion_sos.fusion.sym_basis",
+    # fused-ybe 185/188, lattice 81/82, verify-cli 50/51, face-weights 5/6.
+    "fusion_sos.fusion._peel_first",
+    # fused-ybe 126/132, lattice 38/40, verify-cli 30/32, face-weights 2/4.
+    "fusion_sos.fusion._peel_last",
+}
+
+
+def library_caches() -> set[str]:
+    """Every function with ``cache_info`` in a fusion_sos module, named once
+    by the module that defines it."""
+    found = set()
+    for info in pkgutil.iter_modules(fusion_sos.__path__):
+        module = importlib.import_module(f"fusion_sos.{info.name}")
+        for obj in vars(module).values():
+            if callable(getattr(obj, "cache_info", None)) and obj.__module__ == module.__name__:
+                found.add(f"{obj.__module__}.{obj.__qualname__}")
+    return found
+
+
+def test_cache_inventory():
+    assert library_caches() == KEPT_CACHES

@@ -185,6 +185,30 @@ def test_verify_ybe_vertex_passes(capsys):
     assert "FAIL" not in out
 
 
+def test_verify_ybe_sos_honours_max_sum(capsys):
+    code, out = run_cli(capsys, "verify", "ybe-sos", "--max-sum", "6", "--samples", "1")
+    assert code == 0
+    assert "[ybe-sos] ((1, 1, 4)," in out
+    assert "FAIL" not in out
+
+
+@pytest.mark.parametrize("given", [["--u", "1/3"], ["--v", "1/5"]], ids=["u-alone", "v-alone"])
+def test_verify_correspondence_needs_both_spectral_values(capsys, given):
+    code = main(["verify", "correspondence", *given])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "give both --u and --v" in captured.err
+
+
+def test_verify_correspondence_at_fixed_pair(capsys):
+    code, out = run_cli(capsys, "verify", "correspondence", "--u", "1/3", "--v", "1/5", "--samples", "4")
+    assert code == 0
+    lines = [line for line in out.splitlines() if line.startswith("[correspondence]")]
+    assert len(lines) == 4
+    assert all(line.endswith("Fraction(1, 3), Fraction(1, 5)): pass") for line in lines)
+
+
 @pytest.mark.parametrize(
     "argv, option, value",
     [

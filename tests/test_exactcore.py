@@ -139,7 +139,7 @@ class TestIntegerForm:
         assert_canonical(m)
         assert repr(twin) == repr(m)
         assert twin.to_jsonable() == m.to_jsonable()
-        assert ExactMatrix.from_json(twin.to_json()) == m
+        assert ExactMatrix.from_jsonable(twin.to_jsonable()) == m
 
     @settings(max_examples=60, deadline=None)
     @given(st.data(), extras)
@@ -485,4 +485,4 @@ def test_scalar_string_round_trip():
 def test_matrix_json_round_trip():
     rng = random.Random(15)
     m = ExactMatrix([[rand_rat(rng) for _ in range(3)] for _ in range(2)])
-    assert ExactMatrix.from_json(m.to_json()) == m
+    assert ExactMatrix.from_jsonable(m.to_jsonable()) == m

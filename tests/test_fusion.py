@@ -7,7 +7,6 @@ from fusion_sos import fusion
 from fusion_sos.exactcore import ExactMatrix, kron, mat_mul
 from fusion_sos.fusion import (
     check_fused_ybe,
-    fuse_n1,
     fuse_nm,
     fuse_nm_unrestricted,
     fusion_scalar,
@@ -43,18 +42,13 @@ def test_sym_basis_invariants(n):
     assert mat_mul(basis.embed, basis.project) == symmetrizer(n)
 
 
-def test_fuse_n1_trivial_case(params):
-    u = Fraction(5, 7)
-    assert fuse_n1(1, u, params) == r7v(u, params)
-
-
 def test_fuse_n1_image_in_symmetric_subspace(params_unit):
     assert symmetric_residual(2, 1, Fraction(1, 3), params_unit).is_zero()
 
 
 def test_fusion_scalar_zero_raises(params_unit):
     with pytest.raises(ZeroDivisionError):
-        fuse_n1(2, Fraction(-1), params_unit)
+        fuse_nm(2, 1, Fraction(-1), params_unit)
     assert fusion_scalar(3, Fraction(-2)) == 0
     # A shifted factor's scalar vanishing is enough: (2,2) at 0 needs (2,1) at -1.
     for n, m, u in ((2, 2, 0), (3, 2, -2)):
@@ -75,12 +69,6 @@ def test_fuse_nm_rejects_orders_below_one(n, m, params_unit):
 def test_fuse_nm_trivial_case(params):
     u = Fraction(3, 4)
     assert fuse_nm(1, 1, u, params) == r7v(u, params)
-
-
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_fuse_nm_m1_matches_fuse_n1(n, params):
-    u = Fraction(5, 6)
-    assert fuse_nm(n, 1, u, params) == fuse_n1(n, u, params)
 
 
 @pytest.mark.parametrize("n,m", [(n, m) for n in range(1, 6) for m in range(1, 7 - n)])

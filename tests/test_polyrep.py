@@ -13,7 +13,7 @@ from fusion_sos.exactcore import (
     solve_exact,
 )
 from fusion_sos import correspondence, polyrep
-from fusion_sos.fusion import fuse_n1
+from fusion_sos.fusion import fuse_nm
 from fusion_sos.polyrep import (
     DiffOp,
     UnsupportedEvaluationPoint,
@@ -288,7 +288,7 @@ class TestRn1Matrix:
         d = monomial_to_coeff_matrix(n)
         dinv = d.scale((-1) ** n)
         conj = mat_mul(
-            mat_mul(kron(d, ExactMatrix.identity(2)), fuse_n1(n, u, params)),
+            mat_mul(kron(d, ExactMatrix.identity(2)), fuse_nm(n, 1, u, params)),
             kron(dinv, ExactMatrix.identity(2)),
         )
         assert conj == target
@@ -452,7 +452,6 @@ class TestColumnKernel:
             return solve_exact(basis, rhs)
 
         monkeypatch.setattr(correspondence, "solve_exact", spy)
-        correspondence._solve_weights.cache_clear()
         u = Fraction(7, 3)
         for n, m, a, b, c in [(1, 1, 0, 1, 0), (2, 1, 1, -1, 0), (2, 3, 0, 0, 3), (3, 2, -1, 2, 2)]:
             seen.clear()

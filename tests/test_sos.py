@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fusion_sos
+from fusion_sos import sos
 from fusion_sos.correspondence import solve_weights_from_relation
 from fusion_sos.exactcore import DegeneratePointError, SingularMatrixError, lagrange_interpolate
 from fusion_sos.sos import (
@@ -18,7 +19,6 @@ from fusion_sos.sos import (
     path_function_bruteforce,
     path_function_closed,
     sample_admissible_boundary,
-    signed_pochhammer,
     sos_ybe_residual_gauge,
     w0_model_float,
     w11,
@@ -140,15 +140,17 @@ class TestPathFunction:
 
 
 class TestSignedPochhammer:
+    """``sos._poch(y, k, step)`` = prod_{j<k} (y + j step), on integers."""
+
     def test_empty_product(self):
-        assert signed_pochhammer(Fraction(5, 3), 0, 1) == 1
+        assert sos._poch(5, 0, 3) == 1
 
     def test_single(self):
-        assert signed_pochhammer(Fraction(5, 3), 1, 1) == Fraction(5, 3)
-        assert signed_pochhammer(Fraction(5, 3), 1, -1) == Fraction(5, 3)
+        assert sos._poch(5, 1, 3) == 5
+        assert sos._poch(5, 1, -3) == 5
 
     def test_descending(self):
-        assert signed_pochhammer(3, 3, -1) == 6
+        assert sos._poch(3, 3, -1) == 6
 
 
 class TestWnmSum:
