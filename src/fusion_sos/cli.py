@@ -320,8 +320,16 @@ def cmd_verify(args) -> int:
     params = _params_from_args(args)
     failures = 0
     suite = args.suite
-    if suite in ("correspondence", "all") and (args.u is None) != (args.v is None):
+    if suite not in ("correspondence", "all"):
+        ignored = [f"--{name}" for name in ("u", "v", "n", "m") if getattr(args, name) is not None]
+        if ignored:
+            raise UsageError(f"{', '.join(ignored)} only apply to the correspondence suite")
+    elif (args.u is None) != (args.v is None):
         raise UsageError("give both --u and --v, or neither")
+    if args.samples < 1:
+        raise UsageError("--samples must be at least 1")
+    if suite in ("ybe-vertex", "ybe-sos", "all") and args.max_sum < 3:
+        raise UsageError("--max-sum must be at least 3, the smallest k + n + l")
     if suite in ("ybe-vertex", "all"):
         failures += _suite_ybe_vertex(params, args.max_sum, args.samples, args.seed)
     if suite in ("ybe-sos", "all"):
@@ -333,7 +341,8 @@ def cmd_verify(args) -> int:
     if suite in ("correspondence", "all"):
         u = _parse_rat(args.u) if args.u is not None else None
         v = _parse_rat(args.v) if args.v is not None else None
-        failures += _suite_correspondence(params, args.n, args.m, args.samples, args.seed, u, v)
+        n, m = (1 if x is None else x for x in (args.n, args.m))
+        failures += _suite_correspondence(params, n, m, args.samples, args.seed, u, v)
     if suite in ("weights", "all"):
         failures += _suite_weights(params)
     if failures:
@@ -407,8 +416,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--max-sum", type=int, default=5, help="bound on k+n+l for YBE suites")
     p_ver.add_argument("--samples", type=int, default=3, help="random tuples per case")
     p_ver.add_argument("--seed", type=int, default=2024)
-    p_ver.add_argument("--n", type=int, default=1)
-    p_ver.add_argument("--m", type=int, default=1)
+    p_ver.add_argument("--n", type=int, default=None, help="fusion order n (correspondence suite, default 1)")
+    p_ver.add_argument("--m", type=int, default=None, help="fusion order m (correspondence suite, default 1)")
     p_ver.add_argument("--u", default=None, help="fixed spectral parameter (correspondence suite)")
     p_ver.add_argument("--v", default=None, help="fixed spectral parameter (correspondence suite)")
     add_params(p_ver, with_w=True)

@@ -32,6 +32,11 @@ restricted space.  Two recursions result:
   (raw(n, m-1, u-1) (x) I) [(P_{m-1} (x) I) E_m], on
   Sym_n (x) Sym_{m-1} (x) C^2 (dimension 2m(n+1)).
 
+Both recursions act locally: R and the inner raw operator each act on two
+of the three factors, and :func:`fusion_sos.vertex.apply_two_site` applies
+them to the split one after the other without embedding either, so each
+step forms one matrix product, with the merge.
+
 The result is divided once by prod_{j<m} fusion_scalar(n, u-j).  The
 restriction uses the unnormalized monomial basis, so the matrices here
 agree entrywise with the difference-operator realization in
@@ -47,7 +52,7 @@ from itertools import permutations
 from math import comb
 
 from .exactcore import ExactMatrix, kron, mat_mul, rat
-from .vertex import ModelParams, check_ybe_vertex, embed_two_site, r7v
+from .vertex import ModelParams, apply_two_site, check_ybe_vertex, embed_two_site, r7v
 
 
 def _bits(index: int, n: int) -> tuple[int, ...]:
@@ -192,14 +197,14 @@ def _raw_n1(n: int, x: Fraction, params: ModelParams) -> ExactMatrix:
     """P_n T_n(x) E_n on Sym_n (x) C^2, where T_n(x) is the raw (n,1) product.
 
     Peels quantum slot 0 off each step: raw(k) = merge R(x+k-1) (I (x) raw(k-1))
-    split, on C^2 (x) Sym_{k-1} (x) C^2, with R on factors 0 and 2.
+    split, on C^2 (x) Sym_{k-1} (x) C^2, with R on factors 0 and 2 and
+    raw(k-1) on factors 1 and 2, each applied locally.
     """
-    eye = ExactMatrix.identity(2)
     op = r7v(x, params)
     for k in range(2, n + 1):
         merge, split = _peel_first(k)
-        r = embed_two_site(r7v(x + k - 1, params), (0, 2), (2, k, 2))
-        op = mat_mul(merge, mat_mul(r, mat_mul(kron(eye, op), split)))
+        dims, r = (2, k, 2), r7v(x + k - 1, params)
+        op = mat_mul(merge, apply_two_site(r, (0, 2), dims, apply_two_site(op, (1, 2), dims, split)))
     return op
 
 
@@ -246,13 +251,12 @@ def _fuse_nm(n: int, m: int, u: Fraction, params: ModelParams) -> ExactMatrix:
         raise ZeroDivisionError(
             f"fusion normalization vanishes at u = {u}; the (n,m) product degenerates"
         )
-    eye = ExactMatrix.identity(2)
     op = _raw_n1(n, u - m + 1, params)
     # With u' = u - m + j: raw(n, j, u') = merge raw(n, 1, u')_{aux j} (raw(n, j-1, u'-1) (x) I) split.
     for j in range(2, m + 1):
         merge, split = _peel_last(j, n + 1)
-        r = embed_two_site(_raw_n1(n, u - m + j, params), (0, 2), (n + 1, j, 2))
-        op = mat_mul(merge, mat_mul(r, mat_mul(kron(op, eye), split)))
+        dims, r = (n + 1, j, 2), _raw_n1(n, u - m + j, params)
+        op = mat_mul(merge, apply_two_site(r, (0, 2), dims, apply_two_site(op, (0, 1), dims, split)))
     return op.scale(1 / scale)
 
 
@@ -272,8 +276,5 @@ def symmetric_residual(n: int, m: int, u: Fraction, params: ModelParams) -> Exac
 def check_fused_ybe(k: int, n: int, l: int, u: Fraction, v: Fraction, params: ModelParams) -> bool:
     """Yang-Baxter test for the fused triple (k,n), (k,l), (n,l) at (u, v)."""
     u, v = rat(u), rat(v)
-    dims = (k + 1, n + 1, l + 1)
-    r12 = embed_two_site(fuse_nm(k, n, v, params), (0, 1), dims)
-    r13 = embed_two_site(fuse_nm(k, l, u, params), (0, 2), dims)
-    r23 = embed_two_site(fuse_nm(n, l, u - v, params), (1, 2), dims)
-    return check_ybe_vertex(r12, r13, r23, dims)
+    r12, r13, r23 = fuse_nm(k, n, v, params), fuse_nm(k, l, u, params), fuse_nm(n, l, u - v, params)
+    return check_ybe_vertex(r12, r13, r23, (k + 1, n + 1, l + 1))

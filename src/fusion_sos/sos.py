@@ -461,8 +461,11 @@ def check_ybe_sos(
     """Exact face-weight Yang-Baxter identity for the boundary (a, b, c, d, e, f).
 
     Both sides are finite sums over the internal height g; adjacency makes
-    all out-of-range terms vanish, so empty sums compare as 0 = 0.
+    all out-of-range terms vanish, so empty sums compare as 0 = 0.  Integer
+    w is refused on entry (:func:`check_weight_domain`), even where both
+    sums are empty, as on every other weight route.
     """
+    check_weight_domain(params)
     u, v, wspec = rat(u), rat(v), rat(wspec)
     a, b, c, d, e, f = boundary
 

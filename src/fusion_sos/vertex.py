@@ -11,12 +11,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import prod
 
 from .exactcore import (
     ExactMatrix,
     ScalarLike,
     ShapeMismatchError,
-    mat_mul,
     rat,
 )
 
@@ -64,15 +64,12 @@ def up_steps(a: int, b: int, n: int) -> int | None:
 @lru_cache(maxsize=None)
 def r7v(u: Fraction, params: ModelParams) -> ExactMatrix:
     """Seven-vertex weight matrix at spectral parameter u."""
-    u = rat(u)
-    a2 = params.alpha**2
-    return ExactMatrix(
-        [
-            [u + 1, 0, 0, 0],
-            [0, u, 1, 0],
-            [0, 1, u, 0],
-            [a2 * u * (u + 1), 0, 0, u + 1],
-        ]
+    u, alpha = rat(u), params.alpha
+    # Integer rows over den(alpha)^2 den(u)^2, with u = p/q and alpha = a/b.
+    p, q, a, b = u.numerator, u.denominator, alpha.numerator, alpha.denominator
+    d, o, c = (p + q) * q * b * b, p * q * b * b, q * q * b * b
+    return ExactMatrix.from_integers(
+        [[d, 0, 0, 0], [0, o, c, 0], [0, c, o, 0], [a * a * p * (p + q), 0, 0, d]], c
     )
 
 
@@ -107,60 +104,53 @@ def check_degeneracy(params: ModelParams) -> Fraction:
     return c
 
 
-def embed_two_site(op: ExactMatrix, pos: tuple[int, int], dims: tuple[int, ...]) -> ExactMatrix:
-    """Embed a two-factor operator into a tensor product, identity elsewhere.
+def apply_two_site(
+    op: ExactMatrix, pos: tuple[int, int], dims: tuple[int, ...], rhs: ExactMatrix
+) -> ExactMatrix:
+    """``embed_two_site(op, pos, dims) @ rhs``, without forming the embedding.
 
-    ``op`` acts on factors ``pos = (p, q)`` (in that order) of the product of
-    spaces with the given dimensions.
+    Runs on integer numerators, one output row at a time: the row with
+    factor indices (i_p, i_q) and the rest fixed sums the ``rhs`` rows with
+    indices (j_p, j_q) and the same rest, weighted by the nonzero entries of
+    ``op`` in row (i_p, i_q).  Each ``rhs`` row is listed once as its nonzero
+    (column, value) pairs, and the result is reduced once.
     """
     p, q = pos
     if p == q:
         raise ValueError("positions must be distinct")
     if op.rows != op.cols or op.rows != dims[p] * dims[q]:
         raise ShapeMismatchError("operator does not match the selected factors")
-    total = 1
-    for d in dims:
-        total *= d
-
-    strides = [0] * len(dims)
-    acc = 1
-    for i in range(len(dims) - 1, -1, -1):
-        strides[i] = acc
-        acc *= dims[i]
-
-    # Nonzero numerators of each operator row, at their offsets in the big row.
-    onum = op.numerators
-    nonzero = [
-        [
-            (jp * strides[p] + jq * strides[q], v)
-            for jp in range(dims[p])
-            for jq in range(dims[q])
-            if (v := orow[jp * dims[q] + jq])
-        ]
-        for orow in onum
+    total = prod(dims)
+    if rhs.rows != total:
+        raise ShapeMismatchError(f"cannot apply a {total}-row operator to {rhs.rows} rows")
+    sp, sq = prod(dims[p + 1 :]), prod(dims[q + 1 :])
+    dp, dq = dims[p], dims[q]
+    # Nonzero numerators of each operator row, at their offsets in the big index.
+    local = [
+        [(jp * sp + jq * sq, v) for jp in range(dp) for jq in range(dq) if (v := orow[jp * dq + jq])]
+        for orow in op.numerators
     ]
-    out = [[0] * total for _ in range(total)]
-    others = [i for i in range(len(dims)) if i not in (p, q)]
+    ncols = rhs.cols
+    rnz = [[(k, x) for k, x in enumerate(row) if x] for row in rhs.numerators]
+    out = []
+    for i in range(total):
+        ip, iq = i // sp % dp, i // sq % dq
+        base = i - ip * sp - iq * sq
+        acc = [0] * ncols
+        for offset, v in local[ip * dq + iq]:
+            for k, x in rnz[base + offset]:
+                acc[k] += v * x
+        out.append(acc)
+    return ExactMatrix._reduced(out, op.denominator * rhs.denominator, ncols)
 
-    def rest_indices():
-        idx = [0] * len(dims)
-        while True:
-            yield sum(idx[i] * strides[i] for i in others)
-            for i in reversed(others):
-                idx[i] += 1
-                if idx[i] < dims[i]:
-                    break
-                idx[i] = 0
-            else:
-                return
 
-    for base in rest_indices():
-        for ip in range(dims[p]):
-            for iq in range(dims[q]):
-                out_row = out[base + ip * strides[p] + iq * strides[q]]
-                for offset, v in nonzero[ip * dims[q] + iq]:
-                    out_row[base + offset] = v
-    return ExactMatrix.from_integers(out, op.denominator)
+def embed_two_site(op: ExactMatrix, pos: tuple[int, int], dims: tuple[int, ...]) -> ExactMatrix:
+    """Embed a two-factor operator into a tensor product, identity elsewhere.
+
+    ``op`` acts on factors ``pos = (p, q)`` (in that order) of the product of
+    spaces with the given dimensions.
+    """
+    return apply_two_site(op, pos, dims, ExactMatrix.identity(prod(dims)))
 
 
 def check_ybe_vertex(
@@ -171,14 +161,11 @@ def check_ybe_vertex(
 ) -> bool:
     """Exact test of r12 r13 r23 = r23 r13 r12 on the full product space.
 
-    The operators must already be embedded into the d1*d2*d3-dimensional
-    space (use :func:`embed_two_site`); pass them evaluated at the argument
+    The operators are local: r12 acts on factors (0, 1), r13 on (0, 2) and
+    r23 on (1, 2) of the space with the given dimensions, and each is
+    applied by :func:`apply_two_site`.  Pass them evaluated at the argument
     pattern (v, u, u - v).
     """
-    total = dims[0] * dims[1] * dims[2]
-    for mat in (r12, r13, r23):
-        if mat.rows != total or mat.cols != total:
-            raise ShapeMismatchError("operators must act on the full product space")
-    lhs = mat_mul(mat_mul(r12, r13), r23)
-    rhs = mat_mul(mat_mul(r23, r13), r12)
-    return lhs == rhs
+    lhs = apply_two_site(r13, (0, 2), dims, embed_two_site(r23, (1, 2), dims))
+    rhs = apply_two_site(r13, (0, 2), dims, embed_two_site(r12, (0, 1), dims))
+    return apply_two_site(r12, (0, 1), dims, lhs) == apply_two_site(r23, (1, 2), dims, rhs)

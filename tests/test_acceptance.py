@@ -55,7 +55,6 @@ from fusion_sos.sos import (
 from fusion_sos.vertex import (
     ModelParams,
     check_ybe_vertex,
-    embed_two_site,
     permutation_op,
     r7v,
 )
@@ -92,10 +91,7 @@ def test_01_seven_vertex_ybe():
         p = ModelParams(alpha)
         for _ in range(25):
             u, v = rand_rat(rng), rand_rat(rng)
-            r12 = embed_two_site(r7v(v, p), (0, 1), dims)
-            r13 = embed_two_site(r7v(u, p), (0, 2), dims)
-            r23 = embed_two_site(r7v(u - v, p), (1, 2), dims)
-            assert check_ybe_vertex(r12, r13, r23, dims)
+            assert check_ybe_vertex(r7v(v, p), r7v(u, p), r7v(u - v, p), dims)
     elapsed = time.time() - t0
     assert elapsed < 1.0, f"runtime budget exceeded: {elapsed:.2f}s"
     report(1, "seven-vertex YBE (25 points x 3 alphas)", t0)

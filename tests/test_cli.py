@@ -201,6 +201,54 @@ def test_verify_correspondence_needs_both_spectral_values(capsys, given):
     assert "give both --u and --v" in captured.err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["ybe-vertex", "--max-sum", "2"], "--max-sum must be at least 3"),
+        (["ybe-sos", "--max-sum", "2"], "--max-sum must be at least 3"),
+        (["all", "--max-sum", "2"], "--max-sum must be at least 3"),
+        (["ybe-vertex", "--samples", "0"], "--samples must be at least 1"),
+        (["ybe-sos", "--samples", "0"], "--samples must be at least 1"),
+        (["correspondence", "--samples", "0"], "--samples must be at least 1"),
+        (["all", "--samples", "-1"], "--samples must be at least 1"),
+    ],
+    ids=["ybe-vertex-max-sum", "ybe-sos-max-sum", "all-max-sum", "ybe-vertex-samples",
+         "ybe-sos-samples", "correspondence-samples", "all-samples"],
+)
+def test_verify_refuses_an_empty_suite(capsys, argv, message):
+    code = main(["verify", *argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert message in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["om", "--u", "1/3", "--v", "5"], "--u, --v"),
+        (["ybe-vertex", "--n", "2"], "--n"),
+        (["weights", "--m", "1"], "--m"),
+        (["star-triangle", "--n", "1", "--m", "1"], "--n, --m"),
+    ],
+    ids=["om-u-v", "ybe-vertex-n", "weights-m", "star-triangle-n-m"],
+)
+def test_verify_refuses_options_the_suite_ignores(capsys, argv, named):
+    code = main(["verify", *argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert f"{named} only apply to the correspondence suite" in captured.err
+
+
+def test_verify_correspondence_orders_default_to_one(capsys):
+    code, out = run_cli(capsys, "verify", "correspondence", "--samples", "2")
+    assert code == 0
+    lines = [line for line in out.splitlines() if line.startswith("[correspondence]")]
+    assert len(lines) == 2
+    assert all(line.startswith("[correspondence] (1, 1, ") for line in lines)
+
+
 def test_verify_correspondence_at_fixed_pair(capsys):
     code, out = run_cli(capsys, "verify", "correspondence", "--u", "1/3", "--v", "1/5", "--samples", "4")
     assert code == 0

@@ -8,7 +8,7 @@ from fusion_sos.elevenvertex import psi_const, r11v, shift_op, similarity_fused
 from fusion_sos.exactcore import ExactMatrix, ExactPolynomial, kron, mat_mul, poly_shift
 from fusion_sos.fusion import symmetrizer
 from fusion_sos.polyrep import intertwiner_poly, monomial_to_coeff_matrix
-from fusion_sos.vertex import check_ybe_vertex, embed_two_site
+from fusion_sos.vertex import check_ybe_vertex
 
 from conftest import spectral_pair
 
@@ -66,10 +66,7 @@ class TestElevenVertexMatrix:
         rng = random.Random(112)
         u, v = spectral_pair(rng)
         dims = (2, 2, 2)
-        r12 = embed_two_site(r11v(v, params), (0, 1), dims)
-        r13 = embed_two_site(r11v(u, params), (0, 2), dims)
-        r23 = embed_two_site(r11v(u - v, params), (1, 2), dims)
-        assert check_ybe_vertex(r12, r13, r23, dims)
+        assert check_ybe_vertex(r11v(v, params), r11v(u, params), r11v(u - v, params), dims)
 
 
 class TestSimilarityFused:
@@ -100,10 +97,7 @@ class TestSimilarityFused:
         def rbar(nn, mm, diff):
             return similarity_fused(nn, mm, diff, Fraction(0), params)
 
-        r12 = embed_two_site(rbar(k, n, v), (0, 1), dims)
-        r13 = embed_two_site(rbar(k, l, u), (0, 2), dims)
-        r23 = embed_two_site(rbar(n, l, u - v), (1, 2), dims)
-        assert check_ybe_vertex(r12, r13, r23, dims)
+        assert check_ybe_vertex(rbar(k, n, v), rbar(k, l, u), rbar(n, l, u - v), dims)
 
 
 def psi_const_sym_coords(n, a, b, params):

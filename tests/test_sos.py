@@ -266,6 +266,15 @@ class TestSosYbe:
         assert lhs == rhs
         assert lhs + 1 != rhs
 
+    def test_integer_w_refused_where_both_sums_are_empty(self):
+        # Both internal-height ranges are empty at this boundary, so the
+        # check used to compare 0 = 0 and pass at integer w.
+        with pytest.raises(DegenerateParameterPoint, match="w is an integer"):
+            check_ybe_sos(
+                1, 1, 1, Fraction(1, 3), Fraction(1, 5), Fraction(1, 7),
+                (0, 0, 10, 10, 0, 0), ModelParams(1, Fraction(1, 2), Fraction(3, 2)),
+            )
+
 
 class TestGaugeModel:
     def test_diagonal_families_match_plain_weights(self, params):

@@ -8,11 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fusion_sos.correspondence import fused_intertwiner_tensor
-from fusion_sos.exactcore import ExactMatrix
+from fusion_sos.exactcore import ExactMatrix, ShapeMismatchError, kron, mat_mul
 from fusion_sos.polyrep import intertwiner_poly, o_m_gamma_form, o_m_product_form
 from fusion_sos.sos import WeightQuery
 from fusion_sos.vertex import (
     ModelParams,
+    apply_two_site,
     check_degeneracy,
     check_ybe_vertex,
     embed_two_site,
@@ -60,6 +61,16 @@ def test_r7v_at_two_unit_alpha(params_unit):
     assert r7v(Fraction(2), params_unit) == expected
 
 
+@pytest.mark.parametrize("alpha", [Fraction(-2, 7), Fraction(-3), Fraction(5, 3), Fraction(1)])
+@pytest.mark.parametrize("u", [Fraction(0), Fraction(-1), Fraction(3), Fraction(-2), Fraction(-7, 3), Fraction(2, 5)])
+def test_r7v_matches_fraction_formula(alpha, u):
+    a2 = alpha * alpha
+    expected = ExactMatrix(
+        [[u + 1, 0, 0, 0], [0, u, 1, 0], [0, 1, u, 0], [a2 * u * (u + 1), 0, 0, u + 1]]
+    )
+    assert r7v(u, ModelParams(alpha)) == expected
+
+
 class TestPermutationOp:
     def test_d1(self):
         assert permutation_op(1) == ExactMatrix.identity(1)
@@ -86,25 +97,28 @@ def test_degeneracy_rejects_non_proportional(params_unit):
 
 class TestYbeVertex:
     def test_identity_triple(self):
-        i8 = ExactMatrix.identity(8)
-        assert check_ybe_vertex(i8, i8, i8, (2, 2, 2))
+        i4 = ExactMatrix.identity(4)
+        assert check_ybe_vertex(i4, i4, i4, (2, 2, 2))
 
     def test_seven_vertex_point(self, params_unit):
         u, v = Fraction(2), Fraction(1, 2)
-        dims = (2, 2, 2)
-        r12 = embed_two_site(r7v(v, params_unit), (0, 1), dims)
-        r13 = embed_two_site(r7v(u, params_unit), (0, 2), dims)
-        r23 = embed_two_site(r7v(u - v, params_unit), (1, 2), dims)
-        assert check_ybe_vertex(r12, r13, r23, dims)
+        r12, r13, r23 = r7v(v, params_unit), r7v(u, params_unit), r7v(u - v, params_unit)
+        assert check_ybe_vertex(r12, r13, r23, (2, 2, 2))
 
     def test_broken_by_random_matrix(self, params_unit):
         rng = random.Random(21)
         u, v = Fraction(2), Fraction(1, 2)
+        junk = ExactMatrix([[rand_rat(rng) for _ in range(4)] for _ in range(4)])
+        assert not check_ybe_vertex(junk, r7v(u, params_unit), r7v(u - v, params_unit), (2, 2, 2))
+
+    def test_embedded_operators_are_refused(self, params_unit):
         dims = (2, 2, 2)
-        junk = ExactMatrix([[rand_rat(rng) for _ in range(8)] for _ in range(8)])
+        u, v = Fraction(2), Fraction(1, 2)
+        r12 = embed_two_site(r7v(v, params_unit), (0, 1), dims)
         r13 = embed_two_site(r7v(u, params_unit), (0, 2), dims)
         r23 = embed_two_site(r7v(u - v, params_unit), (1, 2), dims)
-        assert not check_ybe_vertex(junk, r13, r23, dims)
+        with pytest.raises(ShapeMismatchError):
+            check_ybe_vertex(r12, r13, r23, dims)
 
     def test_random_points_all_alphas(self):
         rng = random.Random(22)
@@ -112,11 +126,7 @@ class TestYbeVertex:
             p = ModelParams(alpha)
             for _ in range(8):
                 u, v = rand_rat(rng), rand_rat(rng)
-                dims = (2, 2, 2)
-                r12 = embed_two_site(r7v(v, p), (0, 1), dims)
-                r13 = embed_two_site(r7v(u, p), (0, 2), dims)
-                r23 = embed_two_site(r7v(u - v, p), (1, 2), dims)
-                assert check_ybe_vertex(r12, r13, r23, dims)
+                assert check_ybe_vertex(r7v(v, p), r7v(u, p), r7v(u - v, p), (2, 2, 2))
 
 
 def test_embed_two_site_reversed_positions(params_unit):
@@ -128,6 +138,65 @@ def test_embed_two_site_reversed_positions(params_unit):
     swapped = embed_two_site(r, (1, 0), dims)
     p = permutation_op(2)
     assert swapped == p @ r @ p
+
+
+def kron_reference(op, pos, dims, rhs):
+    """embed(op) @ rhs as P^T (op (x) I) P @ rhs, P the permutation that
+    brings factor order (p, q, rest...) to the natural order."""
+    p, q = pos
+    order = [p, q] + [i for i in range(len(dims)) if i not in pos]
+    rest = 1
+    for i in order[2:]:
+        rest *= dims[i]
+    total = op.rows * rest
+    perm = [[0] * total for _ in range(total)]
+    for natural, digits in enumerate(product(*(range(d) for d in dims))):
+        moved = 0
+        for i in order:
+            moved = moved * dims[i] + digits[i]
+        perm[moved][natural] = 1
+    perm = ExactMatrix.from_integers(perm)
+    big = mat_mul(mat_mul(perm.transpose(), kron(op, ExactMatrix.identity(rest))), perm)
+    return mat_mul(big, rhs)
+
+
+SCALARS = st.one_of(st.just(Fraction(0)), st.fractions(-6, 6, max_denominator=9))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_apply_two_site_matches_kron_reference(data):
+    dims = tuple(data.draw(st.lists(st.integers(1, 3), min_size=3, max_size=4)))
+    p, q = data.draw(st.permutations(range(len(dims))))[:2]
+    local, total = dims[p] * dims[q], 1
+    for d in dims:
+        total *= d
+    ncols = data.draw(st.integers(1, 3))
+
+    def matrix(rows, cols):
+        # Entries over mixed denominators, some rows zero, and the whole
+        # matrix put over a denominator of either sign.
+        zero_rows = data.draw(st.sets(st.integers(0, rows - 1)))
+        entries = [
+            [0] * cols if i in zero_rows else data.draw(st.lists(SCALARS, min_size=cols, max_size=cols))
+            for i in range(rows)
+        ]
+        m = ExactMatrix(entries)
+        return ExactMatrix.from_integers(m.numerators, m.denominator * data.draw(st.sampled_from((1, -1))))
+
+    op, rhs = matrix(local, local), matrix(total, ncols)
+    assert apply_two_site(op, (p, q), dims, rhs) == kron_reference(op, (p, q), dims, rhs)
+    assert embed_two_site(op, (p, q), dims) == kron_reference(op, (p, q), dims, ExactMatrix.identity(total))
+
+
+def test_apply_two_site_refuses_mismatched_shapes(params_unit):
+    r = r7v(Fraction(3), params_unit)
+    with pytest.raises(ShapeMismatchError):
+        apply_two_site(r, (0, 1), (2, 3, 2), ExactMatrix.identity(12))
+    with pytest.raises(ShapeMismatchError):
+        apply_two_site(r, (0, 1), (2, 2, 2), ExactMatrix.identity(4))
+    with pytest.raises(ValueError):
+        apply_two_site(r, (1, 1), (2, 2, 2), ExactMatrix.identity(8))
 
 
 # -- the adjacency rule --------------------------------------------------------
