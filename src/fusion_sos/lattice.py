@@ -40,7 +40,7 @@ from itertools import product
 
 from .exactcore import ExactMatrix, ScalarLike, mat_mul, rat, trace_product
 from .fusion import check_fusion_orders, fuse_nm
-from .sos import WeightQuery, check_weight_domain, w_nm_sum
+from .sos import _face_weight, check_weight_domain
 from .vertex import ModelParams, up_steps
 
 
@@ -155,7 +155,7 @@ def _height_transfer(
     """T[s, s'] = product over i of the face weight with top corners s_i,
     s_{i+1} and bottom corners s'_i, s'_{i+1}; zero at the first
     non-m-adjacent corner pair or vanishing face."""
-    n, m, N, u = spec.n, spec.m, spec.N, spec.u
+    n, m, N, u, w = spec.n, spec.m, spec.N, spec.u, params.w
 
     def entry(s, t):
         if any(up_steps(s[i], t[i], m) is None for i in range(N)):
@@ -163,7 +163,7 @@ def _height_transfer(
         weight = Fraction(1)
         for i in range(N):
             k = (i + 1) % N
-            weight *= w_nm_sum(WeightQuery(n, m, s[i], s[k], t[i], t[k], u), params)
+            weight *= _face_weight(n, m, s[i], s[k], t[i], t[k], u, w)
             if weight == 0:
                 break
         return weight
@@ -280,7 +280,7 @@ def partition_sos(
     """
     check_weight_domain(params)
     lo, hi = state_range
-    n, m, N, M, u = spec.n, spec.m, spec.N, spec.M, spec.u
+    n, m, N, M, u, w = spec.n, spec.m, spec.N, spec.M, spec.u, params.w
 
     def site(i, j):
         return (i % N) * M + (j % M)
@@ -292,7 +292,7 @@ def partition_sos(
         a, b, bp, c = site(i, j), site(i + 1, j), site(i, j + 1), site(i + 1, j + 1)
 
         def weight(x):
-            return w_nm_sum(WeightQuery(n, m, x[a], x[b], x[bp], x[c], u), params)
+            return _face_weight(n, m, x[a], x[b], x[bp], x[c], u, w)
 
         return (a, b, bp, c), weight
 

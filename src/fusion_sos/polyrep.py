@@ -11,13 +11,16 @@ composition cannot pass silently.
 Every building block is built as integer numerators over one denominator
 (``ExactMatrix.from_integers``), so compositions run on the integer kernel
 without a ``Fraction`` per entry.  A shift by h = p/q has entry (i, j)
-C(j, i) p^(j-i) q^(dim-1-(j-i)) over q^(dim-1); multiplication by z or by
-a polynomial has the polynomial's numerators over their least common
-denominator; gamma factors and intertwining polynomials expand the integer
-product of their roots over one common denominator.  The height-changing
-operator is not composed factor by factor: its m first-order factors act on
-integer coefficient columns (``_o_m_apply``), the identity's for the matrix
-and one intertwining polynomial's for the face weights.
+C(j, i) p^(j-i) q^(dim-1-(j-i)) over q^(dim-1) (``_shift_entries``, the one
+source of shift entries); multiplication by z or by a polynomial has the
+polynomial's numerators over their least common denominator; gamma factors
+and intertwining polynomials expand the integer product of their roots over
+one common denominator.  Nothing built from shifts is composed factor by
+factor.  delta(-)^k and the gamma sandwich are assembled in closed form on
+integers from the shift expansion below, each with one
+``from_integers``; the m first-order factors of the height-changing operator
+act on integer coefficient columns (``_o_m_apply``), the identity's for the
+matrix and one intertwining polynomial's for the face weights.
 
 The averaged shift operators
 
@@ -37,8 +40,9 @@ gamma(z, C) delta(-)^B gamma(z, D) with B = C + D >= 0.  Expanding
 turns each term into multiplication by gamma(z, C) gamma(z + (B - 2k) alpha, D)
 followed by a shift.  Since |B - 2k| <= B and B - 2k = B (mod 2), the roots
 of the reciprocal factor always lie among those of the polynomial factor, so
-that product is a polynomial and the sandwich is assembled from polynomial
-operators alone.
+that product is a polynomial and each column of the sandwich is a sum of
+integer polynomial products.  The same expansion with C = D = 0 gives
+delta(-)^k entry by entry.
 """
 
 from __future__ import annotations
@@ -48,13 +52,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from math import comb, gcd
-from operator import mul
 
 from .exactcore import (
     ExactMatrix,
     ExactPolynomial,
     ScalarLike,
     ShapeMismatchError,
+    _root_product,
     common_denominator,
     mat_mul,
     rat,
@@ -141,22 +145,25 @@ def delta_op(sign: int, degree_bound: int, params: ModelParams) -> DiffOp:
     return _shift_op(params.alpha, degree_bound + 1, parity=(1 - sign) // 2)
 
 
+def _shift_entries(p: int, q: int, dim: int) -> list[list[int]]:
+    """The shift f(z) -> f(z + p/q) on polynomials of degree < dim as integer
+    rows over q^(dim-1): entry (i, j) is C(j, i) p^e q^(dim-1-e), e = j - i,
+    and 0 below the diagonal."""
+    top = dim - 1
+    powers = [p**e * q ** (top - e) for e in range(dim)]
+    return [[comb(j, i) * powers[j - i] if j >= i else 0 for j in range(dim)] for i in range(dim)]
+
+
 def _shift_op(h: Fraction, dim: int, parity: int | None = None) -> DiffOp:
     """The shift f(z) -> f(z + h) on polynomials of degree < dim.
 
-    Entry (i, j) is C(j, i) h^(j-i), held as the integer
-    C(j, i) p^(j-i) q^(dim-1-(j-i)) over q^(dim-1) for h = p/q.  With
-    ``parity``, only the terms with j - i = parity (mod 2) are kept.
+    Entry (i, j) is C(j, i) h^(j-i), held as in :func:`_shift_entries`.
+    With ``parity``, only the terms with j - i = parity (mod 2) are kept.
     """
-    p, q = h.numerator, h.denominator
-    top = dim - 1
-    powers = [p**k * q ** (top - k) for k in range(dim)]
-    rows = [[0] * dim for _ in range(dim)]
-    for i, row in enumerate(rows):
-        for j in range(i, dim):
-            if parity is None or (j - i) % 2 == parity:
-                row[j] = comb(j, i) * powers[j - i]
-    return DiffOp(ExactMatrix.from_integers(rows, q**top))
+    rows = _shift_entries(h.numerator, h.denominator, dim)
+    if parity is not None:
+        rows = [[x if (j - i) % 2 == parity else 0 for j, x in enumerate(row)] for i, row in enumerate(rows)]
+    return DiffOp(ExactMatrix.from_integers(rows, h.denominator ** (dim - 1)))
 
 
 def mul_z(in_dim: int) -> DiffOp:
@@ -177,11 +184,24 @@ def mul_poly(q: ExactPolynomial, in_dim: int) -> DiffOp:
 
 
 def delta_minus_power(k: int, dim: int, params: ModelParams) -> DiffOp:
-    op = DiffOp.identity(dim)
-    dm = delta_op(-1, dim - 1, params)
-    for _ in range(k):
-        op = dm.compose(op)
-    return op
+    """delta(-)^k on polynomials of degree < dim, in closed form.
+
+    delta(-)^k = 2^-k sum_t (-1)^t C(k, t) T_{(k-2t) alpha}, so entry (i, j)
+    is C(j, i) alpha^e S(k, e) / 2^k with e = j - i and
+    S(k, e) = sum_t (-1)^t C(k, t) (k - 2t)^e, which vanishes for e < k and
+    for odd e - k.  Over alpha = p/q the entries are the shift entries
+    (:func:`_shift_entries`) times S(k, e), over q^(dim-1) 2^k.
+    """
+    if k < 0:
+        raise ValueError("delta_minus_power needs a nonnegative exponent")
+    alpha = params.alpha
+    sums = [
+        sum((-1) ** t * comb(k, t) * (k - 2 * t) ** e for t in range(k + 1)) if e >= k and (e - k) % 2 == 0 else 0
+        for e in range(dim)
+    ]
+    rows = _shift_entries(alpha.numerator, alpha.denominator, dim)
+    rows = [[x * sums[j - i] if j >= i else 0 for j, x in enumerate(row)] for i, row in enumerate(rows)]
+    return DiffOp(ExactMatrix.from_integers(rows, 2**k * alpha.denominator ** (dim - 1)))
 
 
 def gamma_poly(p: int, shift: ScalarLike, params: ModelParams) -> ExactPolynomial:
@@ -294,33 +314,35 @@ def _o_m_apply(m: int, u: Fraction, b: int, c: int, params: ModelParams, cols, d
     (lowest power first, degree < dim) over ``den`` > 0; returns the image
     columns and their denominator.  Each factor, divided by alpha, acts on
     the integers, delta(+) and delta(-) being the even and odd terms of the
-    shift by alpha, and a gcd reduction follows.  A nonzero top coefficient
+    shift by alpha (each row listed as its nonzero (j, entry) pairs), and a
+    gcd reduction follows.  A nonzero top coefficient
     of delta(-) f would leave the space under z - z0: ``ShapeMismatchError``.
     """
     m_plus = up_steps(b, c, m)
     if m_plus is None:
         raise ValueError("heights b, c are not adjacent at distance m")
     alpha = params.alpha
-    shift = _shift_op(alpha, len(cols[0])).matrix
+    top = len(cols[0]) - 1
+    rows = _shift_entries(alpha.numerator, alpha.denominator, top + 1)
     dp, dm = (
-        [[x if (j - i) % 2 == parity else 0 for j, x in enumerate(row)] for i, row in enumerate(shift.numerators)]
+        [[(j, x) for j, x in enumerate(row) if x and (j - i) % 2 == parity] for i, row in enumerate(rows)]
         for parity in (0, 1)
     )
     # Over alpha = p/q a factor is (z/alpha - Z) delta(-) + C delta(+), z0 = alpha Z, coef = C.
     # Z, C are put over 2 den(u, s, t) and all times |p|: z/alpha is q sign(p), den stays > 0.
     p, q = abs(alpha.numerator), alpha.denominator if alpha > 0 else -alpha.denominator
     d, (du, ds, dt) = common_denominator(u, params.s, params.t)
-    lz, step = 2 * d * q, 2 * d * p * shift.denominator
+    lz, step = 2 * d * q, 2 * d * p * alpha.denominator**top
     # Rightmost factors act first: the second product, ascending l' applied first.
     factors = [(p * (2 * (ds - du) + (m + b + c) * d), 2 * p * (du - (m_plus + lp) * d)) for lp in range(m - m_plus)]
     factors += [(p * ((m - b - c) * d - 2 * (du + dt)), 2 * p * (du - l * d)) for l in range(m_plus)]
     for nz, nc in factors:
         out = []
         for f in cols:
-            low = [sum(map(mul, row, f)) for row in dm]
+            low = [sum([x * f[j] for j, x in row]) for row in dm]
             if low[-1]:
                 raise ShapeMismatchError("truncation would discard nonzero coefficients")
-            high = [sum(map(mul, row, f)) for row in dp]
+            high = [sum([x * f[j] for j, x in row]) for row in dp]
             out.append([lz * x - nz * y + nc * h for x, y, h in zip([0] + low, low, high)])
         den *= step
         g = gcd(den, *chain.from_iterable(out))
@@ -350,15 +372,23 @@ def _gamma_sandwich(c: int, d: int, center: Fraction, dim: int, params: ModelPar
     units of alpha from ``center`` the roots of g_s are {c-1, c-3, .., 1-c}
     counted with the sign of c and {d-1-s, .., 1-d-s} with the sign of d;
     for |s| <= B and s = B (mod 2) the reciprocal run lies inside the
-    polynomial run, so every g_s is a polynomial.  The operator preserves
-    the degree and is cut back to ``dim`` with the zero-loss check.
+    polynomial run, so every g_s is a polynomial of degree B.
+
+    Column j is 2^-B sum_k (-1)^k C(B, k) g_s(z) (z + s alpha)^j, summed as
+    integer coefficients over 2^B den^B q^(dim-1), where den is the common
+    denominator of ``center`` and alpha = p/q: den^B g_s has the integer
+    coefficients of :func:`_root_product` at z^i times den^i, and
+    (z + s alpha)^j those of the shift by s p / q (:func:`_shift_entries`).
+    The operator preserves the degree; the coefficients at z^dim and above
+    must vanish (``ShapeMismatchError`` otherwise) and are cut off.
     """
     b = c + d
     if b < 0:
         raise ValueError("gamma sandwich needs c + d >= 0")
     alpha = params.alpha
     den, (x0, step) = common_denominator(center, alpha)
-    total = DiffOp(ExactMatrix.zeros(dim, dim))
+    den_powers = [den**i for i in range(b + 1)]
+    cols = [[0] * (dim + b) for _ in range(dim)]
     for k in range(b + 1):
         s = b - 2 * k
         mult = Counter()
@@ -367,10 +397,19 @@ def _gamma_sandwich(c: int, d: int, center: Fraction, dim: int, params: ModelPar
                 mult[r - offset] += 1 if p > 0 else -1
         if any(e < 0 for e in mult.values()):
             raise ValueError("gamma sandwich left a reciprocal factor")
-        g = ExactPolynomial.from_integer_roots([x0 + step * r for r in mult.elements()], den)
-        term = mul_poly(g, dim).compose(_shift_op(s * alpha, dim))
-        total = total + term.scale((-1) ** k * comb(b, k))
-    return total.scale(Fraction(1, 2**b)).truncate(dim)
+        weight = (-1) ** k * comb(b, k)
+        g = [weight * x * y for x, y in zip(_root_product([x0 + step * r for r in mult.elements()]), den_powers)]
+        shift = _shift_entries(s * alpha.numerator, alpha.denominator, dim)
+        for j, col in enumerate(cols):
+            for i in range(j + 1):
+                x = shift[i][j]
+                if x:
+                    for r, y in enumerate(g, i):
+                        col[r] += x * y
+    if any(any(col[dim:]) for col in cols):
+        raise ShapeMismatchError("truncation would discard nonzero coefficients")
+    rows = zip(*(col[:dim] for col in cols))
+    return DiffOp(ExactMatrix.from_integers(rows, 2**b * den**b * alpha.denominator ** (dim - 1)))
 
 
 def o_m_gamma_form(

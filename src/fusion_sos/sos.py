@@ -247,12 +247,23 @@ def _w_nm_sum(n: int, m: int, a: int, b: int, bp: int, c: int, u: Fraction, w: F
     return Fraction(total_num, total_den * d ** (m_plus + m_minus))
 
 
+def _face_weight(n: int, m: int, a: int, b: int, bp: int, c: int, u: Fraction, w: Fraction) -> Fraction:
+    """The sum-route weight on plain arguments, for callers that checked the
+    domain on entry: zero off adjacency, else the cached :func:`_w_nm_sum`."""
+    if (
+        up_steps(a, b, n) is None
+        or up_steps(c, bp, n) is None
+        or up_steps(bp, a, m) is None
+        or up_steps(c, b, m) is None
+    ):
+        return Fraction(0)
+    return _w_nm_sum(n, m, a, b, bp, c, u, w)
+
+
 def w_nm_sum(q: WeightQuery, params: ModelParams) -> Fraction:
     """General (n, m) face weight as a single sum over intermediate height drift."""
     check_weight_domain(params)
-    if not q.is_valid():
-        return Fraction(0)
-    return _w_nm_sum(q.n, q.m, q.a, q.b, q.bprime, q.c, q.u, params.w)
+    return _face_weight(q.n, q.m, q.a, q.b, q.bprime, q.c, q.u, params.w)
 
 
 def _gamma_ratio(top: int, bottom: int, d: int) -> tuple[int, int]:
@@ -468,23 +479,22 @@ def check_ybe_sos(
     check_weight_domain(params)
     u, v, wspec = rat(u), rat(v), rat(wspec)
     a, b, c, d, e, f = boundary
-
-    def weight(nn, mm, aa, bb, bbp, cc, uu):
-        return w_nm_sum(WeightQuery(nn, mm, aa, bb, bbp, cc, uu), params)
+    w = params.w
+    vw, uw, uv = v - wspec, u - wspec, u - v
 
     lhs = Fraction(0)
     for g in _g_range((f, k), (d, n), (b, l)):
         lhs += (
-            weight(k, n, f, g, e, d, v - wspec)
-            * weight(k, l, a, b, f, g, u - wspec)
-            * weight(n, l, b, c, g, d, u - v)
+            _face_weight(k, n, f, g, e, d, vw, w)
+            * _face_weight(k, l, a, b, f, g, uw, w)
+            * _face_weight(n, l, b, c, g, d, uv, w)
         )
     rhs = Fraction(0)
     for g in _g_range((a, n), (c, k), (e, l)):
         rhs += (
-            weight(n, l, a, g, f, e, u - v)
-            * weight(k, l, g, c, e, d, u - wspec)
-            * weight(k, n, a, b, g, c, v - wspec)
+            _face_weight(n, l, a, g, f, e, uv, w)
+            * _face_weight(k, l, g, c, e, d, uw, w)
+            * _face_weight(k, n, a, b, g, c, vw, w)
         )
     return lhs == rhs
 

@@ -5,6 +5,7 @@ import pytest
 
 from fusion_sos.exactcore import DegeneratePointError, ExactMatrix, mat_mul
 from fusion_sos.fusion import fuse_nm
+from fusion_sos import lattice, sos
 from fusion_sos.lattice import (
     LatticeSpec,
     _height_rows,
@@ -285,6 +286,21 @@ class TestSosTransfer:
         assert partition_sos(spec, (-2, 2), params_unit) == 0
         with pytest.raises(ValueError, match="no admissible periodic height row"):
             transfer_matrix_sos(spec, (-2, 2), params_unit)
+
+
+def test_height_routes_check_the_domain_once(monkeypatch):
+    """Each height-lattice route checks the domain on entry, not again for
+    each face weight it takes."""
+    calls = []
+    check = sos.check_weight_domain
+    for module in (sos, lattice):
+        monkeypatch.setattr(module, "check_weight_domain", lambda p: calls.append(p) or check(p))
+    params = _params_w(Fraction(2, 3), Fraction(1, 2))
+    spec = LatticeSpec(2, 2, 1, 1, U)
+    for route in (partition_sos, partition_sos_transfer, transfer_matrix_sos):
+        calls.clear()
+        route(spec, (-1, 1), params)
+        assert calls == [params]
 
 
 _INTEGER_W = (DegenerateParameterPoint, "w is an integer, outside the domain of the face weights")

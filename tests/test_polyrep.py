@@ -1,6 +1,10 @@
+from collections import Counter
 from fractions import Fraction
+from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fusion_sos.exactcore import (
     ExactMatrix,
@@ -36,6 +40,9 @@ from fusion_sos.vertex import ModelParams, r7v, up_steps
 
 Z = ExactPolynomial((0, 1))
 
+# Step sizes with denominators 1, 3 and 7, of both signs.
+STEPS = [Fraction(2), Fraction(-1), Fraction(5, 3), Fraction(-4, 3), Fraction(3, 7), Fraction(-9, 7)]
+
 
 class TestDeltaOps:
     def test_plus_fixes_constants(self, params):
@@ -56,9 +63,42 @@ class TestDeltaOps:
         for j in range(d + 1):
             assert big.apply(ExactPolynomial.monomial(j)).is_zero()
 
+    def test_minus_power_refuses_negative_exponent(self, params):
+        with pytest.raises(ValueError):
+            delta_minus_power(-1, 3, params)
 
-# Step sizes with denominators 1, 3 and 7, of both signs.
-STEPS = [Fraction(2), Fraction(-1), Fraction(5, 3), Fraction(-4, 3), Fraction(3, 7), Fraction(-9, 7)]
+
+def composed_delta_minus_power(k, dim, params):
+    """delta(-)^k as the k-fold composition of delta_op(-1)."""
+    op = DiffOp.identity(dim)
+    dm = delta_op(-1, dim - 1, params)
+    for _ in range(k):
+        op = dm.compose(op)
+    return op
+
+
+# Nonzero steps with unit and non-unit denominators, of both signs.
+nonzero_alphas = st.builds(
+    Fraction, st.integers(-9, 9).filter(bool), st.integers(1, 9)
+)
+
+
+class TestDeltaMinusPowerClosedForm:
+    """delta(-)^k is built from its shift expansion in one step; the k-fold
+    composition of delta(-) is the reference."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 6), st.integers(1, 9), nonzero_alphas)
+    def test_matches_composition(self, k, dim, alpha):
+        params = ModelParams(alpha, Fraction(1, 3), Fraction(2, 3))
+        assert delta_minus_power(k, dim, params) == composed_delta_minus_power(k, dim, params)
+
+    @pytest.mark.parametrize("alpha", STEPS)
+    def test_matches_composition_at_listed_steps(self, alpha):
+        params = ModelParams(alpha, Fraction(1, 3), Fraction(2, 3))
+        for k in range(7):
+            for dim in (1, 2, 6, 9):
+                assert delta_minus_power(k, dim, params) == composed_delta_minus_power(k, dim, params)
 
 
 def fraction_shift(h, dim):
@@ -150,14 +190,47 @@ def _mul_gamma(p, dim, params):
     return mul_poly(gamma_poly(p, SANDWICH_CENTER, params), dim)
 
 
+def per_term_sandwich(c, d, center, dim, params):
+    """The sandwich summed term by term as operators:
+    2^-B sum_k (-1)^k C(B, k) g_s T_{s alpha}, s = B - 2k, with g_s the
+    Fraction product over the roots center + alpha r left after the
+    reciprocal run cancels, cut back to dim."""
+    b, alpha = c + d, params.alpha
+    total = DiffOp(ExactMatrix.zeros(dim, dim))
+    for k in range(b + 1):
+        s = b - 2 * k
+        mult = Counter()
+        for p, offset in ((c, 0), (d, s)):
+            for r in range(abs(p) - 1, -abs(p), -2):
+                mult[r - offset] += 1 if p > 0 else -1
+        g = linear_product([center + alpha * r for r in mult.elements()])
+        term = mul_poly(g, dim).compose(fraction_shift(s * alpha, dim))
+        total = total + term.scale((-1) ** k * comb(b, k))
+    return total.scale(Fraction(1, 2**b)).truncate(dim)
+
+
 class TestGammaSandwich:
+    """The sandwich is summed on integer columns in one pass; the operator
+    compositions it replaced are the references."""
+
+    @pytest.mark.parametrize("alpha", STEPS)
+    def test_matches_per_term_operator_sum(self, alpha):
+        params = ModelParams(alpha, Fraction(1, 3), Fraction(2, 3))
+        for center in (SANDWICH_CENTER, Fraction(-5, 3)):
+            for c in range(-3, 4):
+                for d in range(-c, 4):
+                    for dim in (1, 6):
+                        assert _gamma_sandwich(c, d, center, dim, params) == per_term_sandwich(
+                            c, d, center, dim, params
+                        ), (c, d, dim)
+
     @pytest.mark.parametrize("k", range(4))
     @pytest.mark.parametrize("l", range(4))
     def test_polynomial_factors(self, k, l, params):
         """For k, l >= 0 the sandwich is gamma(k) delta-^(k+l) gamma(l) cut back."""
         dim = SANDWICH_DIM
         inner = _mul_gamma(l, dim, params)
-        inner = delta_minus_power(k + l, inner.out_dim, params).compose(inner)
+        inner = composed_delta_minus_power(k + l, inner.out_dim, params).compose(inner)
         expected = _mul_gamma(k, inner.out_dim, params).compose(inner).truncate(dim)
         assert _gamma_sandwich(k, l, SANDWICH_CENTER, dim, params) == expected
 
@@ -172,15 +245,23 @@ class TestGammaSandwich:
             lhs = _gamma_sandwich(c, d, SANDWICH_CENTER, dim - d, params).compose(
                 _mul_gamma(-d, dim, params)
             )
-            rhs = _mul_gamma(c, dim, params).compose(delta_minus_power(b, dim, params))
+            rhs = _mul_gamma(c, dim, params).compose(composed_delta_minus_power(b, dim, params))
         else:
             # gamma(|c|) S(c, d) = delta-^b gamma(d)
             lhs = _mul_gamma(-c, dim, params).compose(
                 _gamma_sandwich(c, d, SANDWICH_CENTER, dim, params)
             )
             inner = _mul_gamma(d, dim, params)
-            rhs = delta_minus_power(b, inner.out_dim, params).compose(inner)
+            rhs = composed_delta_minus_power(b, inner.out_dim, params).compose(inner)
         assert rhs.truncate(lhs.out_dim) == lhs
+
+    def test_zero_loss_check(self, params, monkeypatch):
+        """Shifts by s^2 alpha^2 instead of s alpha break the cancellation of
+        the top coefficients; the overflow is refused, not cut off."""
+        entries = polyrep._shift_entries
+        monkeypatch.setattr(polyrep, "_shift_entries", lambda p, q, dim: entries(p * p, q * q, dim))
+        with pytest.raises(ShapeMismatchError):
+            _gamma_sandwich(1, 1, SANDWICH_CENTER, SANDWICH_DIM, params)
 
     def test_negative_power_raises(self, params):
         with pytest.raises(ValueError):
@@ -360,7 +441,7 @@ class TestOmOperators:
         g2 = gamma_poly(m_minus, u2, params)
         expected = (
             mul_poly(g1 * g2, d + 1)
-            .compose(delta_minus_power(m, d + 1, params))
+            .compose(composed_delta_minus_power(m, d + 1, params))
             .truncate(d + 1)
             .scale(a ** (-m))
         )
@@ -378,7 +459,7 @@ class TestOmOperators:
         g1 = gamma_poly(m_plus, u1, params)
         g2 = gamma_poly(m_minus, u2, params)
         expected = (
-            delta_minus_power(m, d + 1 + m, params)
+            composed_delta_minus_power(m, d + 1 + m, params)
             .compose(mul_poly(g1 * g2, d + 1))
             .truncate(d + 1)
             .scale(a ** (-m))
@@ -463,9 +544,7 @@ class TestColumnKernel:
 
     def test_zero_loss_check(self, params, monkeypatch):
         """A delta(-) that does not lower the degree is refused, not truncated."""
-        shift = polyrep._shift_op
-        monkeypatch.setattr(
-            polyrep, "_shift_op", lambda h, dim, parity=None: DiffOp(shift(h, dim, parity).matrix.transpose())
-        )
+        entries = polyrep._shift_entries
+        monkeypatch.setattr(polyrep, "_shift_entries", lambda p, q, dim: [list(c) for c in zip(*entries(p, q, dim))])
         with pytest.raises(ShapeMismatchError):
             o_m_product_form(1, Fraction(5, 3), 0, 1, params, 3)

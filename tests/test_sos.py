@@ -266,6 +266,16 @@ class TestSosYbe:
         assert lhs == rhs
         assert lhs + 1 != rhs
 
+    def test_domain_checked_once_per_boundary(self, params, monkeypatch):
+        """The domain is checked on entry, not again for each face weight."""
+        calls = []
+        check = sos.check_weight_domain
+        monkeypatch.setattr(sos, "check_weight_domain", lambda p: calls.append(p) or check(p))
+        rng = random.Random(64)
+        bd = sample_admissible_boundary(2, 1, 1, rng)
+        assert check_ybe_sos(2, 1, 1, Fraction(5, 7), Fraction(2, 3), Fraction(1, 9), bd, params)
+        assert calls == [params]
+
     def test_integer_w_refused_where_both_sums_are_empty(self):
         # Both internal-height ranges are empty at this boundary, so the
         # check used to compare 0 = 0 and pass at integer w.
