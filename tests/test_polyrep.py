@@ -78,9 +78,7 @@ def composed_delta_minus_power(k, dim, params):
 
 
 # Nonzero steps with unit and non-unit denominators, of both signs.
-nonzero_alphas = st.builds(
-    Fraction, st.integers(-9, 9).filter(bool), st.integers(1, 9)
-)
+nonzero_alphas = st.builds(Fraction, st.integers(-9, 9).filter(bool), st.integers(1, 9))
 
 
 class TestDeltaMinusPowerClosedForm:
@@ -256,10 +254,11 @@ class TestGammaSandwich:
         assert rhs.truncate(lhs.out_dim) == lhs
 
     def test_zero_loss_check(self, params, monkeypatch):
-        """Shifts by s^2 alpha^2 instead of s alpha break the cancellation of
-        the top coefficients; the overflow is refused, not cut off."""
+        """A shift quadratic in s (by s^2 p alpha for alpha = p/q, not s alpha)
+        breaks the cancellation of the top coefficients; the overflow is
+        refused, not cut off."""
         entries = polyrep._shift_entries
-        monkeypatch.setattr(polyrep, "_shift_entries", lambda p, q, dim: entries(p * p, q * q, dim))
+        monkeypatch.setattr(polyrep, "_shift_entries", lambda p, q, dim: entries(p * p, q, dim))
         with pytest.raises(ShapeMismatchError):
             _gamma_sandwich(1, 1, SANDWICH_CENTER, SANDWICH_DIM, params)
 
