@@ -33,7 +33,6 @@ from .fusion import (
     symmetrizer,
 )
 from .polyrep import (
-    DiffOp,
     UnsupportedEvaluationPoint,
     delta_op,
     gamma_poly,

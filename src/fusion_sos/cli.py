@@ -76,14 +76,15 @@ def _emit(payload: dict, fmt: str, csv_header: list[str] | None = None) -> None:
 
 
 def _run_suite(name: str, cases, check) -> int:
-    """Evaluate ``check`` over ``cases``, print one line per case, count failures."""
-    failures = 0
-    results = [check(case) for case in cases]
-    for case, ok in zip(cases, results):
-        status = "pass" if ok else "FAIL"
-        print(f"[{name}] {case}: {status}")
-        if not ok:
-            failures += 1
+    """Check each case in turn, formatting its line as it is checked, and
+    count the failures.  The lines are written once the last case is
+    checked, so a suite that raises prints none of them."""
+    lines, failures = [], 0
+    for case in cases:
+        ok = check(case)
+        failures += not ok
+        lines.append(f"[{name}] {case}: {'pass' if ok else 'FAIL'}\n")
+    sys.stdout.write("".join(lines))
     return failures
 
 

@@ -12,20 +12,23 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .exactcore import ExactMatrix, ExactPolynomial, ScalarLike, kron, mat_mul, rat
-from .fusion import fuse_nm, sym_basis
-from .polyrep import intertwiner_poly
+from .fusion import fuse_nm
+from .polyrep import _shift_entries, intertwiner_poly
 from .vertex import ModelParams
 
 
 def shift_op(n: int, u: Fraction, params: ModelParams) -> ExactMatrix:
-    """Restriction of the n-fold elementary shift to the symmetric space."""
-    u = rat(u)
-    a1 = ExactMatrix([[1, 0], [-params.alpha * u, 1]])
-    full = a1
-    for _ in range(n - 1):
-        full = kron(full, a1)
-    basis = sym_basis(n)
-    return mat_mul(mat_mul(basis.project, full), basis.embed)
+    """Restriction of the n-fold elementary shift to the symmetric space.
+
+    Monomial coordinate k (k powers of the second variable) is the
+    polynomial (-z)^(n-k), on which the operator is the shift
+    z -> z + alpha*u.  So entry (k', k) is C(n-k, k'-k) (-alpha*u)^(k'-k):
+    the shift entry (n-k', n-k) of :func:`polyrep._shift_entries` by
+    -alpha*u, over den(alpha*u)^n.
+    """
+    h = -params.alpha * rat(u)
+    rows = _shift_entries(h.numerator, h.denominator, n + 1)
+    return ExactMatrix.from_integers([row[::-1] for row in reversed(rows)], h.denominator**n)
 
 
 def r11v(d: ScalarLike, params: ModelParams) -> ExactMatrix:

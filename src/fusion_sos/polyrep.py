@@ -1,12 +1,13 @@
 """Difference-operator realization on spaces of polynomials.
 
 Fused operators and intertwining vectors act on polynomials of bounded
-degree.  Operators are stored as rectangular matrices on coefficient vectors
-with explicit input and output dimensions, because individual building
-blocks (multiplication by z, by a linear factor) temporarily raise the
-degree even when the composite operator preserves it.  Truncation back to
-the target bound asserts that the dropped coefficients vanish, so a wrong
-composition cannot pass silently.
+degree.  An operator is a plain ``ExactMatrix`` on coefficient vectors
+(lowest power first) of shape (out_dim, in_dim), and operators compose with
+``@``.  The shape is rectangular because individual building blocks
+(multiplication by z, by a linear factor) temporarily raise the degree even
+when the composite operator preserves it.  Truncation back to the target
+bound (``_truncate``) asserts that the dropped coefficients vanish, so a
+wrong composition cannot pass silently.
 
 Every building block is built as integer numerators over one denominator
 (``ExactMatrix.from_integers``), so compositions run on the integer kernel
@@ -48,7 +49,6 @@ delta(-)^k entry by entry.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from math import comb, gcd
@@ -60,7 +60,6 @@ from .exactcore import (
     ShapeMismatchError,
     _root_product,
     common_denominator,
-    mat_mul,
     rat,
 )
 from .vertex import ModelParams, up_steps
@@ -70,71 +69,27 @@ class UnsupportedEvaluationPoint(ValueError):
     """A gamma exponent would be non-integer at the requested point."""
 
 
-@dataclass(frozen=True)
-class DiffOp:
-    """Linear operator between polynomial spaces of bounded degree.
+def _truncate(op: ExactMatrix, rows: int) -> ExactMatrix:
+    """The first ``rows`` rows of ``op``: its action cut back to degree < rows.
 
-    ``matrix`` has shape (out_dim, in_dim): it maps coefficient vectors of
-    polynomials of degree < in_dim to degree < out_dim.
+    The dropped rows must be exactly zero (``ShapeMismatchError``
+    otherwise), so a wrong composition cannot pass silently.
     """
-
-    matrix: ExactMatrix
-
-    @property
-    def in_dim(self) -> int:
-        return self.matrix.cols
-
-    @property
-    def out_dim(self) -> int:
-        return self.matrix.rows
-
-    @classmethod
-    def identity(cls, dim: int) -> "DiffOp":
-        return cls(ExactMatrix.identity(dim))
-
-    def pad_out(self, out_dim: int) -> "DiffOp":
-        if out_dim < self.out_dim:
-            raise ShapeMismatchError("cannot pad to a smaller output space")
-        if out_dim == self.out_dim:
-            return self
-        m = self.matrix
-        zeros = ((0,) * self.in_dim,) * (out_dim - self.out_dim)
-        return DiffOp(ExactMatrix.from_integers(m.numerators + zeros, m.denominator))
-
-    def truncate(self, out_dim: int) -> "DiffOp":
-        """Drop output rows above ``out_dim``, asserting they are exactly zero."""
-        if out_dim >= self.out_dim:
-            return self.pad_out(out_dim)
-        num = self.matrix.numerators
-        if any(map(any, num[out_dim:])):
-            raise ShapeMismatchError("truncation would discard nonzero coefficients")
-        return DiffOp(ExactMatrix.from_integers(num[:out_dim], self.matrix.denominator))
-
-    def compose(self, other: "DiffOp") -> "DiffOp":
-        """self applied after other."""
-        inner = other.pad_out(self.in_dim) if other.out_dim < self.in_dim else other
-        if inner.out_dim != self.in_dim:
-            raise ShapeMismatchError("composition dimensions do not chain")
-        return DiffOp(mat_mul(self.matrix, inner.matrix))
-
-    def __add__(self, other: "DiffOp") -> "DiffOp":
-        if self.in_dim != other.in_dim:
-            raise ShapeMismatchError("sum needs equal input spaces")
-        out = max(self.out_dim, other.out_dim)
-        return DiffOp(self.pad_out(out).matrix + other.pad_out(out).matrix)
-
-    def __sub__(self, other: "DiffOp") -> "DiffOp":
-        return self + other.scale(-1)
-
-    def scale(self, s: ScalarLike) -> "DiffOp":
-        return DiffOp(self.matrix.scale(s))
-
-    def apply(self, p: ExactPolynomial) -> ExactPolynomial:
-        column = ExactMatrix.column(p.coeff_vector(self.in_dim))
-        return ExactPolynomial(mat_mul(self.matrix, column).column_vector())
+    num = op.numerators
+    if any(map(any, num[rows:])):
+        raise ShapeMismatchError("truncation would discard nonzero coefficients")
+    return ExactMatrix.from_integers(num[:rows], op.denominator)
 
 
-def delta_op(sign: int, degree_bound: int, params: ModelParams) -> DiffOp:
+def _pad(op: ExactMatrix, rows: int) -> ExactMatrix:
+    """``op`` with zero rows appended up to ``rows``: its action into a larger space."""
+    if rows < op.rows:
+        raise ShapeMismatchError("cannot pad to a smaller output space")
+    zeros = ((0,) * op.cols,) * (rows - op.rows)
+    return ExactMatrix.from_integers(op.numerators + zeros, op.denominator)
+
+
+def delta_op(sign: int, degree_bound: int, params: ModelParams) -> ExactMatrix:
     """The averaged shift operator on polynomials of degree <= degree_bound.
 
     ((z + alpha)^j +|- (z - alpha)^j) / 2 keeps the binomial terms of
@@ -154,7 +109,7 @@ def _shift_entries(p: int, q: int, dim: int) -> list[list[int]]:
     return [[comb(j, i) * powers[j - i] if j >= i else 0 for j in range(dim)] for i in range(dim)]
 
 
-def _shift_op(h: Fraction, dim: int, parity: int | None = None) -> DiffOp:
+def _shift_op(h: Fraction, dim: int, parity: int | None = None) -> ExactMatrix:
     """The shift f(z) -> f(z + h) on polynomials of degree < dim.
 
     Entry (i, j) is C(j, i) h^(j-i), held as in :func:`_shift_entries`.
@@ -163,27 +118,27 @@ def _shift_op(h: Fraction, dim: int, parity: int | None = None) -> DiffOp:
     rows = _shift_entries(h.numerator, h.denominator, dim)
     if parity is not None:
         rows = [[x if (j - i) % 2 == parity else 0 for j, x in enumerate(row)] for i, row in enumerate(rows)]
-    return DiffOp(ExactMatrix.from_integers(rows, h.denominator ** (dim - 1)))
+    return ExactMatrix.from_integers(rows, h.denominator ** (dim - 1))
 
 
-def mul_z(in_dim: int) -> DiffOp:
+def mul_z(in_dim: int) -> ExactMatrix:
     """Multiplication by z: raises the degree bound by one."""
     return mul_poly(ExactPolynomial((0, 1)), in_dim)
 
 
-def mul_poly(q: ExactPolynomial, in_dim: int) -> DiffOp:
+def mul_poly(q: ExactPolynomial, in_dim: int) -> ExactMatrix:
     """Multiplication by a fixed polynomial."""
     if q.is_zero():
-        return DiffOp(ExactMatrix.zeros(1, in_dim))
+        return ExactMatrix.zeros(1, in_dim)
     den, nums = common_denominator(*q.coeffs)
     rows = [[0] * in_dim for _ in range(in_dim + q.degree)]
     for j in range(in_dim):
         for i, c in enumerate(nums):
             rows[i + j][j] = c
-    return DiffOp(ExactMatrix.from_integers(rows, den))
+    return ExactMatrix.from_integers(rows, den)
 
 
-def delta_minus_power(k: int, dim: int, params: ModelParams) -> DiffOp:
+def delta_minus_power(k: int, dim: int, params: ModelParams) -> ExactMatrix:
     """delta(-)^k on polynomials of degree < dim, in closed form.
 
     delta(-)^k = 2^-k sum_t (-1)^t C(k, t) T_{(k-2t) alpha}, so entry (i, j)
@@ -201,7 +156,7 @@ def delta_minus_power(k: int, dim: int, params: ModelParams) -> DiffOp:
     ]
     rows = _shift_entries(alpha.numerator, alpha.denominator, dim)
     rows = [[x * sums[j - i] if j >= i else 0 for j, x in enumerate(row)] for i, row in enumerate(rows)]
-    return DiffOp(ExactMatrix.from_integers(rows, 2**k * alpha.denominator ** (dim - 1)))
+    return ExactMatrix.from_integers(rows, 2**k * alpha.denominator ** (dim - 1))
 
 
 def gamma_poly(p: int, shift: ScalarLike, params: ModelParams) -> ExactPolynomial:
@@ -229,50 +184,51 @@ def star_triangle_check(
     gkl = gamma_poly(k + l, shift, params)
 
     lhs = mul_poly(gl, d + 1)
-    lhs = delta_minus_power(k + l, lhs.out_dim, params).compose(lhs)
-    lhs = mul_poly(gk, lhs.out_dim).compose(lhs)
-    lhs = lhs.truncate(d + 1)
+    lhs = delta_minus_power(k + l, lhs.rows, params) @ lhs
+    lhs = mul_poly(gk, lhs.rows) @ lhs
 
     rhs = delta_minus_power(k, d + 1, params)
-    rhs = mul_poly(gkl, rhs.out_dim).compose(rhs)
-    rhs = delta_minus_power(l, rhs.out_dim, params).compose(rhs)
-    rhs = rhs.truncate(d + 1)
-    return lhs == rhs
+    rhs = mul_poly(gkl, rhs.rows) @ rhs
+    rhs = delta_minus_power(l, rhs.rows, params) @ rhs
+    return _truncate(lhs, d + 1) == _truncate(rhs, d + 1)
 
 
-def r_n1_matrix(n: int, u: ScalarLike, params: ModelParams) -> tuple[tuple[DiffOp, DiffOp], tuple[DiffOp, DiffOp]]:
+def r_n1_matrix(n: int, u: ScalarLike, params: ModelParams) -> tuple[tuple[ExactMatrix, ExactMatrix], ...]:
     """The fused (n,1) operator as a 2x2 matrix of difference operators.
 
-    Entries act on polynomials of degree <= n; each entry maps that space
-    into itself even though the individual terms overshoot by up to two
-    degrees, so sums are padded to the largest term and truncated with a
-    zero-loss check.
+    Entries act on polynomials of degree <= n and map that space into
+    itself.  delta(-) lowers the degree, so z delta(-) stays in the space;
+    in the lower left entry z^2 delta(-) and z delta(+) overshoot by one
+    degree, and their sum is cut back with a zero-loss check.
     """
     u = rat(u)
     alpha = params.alpha
     dim = n + 1
     dp = delta_op(1, n, params)
     dm = delta_op(-1, n, params)
-    z1 = mul_z(dim)
-    z2 = mul_z(dim + 1).compose(z1)
+    zdm = mul_z(dim) @ dm
+    zdm_cut = _truncate(zdm, dim)
 
-    a11 = dp.scale(u) + z1.compose(dm).scale(1 / alpha)
+    a11 = dp.scale(u) + zdm_cut.scale(1 / alpha)
     a12 = dm.scale(-1 / alpha)
-    a21 = z2.compose(dm).scale(1 / alpha) + z1.compose(dp).scale(-n) + dm.scale(-alpha * u * (u + n))
-    a22 = dp.scale(u + n) + z1.compose(dm).scale(-1 / alpha)
-    return ((a11.truncate(dim), a12), (a21.truncate(dim), a22.truncate(dim)))
+    a21 = (
+        _truncate(mul_z(dim + 1) @ zdm, dim + 1).scale(1 / alpha)
+        + (mul_z(dim) @ dp).scale(-n)
+        + _pad(dm, dim + 1).scale(-alpha * u * (u + n))
+    )
+    a22 = dp.scale(u + n) + zdm_cut.scale(-1 / alpha)
+    return ((a11, a12), (_truncate(a21, dim), a22))
 
 
-def assemble_2x2(ops: tuple[tuple[DiffOp, DiffOp], tuple[DiffOp, DiffOp]]) -> ExactMatrix:
+def assemble_2x2(ops: tuple[tuple[ExactMatrix, ExactMatrix], ...]) -> ExactMatrix:
     """Interleave a 2x2 block of equal-size operators into one matrix.
 
     Row and column order is (coefficient index major, C^2 index minor),
     matching the restricted fused matrices after the monomial-to-coefficient
     change of basis.
     """
-    size = 2 * ops[0][0].in_dim
-    mats = [[op.matrix for op in row] for row in ops]
-    return ExactMatrix([[mats[i % 2][j % 2][i // 2, j // 2] for j in range(size)] for i in range(size)])
+    size = 2 * ops[0][0].cols
+    return ExactMatrix([[ops[i % 2][j % 2][i // 2, j // 2] for j in range(size)] for i in range(size)])
 
 
 def monomial_to_coeff_matrix(n: int) -> ExactMatrix:
@@ -350,7 +306,7 @@ def _o_m_apply(m: int, u: Fraction, b: int, c: int, params: ModelParams, cols, d
     return cols, den
 
 
-def o_m_product_form(m: int, u: ScalarLike, b: int, c: int, params: ModelParams, degree_bound: int) -> DiffOp:
+def o_m_product_form(m: int, u: ScalarLike, b: int, c: int, params: ModelParams, degree_bound: int) -> ExactMatrix:
     """The height-changing operator as an ordered product of first-order factors.
 
     Each factor is {[z - z0] delta(-) + alpha(u - shift) delta(+)} and
@@ -359,10 +315,10 @@ def o_m_product_form(m: int, u: ScalarLike, b: int, c: int, params: ModelParams,
     """
     unit = ExactMatrix.identity(degree_bound + 1).numerators
     cols, den = _o_m_apply(m, rat(u), b, c, params, unit, 1)
-    return DiffOp(ExactMatrix.from_integers(zip(*cols), den))
+    return ExactMatrix.from_integers(zip(*cols), den)
 
 
-def _gamma_sandwich(c: int, d: int, center: Fraction, dim: int, params: ModelParams) -> DiffOp:
+def _gamma_sandwich(c: int, d: int, center: Fraction, dim: int, params: ModelParams) -> ExactMatrix:
     """gamma(z - center, c) delta(-)^(c+d) gamma(z - center, d) on degree < dim.
 
     Either exponent may be negative (a reciprocal factor) as long as
@@ -380,7 +336,7 @@ def _gamma_sandwich(c: int, d: int, center: Fraction, dim: int, params: ModelPar
     coefficients of :func:`_root_product` at z^i times den^i, and
     (z + s alpha)^j those of the shift by s p / q (:func:`_shift_entries`).
     The operator preserves the degree; the coefficients at z^dim and above
-    must vanish (``ShapeMismatchError`` otherwise) and are cut off.
+    must vanish and are cut off by :func:`_truncate`.
     """
     b = c + d
     if b < 0:
@@ -406,15 +362,13 @@ def _gamma_sandwich(c: int, d: int, center: Fraction, dim: int, params: ModelPar
                 if x:
                     for r, y in enumerate(g, i):
                         col[r] += x * y
-    if any(any(col[dim:]) for col in cols):
-        raise ShapeMismatchError("truncation would discard nonzero coefficients")
-    rows = zip(*(col[:dim] for col in cols))
-    return DiffOp(ExactMatrix.from_integers(rows, 2**b * den**b * alpha.denominator ** (dim - 1)))
+    op = ExactMatrix.from_integers(zip(*cols), 2**b * den**b * alpha.denominator ** (dim - 1))
+    return _truncate(op, dim)
 
 
 def o_m_gamma_form(
     m: int, u: ScalarLike, b: int, c: int, params: ModelParams, degree_bound: int
-) -> DiffOp:
+) -> ExactMatrix:
     """The factorized form of the height-changing operator, at integer u in {0..m}.
 
     The operator is alpha^(-m) S(m+ - u, u; u1) S(m - u, u - m+; u2), where
@@ -438,4 +392,4 @@ def o_m_gamma_form(
     dim = degree_bound + 1
     half2 = _gamma_sandwich(m - ui, ui - m_plus, u2, dim, params)
     half1 = _gamma_sandwich(m_plus - ui, ui, u1, dim, params)
-    return half1.compose(half2).scale(alpha ** (-m))
+    return (half1 @ half2).scale(alpha ** (-m))

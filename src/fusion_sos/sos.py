@@ -69,6 +69,17 @@ def check_weight_domain(params: ModelParams) -> None:
         raise DegenerateParameterPoint("w is an integer, outside the domain of the face weights")
 
 
+def _admissible(n: int, m: int, a: int, b: int, bp: int, c: int) -> bool:
+    """The face (a, b, b', c) of orders (n, m) is adjacent on all four edges:
+    b to a and b' to c at distance n, a to b' and b to c at distance m."""
+    return (
+        up_steps(a, b, n) is not None
+        and up_steps(c, bp, n) is not None
+        and up_steps(bp, a, m) is not None
+        and up_steps(c, b, m) is not None
+    )
+
+
 @dataclass(frozen=True)
 class WeightQuery:
     """One face: fused orders (n, m), heights (a, b, b', c), spectral parameter u."""
@@ -91,12 +102,7 @@ class WeightQuery:
         object.__setattr__(self, "u", rat(u))
 
     def is_valid(self) -> bool:
-        return (
-            up_steps(self.a, self.b, self.n) is not None
-            and up_steps(self.c, self.bprime, self.n) is not None
-            and up_steps(self.bprime, self.a, self.m) is not None
-            and up_steps(self.c, self.b, self.m) is not None
-        )
+        return _admissible(self.n, self.m, self.a, self.b, self.bprime, self.c)
 
 
 def _safe_div(num: Fraction, den: Fraction) -> Fraction:
@@ -250,12 +256,7 @@ def _w_nm_sum(n: int, m: int, a: int, b: int, bp: int, c: int, u: Fraction, w: F
 def _face_weight(n: int, m: int, a: int, b: int, bp: int, c: int, u: Fraction, w: Fraction) -> Fraction:
     """The sum-route weight on plain arguments, for callers that checked the
     domain on entry: zero off adjacency, else the cached :func:`_w_nm_sum`."""
-    if (
-        up_steps(a, b, n) is None
-        or up_steps(c, bp, n) is None
-        or up_steps(bp, a, m) is None
-        or up_steps(c, b, m) is None
-    ):
+    if not _admissible(n, m, a, b, bp, c):
         return Fraction(0)
     return _w_nm_sum(n, m, a, b, bp, c, u, w)
 
@@ -564,12 +565,7 @@ def gauge_w11_float(a: int, b: int, bp: int, c: int, u: float, w: float) -> floa
     Raises :class:`PoleError` where l + w = 0 (l = c) and the face has a
     denominator, as :func:`w11` does, and refuses negative radicands.
     """
-    if not (
-        up_steps(a, b, 1) is not None
-        and up_steps(c, bp, 1) is not None
-        and up_steps(bp, a, 1) is not None
-        and up_steps(c, b, 1) is not None
-    ):
+    if not _admissible(1, 1, a, b, bp, c):
         return 0.0
     if abs(a - c) == 2:
         return u + 1.0

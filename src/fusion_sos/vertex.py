@@ -88,19 +88,9 @@ def permutation_op(d: int) -> ExactMatrix:
 def check_degeneracy(params: ModelParams) -> Fraction:
     """Return c with r7v(-1) = c (I - P); fails if no such constant exists."""
     r = r7v(Fraction(-1), params)
-    ip = ExactMatrix.identity(4) - permutation_op(2)
-    c = None
-    for i in range(4):
-        for j in range(4):
-            if ip[i, j] != 0:
-                ratio = r[i, j] / ip[i, j]
-                if c is None:
-                    c = ratio
-                elif ratio != c:
-                    raise ValueError("r7v(-1) is not proportional to I - P")
-            elif r[i, j] != 0:
-                raise ValueError("r7v(-1) is not proportional to I - P")
-    assert c is not None
+    c = -r[1, 2]
+    if r != (ExactMatrix.identity(4) - permutation_op(2)).scale(c):
+        raise ValueError("r7v(-1) is not proportional to I - P")
     return c
 
 
@@ -162,10 +152,14 @@ def check_ybe_vertex(
     """Exact test of r12 r13 r23 = r23 r13 r12 on the full product space.
 
     The operators are local: r12 acts on factors (0, 1), r13 on (0, 2) and
-    r23 on (1, 2) of the space with the given dimensions, and each is
-    applied by :func:`apply_two_site`.  Pass them evaluated at the argument
-    pattern (v, u, u - v).
+    r23 on (1, 2) of the space with the given dimensions; pass them
+    evaluated at the argument pattern (v, u, u - v).  Each side starts from
+    one shared identity and applies its three factors, rightmost first, by
+    :func:`apply_two_site`.
     """
-    lhs = apply_two_site(r13, (0, 2), dims, embed_two_site(r23, (1, 2), dims))
-    rhs = apply_two_site(r13, (0, 2), dims, embed_two_site(r12, (0, 1), dims))
-    return apply_two_site(r12, (0, 1), dims, lhs) == apply_two_site(r23, (1, 2), dims, rhs)
+    lhs = rhs = ExactMatrix.identity(prod(dims))
+    for op, pos in ((r23, (1, 2)), (r13, (0, 2)), (r12, (0, 1))):
+        lhs = apply_two_site(op, pos, dims, lhs)
+    for op, pos in ((r12, (0, 1)), (r13, (0, 2)), (r23, (1, 2))):
+        rhs = apply_two_site(op, pos, dims, rhs)
+    return lhs == rhs

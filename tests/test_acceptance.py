@@ -160,9 +160,9 @@ def test_06_om_identity():
                     ) == o_m_gamma_form(m, Fraction(u), b, c, PARAMS, bound)
                 # Interpolation certificate: entries have degree <= m in u.
                 nodes = [Fraction(j) + Fraction(1, 5) for j in range(m + 2)]
-                mats = [o_m_product_form(m, x, b, c, PARAMS, bound).matrix for x in nodes]
+                mats = [o_m_product_form(m, x, b, c, PARAMS, bound) for x in nodes]
                 extra = Fraction(23, 7)
-                extra_mat = o_m_product_form(m, extra, b, c, PARAMS, bound).matrix
+                extra_mat = o_m_product_form(m, extra, b, c, PARAMS, bound)
                 for i in range(bound + 1):
                     for j in range(bound + 1):
                         poly = lagrange_interpolate(

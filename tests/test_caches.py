@@ -18,7 +18,7 @@ KEPT_CACHES = {
     "fusion_sos.vertex.r7v",
     # verify-cli 80/81, face-weights 21/22.
     "fusion_sos.fusion.symmetrizer",
-    # verify-cli 176/178, fused-ybe 78/82, face-weights 48/50, lattice 4/6.
+    # verify-cli 176/178, face-weights 48/50, fused-ybe 14/18, lattice 4/6.
     "fusion_sos.fusion.sym_basis",
     # fused-ybe 185/188, lattice 81/82, verify-cli 50/51, face-weights 5/6.
     "fusion_sos.fusion._peel_first",

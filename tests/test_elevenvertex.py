@@ -6,11 +6,20 @@ import pytest
 from fusion_sos.correspondence import solve_weights_from_relation
 from fusion_sos.elevenvertex import psi_const, r11v, shift_op, similarity_fused
 from fusion_sos.exactcore import ExactMatrix, ExactPolynomial, kron, mat_mul, poly_shift
-from fusion_sos.fusion import symmetrizer
+from fusion_sos.fusion import sym_basis, symmetrizer
 from fusion_sos.polyrep import intertwiner_poly, monomial_to_coeff_matrix
-from fusion_sos.vertex import check_ybe_vertex
+from fusion_sos.vertex import ModelParams, check_ybe_vertex
 
 from conftest import spectral_pair
+
+
+def kronecker_shift(n, u, params):
+    """The n-fold Kronecker power of the elementary shift [[1, 0], [-alpha u, 1]]."""
+    a1 = ExactMatrix([[1, 0], [-params.alpha * u, 1]])
+    full = a1
+    for _ in range(n - 1):
+        full = kron(full, a1)
+    return full
 
 
 class TestShiftOp:
@@ -28,13 +37,19 @@ class TestShiftOp:
         inv = shift_op(n, -u, params)
         assert mat_mul(a, inv) == ExactMatrix.identity(n + 1)
 
+    @pytest.mark.parametrize("alpha", [Fraction(3, 2), Fraction(-2, 3), Fraction(1)])
+    def test_matches_restricted_kronecker_power(self, alpha):
+        """The shift entries equal the Kronecker power projected by sym_basis."""
+        params = ModelParams(alpha)
+        for n in range(1, 6):
+            basis = sym_basis(n)
+            for u in (Fraction(0), Fraction(7, 3), Fraction(-5, 4), Fraction(2)):
+                restricted = mat_mul(mat_mul(basis.project, kronecker_shift(n, u, params)), basis.embed)
+                assert shift_op(n, u, params) == restricted
+
     @pytest.mark.parametrize("n", [2, 3])
     def test_commutes_with_symmetrizer(self, n, params):
-        u = Fraction(3, 5)
-        a1 = ExactMatrix([[1, 0], [-params.alpha * u, 1]])
-        full = a1
-        for _ in range(n - 1):
-            full = kron(full, a1)
+        full = kronecker_shift(n, Fraction(3, 5), params)
         pi = symmetrizer(n)
         assert mat_mul(full, pi) == mat_mul(pi, full)
 

@@ -19,10 +19,11 @@ from fusion_sos.exactcore import (
 from fusion_sos import correspondence, polyrep
 from fusion_sos.fusion import fuse_nm
 from fusion_sos.polyrep import (
-    DiffOp,
     UnsupportedEvaluationPoint,
     _gamma_sandwich,
+    _pad,
     _shift_op,
+    _truncate,
     assemble_2x2,
     delta_minus_power,
     delta_op,
@@ -44,24 +45,30 @@ Z = ExactPolynomial((0, 1))
 STEPS = [Fraction(2), Fraction(-1), Fraction(5, 3), Fraction(-4, 3), Fraction(3, 7), Fraction(-9, 7)]
 
 
+def apply(op, p):
+    """The polynomial whose coefficient column is op times that of p."""
+    column = ExactMatrix.column(p.coeff_vector(op.cols))
+    return ExactPolynomial(mat_mul(op, column).column_vector())
+
+
 class TestDeltaOps:
     def test_plus_fixes_constants(self, params):
         dp = delta_op(1, 4, params)
-        assert dp.apply(ExactPolynomial.one()) == ExactPolynomial.one()
+        assert apply(dp, ExactPolynomial.one()) == ExactPolynomial.one()
 
     def test_low_degree_actions(self, params):
         a = params.alpha
         dm = delta_op(-1, 4, params)
         dp = delta_op(1, 4, params)
-        assert dm.apply(Z) == ExactPolynomial((a,))
-        assert dm.apply(Z * Z) == ExactPolynomial((0, 2 * a))
-        assert dp.apply(Z * Z) == ExactPolynomial((a * a, 0, 1))
+        assert apply(dm, Z) == ExactPolynomial((a,))
+        assert apply(dm, Z * Z) == ExactPolynomial((0, 2 * a))
+        assert apply(dp, Z * Z) == ExactPolynomial((a * a, 0, 1))
 
     def test_minus_power_annihilates(self, params):
         d = 3
         big = delta_minus_power(d + 1, d + 1, params)
         for j in range(d + 1):
-            assert big.apply(ExactPolynomial.monomial(j)).is_zero()
+            assert apply(big, ExactPolynomial.monomial(j)).is_zero()
 
     def test_minus_power_refuses_negative_exponent(self, params):
         with pytest.raises(ValueError):
@@ -70,10 +77,10 @@ class TestDeltaOps:
 
 def composed_delta_minus_power(k, dim, params):
     """delta(-)^k as the k-fold composition of delta_op(-1)."""
-    op = DiffOp.identity(dim)
+    op = ExactMatrix.identity(dim)
     dm = delta_op(-1, dim - 1, params)
     for _ in range(k):
-        op = dm.compose(op)
+        op = dm @ op
     return op
 
 
@@ -102,7 +109,7 @@ class TestDeltaMinusPowerClosedForm:
 def fraction_shift(h, dim):
     """The shift f(z) -> f(z + h) from Fraction rows: column j is poly_shift of z^j."""
     cols = [poly_shift(ExactPolynomial.monomial(j), h).coeff_vector(dim) for j in range(dim)]
-    return DiffOp(ExactMatrix(list(zip(*cols))))
+    return ExactMatrix(list(zip(*cols)))
 
 
 def linear_product(roots, lead=1):
@@ -134,9 +141,9 @@ class TestIntegerBuildersMatchFractionReferences:
     def test_multiplication_operators(self):
         q = ExactPolynomial((Fraction(-2, 7), Fraction(5, 3), 0, Fraction(1, 21)))
         p = ExactPolynomial((Fraction(1, 2), -3, Fraction(7, 4)))
-        assert mul_poly(q, 3).apply(p) == q * p
-        assert mul_poly(ExactPolynomial.zero(), 3).apply(p).is_zero()
-        assert mul_z(3).apply(p) == Z * p
+        assert apply(mul_poly(q, 3), p) == q * p
+        assert apply(mul_poly(ExactPolynomial.zero(), 3), p).is_zero()
+        assert apply(mul_z(3), p) == Z * p
 
     @pytest.mark.parametrize("alpha", STEPS)
     def test_gamma_poly_is_product_of_linear_factors(self, alpha):
@@ -194,7 +201,7 @@ def per_term_sandwich(c, d, center, dim, params):
     Fraction product over the roots center + alpha r left after the
     reciprocal run cancels, cut back to dim."""
     b, alpha = c + d, params.alpha
-    total = DiffOp(ExactMatrix.zeros(dim, dim))
+    total = ExactMatrix.zeros(dim + b, dim)
     for k in range(b + 1):
         s = b - 2 * k
         mult = Counter()
@@ -202,9 +209,9 @@ def per_term_sandwich(c, d, center, dim, params):
             for r in range(abs(p) - 1, -abs(p), -2):
                 mult[r - offset] += 1 if p > 0 else -1
         g = linear_product([center + alpha * r for r in mult.elements()])
-        term = mul_poly(g, dim).compose(fraction_shift(s * alpha, dim))
+        term = _pad(mul_poly(g, dim) @ fraction_shift(s * alpha, dim), dim + b)
         total = total + term.scale((-1) ** k * comb(b, k))
-    return total.scale(Fraction(1, 2**b)).truncate(dim)
+    return _truncate(total.scale(Fraction(1, 2**b)), dim)
 
 
 class TestGammaSandwich:
@@ -228,8 +235,8 @@ class TestGammaSandwich:
         """For k, l >= 0 the sandwich is gamma(k) delta-^(k+l) gamma(l) cut back."""
         dim = SANDWICH_DIM
         inner = _mul_gamma(l, dim, params)
-        inner = composed_delta_minus_power(k + l, inner.out_dim, params).compose(inner)
-        expected = _mul_gamma(k, inner.out_dim, params).compose(inner).truncate(dim)
+        inner = composed_delta_minus_power(k + l, inner.rows, params) @ inner
+        expected = _truncate(_mul_gamma(k, inner.rows, params) @ inner, dim)
         assert _gamma_sandwich(k, l, SANDWICH_CENTER, dim, params) == expected
 
     @pytest.mark.parametrize(
@@ -240,18 +247,14 @@ class TestGammaSandwich:
         dim, b = SANDWICH_DIM, c + d
         if d < 0:
             # S(c, d) gamma(|d|) = gamma(c) delta-^b
-            lhs = _gamma_sandwich(c, d, SANDWICH_CENTER, dim - d, params).compose(
-                _mul_gamma(-d, dim, params)
-            )
-            rhs = _mul_gamma(c, dim, params).compose(composed_delta_minus_power(b, dim, params))
+            lhs = _gamma_sandwich(c, d, SANDWICH_CENTER, dim - d, params) @ _mul_gamma(-d, dim, params)
+            rhs = _mul_gamma(c, dim, params) @ composed_delta_minus_power(b, dim, params)
         else:
             # gamma(|c|) S(c, d) = delta-^b gamma(d)
-            lhs = _mul_gamma(-c, dim, params).compose(
-                _gamma_sandwich(c, d, SANDWICH_CENTER, dim, params)
-            )
+            lhs = _mul_gamma(-c, dim, params) @ _gamma_sandwich(c, d, SANDWICH_CENTER, dim, params)
             inner = _mul_gamma(d, dim, params)
-            rhs = composed_delta_minus_power(b, inner.out_dim, params).compose(inner)
-        assert rhs.truncate(lhs.out_dim) == lhs
+            rhs = composed_delta_minus_power(b, inner.rows, params) @ inner
+        assert _truncate(rhs, lhs.rows) == lhs
 
     def test_zero_loss_check(self, params, monkeypatch):
         """A shift quadratic in s (by s^2 p alpha for alpha = p/q, not s alpha)
@@ -289,58 +292,80 @@ def test_commutation_identities(p, params):
     dp_small = delta_op(1, d, params)
     dm_small = delta_op(-1, d, params)
 
-    lhs = dm.compose(mul_poly(gp, d + 1))
-    bracket = mul_z(d + 1).compose(dm_small) + dp_small.scale(p * a).pad_out(d + 2)
-    rhs = mul_poly(gp1, d + 2).compose(bracket)
-    assert lhs.pad_out(rhs.out_dim) == rhs
+    lhs = dm @ mul_poly(gp, d + 1)
+    bracket = mul_z(d + 1) @ dm_small + _pad(dp_small.scale(p * a), d + 2)
+    rhs = mul_poly(gp1, d + 2) @ bracket
+    assert _pad(lhs, rhs.rows) == rhs
 
-    lhs2 = mul_poly(gp, d + 1).compose(delta_op(-1, d, params))
+    lhs2 = mul_poly(gp, d + 1) @ delta_op(-1, d, params)
     gdim = d + p  # degree bound after multiplying by gamma(p - 1)
-    bracket2 = delta_op(-1, gdim, params).compose(mul_z(gdim)) - delta_op(
-        1, gdim - 1, params
-    ).scale(p * a).pad_out(gdim + 2)
-    rhs2 = bracket2.compose(mul_poly(gp1, d + 1))
-    assert lhs2.pad_out(rhs2.out_dim) == rhs2
+    bracket2 = delta_op(-1, gdim, params) @ mul_z(gdim) - _pad(delta_op(1, gdim - 1, params).scale(p * a), gdim + 1)
+    rhs2 = bracket2 @ mul_poly(gp1, d + 1)
+    assert _pad(lhs2, rhs2.rows) == rhs2
 
 
-class TestDiffOpShapes:
+class TestTruncateAndPad:
+    """The two shape helpers: ``_truncate`` cuts an operator back to a smaller
+    output space and refuses to drop a nonzero row; ``_pad`` adds zero rows."""
+
     def test_truncate_refuses_nonzero_integer_rows(self):
         # A kernel result (integer form) whose top row is z^2 * z^2 / 3.
-        op = mul_z(4).compose(mul_z(3)).scale(Fraction(1, 3))
-        assert op.out_dim == 5
+        op = (mul_z(4) @ mul_z(3)).scale(Fraction(1, 3))
+        assert op.rows == 5
         with pytest.raises(ShapeMismatchError):
-            op.truncate(4)
+            _truncate(op, 4)
 
     def test_truncate_refuses_nonzero_fraction_rows(self):
         # Multiplication by z built from Fraction rows; its top row holds z^3 -> z^4.
         rows = [[Fraction(int(i == j + 1)) for j in range(3)] for i in range(4)]
         with pytest.raises(ShapeMismatchError):
-            DiffOp(ExactMatrix(rows)).truncate(3)
+            _truncate(ExactMatrix(rows), 3)
 
     def test_truncate_keeps_exact_action(self, params):
         # delta(-) lowers the degree, so z * delta(-) fits back in degree < 4.
         dm = delta_op(-1, 3, params).scale(Fraction(2, 5))
-        op = mul_z(4).compose(dm)
-        cut = op.truncate(4)
-        assert cut.out_dim == 4
+        op = mul_z(4) @ dm
+        cut = _truncate(op, 4)
+        assert cut.rows == 4
         p = ExactPolynomial((Fraction(1, 2), -3, Fraction(7, 4), 2))
-        assert cut.apply(p) == op.apply(p) == Z * dm.apply(p)
+        assert apply(cut, p) == apply(op, p) == Z * apply(dm, p)
 
-    def test_pad_out_refuses_smaller_space(self, params):
+    def test_pad_refuses_smaller_space(self, params):
         with pytest.raises(ShapeMismatchError):
-            delta_op(1, 3, params).pad_out(3)
+            _pad(delta_op(1, 3, params), 3)
         with pytest.raises(ShapeMismatchError):
-            mul_z(4).compose(mul_z(3)).pad_out(4)
+            _pad(mul_z(4) @ mul_z(3), 4)
 
     def test_pad_then_truncate_round_trip(self, params):
         for op in (
             delta_op(1, 3, params),
             mul_z(3),
-            mul_z(4).compose(delta_op(-1, 3, params)).scale(Fraction(-3, 7)),
+            (mul_z(4) @ delta_op(-1, 3, params)).scale(Fraction(-3, 7)),
         ):
-            padded = op.pad_out(op.out_dim + 3)
-            assert padded.out_dim == op.out_dim + 3
-            assert padded.truncate(op.out_dim) == op
+            padded = _pad(op, op.rows + 3)
+            assert padded.rows == op.rows + 3
+            assert _truncate(padded, op.rows) == op
+
+
+def test_builders_return_matrices_of_documented_shape(params):
+    """Every operator builder returns a plain (out_dim x in_dim) ExactMatrix."""
+    q = ExactPolynomial((Fraction(1, 3), 0, 2))
+    shapes = [
+        (delta_op(1, 4, params), (5, 5)),
+        (delta_op(-1, 4, params), (5, 5)),
+        (_shift_op(Fraction(-4, 3), 6), (6, 6)),
+        (mul_z(3), (4, 3)),
+        (mul_poly(q, 3), (5, 3)),
+        (mul_poly(ExactPolynomial.zero(), 3), (1, 3)),
+        (delta_minus_power(2, 6, params), (6, 6)),
+        (_gamma_sandwich(-1, 3, SANDWICH_CENTER, 4, params), (4, 4)),
+        (o_m_product_form(2, Fraction(5, 3), 0, 2, params, 4), (5, 5)),
+        (o_m_gamma_form(2, Fraction(1), 0, 2, params, 4), (5, 5)),
+    ]
+    shapes += [(op, (4, 4)) for row in r_n1_matrix(3, Fraction(4, 7), params) for op in row]
+    for op, shape in shapes:
+        assert type(op) is ExactMatrix
+        assert (op.rows, op.cols) == shape
 
 
 class TestRn1Matrix:
@@ -348,7 +373,7 @@ class TestRn1Matrix:
         n, u = 3, Fraction(4, 7)
         for row in r_n1_matrix(n, u, params):
             for op in row:
-                assert op.in_dim == op.out_dim == n + 1
+                assert op.rows == op.cols == n + 1
 
     def test_n1_reproduces_elementary(self, params):
         u = Fraction(9, 5)
@@ -397,7 +422,7 @@ class TestIntertwinerPoly:
 class TestOmOperators:
     def test_m0_is_identity(self, params):
         op = o_m_product_form(0, Fraction(5, 3), 2, 2, params, 4)
-        assert op == DiffOp.identity(5)
+        assert op == ExactMatrix.identity(5)
 
     def test_m1_single_factor_structure(self, params):
         """For one down-step the operator is a single first-order factor."""
@@ -409,10 +434,7 @@ class TestOmOperators:
         z0 = a * (-u + Fraction(1 + b + c, 2) + params.s)
         dm = delta_op(-1, d, params)
         dp = delta_op(1, d, params)
-        manual = (
-            mul_poly(ExactPolynomial((-z0, 1)), d + 1).compose(dm).truncate(d + 1)
-            + dp.scale(a * u)
-        ).scale(1 / a)
+        manual = (_truncate(mul_poly(ExactPolynomial((-z0, 1)), d + 1) @ dm, d + 1) + dp.scale(a * u)).scale(1 / a)
         assert op == manual
 
     @pytest.mark.parametrize("m", [1, 2, 3])
@@ -438,12 +460,8 @@ class TestOmOperators:
         u2 = a * (Fraction(m + b + c, 2) + params.s)
         g1 = gamma_poly(m_plus, u1, params)
         g2 = gamma_poly(m_minus, u2, params)
-        expected = (
-            mul_poly(g1 * g2, d + 1)
-            .compose(composed_delta_minus_power(m, d + 1, params))
-            .truncate(d + 1)
-            .scale(a ** (-m))
-        )
+        expected = _truncate(mul_poly(g1 * g2, d + 1) @ composed_delta_minus_power(m, d + 1, params), d + 1)
+        expected = expected.scale(a ** (-m))
         assert o_m_gamma_form(m, Fraction(0), b, c, params, d) == expected
 
     def test_gamma_form_um_reduction(self, params):
@@ -457,12 +475,8 @@ class TestOmOperators:
         u2 = a * (-m + Fraction(m + b + c, 2) + params.s)
         g1 = gamma_poly(m_plus, u1, params)
         g2 = gamma_poly(m_minus, u2, params)
-        expected = (
-            composed_delta_minus_power(m, d + 1 + m, params)
-            .compose(mul_poly(g1 * g2, d + 1))
-            .truncate(d + 1)
-            .scale(a ** (-m))
-        )
+        expected = _truncate(composed_delta_minus_power(m, d + 1 + m, params) @ mul_poly(g1 * g2, d + 1), d + 1)
+        expected = expected.scale(a ** (-m))
         assert o_m_gamma_form(m, Fraction(m), b, c, params, d) == expected
 
     @pytest.mark.parametrize("m", [1, 2, 3])
@@ -471,9 +485,9 @@ class TestOmOperators:
         b, c = 1, 1 + (-m if m % 2 else -m)  # keep adjacency: c - b = -m
         d = 4
         nodes = [Fraction(k, 1) + Fraction(1, 5) for k in range(m + 2)]
-        mats = {x: o_m_product_form(m, x, b, c, params, d).matrix for x in nodes}
+        mats = {x: o_m_product_form(m, x, b, c, params, d) for x in nodes}
         extra = Fraction(17, 3)
-        extra_mat = o_m_product_form(m, extra, b, c, params, d).matrix
+        extra_mat = o_m_product_form(m, extra, b, c, params, d)
         for i in range(d + 1):
             for j in range(d + 1):
                 pts = [(x, mats[x][i, j]) for x in nodes]
@@ -483,21 +497,21 @@ class TestOmOperators:
 
 
 def composed_product_form(m, u, b, c, params, degree_bound):
-    """The height-changing operator composed one DiffOp factor at a time:
-    mul_poly(z - z0).compose(delta-).truncate(dim) + delta+.scale(alpha coef),
-    rightmost factor first, times alpha^(-m)."""
+    """The height-changing operator composed one operator factor at a time:
+    (z - z0) delta- cut back to dim plus alpha coef delta+, rightmost factor
+    first, times alpha^(-m)."""
     m_plus = up_steps(b, c, m)
     alpha, dim = params.alpha, degree_bound + 1
     dp, dm = delta_op(1, degree_bound, params), delta_op(-1, degree_bound, params)
 
     def factor(z0, coef):
-        return mul_poly(ExactPolynomial((-z0, 1)), dim).compose(dm).truncate(dim) + dp.scale(alpha * coef)
+        return _truncate(mul_poly(ExactPolynomial((-z0, 1)), dim) @ dm, dim) + dp.scale(alpha * coef)
 
-    op = DiffOp.identity(dim)
+    op = ExactMatrix.identity(dim)
     for lp in range(m - m_plus):
-        op = factor(alpha * (-u + Fraction(m + b + c, 2) + params.s), u - m_plus - lp).compose(op)
+        op = factor(alpha * (-u + Fraction(m + b + c, 2) + params.s), u - m_plus - lp) @ op
     for l in range(m_plus):
-        op = factor(alpha * (-u + Fraction(m - b - c, 2) - params.t), u - l).compose(op)
+        op = factor(alpha * (-u + Fraction(m - b - c, 2) - params.t), u - l) @ op
     return op.scale(alpha ** (-m))
 
 
@@ -537,7 +551,7 @@ class TestColumnKernel:
             seen.clear()
             correspondence.solve_weights_from_relation(n, m, a, b, c, u, params)
             source = intertwiner_poly(n, 0, a, b, params)
-            image = o_m_product_form(m, u, b, c, params, n).apply(source)
+            image = apply(o_m_product_form(m, u, b, c, params, n), source)
             basis = [intertwiner_poly(n, 0, c - n + 2 * j, c, params).coeff_vector(n + 1) for j in range(n + 1)]
             assert seen == [ExactMatrix(list(zip(*basis))), ExactMatrix.column(image.coeff_vector(n + 1))]
 

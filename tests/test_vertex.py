@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fusion_sos import vertex
 from fusion_sos.correspondence import fused_intertwiner_tensor
 from fusion_sos.exactcore import ExactMatrix, ShapeMismatchError, kron, mat_mul
 from fusion_sos.polyrep import intertwiner_poly, o_m_gamma_form, o_m_product_form
-from fusion_sos.sos import WeightQuery
+from fusion_sos.sos import WeightQuery, gauge_w11_float
 from fusion_sos.vertex import (
     ModelParams,
     apply_two_site,
@@ -89,10 +90,17 @@ def test_degeneracy_constant_is_minus_one():
         assert check_degeneracy(ModelParams(alpha)) == -1
 
 
-def test_degeneracy_rejects_non_proportional(params_unit):
-    # Sanity of the checker itself: tamper detection via a fake matrix is not
-    # possible through the public surface, so verify on the real one only.
-    assert check_degeneracy(params_unit) == Fraction(-1)
+def test_degeneracy_rejects_non_proportional(params_unit, monkeypatch):
+    """r7v(-1) with one entry changed is refused: a nonzero entry where I - P
+    vanishes, or entries of I - P that are not one multiple of it."""
+    rows = [list(row) for row in r7v(Fraction(-1), params_unit).entries]
+    assert rows == [[0, 0, 0, 0], [0, -1, 1, 0], [0, 1, -1, 0], [0, 0, 0, 0]]
+    for i, j, x in ((0, 0, 1), (3, 0, -2), (1, 1, -2), (2, 1, 3)):
+        tampered = [row[:] for row in rows]
+        tampered[i][j] = x
+        monkeypatch.setattr(vertex, "r7v", lambda u, params, m=ExactMatrix(tampered): m)
+        with pytest.raises(ValueError, match="not proportional"):
+            check_degeneracy(params_unit)
 
 
 class TestYbeVertex:
@@ -230,6 +238,8 @@ def test_adjacency_consumers_agree_with_up_steps(n, a, b):
     tensor = fused_intertwiner_tensor(n, u, a, b, "canonical", p)
     assert all(x == 0 for x in tensor) is not adjacent
     assert WeightQuery(n, n, a, b, b, a, u).is_valid() is adjacent
+    # The float gauge weight has orders n = m = 1 and is 0.0 off adjacency.
+    assert (gauge_w11_float(a, b, b, a, 5 / 7, 0.5) != 0.0) is (up_steps(a, b, 1) is not None)
     for build, at in ((o_m_product_form, u), (o_m_gamma_form, 0)):
         if adjacent:
             build(n, at, a, b, p, n)
