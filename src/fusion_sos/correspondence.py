@@ -1,7 +1,9 @@
 """Intertwining vectors and the vertex-to-face-model correspondence.
 
 The fused intertwining vectors convert the action of a fused R-operator into
-face weights.  Expanding the image of one intertwining polynomial in the
+face weights.  The checks read their coordinates off the intertwining
+polynomial; the paper's symmetrized tensor product defines them and is the
+tests' reference.  Expanding the image of one intertwining polynomial in the
 basis of neighbouring ones is an exact linear solve, and the weights it
 produces are the ground truth against which the closed-form and series
 formulas in :mod:`fusion_sos.sos` are tested.  That route stays on integers
@@ -15,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 
 from .exactcore import (
     ExactMatrix,
@@ -26,7 +29,7 @@ from .exactcore import (
     rat,
     solve_exact,
 )
-from .fusion import fuse_nm, sym_basis, symmetrizer
+from .fusion import fuse_nm, symmetrizer
 from .polyrep import _intertwiner_roots, _o_m_apply, intertwiner_poly
 from .sos import check_weight_domain
 from .vertex import ModelParams, up_steps
@@ -79,10 +82,12 @@ def fused_intertwiner_tensor(
 def intertwiner_sym_coords(
     n: int, u: ScalarLike, a: int, b: int, params: ModelParams
 ) -> tuple[Fraction, ...]:
-    """The fused vector projected to the (n+1)-dimensional monomial basis."""
-    full = fused_intertwiner_tensor(n, u, a, b, "canonical", params)
-    project = sym_basis(n).project
-    return mat_mul(project, ExactMatrix.column(full)).column_vector()
+    """The fused vector in the (n+1)-dimensional monomial basis, read off the
+    intertwining polynomial: monomial k is (-z)^(n-k), so coordinate k is
+    (-1)^(n-k) times the z^(n-k) coefficient.  The tests hold it equal to its
+    definition, :func:`fused_intertwiner_tensor` under ``sym_basis(n).project``."""
+    coeffs = intertwiner_poly(n, u, a, b, params).coeff_vector(n + 1)
+    return tuple((-1) ** (n - k) * coeffs[n - k] for k in range(n + 1))
 
 
 @dataclass(frozen=True)
@@ -180,11 +185,8 @@ def check_vertex_sos_matrix(
     weights = solve_weights_from_relation(n, m, a, b, c, u - v, params)
     rhs = [Fraction(0)] * len(lhs)
     for bp, weight in weights.items():
-        if weight == 0:
-            continue
-        left = intertwiner_sym_coords(n, u, bp, c, params)
-        right = intertwiner_sym_coords(m, v, a, bp, params)
-        for i, x in enumerate(left):
-            for j, y in enumerate(right):
-                rhs[i * (m + 1) + j] += weight * x * y
+        if weight:
+            left = intertwiner_sym_coords(n, u, bp, c, params)
+            right = intertwiner_sym_coords(m, v, a, bp, params)
+            rhs = [z + weight * x * y for z, (x, y) in zip(rhs, product(left, right))]
     return list(lhs) == rhs

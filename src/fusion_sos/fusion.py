@@ -49,7 +49,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
-from math import comb
+from math import comb, factorial
 
 from .exactcore import ExactMatrix, kron, mat_mul, rat
 from .vertex import ModelParams, apply_two_site, check_ybe_vertex, embed_two_site, r7v
@@ -60,24 +60,20 @@ def _bits(index: int, n: int) -> tuple[int, ...]:
     return tuple((index >> (n - 1 - s)) & 1 for s in range(n))
 
 
-@lru_cache(maxsize=None)
 def symmetrizer(n: int) -> ExactMatrix:
     """Projector onto the symmetric component of (C^2)^(x n), by permutation averaging."""
     if n < 1:
         raise ValueError("n must be at least 1")
     dim = 1 << n
-    inv_fact = Fraction(1)
-    for k in range(2, n + 1):
-        inv_fact /= k
-    out = [[Fraction(0)] * dim for _ in range(dim)]
+    counts = [[0] * dim for _ in range(dim)]
     for col in range(dim):
         word = _bits(col, n)
         for sigma in permutations(range(n)):
             row = 0
             for s in range(n):
                 row = (row << 1) | word[sigma[s]]
-            out[row][col] += inv_fact
-    return ExactMatrix(out)
+            counts[row][col] += 1
+    return ExactMatrix.from_integers(counts, factorial(n))
 
 
 @dataclass(frozen=True)

@@ -16,9 +16,7 @@ KEPT_CACHES = {
     "fusion_sos.fusion._fuse_nm",
     # fused-ybe 219/498, lattice 92/185, verify-cli 8/210.
     "fusion_sos.vertex.r7v",
-    # verify-cli 80/81, face-weights 21/22.
-    "fusion_sos.fusion.symmetrizer",
-    # verify-cli 176/178, face-weights 48/50, fused-ybe 14/18, lattice 4/6.
+    # fused-ybe 14/18, verify-cli 4/6, face-weights 4/6, lattice 4/6.
     "fusion_sos.fusion.sym_basis",
     # fused-ybe 185/188, lattice 81/82, verify-cli 50/51, face-weights 5/6.
     "fusion_sos.fusion._peel_first",

@@ -4,6 +4,7 @@ from itertools import permutations
 
 import pytest
 
+from fusion_sos import correspondence, fusion
 from fusion_sos.correspondence import (
     check_vertex_sos_matrix,
     fused_intertwiner_tensor,
@@ -12,8 +13,8 @@ from fusion_sos.correspondence import (
     intertwiner_sym_coords,
     solve_weights_from_relation,
 )
-from fusion_sos.exactcore import ExactPolynomial
-from fusion_sos.polyrep import intertwiner_poly
+from fusion_sos.exactcore import ExactMatrix, mat_mul
+from fusion_sos.fusion import sym_basis
 from fusion_sos.sos import WeightQuery, w11, w_n1
 from fusion_sos.vertex import ModelParams
 
@@ -58,16 +59,20 @@ class TestFusedVectors:
         with pytest.raises(ValueError):
             fused_intertwiner_tensor(2, U, 0, 2, [0, 5, 2], params)
 
-    @pytest.mark.parametrize("n", [1, 2, 3])
-    def test_projection_matches_polynomial(self, n, params):
-        """Symmetric coordinates dehomogenize to the intertwining polynomial."""
-        for a in (-2, 1):
-            for b in range(a - n, a + n + 1, 2):
-                coords = intertwiner_sym_coords(n, U, a, b, params)
-                poly = ExactPolynomial.zero()
-                for k, ck in enumerate(coords):
-                    poly = poly + ExactPolynomial.monomial(n - k, (-1) ** (n - k)).scale(ck)
-                assert poly == intertwiner_poly(n, U, a, b, params)
+    @pytest.mark.parametrize("alpha", [Fraction(3, 2), Fraction(-2, 3)])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_projection_matches_polynomial(self, n, alpha):
+        """The symmetric coordinates read off the intertwining polynomial are
+        the projection of the paper's symmetrized tensor product, off
+        adjacency too."""
+        p = ModelParams(alpha, Fraction(1, 3), Fraction(2, 3))
+        project = sym_basis(n).project
+        for u in (U, Fraction(-9, 4), Fraction(0)):
+            for a in range(-3, 4):
+                for b in range(a - n - 1, a + n + 2):
+                    tensor = fused_intertwiner_tensor(n, u, a, b, "canonical", p)
+                    projected = mat_mul(project, ExactMatrix.column(tensor)).column_vector()
+                    assert intertwiner_sym_coords(n, u, a, b, p) == projected
 
 
 class TestIndependence:
@@ -140,27 +145,29 @@ class TestMatrixCorrespondence:
             u, v = spectral_pair(rng)
             assert check_vertex_sos_matrix(n, m, a, b, c, u, v, params)
 
-    def test_perturbed_weights_fail(self, params):
-        # Tampering with the weight table must break the identity: redo the
-        # comparison with one weight bumped.
-        from fusion_sos.exactcore import ExactMatrix, mat_mul
-        from fusion_sos.fusion import fuse_nm
+    def test_checks_no_tensor(self, params, monkeypatch):
+        # The check reads its vectors off the intertwining polynomial: it
+        # forms no symmetrized tensor and no symmetrizer.
+        def refuse(*args):
+            raise AssertionError("tensor route reached")
 
-        n = m = 1
-        a, b, c = 0, 1, 0
+        monkeypatch.setattr(correspondence, "fused_intertwiner_tensor", refuse)
+        monkeypatch.setattr(correspondence, "symmetrizer", refuse)
+        monkeypatch.setattr(fusion, "symmetrizer", refuse)
+        rng = random.Random(7)
+        for n, m in ((2, 1), (3, 2)):
+            u, v = spectral_pair(rng)
+            assert check_vertex_sos_matrix(n, m, 0, n % 2, (n + m) % 2, u, v, params)
+
+    def test_perturbed_weights_fail(self, params, monkeypatch):
+        # Tampering with the weight table must break the identity.
+        solve = correspondence.solve_weights_from_relation
+
+        def bumped(n, m, a, b, c, u, p):
+            weights = solve(n, m, a, b, c, u, p)
+            weights[c + 1] += 1
+            return weights
+
+        monkeypatch.setattr(correspondence, "solve_weights_from_relation", bumped)
         u, v = Fraction(5, 7) + Fraction(1, 11), Fraction(1, 3)
-        r = fuse_nm(n, m, u - v, params)
-        psi_n = intertwiner_sym_coords(n, u, a, b, params)
-        psi_m = intertwiner_sym_coords(m, v, b, c, params)
-        vec = [x * y for x in psi_n for y in psi_m]
-        lhs = mat_mul(r, ExactMatrix.column(vec)).column_vector()
-        weights = solve_weights_from_relation(n, m, a, b, c, u - v, params)
-        weights[c + 1] += 1
-        rhs = [Fraction(0)] * len(lhs)
-        for bp, weight in weights.items():
-            left = intertwiner_sym_coords(n, u, bp, c, params)
-            right = intertwiner_sym_coords(m, v, a, bp, params)
-            for i, x in enumerate(left):
-                for j, y in enumerate(right):
-                    rhs[i * (m + 1) + j] += weight * x * y
-        assert list(lhs) != rhs
+        assert not check_vertex_sos_matrix(1, 1, 0, 1, 0, u, v, params)
