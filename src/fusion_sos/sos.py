@@ -11,7 +11,10 @@ Three independent routes to the same numbers are implemented: closed-form
 families for m = 1, a single-sum formula for general (n, m), and a
 terminating hypergeometric series; :mod:`fusion_sos.correspondence` supplies
 a fourth, first-principles route (an exact linear solve) that serves as the
-oracle for the other three.
+oracle for the other three.  The series has one parameter table, for faces
+with b + b' <= a + c (the boundary b + b' = a + c uses it directly); a face
+with b + b' > a + c is that table at the reflected heights (-a, -b, -b', -c)
+and -w, under which the weights are invariant.
 
 All weights depend on the model constants only through w = (s + t)/2, which
 must avoid the integers for the height-label denominators to stay nonzero.
@@ -324,22 +327,16 @@ def _terminating_9f8(alphas, betas, d: int) -> tuple[int, int]:
     return total, den
 
 
-def _hyper_value(num: int, den: int, gammas, alphas, betas, d: int) -> Fraction:
-    """Prefactor num/den times the gamma ratios, in order, times the series."""
-    for top, bottom in gammas:
-        g_num, g_den = _gamma_ratio(top, bottom, d)
-        num *= g_num
-        den *= g_den
-    if num == 0:
-        return Fraction(0)
-    s_num, s_den = _terminating_9f8(alphas, betas, d)
-    return Fraction(num * s_num, den * s_den)
-
-
-def _hyper_low_branch(m, a, b, bp, c, d, du, dw, labels) -> Fraction:
-    """Series and prefactor for the regime b + b' <= a + c."""
-    n_p, n_m, m_p, m_m, mp_p, mp_m, half = labels
+def _hyper_table(n, m, a, b, bp, c, u: Fraction, w: Fraction) -> Fraction:
+    """Prefactor, gamma ratios and 9F8 series of an admissible face with
+    b + b' <= a + c.  The labels n_+-, m_+-, m'_+- and half are integers
+    because the face is admissible."""
+    d, du, dw = _over_common_denominator(u, w)
     h = d // 2
+    n_p, n_m = (n + b - a) // 2, (n - b + a) // 2
+    m_p, m_m = (m + c - b) // 2, (m - c + b) // 2
+    mp_p, mp_m = (m + bp - a) // 2, (m - bp + a) // 2
+    half = (b + bp - a - c) // 2
     alphas = (
         -m_m * d,
         -n_p * d,
@@ -371,84 +368,36 @@ def _hyper_low_branch(m, a, b, bp, c, d, du, dw, labels) -> Fraction:
         (du + (n_m - m_p + 1) * d, du + (n_m + 1 - m) * d),
     )
     num = (bp * d + dw) * comb(m_p, mp_p) * _poch(n_m + half + 1, -half, 1)
-    return _hyper_value(num, d, gammas, alphas, betas, d)
-
-
-def _hyper_high_branch(m, a, b, bp, c, d, du, dw, labels) -> Fraction:
-    """Series and prefactor for the regime b + b' >= a + c."""
-    n_p, n_m, m_p, m_m, mp_p, mp_m, half = labels
-    h = d // 2
-    alphas = (
-        -mp_m * d,
-        (half - n_p) * d,
-        -m_p * d,
-        (a - mp_m) * d + dw,
-        -du + (b - n_p + mp_p) * d + dw,
-        ((bp - m_p + 2) * d + dw) // 2,
-        (bp - m_p) * d + dw,
-        (n_m + 1 + half) * d,
-        du + (b - mp_m + n_m + 1) * d + dw,
-    )
-    betas = (
-        (b + bp + a - c) * h + d + dw,
-        du + (n_m + 1 - m_p - mp_m) * d,
-        (b + n_m - mp_m + 1) * d + dw,
-        (1 + half) * d,
-        (bp + 1) * d + dw,
-        ((bp - m_p) * d + dw) // 2,
-        -du + (half - n_p) * d,
-        (b - mp_m - n_p) * d + dw,
-    )
-    gammas = (
-        ((a - mp_m) * d + dw, (b + bp + a - c) * h + d + dw),
-        (-du + (b - n_p + mp_p) * d + dw, -du + (c - n_p + m_m) * d + dw),
-        (du + (n_m - m_p + 1) * d, du + (n_m + 1 - m_p - mp_m) * d),
-        ((b + n_m + 1) * d + dw, (b + n_m - mp_m + 1) * d + dw),
-        ((bp - m_p + 1) * d + dw, bp * d + dw),
-        (du + (n_p - half + 1) * d, du + (n_p - mp_p + 1) * d),
-        ((b + bp - a + c) * h - n_p * d + dw, (b - mp_m - n_p) * d + dw),
-    )
-    # comb(m_-, m'_-) times the falling product n_+ (n_+ - 1) ... (n_+ - half + 1).
-    num = comb(m_m, mp_m) * _poch(n_p, half, -1)
-    return _hyper_value(num, 1, gammas, alphas, betas, d)
+    den = d
+    for top, bottom in gammas:
+        g_num, g_den = _gamma_ratio(top, bottom, d)
+        num *= g_num
+        den *= g_den
+    if num == 0:
+        return Fraction(0)
+    s_num, s_den = _terminating_9f8(alphas, betas, d)
+    return Fraction(num * s_num, den * s_den)
 
 
 def w_nm_hypergeometric(q: WeightQuery, params: ModelParams) -> Fraction:
     """Face weight as a terminating hypergeometric series with explicit prefactor.
 
-    At the boundary b + b' = a + c both parameter regimes apply; they are
-    evaluated and checked against each other there.
+    One parameter table serves every face.  It holds for b + b' <= a + c,
+    the boundary b + b' = a + c included.  The weights are invariant under
+    the height reflection (a, b, b', c; s, t) -> (-a, -b, -b', -c; -t, -s),
+    which sends w to -w and swaps the two regimes, so a face with
+    b + b' > a + c is the table at (-a, -b, -b', -c) and -w.
     """
     check_weight_domain(params)
     if not q.is_valid():
         return Fraction(0)
-    # The parameter tables were validated entry-by-entry against the
-    # defining-relation solver; see the three-way agreement tests.
-    # Both branches share D and the labels n_+-, m_+-, m'_+- and half, which
-    # are integers because adjacency has been checked.
-    m, a, b, bp, c = q.m, q.a, q.b, q.bprime, q.c
-    d, du, dw = _over_common_denominator(q.u, params.w)
-    labels = (
-        (q.n + b - a) // 2,
-        (q.n - b + a) // 2,
-        (m + c - b) // 2,
-        (m - c + b) // 2,
-        (m + bp - a) // 2,
-        (m - bp + a) // 2,
-        (b + bp - a - c) // 2,
-    )
-    args = (m, a, b, bp, c, d, du, dw, labels)
-    if b + bp < a + c:
-        return _hyper_low_branch(*args)
+    # The table was validated entry by entry against the defining-relation
+    # solver, on faces of both regimes; see the three-way agreement and
+    # height-reflection tests.
+    n, m, a, b, bp, c, u, w = q.n, q.m, q.a, q.b, q.bprime, q.c, q.u, params.w
     if b + bp > a + c:
-        return _hyper_high_branch(*args)
-    low = _hyper_low_branch(*args)
-    high = _hyper_high_branch(*args)
-    if low != high:
-        raise DegenerateParameterPoint(
-            "regime overlap mismatch at b + b' = a + c: %s vs %s" % (low, high)
-        )
-    return low
+        return _hyper_table(n, m, -a, -b, -bp, -c, u, -w)
+    return _hyper_table(n, m, a, b, bp, c, u, w)
 
 
 # -- Yang-Baxter over faces -------------------------------------------------

@@ -16,9 +16,10 @@ from fusion_sos.correspondence import (
     fused_intertwiner_tensor,
     independence_determinant,
     intertwiner_set,
+    intertwiner_sym_coords,
     solve_weights_from_relation,
 )
-from fusion_sos.elevenvertex import psi_const, r11v, similarity_fused
+from fusion_sos.elevenvertex import r11v, similarity_fused
 from fusion_sos.exactcore import (
     ExactMatrix,
     kron,
@@ -288,15 +289,6 @@ def test_12_eleven_vertex_family():
             for delta in (Fraction(1), Fraction(-2, 3)):
                 assert similarity_fused(n, m, u + delta, v + delta, PARAMS) == base
     # Constant intertwiners reproduce the unchanged weight tables.
-    d_cache = {}
-
-    def sym_coords(n, a, b):
-        if n not in d_cache:
-            d = monomial_to_coeff_matrix(n)
-            d_cache[n] = d.scale((-1) ** n)
-        poly = psi_const(n, a, b, PARAMS)
-        return mat_mul(d_cache[n], ExactMatrix.column(poly.coeff_vector(n + 1))).column_vector()
-
     for (n, m) in ((1, 1), (2, 1), (1, 2), (2, 2)):
         for _ in range(4):
             a = rng.randint(-2, 2)
@@ -304,15 +296,17 @@ def test_12_eleven_vertex_family():
             c = b - rng.choice(range(-m, m + 1, 2))
             u, v = spectral_pair(rng)
             rbar = similarity_fused(n, m, u, v, PARAMS)
-            vec = [x * y for x in sym_coords(n, a, b) for y in sym_coords(m, b, c)]
+            left = intertwiner_sym_coords(n, 0, a, b, PARAMS)
+            right = intertwiner_sym_coords(m, 0, b, c, PARAMS)
+            vec = [x * y for x in left for y in right]
             lhs = mat_mul(rbar, ExactMatrix.column(vec)).column_vector()
             weights = solve_weights_from_relation(n, m, a, b, c, u - v, PARAMS)
             rhs = [Fraction(0)] * len(lhs)
             for bp, weight in weights.items():
                 if weight == 0:
                     continue
-                lv = sym_coords(n, bp, c)
-                rv = sym_coords(m, a, bp)
+                lv = intertwiner_sym_coords(n, 0, bp, c, PARAMS)
+                rv = intertwiner_sym_coords(m, 0, a, bp, PARAMS)
                 for i, x in enumerate(lv):
                     for j, y in enumerate(rv):
                         rhs[i * (m + 1) + j] += weight * x * y

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from fusion_sos.correspondence import solve_weights_from_relation
+from fusion_sos.correspondence import intertwiner_sym_coords, solve_weights_from_relation
 from fusion_sos.elevenvertex import psi_const, r11v, shift_op, similarity_fused
 from fusion_sos.exactcore import ExactMatrix, ExactPolynomial, kron, mat_mul, poly_shift
 from fusion_sos.fusion import sym_basis, symmetrizer
@@ -115,14 +115,6 @@ class TestSimilarityFused:
         assert check_ybe_vertex(rbar(k, n, v), rbar(k, l, u), rbar(n, l, u - v), dims)
 
 
-def psi_const_sym_coords(n, a, b, params):
-    poly = psi_const(n, a, b, params)
-    d = monomial_to_coeff_matrix(n)
-    dinv = d.scale((-1) ** n)
-    coeffs = ExactMatrix.column(poly.coeff_vector(n + 1))
-    return mat_mul(dinv, coeffs).column_vector()
-
-
 class TestConstantIntertwiners:
     def test_elementary_example(self, params):
         # One up-step from height 0: -(z + alpha t).
@@ -150,8 +142,8 @@ class TestConstantIntertwiners:
             c = b - rng.choice(range(-m, m + 1, 2))
             u, v = spectral_pair(rng)
             rbar = similarity_fused(n, m, u, v, params)
-            left = psi_const_sym_coords(n, a, b, params)
-            right = psi_const_sym_coords(m, b, c, params)
+            left = intertwiner_sym_coords(n, 0, a, b, params)
+            right = intertwiner_sym_coords(m, 0, b, c, params)
             vec = [x * y for x in left for y in right]
             lhs = mat_mul(rbar, ExactMatrix.column(vec)).column_vector()
             weights = solve_weights_from_relation(n, m, a, b, c, u - v, params)
@@ -159,8 +151,8 @@ class TestConstantIntertwiners:
             for bp, weight in weights.items():
                 if weight == 0:
                     continue
-                lvec = psi_const_sym_coords(n, bp, c, params)
-                rvec = psi_const_sym_coords(m, a, bp, params)
+                lvec = intertwiner_sym_coords(n, 0, bp, c, params)
+                rvec = intertwiner_sym_coords(m, 0, a, bp, params)
                 for i, x in enumerate(lvec):
                     for j, y in enumerate(rvec):
                         rhs[i * (m + 1) + j] += weight * x * y

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import fusion_sos
@@ -408,20 +408,74 @@ class TestRoutesAgainstOracle:
             assert hyper == expected
 
 
-# Outcomes of the routes at points where at least one of them raises:
-# ((n, m, a, b, b', c), u, w, sum outcome, hypergeometric outcome).  An
-# outcome is a value or (exception class, message); the linear-solve route
-# must give the sum outcome.  The first rows have non-integer w with u + w
-# an integer, recorded from the Fraction implementation the integer one
-# replaced.  The rest have integer w, outside the domain of the weights,
-# which every route refuses on entry.  Before that guard the two routes
-# failed there in different ways ("a + w vanished", "height-ladder
-# denominator vanished", "lower parameter vanished before termination",
-# "gamma ratio hit a pole/zero collision"), and the hypergeometric route
-# gave 70/9 and 91/6 on two faces where the sum route raised.  No point of
-# |a|, |c| <= 2, n, m <= 3 and ten u by nine w values reaches the other
-# three messages ("series does not terminate", "regime overlap mismatch
-# ...", "gamma ratio needs an integer offset").
+def _outcome(call):
+    """The value of ``call()``, or the class and message of what it raised."""
+    try:
+        return call()
+    except (DegeneratePointError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def reflection_points(draw):
+    """An admissible face with n, m <= 3, model constants (alpha, s, t) with
+    w = (s + t)/2 non-integer, and u non-integer: off w + Z, on w + Z or on
+    -w + Z.  At integer u the hypergeometric route may decline on one side
+    of a boundary face only."""
+    n = draw(st.integers(1, 3))
+    m = draw(st.integers(1, 3))
+    a = draw(st.integers(-3, 3))
+    b = a - draw(st.sampled_from(range(-n, n + 1, 2)))
+    c = b - draw(st.sampled_from(range(-m, m + 1, 2)))
+    bp = draw(st.sampled_from([x for x in range(c - n, c + n + 1, 2) if abs(x - a) <= m and (x - a + m) % 2 == 0]))
+
+    def rational():
+        den = draw(st.integers(1, 7))
+        return Fraction(draw(st.integers(-4 * den, 4 * den)), den)
+
+    s, t = rational(), rational()
+    w = (s + t) / 2
+    assume(w.denominator != 1)
+    on = draw(st.integers(-1, 1))
+    u = draw(st.integers(-4, 4)) + on * w if on else rational()
+    assume(u.denominator != 1)
+    alpha = draw(st.sampled_from([Fraction(1), Fraction(3, 2), Fraction(-2, 3)]))
+    return (n, m, a, b, bp, c), u, ModelParams(alpha, s, t), ModelParams(alpha, -t, -s)
+
+
+class TestHeightReflection:
+    """The weights are invariant under (a, b, b', c; s, t) -> (-a, -b, -b', -c; -t, -s)."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(reflection_points())
+    def test_every_route_is_invariant(self, point):
+        (n, m, a, b, bp, c), u, p, p_refl = point
+        q = WeightQuery(n, m, a, b, bp, c, u)
+        q_refl = WeightQuery(n, m, -a, -b, -bp, -c, u)
+        assert _outcome(lambda: w_nm_sum(q, p)) == _outcome(lambda: w_nm_sum(q_refl, p_refl))
+        assert _outcome(lambda: w_nm_hypergeometric(q, p)) == _outcome(lambda: w_nm_hypergeometric(q_refl, p_refl))
+        table = solve_weights_from_relation(n, m, a, b, c, u, p)
+        table_refl = solve_weights_from_relation(n, m, -a, -b, -c, u, p_refl)
+        assert table == {-x: weight for x, weight in table_refl.items()}
+
+
+# Outcomes of the routes at points where at least one of them raises, or
+# raised once: ((n, m, a, b, b', c), u, w, sum outcome, hypergeometric
+# outcome).  An outcome is a value or (exception class, message); the
+# linear-solve route must give the sum outcome.  The first rows have
+# non-integer w with u + w an integer, recorded from the Fraction
+# implementation the integer one replaced.  The next rows have integer w,
+# outside the domain of the weights, which every route refuses on entry.
+# Before that guard the two routes failed there in different ways ("a + w
+# vanished", "height-ladder denominator vanished", "lower parameter vanished
+# before termination", "gamma ratio hit a pole/zero collision"), and the
+# hypergeometric route gave 70/9 and 91/6 on two faces where the sum route
+# raised.  The last two rows lie at integer u with b + b' > a + c, which the
+# hypergeometric route evaluates by height reflection: a second parameter
+# table for that regime gave 14/3 at u = 1 and raised at u = 0.  No point
+# of |a|, |c| <= 2, n, m <= 3 and ten u by nine w values reaches the other
+# two messages ("series does not terminate", "gamma ratio needs an integer
+# offset").
 _GAMMA = (DegenerateParameterPoint, "gamma ratio hit a pole/zero collision")
 _INTEGER_W = (DegenerateParameterPoint, "w is an integer, outside the domain of the face weights")
 DEGENERATE_POINTS = [
@@ -442,6 +496,8 @@ DEGENERATE_POINTS = [
     ((1, 3, -2, -1, -1, 0), "7/3", "0", _INTEGER_W, _INTEGER_W),
     ((2, 3, -2, -2, -1, -1), "7/3", "0", _INTEGER_W, _INTEGER_W),
     ((3, 3, -2, -3, -1, -2), "7/3", "0", _INTEGER_W, _INTEGER_W),
+    ((2, 3, -2, -2, -1, -3), "1", "1/2", "14/3", _GAMMA),
+    ((2, 3, -2, -2, -1, -3), "0", "1/2", "0", "0"),
 ]
 
 
