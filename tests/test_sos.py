@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fusion_sos
@@ -418,45 +418,34 @@ def _outcome(call):
 
 @st.composite
 def reflection_points(draw):
-    """An admissible face with n, m <= 3, model constants (alpha, s, t) with
-    w = (s + t)/2 non-integer, and u non-integer: off w + Z, on w + Z or on
-    -w + Z.  At integer u the hypergeometric route may decline on one side
-    of a boundary face only."""
-    n = draw(st.integers(1, 3))
-    m = draw(st.integers(1, 3))
-    a = draw(st.integers(-3, 3))
-    b = a - draw(st.sampled_from(range(-n, n + 1, 2)))
-    c = b - draw(st.sampled_from(range(-m, m + 1, 2)))
-    bp = draw(st.sampled_from([x for x in range(c - n, c + n + 1, 2) if abs(x - a) <= m and (x - a + m) % 2 == 0]))
-
-    def rational():
-        den = draw(st.integers(1, 7))
-        return Fraction(draw(st.integers(-4 * den, 4 * den)), den)
-
-    s, t = rational(), rational()
-    w = (s + t) / 2
-    assume(w.denominator != 1)
-    on = draw(st.integers(-1, 1))
-    u = draw(st.integers(-4, 4)) + on * w if on else rational()
-    assume(u.denominator != 1)
+    """An oracle point, its w flipped in sign half the time so that u lies
+    off the integers and off w + Z, on w + Z or on -w + Z, with model
+    constants (alpha, s, t) of mean w and their reflection (alpha, -t, -s)."""
+    n, m, a, b, c, u, w = draw(oracle_points())
+    w = draw(st.sampled_from([w, -w]))
+    r = draw(st.fractions(-3, 3, max_denominator=7))
     alpha = draw(st.sampled_from([Fraction(1), Fraction(3, 2), Fraction(-2, 3)]))
-    return (n, m, a, b, bp, c), u, ModelParams(alpha, s, t), ModelParams(alpha, -t, -s)
+    return (n, m, a, b, c), u, ModelParams(alpha, w + r, w - r), ModelParams(alpha, r - w, -w - r)
 
 
 class TestHeightReflection:
-    """The weights are invariant under (a, b, b', c; s, t) -> (-a, -b, -b', -c; -t, -s)."""
+    """The weights are invariant under (a, b, b', c; s, t) -> (-a, -b, -b', -c; -t, -s).
+
+    At integer u the hypergeometric route may decline on one side of a face
+    with b + b' = a + c only, so the points keep u off the integers."""
 
     @settings(max_examples=150, deadline=None)
     @given(reflection_points())
     def test_every_route_is_invariant(self, point):
-        (n, m, a, b, bp, c), u, p, p_refl = point
-        q = WeightQuery(n, m, a, b, bp, c, u)
-        q_refl = WeightQuery(n, m, -a, -b, -bp, -c, u)
-        assert _outcome(lambda: w_nm_sum(q, p)) == _outcome(lambda: w_nm_sum(q_refl, p_refl))
-        assert _outcome(lambda: w_nm_hypergeometric(q, p)) == _outcome(lambda: w_nm_hypergeometric(q_refl, p_refl))
+        (n, m, a, b, c), u, p, p_refl = point
         table = solve_weights_from_relation(n, m, a, b, c, u, p)
         table_refl = solve_weights_from_relation(n, m, -a, -b, -c, u, p_refl)
-        assert table == {-x: weight for x, weight in table_refl.items()}
+        assert table == {-bp: weight for bp, weight in table_refl.items()}
+        for bp in table:
+            q = WeightQuery(n, m, a, b, bp, c, u)
+            q_refl = WeightQuery(n, m, -a, -b, -bp, -c, u)
+            for route in (w_nm_sum, w_nm_hypergeometric):
+                assert _outcome(lambda: route(q, p)) == _outcome(lambda: route(q_refl, p_refl))
 
 
 # Outcomes of the routes at points where at least one of them raises, or
