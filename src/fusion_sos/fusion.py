@@ -1,9 +1,11 @@
 """Fusion of the elementary R-matrix into higher-spin operators.
 
 The fused (n,m) operator is defined on (C^2)^(x n) (x) (C^2)^(x m) as the
-ordered product of n*m elementary 4x4 factors sandwiched between
-symmetrizers (the fusion procedure), then restricted to Sym_n (x) Sym_m.
-:func:`fuse_nm_unrestricted` evaluates that definition literally in the
+ordered product X of n*m elementary 4x4 factors, projected by
+Pi = Sym_n (x) Sym_m (the fusion procedure) and restricted to
+Sym_n (x) Sym_m.  The fusion lemma Pi X Pi = Pi X makes Pi X an operator on
+the symmetric space; :func:`symmetric_residual` returns Pi X (I - Pi).
+:func:`fuse_nm_unrestricted` evaluates Pi X literally in the
 2**(n+m)-dimensional space; :func:`fuse_nm` computes the same matrix
 without leaving restricted spaces.
 
@@ -22,20 +24,28 @@ and likewise with Sym_{k-1} (x) I.
 
 With these, a symmetrizer moves past every factor that does not touch its
 slots and splits as E P, so each product collapses onto a smaller
-restricted space.  Two recursions result:
+restricted space.  One recursion, over m, results:
+raw(n, m, u) = [P_m (E_{m-1} (x) I)] raw(n, u)_{aux m}
+(raw(n, m-1, u-1) (x) I) [(P_{m-1} (x) I) E_m], on
+Sym_n (x) Sym_{m-1} (x) C^2 (dimension 2m(n+1)).  Each step applies the
+factor and the inner operator locally, one after the other, with
+:func:`fusion_sos.vertex.apply_two_site`, so it forms one matrix product,
+with the merge.
 
-- over n, for the raw (n,1) operator raw(n, x) = P_n T_n(x) E_n with
-  T_n(x) = R_{0a}(x+n-1) ... R_{n-1,a}(x):
-  raw(n, x) = [P_n (I (x) E_{n-1})] R_{0a}(x+n-1) (I (x) raw(n-1, x))
-  [(I (x) P_{n-1}) E_n], on C^2 (x) Sym_{n-1} (x) C^2 (dimension 4n);
-- over m: raw(n, m, u) = [P_m (E_{m-1} (x) I)] raw(n, u)_{aux m}
-  (raw(n, m-1, u-1) (x) I) [(P_{m-1} (x) I) E_m], on
-  Sym_n (x) Sym_{m-1} (x) C^2 (dimension 2m(n+1)).
+Its factors are the raw (n,1) operators raw(n, x) = P_n T_n(x) E_n with
+T_n(x) = R_{0a}(x+n-1) ... R_{n-1,a}(x).  For n = 1 that is R(x).  For
+n >= 2 it is the (1,n) operator at x+n-1 with its two tensor factors
+swapped, by two premises:
 
-Both recursions act locally: R and the inner raw operator each act on two
-of the three factors, and :func:`fusion_sos.vertex.apply_two_site` applies
-them to the split one after the other without embedding either, so each
-step forms one matrix product, with the merge.
+5. R commutes with the swap P of its two factors: P R(u) P = R(u);
+6. P_n and E_n do not change when the n slots are relabelled.
+
+The (1,n) product at x+n-1 is R_{a'(n-1)'}(x+n-1) ... R_{a'0'}(x), with
+quantum slot a' and auxiliary slots 0'..(n-1)'.  By 5 each factor is
+R_{k'a'}; reading a' as a and k' as n-1-k turns the product into T_n(x),
+and by 6 leaves P_n and E_n alone.
+The (1,n) operator carries no normalization (fusion_scalar(1, u) = 1), so
+the build needs no other recursion.
 
 The result is divided once by prod_{j<m} fusion_scalar(n, u-j).  The
 restriction uses the unnormalized monomial basis, so the matrices here
@@ -47,9 +57,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import permutations
 from math import comb, factorial
+from operator import itemgetter
 
 from .exactcore import ExactMatrix, kron, mat_mul, rat
 from .vertex import ModelParams, apply_two_site, check_ybe_vertex, embed_two_site, r7v
@@ -118,69 +129,38 @@ def fusion_scalar(n: int, u: Fraction) -> Fraction:
     return out
 
 
+def _bare_product(n: int, m: int, u: Fraction, params: ModelParams) -> ExactMatrix:
+    """X: the n*m elementary factors of the (n,m) product on (C^2)^(x (n+m)).
+
+    Slots 0..n-1 carry the n quantum factors and slots n..n+m-1 the m
+    auxiliary ones; no symmetrizer is applied.
+    """
+    dims = (2,) * (n + m)
+    # Leftmost factor couples the last auxiliary slot at the undecremented argument.
+    return reduce(mat_mul, (
+        embed_two_site(r7v(u - (m - j) + n - i, params), (i - 1, n + j - 1), dims)
+        for j in range(m, 0, -1)
+        for i in range(1, n + 1)
+    ))
+
+
 def fuse_nm_unrestricted(n: int, m: int, u: Fraction, params: ModelParams) -> ExactMatrix:
-    """The raw fused (n,m) product on (C^2)^(x (n+m)), unnormalized and unrestricted.
+    """Pi X on (C^2)^(x (n+m)): the raw fused (n,m) product, unnormalized and unrestricted.
 
     This is the defining product, evaluated literally in the full
-    2**(n+m)-dimensional space: slots 0..n-1 carry the n quantum factors and
-    slots n..n+m-1 the m auxiliary ones.  It is the reference the restricted
-    build in :func:`fuse_nm` must reproduce, and what
-    :func:`symmetric_residual` tests for containment.
+    2**(n+m)-dimensional space, with Pi = Sym_n (x) Sym_m and X the bare
+    product of :func:`_bare_product`.  It is the reference the restricted
+    build in :func:`fuse_nm` must reproduce.
     """
-    u = rat(u)
-    nslots = n + m
-    dims = tuple([2] * nslots)
-    sym_n_full = embed_op_on_slots(symmetrizer(n), range(n), nslots) if n > 1 else ExactMatrix.identity(1 << nslots)
-    prod = None
-    # Leftmost factor couples the last auxiliary slot at the undecremented argument.
-    for j in range(m, 0, -1):
-        block = None
-        for i in range(1, n + 1):
-            factor = embed_two_site(r7v(u - (m - j) + n - i, params), (i - 1, n + j - 1), dims)
-            block = factor if block is None else mat_mul(block, factor)
-        block = mat_mul(sym_n_full, block)
-        prod = block if prod is None else mat_mul(prod, block)
-    sym_m_full = embed_op_on_slots(symmetrizer(m), range(n, n + m), nslots) if m > 1 else ExactMatrix.identity(1 << nslots)
-    return mat_mul(sym_m_full, prod)
-
-
-def embed_op_on_slots(op: ExactMatrix, slots, nslots: int) -> ExactMatrix:
-    """Embed an operator acting on contiguous 2-dim slots, identity elsewhere."""
-    slots = list(slots)
-    k = len(slots)
-    if op.rows != 1 << k:
-        raise ValueError("operator size does not match slot count")
-    before = slots[0]
-    after = nslots - slots[-1] - 1
-    if slots != list(range(before, before + k)):
-        raise ValueError("slots must be contiguous")
-    out = op
-    if before:
-        out = kron(ExactMatrix.identity(1 << before), out)
-    if after:
-        out = kron(out, ExactMatrix.identity(1 << after))
-    return out
-
-
-@lru_cache(maxsize=None)
-def _peel_first(k: int) -> tuple[ExactMatrix, ExactMatrix]:
-    """(P_k (I (x) E_{k-1}), (I (x) P_{k-1}) E_k), each (x) I_2.
-
-    The first maps C^2 (x) Sym_{k-1} onto Sym_k, the second embeds Sym_k
-    back; the trailing C^2 is the auxiliary slot of an (n,1) operator.
-    """
-    big, small, eye = sym_basis(k), sym_basis(k - 1), ExactMatrix.identity(2)
-    merge = mat_mul(big.project, kron(eye, small.embed))
-    split = mat_mul(kron(eye, small.project), big.embed)
-    return kron(merge, eye), kron(split, eye)
+    return mat_mul(kron(symmetrizer(n), symmetrizer(m)), _bare_product(n, m, rat(u), params))
 
 
 @lru_cache(maxsize=None)
 def _peel_last(k: int, outer: int) -> tuple[ExactMatrix, ExactMatrix]:
     """I_outer (x) (P_k (E_{k-1} (x) I), (P_{k-1} (x) I) E_k).
 
-    The same couplings as :func:`_peel_first` with the split slot trailing,
-    behind the ``outer``-dimensional quantum space Sym_n.
+    The first maps Sym_{k-1} (x) C^2 onto Sym_k, the second embeds Sym_k
+    back, each behind the ``outer``-dimensional quantum space Sym_n.
     """
     big, small, eye = sym_basis(k), sym_basis(k - 1), ExactMatrix.identity(2)
     merge = mat_mul(big.project, kron(small.embed, eye))
@@ -189,25 +169,20 @@ def _peel_last(k: int, outer: int) -> tuple[ExactMatrix, ExactMatrix]:
     return kron(lift, merge), kron(lift, split)
 
 
-def _raw_n1(n: int, x: Fraction, params: ModelParams) -> ExactMatrix:
-    """P_n T_n(x) E_n on Sym_n (x) C^2, where T_n(x) is the raw (n,1) product.
+def _swap_factors(op: ExactMatrix, d1: int, d2: int) -> ExactMatrix:
+    """S op S^-1 for op on C^d1 (x) C^d2, where S swaps the two factors.
 
-    Peels quantum slot 0 off each step: raw(k) = merge R(x+k-1) (I (x) raw(k-1))
-    split, on C^2 (x) Sym_{k-1} (x) C^2, with R on factors 0 and 2 and
-    raw(k-1) on factors 1 and 2, each applied locally.
+    Row and column k*d1 + i of the result are row and column i*d2 + k of op,
+    and reindexing keeps lowest terms.
     """
-    op = r7v(x, params)
-    for k in range(2, n + 1):
-        merge, split = _peel_first(k)
-        dims, r = (2, k, 2), r7v(x + k - 1, params)
-        op = mat_mul(merge, apply_two_site(r, (0, 2), dims, apply_two_site(op, (1, 2), dims, split)))
-    return op
+    pick = itemgetter(*[i * d2 + k for k in range(d2) for i in range(d1)])
+    return ExactMatrix._canonical(tuple(map(pick, pick(op.numerators))), op.denominator, op.cols)
 
 
 def check_fusion_orders(n: int, m: int) -> None:
     """Raise ``ValueError`` unless both fusion orders are at least 1.
 
-    Below that there is no fused operator, and the recursions of
+    Below that there is no fused operator, and the recursion of
     :func:`fuse_nm` would return one of another order at a shifted argument.
     """
     if n < 1 or m < 1:
@@ -219,13 +194,11 @@ def fuse_nm(n: int, m: int, u: Fraction, params: ModelParams) -> ExactMatrix:
 
     Equal to (P_n (x) P_m) fuse_nm_unrestricted(n, m, u) (E_n (x) E_m) divided
     by prod_{j<m} fusion_scalar(n, u - j), but no intermediate leaves a
-    restricted space.  Two recursions build it: over n, each raw (n,1) factor
-    is grown one quantum slot at a time on C^2 (x) Sym_{k-1} (x) C^2
-    (:func:`_raw_n1`); over m, the product is grown one auxiliary slot at a
-    time on Sym_n (x) Sym_{j-1} (x) C^2.  Each step is exact by the four
-    identities of the module docstring: Sym_k = E_k P_k, P_k E_k = I,
-    Sym_k = Sym_k (I (x) Sym_{k-1}) = Sym_k (Sym_{k-1} (x) I), and
-    disjoint-slot commutation.
+    restricted space.  One recursion grows the product one auxiliary slot
+    at a time on Sym_n (x) Sym_{j-1} (x) C^2.  Its factors are raw (n,1)
+    operators: R itself for n = 1, and for n >= 2 the (1,n) operator with
+    its two tensor factors swapped.  Each step is exact by the identities
+    and premises of the module docstring.
 
     Orders below 1 raise ``ValueError`` (:func:`check_fusion_orders`) before
     the cache is consulted.  For n >= 2 the normalization vanishes at the
@@ -247,26 +220,27 @@ def _fuse_nm(n: int, m: int, u: Fraction, params: ModelParams) -> ExactMatrix:
         raise ZeroDivisionError(
             f"fusion normalization vanishes at u = {u}; the (n,m) product degenerates"
         )
-    op = _raw_n1(n, u - m + 1, params)
+
+    def raw_n1(x: Fraction) -> ExactMatrix:
+        if n == 1:
+            return r7v(x, params)
+        return _swap_factors(_fuse_nm(1, n, x + n - 1, params), 2, n + 1)
+
+    op = raw_n1(u - m + 1)
     # With u' = u - m + j: raw(n, j, u') = merge raw(n, 1, u')_{aux j} (raw(n, j-1, u'-1) (x) I) split.
     for j in range(2, m + 1):
         merge, split = _peel_last(j, n + 1)
-        dims, r = (n + 1, j, 2), _raw_n1(n, u - m + j, params)
+        dims, r = (n + 1, j, 2), raw_n1(u - m + j)
         op = mat_mul(merge, apply_two_site(r, (0, 2), dims, apply_two_site(op, (0, 1), dims, split)))
-    return op.scale(1 / scale)
+    # At n = 1, which covers the (1,n) operators the swapped factors reuse, scale is 1.
+    return op if scale == 1 else op.scale(1 / scale)
 
 
 def symmetric_residual(n: int, m: int, u: Fraction, params: ModelParams) -> ExactMatrix:
-    """(I - Pi_n Pi_m) applied to the unrestricted fused operator; zero iff contained."""
-    op = fuse_nm_unrestricted(n, m, rat(u), params)
-    nslots = n + m
-    full = ExactMatrix.identity(1 << nslots)
-    pi = full
-    if n > 1:
-        pi = mat_mul(pi, embed_op_on_slots(symmetrizer(n), range(n), nslots))
-    if m > 1:
-        pi = mat_mul(pi, embed_op_on_slots(symmetrizer(m), range(n, n + m), nslots))
-    return mat_mul(full - pi, op)
+    """Pi X (I - Pi), zero by the fusion lemma, with Pi and X as in
+    :func:`fuse_nm_unrestricted`."""
+    pi = kron(symmetrizer(n), symmetrizer(m))
+    return mat_mul(mat_mul(pi, _bare_product(n, m, rat(u), params)), ExactMatrix.identity(pi.rows) - pi)
 
 
 def check_fused_ybe(k: int, n: int, l: int, u: Fraction, v: Fraction, params: ModelParams) -> bool:

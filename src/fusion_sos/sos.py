@@ -482,30 +482,16 @@ def sample_admissible_boundary(k: int, n: int, l: int, rng, spread: int = 3):
 # -- gauge-transformed elementary model --------------------------------------
 
 
-def gauge_weights(q: WeightQuery, params: ModelParams, mode: str = "float"):
-    """The rescaled elementary family whose off-diagonal entries carry square roots.
+def gauge_weights(q: WeightQuery, params: ModelParams) -> Fraction:
+    """The exact square of the rescaled elementary weight, whose off-diagonal
+    entries carry square roots; the float weight is :func:`gauge_w11_float`.
 
-    ``mode="float"`` is :func:`gauge_w11_float` at float(u), float(w);
-    ``mode="exact-squared"`` returns the exact square of the weight, which
-    is rational and enough for identity checking.
+    The square is w11(q) w11(twin), where ``twin`` swaps b and b'.
     """
     if (q.n, q.m) != (1, 1):
         raise ValueError("gauge weights are defined for n = m = 1")
-    if mode not in ("float", "exact-squared"):
-        raise ValueError("mode must be 'float' or 'exact-squared'")
-    if mode == "float":
-        return gauge_w11_float(q.a, q.b, q.bprime, q.c, float(q.u), float(params.w))
-    if not q.is_valid():
-        return Fraction(0)
-    a, b, bp, c, u, w = q.a, q.b, q.bprime, q.c, q.u, params.w
-    if abs(a - c) == 2 or b == bp:
-        plain = w11(q, params)
-        return plain * plain
-    # a == c, b != b': the square-root family.
-    l = c
-    if l + w == 0:
-        raise PoleError("vanishing height denominator")
-    return u * u * (l - 1 + w) * (l + 1 + w) / (l + w) ** 2
+    twin = WeightQuery(1, 1, q.a, q.bprime, q.b, q.c, q.u)
+    return w11(q, params) * w11(twin, params)
 
 
 def gauge_w11_float(a: int, b: int, bp: int, c: int, u: float, w: float) -> float:

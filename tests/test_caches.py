@@ -12,15 +12,14 @@ import fusion_sos
 KEPT_CACHES = {
     # face-weights 1,491/5,547, lattice 1,498/1,784, verify-cli 32/1,964.
     "fusion_sos.sos._w_nm_sum",
-    # lattice 33/96, fused-ybe 18/196.
+    # lattice 52/178, fused-ybe 39/331 (the (1, n) operators that the
+    # (n, 1) factors swap are cached too), verify-cli 1/179.
     "fusion_sos.fusion._fuse_nm",
-    # fused-ybe 219/498, lattice 92/185, verify-cli 8/210.
+    # fused-ybe 175/454, lattice 54/147, verify-cli 8/210.
     "fusion_sos.vertex.r7v",
-    # fused-ybe 14/18, verify-cli 4/6, face-weights 4/6, lattice 4/6.
+    # fused-ybe 8/12, verify-cli 2/4, face-weights 2/4, lattice 2/4.
     "fusion_sos.fusion.sym_basis",
-    # fused-ybe 185/188, lattice 81/82, verify-cli 50/51, face-weights 5/6.
-    "fusion_sos.fusion._peel_first",
-    # fused-ybe 126/132, lattice 38/40, verify-cli 30/32, face-weights 2/4.
+    # fused-ybe 291/297, lattice 101/103, verify-cli 81/83, face-weights 8/10.
     "fusion_sos.fusion._peel_last",
 }
 

@@ -14,7 +14,7 @@ from fusion_sos.fusion import (
     symmetric_residual,
     symmetrizer,
 )
-from fusion_sos.vertex import r7v
+from fusion_sos.vertex import ModelParams, r7v
 
 from conftest import spectral_pair
 
@@ -40,10 +40,6 @@ def test_sym_basis_invariants(n):
     basis = sym_basis(n)
     assert mat_mul(basis.project, basis.embed) == ExactMatrix.identity(n + 1)
     assert mat_mul(basis.embed, basis.project) == symmetrizer(n)
-
-
-def test_fuse_n1_image_in_symmetric_subspace(params_unit):
-    assert symmetric_residual(2, 1, Fraction(1, 3), params_unit).is_zero()
 
 
 def test_fusion_scalar_zero_raises(params_unit):
@@ -84,9 +80,20 @@ def test_fuse_nm_matches_dense_definition(n, m, params):
         assert fuse_nm(n, m, u, params) == expected.scale(1 / scale)
 
 
-@pytest.mark.parametrize("n,m", [(1, 2), (2, 2), (2, 3)])
-def test_fused_image_containment(n, m, params):
-    assert symmetric_residual(n, m, Fraction(3, 2) + Fraction(1, 7), params).is_zero()
+@pytest.mark.parametrize("n,m", [(n, m) for n in range(1, 5) for m in range(1, 6 - n) if n + m > 2])
+@pytest.mark.parametrize("u", [Fraction(5, 7), Fraction(-9, 4), Fraction(2), Fraction(0)], ids=str)
+def test_fusion_lemma(n, m, u):
+    # Pi X Pi = Pi X for the bare product X, integer u included.
+    for alpha in (Fraction(3, 2), Fraction(-2, 3)):
+        assert symmetric_residual(n, m, u, ModelParams(alpha)).is_zero()
+
+
+def test_fusion_lemma_fails_for_a_junk_r(monkeypatch, params):
+    # The residual is a check: a 4x4 factor that is not R breaks the lemma.
+    junk = ExactMatrix([[1, 2, 0, 0], [0, 3, 1, 0], [5, 0, 1, 0], [0, 0, 2, 7]])
+    monkeypatch.setattr(fusion, "r7v", lambda u, params: junk)
+    for n, m in ((2, 1), (1, 2), (2, 2)):
+        assert not symmetric_residual(n, m, Fraction(5, 7), params).is_zero()
 
 
 @pytest.mark.parametrize("triple", [(1, 1, 1), (1, 1, 2), (2, 1, 1), (1, 2, 1), (2, 2, 1)])

@@ -296,7 +296,7 @@ class TestGaugeModel:
             ]:
                 q = WeightQuery(1, 1, a, b, bp, c, U)
                 plain = w11(q, params)
-                assert gauge_weights(q, params, "exact-squared") == plain * plain
+                assert gauge_weights(q, params) == plain * plain
 
     def test_w1_reproduces_integer_radicand_values(self):
         # At w = 1 the off-diagonal weights carry sqrt(l (l + 2)).
@@ -304,14 +304,17 @@ class TestGaugeModel:
         assert p.w == 1
         for l in (1, 2, 3):
             q = WeightQuery(1, 1, l, l + 1, l - 1, l, U)
-            sq = gauge_weights(q, p, "exact-squared")
+            sq = gauge_weights(q, p)
             assert sq == U * U * l * (l + 2) / (l + 1) ** 2
 
-    def test_float_mode_refuses_negative_radicand(self):
-        p = ModelParams(1, Fraction(-1, 4), Fraction(3, 4))  # w = 1/4
-        q = WeightQuery(1, 1, 0, 1, -1, 0, U)
+    def test_refuses_fused_orders(self, params):
+        with pytest.raises(ValueError, match="gauge weights are defined for n = m = 1"):
+            gauge_weights(WeightQuery(2, 1, 0, 1, 1, 0, U), params)
+
+    def test_float_weight_refuses_negative_radicand(self):
+        # w = 1/4
         with pytest.raises(ValueError, match="unsupported parameter region"):
-            gauge_weights(q, p, "float")
+            gauge_w11_float(0, 1, -1, 0, float(U), 0.25)
 
     def test_float_ybe_residual(self):
         rng = random.Random(71)
@@ -339,34 +342,15 @@ class TestGaugeModel:
                 q = WeightQuery(1, 1, l, b, bp, l, U)
                 assert q.is_valid()
                 with pytest.raises(PoleError):
-                    gauge_weights(q, p, "float")
-                with pytest.raises(PoleError):
-                    gauge_weights(q, p, "exact-squared")
+                    gauge_weights(q, p)
                 with pytest.raises(PoleError):
                     gauge_w11_float(l, b, bp, l, float(U), float(w))
         # Faces with |a - c| = 2 have no denominator.
         for a in (l - 2, l + 2):
             mid = (a + l) // 2
             q = WeightQuery(1, 1, a, mid, mid, l, U)
-            assert gauge_weights(q, p, "float") == float(U) + 1
             assert gauge_w11_float(a, mid, mid, l, float(U), float(w)) == float(U) + 1
-            assert gauge_weights(q, p, "exact-squared") == (U + 1) ** 2
-
-    def test_float_mode_is_gauge_w11_float(self):
-        for num in range(-20, 21):
-            w = Fraction(num, 7)
-            if w.denominator == 1:
-                continue
-            p = ModelParams(1, w, w)
-            for a, b, bp, c in valid_quads(1, 1, 3):
-                q = WeightQuery(1, 1, a, b, bp, c, U)
-                try:
-                    expected = gauge_w11_float(a, b, bp, c, float(U), float(w))
-                except ValueError:
-                    with pytest.raises(ValueError, match="negative radicand"):
-                        gauge_weights(q, p, "float")
-                    continue
-                assert gauge_weights(q, p, "float") == expected
+            assert gauge_weights(q, p) == (U + 1) ** 2
 
 
 @st.composite

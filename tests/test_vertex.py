@@ -148,6 +148,18 @@ def test_embed_two_site_reversed_positions(params_unit):
     assert swapped == p @ r @ p
 
 
+nonzero_rationals = st.fractions(min_value=-9, max_value=9, max_denominator=9).filter(bool)
+
+
+@settings(max_examples=100, deadline=None)
+@given(nonzero_rationals, st.one_of(st.integers(-6, 6).map(Fraction), st.fractions(-9, 9, max_denominator=9)))
+def test_r7v_commutes_with_the_swap(alpha, u):
+    # The premise that makes the (n,1) fusion factor the swapped (1,n) operator.
+    p = permutation_op(2)
+    r = r7v(u, ModelParams(alpha))
+    assert p @ r @ p == r
+
+
 def kron_reference(op, pos, dims, rhs):
     """embed(op) @ rhs as P^T (op (x) I) P @ rhs, P the permutation that
     brings factor order (p, q, rest...) to the natural order."""
