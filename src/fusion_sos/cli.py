@@ -6,6 +6,8 @@ identity check failed, 2 a usage error (bad flags, malformed rationals, or an
 adjacency-violating weight query) or any other ``ValueError`` or
 ``ZeroDivisionError`` -- among them a degenerate parameter point
 (``PoleError``, ``DegenerateParameterPoint``, ``SingularMatrixError``).
+When such an error stops a ``verify`` suite, a second stderr line names the
+suite and the case that raised it.
 """
 
 from __future__ import annotations
@@ -75,13 +77,22 @@ def _emit(payload: dict, fmt: str, csv_header: list[str] | None = None) -> None:
             print(f"{key}: {payload[key]}")
 
 
+class _CaseError(Exception):
+    """A ``ValueError`` or ``ZeroDivisionError`` raised by one case of a
+    verify suite; the original error is the ``__cause__``."""
+
+
 def _run_suite(name: str, cases, check) -> int:
     """Check each case in turn, formatting its line as it is checked, and
     count the failures.  The lines are written once the last case is
-    checked, so a suite that raises prints none of them."""
+    checked, so a suite that raises prints none of them; its error is
+    raised again as a :class:`_CaseError` that names the suite and case."""
     lines, failures = [], 0
-    for case in cases:
-        ok = check(case)
+    for number, case in enumerate(cases, 1):
+        try:
+            ok = check(case)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise _CaseError(f"in suite {name}, case {number}: {case}") from exc
         failures += not ok
         lines.append(f"[{name}] {case}: {'pass' if ok else 'FAIL'}\n")
     sys.stdout.write("".join(lines))
@@ -457,6 +468,10 @@ def main(argv=None) -> int:
         return args.handler(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return USAGE_ERROR
+    except _CaseError as exc:
+        print(f"error: {exc.__cause__}", file=sys.stderr)
+        print(exc, file=sys.stderr)
         return USAGE_ERROR
     except (ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)

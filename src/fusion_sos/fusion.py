@@ -27,10 +27,11 @@ slots and splits as E P, so each product collapses onto a smaller
 restricted space.  One recursion, over m, results:
 raw(n, m, u) = [P_m (E_{m-1} (x) I)] raw(n, u)_{aux m}
 (raw(n, m-1, u-1) (x) I) [(P_{m-1} (x) I) E_m], on
-Sym_n (x) Sym_{m-1} (x) C^2 (dimension 2m(n+1)).  Each step applies the
-factor and the inner operator locally, one after the other, with
-:func:`fusion_sos.vertex.apply_two_site`, so it forms one matrix product,
-with the merge.
+Sym_n (x) Sym_{m-1} (x) C^2 (dimension 2m(n+1)).  Each step runs on the
+row kernel of :mod:`fusion_sos.vertex`: it takes the sparse rows of the
+split, applies the inner operator and then the factor locally, multiplies
+by the merge on the left, and reduces once, at the end.  It forms no
+matrix product.
 
 Its factors are the raw (n,1) operators raw(n, x) = P_n T_n(x) E_n with
 T_n(x) = R_{0a}(x+n-1) ... R_{n-1,a}(x).  For n = 1 that is R(x).  For
@@ -63,7 +64,17 @@ from math import comb, factorial
 from operator import itemgetter
 
 from .exactcore import ExactMatrix, kron, mat_mul, rat
-from .vertex import ModelParams, apply_two_site, check_ybe_vertex, embed_two_site, r7v
+from .vertex import (
+    ModelParams,
+    _apply_plan,
+    _from_sparse_rows,
+    _left_product_plan,
+    _sparse_rows,
+    _two_site_plan,
+    check_ybe_vertex,
+    embed_two_site,
+    r7v,
+)
 
 
 def _bits(index: int, n: int) -> tuple[int, ...]:
@@ -230,8 +241,12 @@ def _fuse_nm(n: int, m: int, u: Fraction, params: ModelParams) -> ExactMatrix:
     # With u' = u - m + j: raw(n, j, u') = merge raw(n, 1, u')_{aux j} (raw(n, j-1, u'-1) (x) I) split.
     for j in range(2, m + 1):
         merge, split = _peel_last(j, n + 1)
-        dims, r = (n + 1, j, 2), raw_n1(u - m + j)
-        op = mat_mul(merge, apply_two_site(r, (0, 2), dims, apply_two_site(op, (0, 1), dims, split)))
+        dims, r, ncols = (n + 1, j, 2), raw_n1(u - m + j), split.cols
+        rows = _apply_plan(_two_site_plan(op, (0, 1), dims), _sparse_rows(split), ncols)
+        rows = _apply_plan(_two_site_plan(r, (0, 2), dims), rows, ncols)
+        rows = _apply_plan(_left_product_plan(merge), rows, ncols)
+        den = merge.denominator * r.denominator * op.denominator * split.denominator
+        op = _from_sparse_rows(rows, den, ncols)
     # At n = 1, which covers the (1,n) operators the swapped factors reuse, scale is 1.
     return op if scale == 1 else op.scale(1 / scale)
 

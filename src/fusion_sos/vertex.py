@@ -4,6 +4,20 @@ The 4x4 weight matrix acts on C^2 (x) C^2 with the basis ordered
 (e1 h1, e1 h2, e2 h1, e2 h2); basis vector e1 carries edge state +1 and e2
 carries state -1, which pins the intertwining-vector coordinates used in
 :mod:`fusion_sos.correspondence`.
+
+Two-site operators act through one private row kernel, on integer
+numerators.  Its first part is a row plan (:func:`_two_site_plan`): for
+each row of the product space, which input rows a two-site operator
+combines, and with which of its numerators.  Its second part applies a
+plan to sparse rows, lists of (column, numerator) pairs in ascending
+column order with zeros dropped, and does not reduce: the result is over
+the product of the denominators that went in.  So two results made from
+the same denominators are equal exactly when their numerator rows are,
+and no gcd is needed to compare them.  :func:`apply_two_site` lists its
+right-hand side once and reduces once, :func:`check_ybe_vertex` compares
+unreduced sides, and the step of :func:`fusion_sos.fusion.fuse_nm` applies
+two two-site plans and the plan of a left product before its one
+reduction.
 """
 
 from __future__ import annotations
@@ -94,44 +108,94 @@ def check_degeneracy(params: ModelParams) -> Fraction:
     return c
 
 
-def apply_two_site(
-    op: ExactMatrix, pos: tuple[int, int], dims: tuple[int, ...], rhs: ExactMatrix
-) -> ExactMatrix:
-    """``embed_two_site(op, pos, dims) @ rhs``, without forming the embedding.
+# A sparse row: its nonzero (column, numerator) pairs, in ascending column
+# order.  A row plan: per output row, a base input row and the (offset,
+# numerator) pairs that weight input row base + offset.
+_Rows = list[list[tuple[int, int]]]
+_Plan = list[tuple[int, list[tuple[int, int]]]]
 
-    Runs on integer numerators, one output row at a time: the row with
-    factor indices (i_p, i_q) and the rest fixed sums the ``rhs`` rows with
-    indices (j_p, j_q) and the same rest, weighted by the nonzero entries of
-    ``op`` in row (i_p, i_q).  Each ``rhs`` row is listed once as its nonzero
-    (column, value) pairs, and the result is reduced once.
+
+def _two_site_plan(op: ExactMatrix, pos: tuple[int, int], dims: tuple[int, ...]) -> _Plan:
+    """The row plan of ``op`` acting on factors ``pos`` of the product space.
+
+    Output row i, with factor indices (i_p, i_q) and the rest fixed, sums
+    the input rows with indices (j_p, j_q) and the same rest, weighted by
+    the entries of ``op`` in row (i_p, i_q).  Its plan entry is the index
+    ``base`` of the input row with j_p = j_q = 0 and that rest, and the
+    nonzero numerators of the ``op`` row as (offset, numerator) pairs: the
+    input row ``base + offset`` enters with that weight.
     """
     p, q = pos
     if p == q:
         raise ValueError("positions must be distinct")
     if op.rows != op.cols or op.rows != dims[p] * dims[q]:
         raise ShapeMismatchError("operator does not match the selected factors")
-    total = prod(dims)
-    if rhs.rows != total:
-        raise ShapeMismatchError(f"cannot apply a {total}-row operator to {rhs.rows} rows")
     sp, sq = prod(dims[p + 1 :]), prod(dims[q + 1 :])
     dp, dq = dims[p], dims[q]
-    # Nonzero numerators of each operator row, at their offsets in the big index.
     local = [
         [(jp * sp + jq * sq, v) for jp in range(dp) for jq in range(dq) if (v := orow[jp * dq + jq])]
         for orow in op.numerators
     ]
-    ncols = rhs.cols
-    rnz = [[(k, x) for k, x in enumerate(row) if x] for row in rhs.numerators]
-    out = []
-    for i in range(total):
+    plan = []
+    for i in range(prod(dims)):
         ip, iq = i // sp % dp, i // sq % dq
-        base = i - ip * sp - iq * sq
+        plan.append((i - ip * sp - iq * sq, local[ip * dq + iq]))
+    return plan
+
+
+def _apply_plan(plan: _Plan, rows: _Rows, ncols: int) -> _Rows:
+    """Apply a row plan to sparse integer rows, without reducing.
+
+    The result is over the product of the plan's and the rows'
+    denominators.  Its rows are sparse rows again, so equal results are
+    equal lists.
+    """
+    out = []
+    for base, pairs in plan:
         acc = [0] * ncols
-        for offset, v in local[ip * dq + iq]:
-            for k, x in rnz[base + offset]:
+        for offset, v in pairs:
+            for k, x in rows[base + offset]:
                 acc[k] += v * x
-        out.append(acc)
-    return ExactMatrix._reduced(out, op.denominator * rhs.denominator, ncols)
+        out.append([(k, x) for k, x in enumerate(acc) if x])
+    return out
+
+
+def _sparse_rows(m: ExactMatrix) -> _Rows:
+    """The numerator rows of ``m`` as sparse rows."""
+    return [[(k, x) for k, x in enumerate(row) if x] for row in m.numerators]
+
+
+def _left_product_plan(m: ExactMatrix) -> _Plan:
+    """The row plan of the left product by ``m``: output row i weights input
+    row j by the numerator of m[i, j]."""
+    return [(0, pairs) for pairs in _sparse_rows(m)]
+
+
+def _from_sparse_rows(rows: _Rows, den: int, ncols: int) -> ExactMatrix:
+    """The matrix with the given sparse numerator rows over den > 0, reduced once."""
+    dense = []
+    for row in rows:
+        acc = [0] * ncols
+        for k, x in row:
+            acc[k] = x
+        dense.append(acc)
+    return ExactMatrix._reduced(dense, den, ncols)
+
+
+def apply_two_site(
+    op: ExactMatrix, pos: tuple[int, int], dims: tuple[int, ...], rhs: ExactMatrix
+) -> ExactMatrix:
+    """``embed_two_site(op, pos, dims) @ rhs``, without forming the embedding.
+
+    Runs on integer numerators with the row kernel of the module docstring:
+    the rows of ``rhs`` are listed once as sparse rows, the row plan of
+    ``op`` is applied to them, and the result is reduced once.
+    """
+    plan = _two_site_plan(op, pos, dims)
+    if rhs.rows != len(plan):
+        raise ShapeMismatchError(f"cannot apply a {len(plan)}-row operator to {rhs.rows} rows")
+    rows = _apply_plan(plan, _sparse_rows(rhs), rhs.cols)
+    return _from_sparse_rows(rows, op.denominator * rhs.denominator, rhs.cols)
 
 
 def embed_two_site(op: ExactMatrix, pos: tuple[int, int], dims: tuple[int, ...]) -> ExactMatrix:
@@ -154,12 +218,17 @@ def check_ybe_vertex(
     The operators are local: r12 acts on factors (0, 1), r13 on (0, 2) and
     r23 on (1, 2) of the space with the given dimensions; pass them
     evaluated at the argument pattern (v, u, u - v).  Each side starts from
-    one shared identity and applies its three factors, rightmost first, by
-    :func:`apply_two_site`.
+    the sparse identity and applies the row plans of its three factors,
+    rightmost first, with the row kernel of the module docstring.  Neither
+    side is reduced: both are integer rows over the same denominator
+    d12 d13 d23, the product of the operators' denominators, so the sides
+    are equal exactly when their numerator rows are.
     """
-    lhs = rhs = ExactMatrix.identity(prod(dims))
-    for op, pos in ((r23, (1, 2)), (r13, (0, 2)), (r12, (0, 1))):
-        lhs = apply_two_site(op, pos, dims, lhs)
-    for op, pos in ((r12, (0, 1)), (r13, (0, 2)), (r23, (1, 2))):
-        rhs = apply_two_site(op, pos, dims, rhs)
+    total = prod(dims)
+    plans = [_two_site_plan(op, pos, dims) for op, pos in ((r12, (0, 1)), (r13, (0, 2)), (r23, (1, 2)))]
+    lhs = rhs = [[(i, 1)] for i in range(total)]
+    for plan in reversed(plans):
+        lhs = _apply_plan(plan, lhs, total)
+    for plan in plans:
+        rhs = _apply_plan(plan, rhs, total)
     return lhs == rhs

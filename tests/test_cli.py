@@ -296,6 +296,20 @@ def test_verify_weights_at_negative_alpha(capsys):
     assert out.endswith("all identity checks passed\n")
 
 
+def test_verify_names_the_case_that_raised(capsys):
+    """The error keeps its first stderr line, which callers match on to tell
+    a degenerate point from other exits, and a second line names the suite
+    and the case that raised it."""
+    code = main(["verify", "weights", "--alpha", "3/2", "--w", "7/3"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == (
+        "error: gamma ratio hit a pole/zero collision\n"
+        "in suite weights-three-way, case 11: (1, 1, 0, 1, 0)\n"
+    )
+
+
 def _in_process(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

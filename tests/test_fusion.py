@@ -104,6 +104,34 @@ def test_fused_ybe_samples(triple, params):
         assert check_fused_ybe(*triple, u, v, params)
 
 
+@pytest.mark.parametrize("which", [0, 1, 2], ids=["r12", "r13", "r23"])
+@pytest.mark.parametrize("triple", [(1, 2, 1), (2, 1, 2)])
+def test_fused_ybe_fails_on_a_wrong_operator(monkeypatch, triple, which, params):
+    """Adding +-1 to any one numerator of one of the three fused operators
+    makes the check fail: the unreduced comparison is not fooled."""
+    u, v = Fraction(7, 3), Fraction(-5, 4)
+    assert check_fused_ybe(*triple, u, v, params)
+    real = fusion.fuse_nm
+    k, n, l = triple
+    size = [(k + 1) * (n + 1), (k + 1) * (l + 1), (n + 1) * (l + 1)][which]
+    for i in range(size):
+        for j in range(size):
+            for sign in (1, -1):
+                calls = []
+
+                def wrong(a, b, x, p, i=i, j=j, sign=sign):
+                    op = real(a, b, x, p)
+                    calls.append(op)
+                    if len(calls) - 1 != which:
+                        return op
+                    num = [list(row) for row in op.numerators]
+                    num[i][j] += sign
+                    return ExactMatrix.from_integers(num, op.denominator)
+
+                monkeypatch.setattr(fusion, "fuse_nm", wrong)
+                assert not check_fused_ybe(*triple, u, v, params), (i, j, sign)
+
+
 def test_fused_ybe_alpha_sensitivity(params, params_unit):
     # Same spectral point, two alphas: both satisfied (alpha is a free constant).
     u, v = Fraction(5, 3) + Fraction(1, 7), Fraction(1, 2)

@@ -4,12 +4,13 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fusion_sos import vertex
 from fusion_sos.correspondence import fused_intertwiner_tensor
 from fusion_sos.exactcore import ExactMatrix, ShapeMismatchError, kron, mat_mul
+from fusion_sos.fusion import fuse_nm
 from fusion_sos.polyrep import intertwiner_poly, o_m_gamma_form, o_m_product_form
 from fusion_sos.sos import WeightQuery, gauge_w11_float
 from fusion_sos.vertex import (
@@ -207,6 +208,43 @@ def test_apply_two_site_matches_kron_reference(data):
     op, rhs = matrix(local, local), matrix(total, ncols)
     assert apply_two_site(op, (p, q), dims, rhs) == kron_reference(op, (p, q), dims, rhs)
     assert embed_two_site(op, (p, q), dims) == kron_reference(op, (p, q), dims, ExactMatrix.identity(total))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_check_ybe_vertex_is_the_embedded_product_identity(data):
+    """The unreduced sparse check against the definition: both sides built
+    from embedded operators and compared as reduced matrices.  The operators
+    have distinct denominators, so the unreduced sides are over a product
+    that no one operator's denominator fixes; most random triples fail."""
+    dims = tuple(data.draw(st.lists(st.sampled_from((2, 3)), min_size=3, max_size=3)))
+    dens = data.draw(st.permutations(range(1, 10)))[:3]
+    positions = ((0, 1), (0, 2), (1, 2))
+    # Scalar multiples of the identity make some triples satisfy the identity.
+    scalar = data.draw(st.booleans())
+    ops = []
+    for (p, q), den in zip(positions, dens):
+        size = dims[p] * dims[q]
+        if scalar:
+            c = data.draw(st.integers(-5, 5).filter(bool))
+            nums = [[c if i == j else 0 for j in range(size)] for i in range(size)]
+        else:
+            nums = [data.draw(st.lists(st.integers(-3, 3), min_size=size, max_size=size)) for _ in range(size)]
+        ops.append(ExactMatrix.from_integers(nums, den))
+    assume(len({op.denominator for op in ops}) == 3)
+    r12, r13, r23 = (embed_two_site(op, pos, dims) for op, pos in zip(ops, positions))
+    expected = mat_mul(mat_mul(r12, r13), r23) == mat_mul(mat_mul(r23, r13), r12)
+    assert check_ybe_vertex(*ops, dims) is expected
+
+
+def test_check_ybe_vertex_is_homogeneous_in_each_operator(params):
+    # Rescaled factors put the sides over denominators no true triple had.
+    u, v = Fraction(7, 3), Fraction(-5, 4)
+    r12, r13, r23 = fuse_nm(2, 1, v, params), fuse_nm(2, 2, u, params), fuse_nm(1, 2, u - v, params)
+    dims = (3, 2, 3)
+    assert check_ybe_vertex(r12, r13, r23, dims)
+    assert check_ybe_vertex(r12.scale(Fraction(3, 7)), r13.scale(Fraction(5, 2)), r23, dims)
+    assert not check_ybe_vertex(r12.scale(Fraction(3, 7)), r13.scale(Fraction(5, 2)), r23 + ExactMatrix.identity(6), dims)
 
 
 def test_apply_two_site_refuses_mismatched_shapes(params_unit):
