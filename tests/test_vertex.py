@@ -213,10 +213,10 @@ def test_apply_two_site_matches_kron_reference(data):
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_check_ybe_vertex_is_the_embedded_product_identity(data):
-    """The unreduced sparse check against the definition: both sides built
-    from embedded operators and compared as reduced matrices.  The operators
-    have distinct denominators, so the unreduced sides are over a product
-    that no one operator's denominator fixes; most random triples fail."""
+    """The unreduced sparse check against the definition, whose two sides
+    are products of embedded operators compared as reduced matrices.  The
+    three operators have distinct denominators, so the unreduced sides lie
+    over a product of three different ones; most random triples fail."""
     dims = tuple(data.draw(st.lists(st.sampled_from((2, 3)), min_size=3, max_size=3)))
     dens = data.draw(st.permutations(range(1, 10)))[:3]
     positions = ((0, 1), (0, 2), (1, 2))
