@@ -6,11 +6,11 @@ polynomial; the paper's symmetrized tensor product defines them and is the
 tests' reference.  Expanding the image of one intertwining polynomial in the
 basis of neighbouring ones is an exact linear solve, and the weights it
 produces are the ground truth against which the closed-form and series
-formulas in :mod:`fusion_sos.sos` are tested.  That route stays on integers
-until the solve returns: the intertwining polynomials are integer
-coefficient columns over one denominator, and the height-changing operator
-acts on the source column factor by factor (``polyrep._o_m_apply``)
-without its matrix ever being formed.
+formulas in :mod:`fusion_sos.sos` are tested.  That route runs on integers
+until each weight becomes one ``Fraction``: the intertwining polynomials are
+integer columns over one shared denominator, the height-changing operator
+acts on the source column (``polyrep._o_m_apply``) without its matrix ever
+being formed, and one fraction-free elimination solves for the weights.
 """
 
 from __future__ import annotations
@@ -23,11 +23,13 @@ from .exactcore import (
     ExactMatrix,
     ExactPolynomial,
     ScalarLike,
+    SingularMatrixError,
+    _bareiss,
     _root_product,
+    common_denominator,
     det,
     mat_mul,
     rat,
-    solve_exact,
 )
 from .fusion import fuse_nm, symmetrizer
 from .polyrep import _intertwiner_roots, _o_m_apply, intertwiner_poly
@@ -125,16 +127,6 @@ def independence_determinant(family: IntertwinerSet) -> Fraction:
     return det(ExactMatrix(list(zip(*cols))))
 
 
-def _intertwiner_column(n: int, a: int, b: int, params: ModelParams):
-    """psi(0)^a_b as integer coefficients over D^n, D the denominator of its
-    roots (independent of a and b); None off adjacency."""
-    found = _intertwiner_roots(n, Fraction(0), a, b, params)
-    if found is None:
-        return None
-    roots, den = found
-    return [x * den**j for j, x in enumerate(_root_product(roots, (-1) ** n))], den**n
-
-
 def solve_weights_from_relation(
     n: int, m: int, a: int, b: int, c: int, u: ScalarLike, params: ModelParams
 ) -> dict[int, Fraction]:
@@ -145,18 +137,30 @@ def solve_weights_from_relation(
     expansion is a square exact solve, and weights automatically vanish for
     b' not adjacent to a at distance m.  Integer w is refused on entry, as
     by the other weight routes (:func:`fusion_sos.sos.check_weight_domain`).
+
+    The source psi(0)^a_b and the basis psi(0)^b'_c are integer columns over
+    one denominator, D^n with D = den(alpha) den(s, t); the operator acts on
+    the source (``polyrep._o_m_apply``), and one fraction-free elimination
+    of the rows [basis | image] (``exactcore._bareiss``) solves for them.
     """
     check_weight_domain(params)
-    source = _intertwiner_column(n, a, b, params)
-    if source is None:
+    if up_steps(a, b, n) is None:
         raise ValueError("heights a, b are not adjacent at distance n")
-    column, den = source
-    (image,), image_den = _o_m_apply(m, rat(u), b, c, params, [column], den)
+    den, (ds, dt) = common_denominator(params.s, params.t)
+    scale = [(den * params.alpha.denominator) ** j for j in range(n + 1)]
+
+    def column(x: int, y: int) -> list[int]:
+        roots = _intertwiner_roots(n, x, y, params.alpha.numerator, den, 0, ds, dt)
+        return [k * d for k, d in zip(_root_product(roots, (-1) ** n), scale)]
+
+    (image,), image_den = _o_m_apply(m, rat(u), b, c, params, [column(a, b)], scale[n])
     heights = [c - n + 2 * j for j in range(n + 1)]
-    basis_cols = [_intertwiner_column(n, bp, c, params)[0] for bp in heights]
-    basis = ExactMatrix.from_integers(zip(*basis_cols), den)
-    solution = solve_exact(basis, ExactMatrix.from_integers([[x] for x in image], image_den))
-    return {bp: solution[j, 0] for j, bp in enumerate(heights)}
+    rows = [[*row, x] for row, x in zip(zip(*(column(bp, c) for bp in heights)), image)]
+    pivot, _ = _bareiss(rows, n + 1)
+    if not pivot:
+        raise SingularMatrixError("singular")
+    # Pivot row j reads pivot * y_j = row[n + 1], and weight j is y_j D^n / image_den.
+    return {bp: Fraction(row[n + 1] * scale[n], pivot * image_den) for bp, row in zip(heights, rows)}
 
 
 def check_vertex_sos_matrix(

@@ -240,29 +240,27 @@ def monomial_to_coeff_matrix(n: int) -> ExactMatrix:
     return ExactMatrix.from_integers([[(-1) ** (n - k) * (i + k == n) for k in range(n + 1)] for i in range(n + 1)])
 
 
-def _intertwiner_roots(n: int, u: Fraction, a: int, b: int, params: ModelParams):
-    """(roots, D) with psi = (-1)^n prod (z - r/D) over the integer roots r;
-    None off adjacency.  The roots are alpha (u + n - a - 2p + 1 - t) and
-    alpha (u + n + a - 2q + 1 + s), D is den(alpha) times the common
-    denominator of u, s and t."""
+def _intertwiner_roots(n: int, a: int, b: int, alpha_num: int, den: int, du: int, ds: int, dt: int):
+    """The integer roots r of psi = (-1)^n prod (z - r/D), D = den(alpha) den,
+    with u, s and t given as du, ds and dt over den; None off adjacency.
+    r/D runs over alpha (u + n - a - 2p + 1 - t) and alpha (u + n + a - 2q + 1 + s)."""
     n_plus = up_steps(a, b, n)
     if n_plus is None:
         return None
-    alpha = params.alpha
-    den, (du, ds, dt) = common_denominator(u, params.s, params.t)
     up = du + (n - a + 1) * den - dt
     down = du + (n + a + 1) * den + ds
     roots = [up - 2 * p * den for p in range(1, n_plus + 1)]
     roots += [down - 2 * q * den for q in range(1, n - n_plus + 1)]
-    return [alpha.numerator * r for r in roots], den * alpha.denominator
+    return [alpha_num * r for r in roots]
 
 
 def intertwiner_poly(n: int, u: ScalarLike, a: int, b: int, params: ModelParams) -> ExactPolynomial:
     """The degree-n intertwining polynomial for heights (a, b); zero off adjacency."""
-    found = _intertwiner_roots(n, rat(u), a, b, params)
-    if found is None:
+    den, shifts = common_denominator(rat(u), params.s, params.t)
+    roots = _intertwiner_roots(n, a, b, params.alpha.numerator, den, *shifts)
+    if roots is None:
         return ExactPolynomial.zero()
-    return ExactPolynomial.from_integer_roots(*found, lead=(-1) ** n)
+    return ExactPolynomial.from_integer_roots(roots, den * params.alpha.denominator, lead=(-1) ** n)
 
 
 def _o_m_apply(m: int, u: Fraction, b: int, c: int, params: ModelParams, cols, den: int):
@@ -286,7 +284,7 @@ def _o_m_apply(m: int, u: Fraction, b: int, c: int, params: ModelParams, cols, d
     )
     # Over alpha = p/q a factor is (z/alpha - Z) delta(-) + C delta(+), z0 = alpha Z, coef = C.
     # Z, C are put over 2 den(u, s, t) and all times |p|: z/alpha is q sign(p), den stays > 0.
-    p, q = abs(alpha.numerator), alpha.denominator if alpha > 0 else -alpha.denominator
+    p, q = abs(alpha.numerator), alpha.denominator if alpha.numerator > 0 else -alpha.denominator
     d, (du, ds, dt) = common_denominator(u, params.s, params.t)
     lz, step = 2 * d * q, 2 * d * p * alpha.denominator**top
     # Rightmost factors act first: the second product, ascending l' applied first.

@@ -387,6 +387,10 @@ def w_nm_hypergeometric(q: WeightQuery, params: ModelParams) -> Fraction:
     the height reflection (a, b, b', c; s, t) -> (-a, -b, -b', -c; -t, -s),
     which sends w to -w and swaps the two regimes, so a face with
     b + b' > a + c is the table at (-a, -b, -b', -c) and -w.
+
+    Limit: at integer u a prefactor gamma ratio can vanish or diverge, and the
+    route raises ``DegenerateParameterPoint("gamma ratio hit a pole/zero
+    collision")`` where the sum and linear-solve routes have a value.
     """
     check_weight_domain(params)
     if not q.is_valid():

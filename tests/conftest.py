@@ -4,6 +4,10 @@ from fractions import Fraction
 import pytest
 
 from fusion_sos import ModelParams
+from fusion_sos.exactcore import ExactMatrix, mat_mul, solve_exact
+from fusion_sos.polyrep import intertwiner_poly, o_m_product_form
+from fusion_sos.sos import check_weight_domain
+from fusion_sos.vertex import up_steps
 
 
 def rand_rat(rng: random.Random, span: int = 9) -> Fraction:
@@ -40,6 +44,22 @@ def valid_quads(n: int, m: int, span: int):
                 for bp in range(c - n, c + n + 1, 2):
                     if abs(bp - a) <= m and (bp - a + m) % 2 == 0:
                         yield a, b, bp, c
+
+
+def reference_solve_weights(n, m, a, b, c, u, params) -> dict:
+    """The linear-solve face weights from public matrices: ``solve_exact`` with
+    the intertwining polynomials psi(0)^b'_c as basis and the height-changing
+    operator applied to psi(0)^a_b as right-hand side.  It refuses what the
+    route refuses, in the same order and with the same message."""
+    check_weight_domain(params)
+    if up_steps(a, b, n) is None:
+        raise ValueError("heights a, b are not adjacent at distance n")
+    heights = range(c - n, c + n + 1, 2)
+    columns = [intertwiner_poly(n, 0, bp, c, params).coeff_vector(n + 1) for bp in heights]
+    source = ExactMatrix.column(intertwiner_poly(n, 0, a, b, params).coeff_vector(n + 1))
+    image = mat_mul(o_m_product_form(m, u, b, c, params, n), source)
+    solution = solve_exact(ExactMatrix(list(zip(*columns))), image)
+    return {bp: solution[j, 0] for j, bp in enumerate(heights)}
 
 
 @pytest.fixture

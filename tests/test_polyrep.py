@@ -14,7 +14,6 @@ from fusion_sos.exactcore import (
     lagrange_interpolate,
     mat_mul,
     poly_shift,
-    solve_exact,
 )
 from fusion_sos import correspondence, polyrep
 from fusion_sos.fusion import fuse_nm
@@ -38,6 +37,8 @@ from fusion_sos.polyrep import (
     star_triangle_check,
 )
 from fusion_sos.vertex import ModelParams, r7v, up_steps
+
+from conftest import reference_solve_weights
 
 Z = ExactPolynomial((0, 1))
 
@@ -535,25 +536,16 @@ class TestColumnKernel:
                         ), (m, b, c, d)
 
     @pytest.mark.parametrize("alpha", [Fraction(3, 2), Fraction(-9, 7)])
-    def test_solve_route_image_is_operator_applied_to_source(self, alpha, monkeypatch):
-        """The solve route hands ``solve_exact`` the intertwining polynomials
-        psi(0)^b'_c as basis and O_m applied to psi(0)^a_b as right-hand side."""
+    def test_solve_route_image_is_operator_applied_to_source(self, alpha):
+        """The solve route's weights are those of ``solve_exact`` with the
+        intertwining polynomials psi(0)^b'_c as basis and O_m applied to
+        psi(0)^a_b as right-hand side (``reference_solve_weights``).  The
+        basis is invertible, so equal weights mean an equal image."""
         params = ModelParams(alpha, Fraction(-2, 5), Fraction(3, 7))
-        seen = []
-
-        def spy(basis, rhs):
-            seen.extend([basis, rhs])
-            return solve_exact(basis, rhs)
-
-        monkeypatch.setattr(correspondence, "solve_exact", spy)
         u = Fraction(7, 3)
         for n, m, a, b, c in [(1, 1, 0, 1, 0), (2, 1, 1, -1, 0), (2, 3, 0, 0, 3), (3, 2, -1, 2, 2)]:
-            seen.clear()
-            correspondence.solve_weights_from_relation(n, m, a, b, c, u, params)
-            source = intertwiner_poly(n, 0, a, b, params)
-            image = apply(o_m_product_form(m, u, b, c, params, n), source)
-            basis = [intertwiner_poly(n, 0, c - n + 2 * j, c, params).coeff_vector(n + 1) for j in range(n + 1)]
-            assert seen == [ExactMatrix(list(zip(*basis))), ExactMatrix.column(image.coeff_vector(n + 1))]
+            table = correspondence.solve_weights_from_relation(n, m, a, b, c, u, params)
+            assert table == reference_solve_weights(n, m, a, b, c, u, params), (n, m, a, b, c)
 
     def test_zero_loss_check(self, params, monkeypatch):
         """A delta(-) that does not lower the degree is refused, not truncated."""

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fusion_sos
-from fusion_sos import sos
+from fusion_sos import correspondence, sos
 from fusion_sos.correspondence import solve_weights_from_relation
 from fusion_sos.exactcore import DegeneratePointError, SingularMatrixError, lagrange_interpolate
 from fusion_sos.sos import (
@@ -28,7 +29,7 @@ from fusion_sos.sos import (
 )
 from fusion_sos.vertex import ModelParams
 
-from conftest import rand_rat, valid_quads
+from conftest import rand_rat, reference_solve_weights, valid_quads
 
 U = Fraction(7, 3)
 
@@ -518,3 +519,109 @@ class TestDegeneratePoints:
         ):
             with pytest.raises(DegeneratePointError):
                 call()
+
+
+@st.composite
+def solve_points(draw):
+    """((n, m, a, b, c, u), params) with n <= 4, m <= 3, alpha in
+    {3/2, -2/3, 5/7}, s and t off the integers with two different prime
+    denominators (so w is off the integers too), and u an integer in about
+    a third of the draws."""
+    n = draw(st.integers(1, 4))
+    m = draw(st.integers(1, 3))
+    a = draw(st.integers(-3, 3))
+    b = a - draw(st.sampled_from(range(-n, n + 1, 2)))
+    c = b - draw(st.sampled_from(range(-m, m + 1, 2)))
+
+    def noninteger(den):
+        return Fraction(draw(st.integers(-4 * den, 4 * den).filter(lambda k: k % den)), den)
+
+    ds, dt = draw(st.permutations([2, 3, 5, 7]))[:2]
+    if draw(st.integers(0, 2)) == 0:
+        u = Fraction(draw(st.integers(-3, 3)))
+    else:
+        u = noninteger(draw(st.integers(2, 7)))
+    alpha = draw(st.sampled_from([Fraction(3, 2), Fraction(-2, 3), Fraction(5, 7)]))
+    return (n, m, a, b, c, u), ModelParams(alpha, noninteger(ds), noninteger(dt))
+
+
+def _check_solve_route(point):
+    face, params = point
+    assert _outcome(lambda: solve_weights_from_relation(*face, params)) == _outcome(
+        lambda: reference_solve_weights(*face, params)
+    )
+
+
+def _image_plus_one(o_m_apply):
+    """Mutant: 1 added to the lowest numerator of the image column."""
+
+    def mutant(*args):
+        (image,), den = o_m_apply(*args)
+        return [[image[0] + 1, *image[1:]]], den
+
+    return mutant
+
+
+def _basis_reversed(bareiss):
+    """Mutant: the basis columns eliminated in reversed order."""
+
+    def mutant(rows, pivots):
+        rows[:] = [row[pivots - 1 :: -1] + row[pivots:] for row in rows]
+        return bareiss(rows, pivots)
+
+    return mutant
+
+
+# One point per alpha of ``solve_points``, each with a weight table that is
+# not a palindrome, so that reversing the basis changes it.
+MUTANT_POINTS = [
+    ((2, 1, 0, 2, 1, Fraction(7, 3)), ModelParams(Fraction(3, 2), Fraction(-2, 7), Fraction(3, 5))),
+    ((3, 2, -1, 2, 2, Fraction(2)), ModelParams(Fraction(-2, 3), Fraction(1, 2), Fraction(-4, 3))),
+    ((4, 3, 1, 1, 0, Fraction(-5, 4)), ModelParams(Fraction(5, 7), Fraction(7, 5), Fraction(1, 3))),
+]
+
+
+class TestSolveRouteAgainstReference:
+    """The solve route runs one fraction-free elimination on integer columns;
+    ``solve_exact`` on the public matrices (``reference_solve_weights``) is
+    its reference, at non-unit alpha, with s and t of different denominators
+    and u sometimes an integer.  Equal means the same table, or the same
+    exception class and message."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(solve_points())
+    def test_matches_reference(self, point):
+        _check_solve_route(point)
+
+    @pytest.mark.parametrize(
+        "name, make", [("_o_m_apply", _image_plus_one), ("_bareiss", _basis_reversed)], ids=["image+1", "basis-reversed"]
+    )
+    def test_mutants_fail(self, name, make, monkeypatch):
+        monkeypatch.setattr(correspondence, name, make(getattr(correspondence, name)))
+        for point in MUTANT_POINTS:
+            with pytest.raises(AssertionError):
+                _check_solve_route(point)
+
+
+class TestHypergeometricAtIntegerU:
+    """At integer u the hypergeometric route declines on some faces where the
+    linear-solve oracle has a value; it never gives another number."""
+
+    def test_declines_or_matches_oracle(self):
+        counts = Counter()
+        for alpha in (Fraction(3, 2), Fraction(-2, 3)):
+            for w in (Fraction(1, 2), Fraction(-2, 3)):
+                p = ModelParams(alpha, w, w)
+                for n in (1, 2):
+                    for m in (1, 2):
+                        for a in range(-2, 3):
+                            for b in range(a - n, a + n + 1, 2):
+                                for c in range(b - m, b + m + 1, 2):
+                                    for u in range(-2, 3):
+                                        for bp, expected in solve_weights_from_relation(n, m, a, b, c, u, p).items():
+                                            q = WeightQuery(n, m, a, b, bp, c, u)
+                                            got = _outcome(lambda: w_nm_hypergeometric(q, p))
+                                            assert got in (expected, _GAMMA), (q.__dict__, p)
+                                            counts["value" if got == expected else "declined"] += 1
+        # A route that declined less would lower the second count.
+        assert counts == {"value": 5480, "declined": 1020}
