@@ -1,13 +1,14 @@
 import random
 from collections import Counter
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fusion_sos
-from fusion_sos import correspondence, sos
+from fusion_sos import correspondence, polyrep, sos
 from fusion_sos.correspondence import solve_weights_from_relation
 from fusion_sos.exactcore import DegeneratePointError, SingularMatrixError, lagrange_interpolate
 from fusion_sos.sos import (
@@ -602,6 +603,20 @@ class TestSolveRouteAgainstReference:
             with pytest.raises(AssertionError):
                 _check_solve_route(point)
 
+    def test_singular_basis_is_refused_as_by_solve_exact(self, monkeypatch):
+        """With every intertwining polynomial made equal (test-local), the
+        basis is singular: both routes raise SingularMatrixError("singular")."""
+        roots = polyrep._intertwiner_roots
+
+        def same_roots(n, a, b, *rest):
+            return roots(n, 0, n, *rest)
+
+        for module in (polyrep, correspondence):
+            monkeypatch.setattr(module, "_intertwiner_roots", same_roots)
+        for face, params in MUTANT_POINTS:
+            assert _outcome(lambda: solve_weights_from_relation(*face, params)) == (SingularMatrixError, "singular")
+            _check_solve_route((face, params))
+
 
 class TestHypergeometricAtIntegerU:
     """At integer u the hypergeometric route declines on some faces where the
@@ -609,19 +624,16 @@ class TestHypergeometricAtIntegerU:
 
     def test_declines_or_matches_oracle(self):
         counts = Counter()
-        for alpha in (Fraction(3, 2), Fraction(-2, 3)):
-            for w in (Fraction(1, 2), Fraction(-2, 3)):
-                p = ModelParams(alpha, w, w)
-                for n in (1, 2):
-                    for m in (1, 2):
-                        for a in range(-2, 3):
-                            for b in range(a - n, a + n + 1, 2):
-                                for c in range(b - m, b + m + 1, 2):
-                                    for u in range(-2, 3):
-                                        for bp, expected in solve_weights_from_relation(n, m, a, b, c, u, p).items():
-                                            q = WeightQuery(n, m, a, b, bp, c, u)
-                                            got = _outcome(lambda: w_nm_hypergeometric(q, p))
-                                            assert got in (expected, _GAMMA), (q.__dict__, p)
-                                            counts["value" if got == expected else "declined"] += 1
+        alphas, ws = (Fraction(3, 2), Fraction(-2, 3)), (Fraction(1, 2), Fraction(-2, 3))
+        for alpha, w, n, m, u in product(alphas, ws, (1, 2), (1, 2), range(-2, 3)):
+            p = ModelParams(alpha, w, w)
+            for a in range(-2, 3):
+                for b in range(a - n, a + n + 1, 2):
+                    for c in range(b - m, b + m + 1, 2):
+                        for bp, expected in solve_weights_from_relation(n, m, a, b, c, u, p).items():
+                            q = WeightQuery(n, m, a, b, bp, c, u)
+                            got = _outcome(lambda: w_nm_hypergeometric(q, p))
+                            assert got in (expected, _GAMMA), (q, p)
+                            counts["value" if got == expected else "declined"] += 1
         # A route that declined less would lower the second count.
         assert counts == {"value": 5480, "declined": 1020}
