@@ -41,11 +41,15 @@ class ShapeMismatchError(ValueError):
 class DegeneratePointError(Exception):
     """A computation has no finite value at this parameter point.
 
-    Base of :class:`SingularMatrixError` and of the face-weight errors
-    :class:`fusion_sos.sos.PoleError` and
-    :class:`fusion_sos.sos.DegenerateParameterPoint`, which keep their
-    ``ValueError`` / ``ZeroDivisionError`` bases as well.
+    Base of :class:`SingularMatrixError`, :class:`PoleError` and the
+    face-weight error :class:`fusion_sos.sos.DegenerateParameterPoint`,
+    which keep their ``ValueError`` / ``ZeroDivisionError`` bases as well.
     """
+
+
+class PoleError(DegeneratePointError, ZeroDivisionError):
+    """A denominator vanished: a face weight's (integer w or colliding
+    heights) or the fusion normalization of a fused operator."""
 
 
 class SingularMatrixError(DegeneratePointError, ValueError):

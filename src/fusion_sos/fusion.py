@@ -64,7 +64,7 @@ from itertools import permutations
 from math import comb, factorial
 from operator import itemgetter
 
-from .exactcore import ExactMatrix, kron, mat_mul, rat
+from .exactcore import ExactMatrix, PoleError, kron, mat_mul, rat
 from .vertex import (
     ModelParams,
     _apply_plan,
@@ -214,8 +214,8 @@ def fuse_nm(n: int, m: int, u: Fraction, params: ModelParams) -> ExactMatrix:
 
     Orders below 1 raise ``ValueError`` (:func:`check_fusion_orders`) before
     the cache is consulted.  For n >= 2 the normalization vanishes at the
-    integers -(n-1) <= u <= m-2; there it raises ZeroDivisionError before
-    anything is built.
+    integers -(n-1) <= u <= m-2; there it raises ``PoleError`` (a
+    ``ZeroDivisionError``) before anything is built.
     """
     check_fusion_orders(n, m)
     return _fuse_nm(n, m, u, params)
@@ -229,7 +229,7 @@ def _fuse_nm(n: int, m: int, u: Fraction, params: ModelParams) -> ExactMatrix:
     for j in range(m):
         scale *= fusion_scalar(n, u - j)
     if scale == 0:
-        raise ZeroDivisionError(
+        raise PoleError(
             f"fusion normalization vanishes at u = {u}; the (n,m) product degenerates"
         )
 

@@ -4,11 +4,12 @@ These are desk-scale sanity checks, not thermodynamics.  Each model is
 summed two independent ways, and each route is the other's oracle:
 
 * vertex model: trace(T^M) of the row transfer matrix, against a
-  depth-first enumeration of the edge states.  T is built one basis row at
-  a time: the row state and each auxiliary state are pushed through the N
-  local R factors as a sparse integer vector, and the matrix is reduced
-  once at the end.  No operator on the row space tensored with the
-  auxiliary space is formed;
+  depth-first enumeration of the edge states.  T is built by a depth-first
+  walk over the row's edges, last site first, that pushes each auxiliary
+  state through the local R factors as a sparse integer vector once per
+  shared row suffix; the first site keeps only the terms that close the
+  trace.  The matrix is reduced once at the end.  No operator on the row
+  space tensored with the auxiliary space is formed;
 * height (SOS) model: trace(T^M) of the height transfer matrix on the
   admissible periodic height rows inside a window, against a depth-first
   enumeration of the heights.
@@ -90,13 +91,15 @@ def _trace_power(t: ExactMatrix, periods: int) -> Fraction:
 def transfer_matrix_vertex(spec: LatticeSpec, params: ModelParams) -> ExactMatrix:
     """Row-to-row transfer matrix on the (n+1)^N-dimensional row space.
 
-    T = tr_aux(R_{N-1,a} ... R_{1a} R_{0a}), built one row s at a time on
-    the integer numerators of R.  For each auxiliary state a, a sparse row
-    vector {(column index so far, auxiliary state): numerator} starts at
-    (0, a) and is pushed through the factors in that order, site N-1
-    first: site i replaces the row's edge s_i by every column edge t_i that
-    R allows.  The trace keeps the terms that end in auxiliary state a.
-    The one denominator is den(R)^N, reduced once.
+    T = tr_aux(R_{N-1,a} ... R_{1a} R_{0a}) on the integer numerators of R,
+    built by one depth-first walk over the row's edges s_{N-1}, ..., s_1.
+    The level of the suffix s_i ... s_{N-1} holds, per auxiliary start a,
+    the sparse row vector {(column index so far, auxiliary state):
+    numerator} pushed through sites N-1 ... i, each site replacing s_i by
+    every column edge t_i that R allows; every row with that suffix reuses
+    it.  Site 0 closes the trace: only the entries of R that return to the
+    start a are added, straight into the output rows.  The one denominator
+    is den(R)^N, reduced once.
     """
     n, m, N = spec.n, spec.m, spec.N
     r = fuse_nm(n, m, spec.u, params)
@@ -112,23 +115,34 @@ def transfer_matrix_vertex(spec: LatticeSpec, params: ModelParams) -> ExactMatri
         for x in range(qdim)
     ]
     strides = [qdim ** (N - 1 - i) for i in range(N)]
-    rows = []
-    for s in product(range(qdim), repeat=N):
-        out = [0] * qdim**N
-        for a in range(adim):
-            state = {(0, a): 1}
-            for i in range(N - 1, -1, -1):
-                pushed = {}
-                site_rows, stride = local[s[i]], strides[i]
+    # close[x][c][a]: (column offset, numerator) of row (x, c)'s entries ending in state a.
+    close = [
+        [[[(y * strides[0], v) for y, b, v in e if b == a] for a in range(adim)] for e in x_rows] for x_rows in local
+    ]
+    rows = [[0] * qdim**N for _ in range(qdim**N)]
+    # Entry (i, row, states, x) takes edge x at site i below the level
+    # `states`, its next sibling waiting beneath it: only the current path is
+    # alive.  A recursive closure would be a cycle keeping `rows` until gc.
+    stack = [(N - 1, 0, [{(0, a): 1} for a in range(adim)], 0)]
+    while stack:
+        i, row, states, x = stack.pop()
+        if x + 1 < qdim:
+            stack.append((i, row, states, x + 1))
+        row += x * strides[i]
+        if i == 0:
+            out = rows[row]
+            for a, state in enumerate(states):
                 for (t, c), v in state.items():
-                    for y, b, w in site_rows[c]:
-                        key = (t + y * stride, b)
-                        pushed[key] = pushed.get(key, 0) + v * w
-                state = pushed
+                    for offset, w in close[x][c][a]:
+                        out[t + offset] += v * w
+            continue
+        children = [{} for _ in states]
+        for state, pushed in zip(states, children):
             for (t, c), v in state.items():
-                if c == a:
-                    out[t] += v
-        rows.append(out)
+                for y, b, w in local[x][c]:
+                    key = (t + y * strides[i], b)
+                    pushed[key] = pushed.get(key, 0) + v * w
+        stack.append((i - 1, row, children, 0))
     return ExactMatrix.from_integers(rows, r.denominator**N)
 
 

@@ -44,12 +44,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, lcm
 
-from .exactcore import DegeneratePointError, ScalarLike, rat
+from .exactcore import DegeneratePointError, PoleError, ScalarLike, rat
 from .vertex import ModelParams, up_steps
-
-
-class PoleError(DegeneratePointError, ZeroDivisionError):
-    """A weight denominator vanished (integer w or colliding heights)."""
 
 
 class DegenerateParameterPoint(DegeneratePointError, ValueError):

@@ -1,9 +1,10 @@
+import random
 from fractions import Fraction
 from itertools import product
 
 import pytest
 
-from fusion_sos.exactcore import DegeneratePointError, ExactMatrix, mat_mul
+from fusion_sos.exactcore import DegeneratePointError, ExactMatrix, PoleError, mat_mul
 from fusion_sos.fusion import fuse_nm
 from fusion_sos import lattice, sos
 from fusion_sos.lattice import (
@@ -53,12 +54,12 @@ def _outcome(route, *args):
         return type(exc)
 
 
-def _transfer_by_embedding(spec, params):
-    """T built as the product F_{N-1} ... F_0 of R embedded on (site i,
-    auxiliary), each a dense operator on the whole (n+1)^N (m+1) space,
-    followed by the partial trace over the auxiliary factor."""
+def _transfer_by_embedding(spec, r):
+    """T built as the product F_{N-1} ... F_0 of the (n, m) operator r
+    embedded on (site i, auxiliary), each a dense operator on the whole
+    (n+1)^N (m+1) space, followed by the partial trace over the auxiliary
+    factor."""
     n, m, N = spec.n, spec.m, spec.N
-    r = fuse_nm(n, m, spec.u, params)
     dims = tuple([n + 1] * N + [m + 1])
     prod = embed_two_site(r, (N - 1, N), dims)
     for i in range(N - 2, -1, -1):
@@ -82,7 +83,38 @@ def test_transfer_equals_embedded_product(N, n, m, alpha, w, u):
     t = transfer_matrix_vertex(spec, params)
     assert (t.rows, t.cols) == ((n + 1) ** N,) * 2
     assert not t.is_zero()
-    assert t.entries == _transfer_by_embedding(spec, params).entries
+    assert t.entries == _transfer_by_embedding(spec, fuse_nm(n, m, u, params)).entries
+
+
+# N = 1 enters the closing step at once; the rest push one to three sites
+# before it, with n != m for rectangular local blocks.
+DENSE_SHAPES = [(1, 1, 1), (1, 2, 3), (2, 1, 3), (3, 1, 2), (2, 3, 1), (3, 2, 2), (4, 1, 1)]
+
+
+@pytest.mark.parametrize("N, n, m", DENSE_SHAPES)
+def test_transfer_equals_embedded_product_of_dense_operator(N, n, m, monkeypatch, params_unit):
+    """The seven-vertex R has one charge-raising entry, so its fused
+    operators leave most closing pairs (c, a) and pushed keys unreached.  A
+    random rational operator with no zero entry reaches all of them:
+    dropping the b == a filter of the closing step at site 0 makes this
+    test fail."""
+    rng = random.Random(f"dense {N} {n} {m}")
+    dim = (n + 1) * (m + 1)
+    op = ExactMatrix(
+        [[Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 7)) for _ in range(dim)] for _ in range(dim)]
+    )
+    monkeypatch.setattr(lattice, "fuse_nm", lambda *args: op)
+    spec = LatticeSpec(N, 1, n, m, U)
+    assert transfer_matrix_vertex(spec, params_unit).entries == _transfer_by_embedding(spec, op).entries
+
+
+def test_degenerate_fusion_normalization_is_a_pole():
+    """At (n, m) = (2, 1) and u = -1 the fusion normalization vanishes: both
+    vertex routes refuse the point with the same degenerate-point error."""
+    spec = LatticeSpec(2, 2, 2, 1, Fraction(-1))
+    params = _params_w(Fraction(3, 2), Fraction(1, 5))
+    for route in (partition_vertex_transfer, partition_vertex_bruteforce):
+        assert _outcome(route, spec, params) is PoleError
 
 
 def test_single_column_transfer_is_partial_trace(params_unit):

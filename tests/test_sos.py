@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fusion_sos
-from fusion_sos import correspondence, polyrep, sos
+from fusion_sos import correspondence, exactcore, polyrep, sos
 from fusion_sos.correspondence import solve_weights_from_relation
 from fusion_sos.exactcore import DegeneratePointError, SingularMatrixError, lagrange_interpolate
 from fusion_sos.sos import (
@@ -504,6 +504,7 @@ class TestDegeneratePoints:
 
     def test_errors_share_one_base(self):
         assert fusion_sos.DegeneratePointError is DegeneratePointError
+        assert fusion_sos.PoleError is PoleError is exactcore.PoleError
         assert issubclass(PoleError, DegeneratePointError)
         assert issubclass(PoleError, ZeroDivisionError)
         for cls in (DegenerateParameterPoint, SingularMatrixError):
