@@ -94,10 +94,11 @@ DENSE_SHAPES = [(1, 1, 1), (1, 2, 3), (2, 1, 3), (3, 1, 2), (2, 3, 1), (3, 2, 2)
 @pytest.mark.parametrize("N, n, m", DENSE_SHAPES)
 def test_transfer_equals_embedded_product_of_dense_operator(N, n, m, monkeypatch, params_unit):
     """The seven-vertex R has one charge-raising entry, so its fused
-    operators leave most closing pairs (c, a) and pushed keys unreached.  A
-    random rational operator with no zero entry reaches all of them:
-    dropping the b == a filter of the closing step at site 0 makes this
-    test fail."""
+    operators are more than half zero (7 of 16 entries nonzero at (1, 1),
+    30 of 81 at (2, 2)) and leave closing triples (x, c, a) and pushed keys
+    unreached.  A random rational operator with no zero entry reaches every
+    one: dropping the b == a filter of the closing step at site 0 makes
+    this test fail."""
     rng = random.Random(f"dense {N} {n} {m}")
     dim = (n + 1) * (m + 1)
     op = ExactMatrix(
