@@ -7,13 +7,17 @@ adjacency-violating weight query) or any other ``ValueError`` or
 ``ZeroDivisionError`` -- among them a degenerate parameter point
 (``PoleError``, ``DegenerateParameterPoint``, ``SingularMatrixError``).
 When such an error stops a ``verify`` suite, a second stderr line names the
-suite and the case that raised it.
+suite and the case that raised it.  141 (128 + SIGPIPE, as shells report a
+process ended by a closed pipe) when the reader of stdout went away, as
+``fusion-sos verify all | head -n 1`` does: stdout is pointed at
+``os.devnull`` and the command ends quietly, without a traceback.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import re
 import sys
@@ -36,6 +40,7 @@ from .elevenvertex import similarity_fused
 
 USAGE_ERROR = 2
 IDENTITY_FAILURE = 1
+BROKEN_PIPE = 141
 
 
 class UsageError(Exception):
@@ -465,7 +470,16 @@ def main(argv=None) -> int:
         _PARSER = build_parser()
     try:
         args = _PARSER.parse_args(_attach_negative_values(sys.argv[1:] if argv is None else argv))
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The interpreter flushes stdout again at exit; on /dev/null that
+        # flush cannot fail and print a second error.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return BROKEN_PIPE
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

@@ -153,7 +153,7 @@ def solve_weights_from_relation(
         roots = _intertwiner_roots(n, x, y, params.alpha.numerator, den, 0, ds, dt)
         return [k * d for k, d in zip(_root_product(roots, (-1) ** n), scale)]
 
-    (image,), image_den = _o_m_apply(m, rat(u), b, c, params, [column(a, b)], scale[n])
+    (image,), image_den = _o_m_apply(m, rat(u), b, c, params, (den, (ds, dt)), [column(a, b)], scale[n])
     heights = [c - n + 2 * j for j in range(n + 1)]
     rows = [[*row, x] for row, x in zip(zip(*(column(bp, c) for bp in heights)), image)]
     pivot, _ = _bareiss(rows, n + 1)

@@ -41,7 +41,7 @@ from itertools import product
 
 from .exactcore import ExactMatrix, ScalarLike, mat_mul, rat, trace_product
 from .fusion import check_fusion_orders, fuse_nm
-from .sos import _face_weight, check_weight_domain
+from .sos import _face_weight_at, _over_common_denominator, check_weight_domain
 from .vertex import ModelParams, up_steps
 
 
@@ -168,8 +168,10 @@ def _height_transfer(
 ) -> ExactMatrix:
     """T[s, s'] = product over i of the face weight with top corners s_i,
     s_{i+1} and bottom corners s'_i, s'_{i+1}; zero at the first
-    non-m-adjacent corner pair or vanishing face."""
-    n, m, N, u, w = spec.n, spec.m, spec.N, spec.u, params.w
+    non-m-adjacent corner pair or vanishing face.  The spectral point is put
+    over one denominator once, for every face weight of the matrix."""
+    n, m, N = spec.n, spec.m, spec.N
+    d, du, dw = _over_common_denominator(spec.u, params.w)
 
     def entry(s, t):
         if any(up_steps(s[i], t[i], m) is None for i in range(N)):
@@ -177,7 +179,7 @@ def _height_transfer(
         weight = Fraction(1)
         for i in range(N):
             k = (i + 1) % N
-            weight *= _face_weight(n, m, s[i], s[k], t[i], t[k], u, w)
+            weight *= _face_weight_at(n, m, s[i], s[k], t[i], t[k], d, du, dw)
             if weight == 0:
                 break
         return weight
@@ -289,12 +291,14 @@ def partition_sos(
     [lo, hi] and the result is reported as window-dependent.  Heights are
     assigned in raster order h(0, 0), h(0, 1), ...; each neighbouring pair
     is checked for adjacency once both are set, and each face weight is
-    taken once its last corner is set.  Integer w, outside the domain of the
-    face weights, is refused before any height is assigned.
+    taken once its last corner is set, at the one spectral point put over one
+    denominator before the sum.  Integer w, outside the domain of the face
+    weights, is refused before any height is assigned.
     """
     check_weight_domain(params)
     lo, hi = state_range
-    n, m, N, M, u, w = spec.n, spec.m, spec.N, spec.M, spec.u, params.w
+    n, m, N, M = spec.n, spec.m, spec.N, spec.M
+    d, du, dw = _over_common_denominator(spec.u, params.w)
 
     def site(i, j):
         return (i % N) * M + (j % M)
@@ -306,7 +310,7 @@ def partition_sos(
         a, b, bp, c = site(i, j), site(i + 1, j), site(i, j + 1), site(i + 1, j + 1)
 
         def weight(x):
-            return _face_weight(n, m, x[a], x[b], x[bp], x[c], u, w)
+            return _face_weight_at(n, m, x[a], x[b], x[bp], x[c], d, du, dw)
 
         return (a, b, bp, c), weight
 

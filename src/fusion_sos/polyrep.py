@@ -50,8 +50,9 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 from itertools import chain
-from math import comb, gcd
+from math import comb, gcd, lcm
 
 from .exactcore import (
     ExactMatrix,
@@ -263,29 +264,40 @@ def intertwiner_poly(n: int, u: ScalarLike, a: int, b: int, params: ModelParams)
     return ExactPolynomial.from_integer_roots(roots, den * params.alpha.denominator, lead=(-1) ** n)
 
 
-def _o_m_apply(m: int, u: Fraction, b: int, c: int, params: ModelParams, cols, den: int):
+@lru_cache(maxsize=None)
+def _delta_rows(p: int, q: int, dim: int):
+    """delta(+) and delta(-) on degree < dim at alpha = p/q, over q^(dim-1):
+    the even and odd terms of the shift by alpha (:func:`_shift_entries`),
+    each row listed as its nonzero (j, entry) pairs."""
+    rows = _shift_entries(p, q, dim)
+    return tuple(
+        tuple(tuple((j, x) for j, x in enumerate(row) if x and (j - i) % 2 == parity) for i, row in enumerate(rows))
+        for parity in (0, 1)
+    )
+
+
+def _o_m_apply(m: int, u: Fraction, b: int, c: int, params: ModelParams, st, cols, den: int):
     """The height-changing operator on ``cols``, integer coefficient vectors
     (lowest power first, degree < dim) over ``den`` > 0; returns the image
-    columns and their denominator.  Each factor, divided by alpha, acts on
-    the integers, delta(+) and delta(-) being the even and odd terms of the
-    shift by alpha (each row listed as its nonzero (j, entry) pairs), and a
-    gcd reduction follows.  A nonzero top coefficient
-    of delta(-) f would leave the space under z - z0: ``ShapeMismatchError``.
+    columns and their denominator.  ``st`` is ``common_denominator(s, t)``,
+    which the caller already holds.  Each factor, divided by
+    alpha, acts on the integers through the cached rows of delta(+) and
+    delta(-) (:func:`_delta_rows`), and a gcd reduction follows.  A nonzero
+    top coefficient of delta(-) f would leave the space under z - z0:
+    ``ShapeMismatchError``.
     """
     m_plus = up_steps(b, c, m)
     if m_plus is None:
         raise ValueError("heights b, c are not adjacent at distance m")
     alpha = params.alpha
     top = len(cols[0]) - 1
-    rows = _shift_entries(alpha.numerator, alpha.denominator, top + 1)
-    dp, dm = (
-        [[(j, x) for j, x in enumerate(row) if x and (j - i) % 2 == parity] for i, row in enumerate(rows)]
-        for parity in (0, 1)
-    )
+    dp, dm = _delta_rows(alpha.numerator, alpha.denominator, top + 1)
     # Over alpha = p/q a factor is (z/alpha - Z) delta(-) + C delta(+), z0 = alpha Z, coef = C.
     # Z, C are put over 2 den(u, s, t) and all times |p|: z/alpha is q sign(p), den stays > 0.
     p, q = abs(alpha.numerator), alpha.denominator if alpha.numerator > 0 else -alpha.denominator
-    d, (du, ds, dt) = common_denominator(u, params.s, params.t)
+    st_den, (ds, dt) = st
+    d = lcm(st_den, u.denominator)
+    du, ds, dt = u.numerator * (d // u.denominator), ds * (d // st_den), dt * (d // st_den)
     lz, step = 2 * d * q, 2 * d * p * alpha.denominator**top
     # Rightmost factors act first: the second product, ascending l' applied first.
     factors = [(p * (2 * (ds - du) + (m + b + c) * d), 2 * p * (du - (m_plus + lp) * d)) for lp in range(m - m_plus)]
@@ -312,7 +324,7 @@ def o_m_product_form(m: int, u: ScalarLike, b: int, c: int, params: ModelParams,
     columns are those of the identity, put through :func:`_o_m_apply`.
     """
     unit = ExactMatrix.identity(degree_bound + 1).numerators
-    cols, den = _o_m_apply(m, rat(u), b, c, params, unit, 1)
+    cols, den = _o_m_apply(m, rat(u), b, c, params, common_denominator(params.s, params.t), unit, 1)
     return ExactMatrix.from_integers(zip(*cols), den)
 
 

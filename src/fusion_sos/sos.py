@@ -34,7 +34,16 @@ D = 2 lcm(2, den u, den w): then D u and D w are even, so the halved
 parameters stay integral, a parameter is a nonpositive integer exactly when
 its numerator is a nonpositive multiple of D, and Pochhammer products are
 products of ints.  Each weight becomes one :class:`~fractions.Fraction` at
-the end.  The linear-solve oracle stays on ``Fraction`` and checks them.
+the end.
+
+A spectral point is put over its denominator once, by whoever holds it:
+:func:`check_ybe_sos` has three points per boundary, and each height-lattice
+sum of :mod:`fusion_sos.lattice` has one.  The sum route keeps one cache,
+:func:`_w_nm_sum_at`, keyed on nine ints, the face and (D, D u, D w): no
+``Fraction`` is hashed, and one point has one key however u and w were
+written.  The face-model Yang-Baxter check sums each side as an integer
+numerator over an integer denominator and compares the two sides by
+cross-multiplying.
 """
 
 from __future__ import annotations
@@ -206,9 +215,12 @@ def _over_common_denominator(u: Fraction, w: Fraction) -> tuple[int, int, int]:
 
 
 @lru_cache(maxsize=None)
-def _w_nm_sum(n: int, m: int, a: int, b: int, bp: int, c: int, u: Fraction, w: Fraction) -> Fraction:
+def _w_nm_sum_at(n: int, m: int, a: int, b: int, bp: int, c: int, d: int, du: int, dw: int) -> Fraction:
+    """The sum-route weight of an admissible face at u = du/d and w = dw/d,
+    where (d, du, dw) is :func:`_over_common_denominator` of (u, w): the
+    cache key is nine ints, and one spectral point has one key however its
+    u and w were written."""
     # Every theta and ladder factor is held as D times its value.
-    d, du, dw = _over_common_denominator(u, w)
     h = d // 2
     mu = b - c
     nu = a - b
@@ -252,12 +264,18 @@ def _w_nm_sum(n: int, m: int, a: int, b: int, bp: int, c: int, u: Fraction, w: F
     return Fraction(total_num, total_den * d ** (m_plus + m_minus))
 
 
-def _face_weight(n: int, m: int, a: int, b: int, bp: int, c: int, u: Fraction, w: Fraction) -> Fraction:
-    """The sum-route weight on plain arguments, for callers that checked the
-    domain on entry: zero off adjacency, else the cached :func:`_w_nm_sum`."""
+def _face_weight_at(n: int, m: int, a: int, b: int, bp: int, c: int, d: int, du: int, dw: int) -> Fraction:
+    """The sum-route weight at a spectral point put over one denominator
+    once by the caller, for callers that checked the domain on entry: zero
+    off adjacency, else the cached :func:`_w_nm_sum_at`."""
     if not _admissible(n, m, a, b, bp, c):
         return Fraction(0)
-    return _w_nm_sum(n, m, a, b, bp, c, u, w)
+    return _w_nm_sum_at(n, m, a, b, bp, c, d, du, dw)
+
+
+def _face_weight(n: int, m: int, a: int, b: int, bp: int, c: int, u: Fraction, w: Fraction) -> Fraction:
+    """:func:`_face_weight_at` at the spectral point (u, w)."""
+    return _face_weight_at(n, m, a, b, bp, c, *_over_common_denominator(u, w))
 
 
 def w_nm_sum(q: WeightQuery, params: ModelParams) -> Fraction:
@@ -409,6 +427,37 @@ def _g_range(*constraints: tuple[int, int]) -> range:
     return range(lo, hi + 1)
 
 
+def _sum_of_products(terms) -> tuple[int, int]:
+    """The sum of x y z over the (x, y, z) of ``terms``, as an integer
+    numerator over an integer denominator, with no gcd taken."""
+    num, den = 0, 1
+    for x, y, z in terms:
+        top = x.numerator * y.numerator * z.numerator
+        if top:
+            bottom = x.denominator * y.denominator * z.denominator
+            num, den = num * bottom + top * den, den * bottom
+    return num, den
+
+
+def _ybe_sides(k, n, l, u, v, wspec, boundary, w) -> tuple[tuple[int, int], tuple[int, int]]:
+    """Both sides of the face Yang-Baxter identity as (numerator,
+    denominator) pairs.  Each of the three spectral points is put over one
+    denominator once, and a term whose first factor is 0 is skipped."""
+    a, b, c, d, e, f = boundary
+    vw, uw, uv = (_over_common_denominator(x, w) for x in (v - wspec, u - wspec, u - v))
+    lhs = _sum_of_products(
+        (x, _face_weight_at(k, l, a, b, f, g, *uw), _face_weight_at(n, l, b, c, g, d, *uv))
+        for g in _g_range((f, k), (d, n), (b, l))
+        if (x := _face_weight_at(k, n, f, g, e, d, *vw))
+    )
+    rhs = _sum_of_products(
+        (x, _face_weight_at(k, l, g, c, e, d, *uw), _face_weight_at(k, n, a, b, g, c, *vw))
+        for g in _g_range((a, n), (c, k), (e, l))
+        if (x := _face_weight_at(n, l, a, g, f, e, *uv))
+    )
+    return lhs, rhs
+
+
 def check_ybe_sos(
     k: int,
     n: int,
@@ -422,31 +471,15 @@ def check_ybe_sos(
     """Exact face-weight Yang-Baxter identity for the boundary (a, b, c, d, e, f).
 
     Both sides are finite sums over the internal height g; adjacency makes
-    all out-of-range terms vanish, so empty sums compare as 0 = 0.  Integer
-    w is refused on entry (:func:`check_weight_domain`), even where both
-    sums are empty, as on every other weight route.
+    all out-of-range terms vanish, so empty sums compare as 0 = 0.  Each
+    side is summed as an integer numerator over an integer denominator, and
+    the two are compared by cross-multiplying.  Integer w is refused on
+    entry (:func:`check_weight_domain`), even where both sums are empty, as
+    on every other weight route.
     """
     check_weight_domain(params)
-    u, v, wspec = rat(u), rat(v), rat(wspec)
-    a, b, c, d, e, f = boundary
-    w = params.w
-    vw, uw, uv = v - wspec, u - wspec, u - v
-
-    lhs = Fraction(0)
-    for g in _g_range((f, k), (d, n), (b, l)):
-        lhs += (
-            _face_weight(k, n, f, g, e, d, vw, w)
-            * _face_weight(k, l, a, b, f, g, uw, w)
-            * _face_weight(n, l, b, c, g, d, uv, w)
-        )
-    rhs = Fraction(0)
-    for g in _g_range((a, n), (c, k), (e, l)):
-        rhs += (
-            _face_weight(n, l, a, g, f, e, uv, w)
-            * _face_weight(k, l, g, c, e, d, uw, w)
-            * _face_weight(k, n, a, b, g, c, vw, w)
-        )
-    return lhs == rhs
+    (lhs, lhs_den), (rhs, rhs_den) = _ybe_sides(k, n, l, rat(u), rat(v), rat(wspec), boundary, params.w)
+    return lhs * rhs_den == rhs * lhs_den
 
 
 def sample_admissible_boundary(k: int, n: int, l: int, rng, spread: int = 3):

@@ -10,8 +10,9 @@ import pkgutil
 import fusion_sos
 
 KEPT_CACHES = {
-    # face-weights 1,491/5,547, lattice 1,498/1,784, verify-cli 32/1,964.
-    "fusion_sos.sos._w_nm_sum",
+    # Keyed on nine ints: face-weights 1,491/5,547, lattice 1,498/1,784,
+    # verify-cli 32/1,940.
+    "fusion_sos.sos._w_nm_sum_at",
     # lattice 52/178, fused-ybe 39/331 (the (1, n) operators that the
     # (n, 1) factors swap are cached too), verify-cli 1/179.
     "fusion_sos.fusion._fuse_nm",
@@ -21,6 +22,8 @@ KEPT_CACHES = {
     "fusion_sos.fusion.sym_basis",
     # fused-ybe 291/297, lattice 101/103, verify-cli 81/83, face-weights 8/10.
     "fusion_sos.fusion._peel_last",
+    # face-weights 560/563, verify-cli 241/251 (one entry per (alpha, dim)).
+    "fusion_sos.polyrep._delta_rows",
 }
 
 

@@ -310,6 +310,43 @@ def test_verify_names_the_case_that_raised(capsys):
     )
 
 
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "om"],
+        ["weights", "--n", "1", "--m", "1", "--a", "2", "--b", "1", "--bprime", "1", "--c", "0", "--u", "3", "--w", "1/2"],
+    ],
+    ids=["verify", "weights"],
+)
+def test_closed_stdout_ends_quietly(capsys, monkeypatch, tmp_path, argv):
+    """A reader that went away, as ``verify all | head -n 1`` leaves it: exit
+    141 with nothing on stderr, and stdout's descriptor now writes to
+    os.devnull, so the flush at exit cannot fail again."""
+    target = tmp_path / "stdout"
+    fd = os.open(target, os.O_WRONLY | os.O_CREAT)
+
+    class ClosedPipe:
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        def flush(self):
+            pass
+
+        def fileno(self):
+            return fd
+
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    try:
+        code = main(argv)
+        os.write(fd, b"after the pipe closed")
+    finally:
+        os.close(fd)
+    assert code == 141
+    assert capsys.readouterr().err == ""
+    assert target.read_bytes() == b""
+
+
 def _in_process(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

@@ -336,6 +336,21 @@ def test_height_routes_check_the_domain_once(monkeypatch):
         assert calls == [params]
 
 
+
+def test_height_routes_take_one_denominator_per_sum(monkeypatch):
+    """Each height-lattice route puts its one spectral point over one
+    denominator once, not once per face weight."""
+    calls = []
+    over = sos._over_common_denominator
+    for module in (sos, lattice):
+        monkeypatch.setattr(module, "_over_common_denominator", lambda u, w: calls.append((u, w)) or over(u, w))
+    params = _params_w(Fraction(2, 3), Fraction(1, 2))
+    spec = LatticeSpec(2, 2, 1, 1, U)
+    for route in (partition_sos, partition_sos_transfer, transfer_matrix_sos):
+        calls.clear()
+        route(spec, (-1, 1), params)
+        assert calls == [(U, params.w)]
+
 _INTEGER_W = (DegenerateParameterPoint, "w is an integer, outside the domain of the face weights")
 
 # Height sums at integer w, outside the domain of the weights.  Both routes

@@ -548,8 +548,10 @@ class TestColumnKernel:
             assert table == reference_solve_weights(n, m, a, b, c, u, params), (n, m, a, b, c)
 
     def test_zero_loss_check(self, params, monkeypatch):
-        """A delta(-) that does not lower the degree is refused, not truncated."""
+        """A delta(-) that does not lower the degree is refused, not truncated.
+        The delta rows are rebuilt uncached from the transposed shift."""
         entries = polyrep._shift_entries
         monkeypatch.setattr(polyrep, "_shift_entries", lambda p, q, dim: [list(c) for c in zip(*entries(p, q, dim))])
+        monkeypatch.setattr(polyrep, "_delta_rows", polyrep._delta_rows.__wrapped__)
         with pytest.raises(ShapeMismatchError):
             o_m_product_form(1, Fraction(5, 3), 0, 1, params, 3)

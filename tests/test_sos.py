@@ -176,6 +176,19 @@ class TestWnmSum:
             expected = solve_weights_from_relation(2, 2, a, b, c, u, params)[bp]
             assert w_nm_sum(q, params) == expected
 
+    def test_cache_key_is_the_spectral_point(self, monkeypatch):
+        """One face at one spectral point is one cache entry keyed on ints,
+        however u is written and whichever (s, t) give the same w."""
+        cached, keys = sos._w_nm_sum_at, []
+        monkeypatch.setattr(sos, "_w_nm_sum_at", lambda *key: keys.append(key) or cached(*key))
+        cached.cache_clear()
+        points = [ModelParams(1, Fraction(1, 3), Fraction(2, 3)), ModelParams(Fraction(3, 2), 0, 1)]
+        values = {w_nm_sum(WeightQuery(2, 1, 0, 2, 1, 1, u), p) for u in ("1/2", Fraction(2, 4)) for p in points}
+        assert len(values) == 1
+        assert len(keys) == 4 and all(type(x) is int for key in keys for x in key)
+        info = cached.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (3, 1, 1)
+
     def test_invalid_queries_vanish(self, params):
         assert w_nm_sum(WeightQuery(2, 2, 0, 1, 0, 0, U), params) == 0
         assert w_nm_sum(WeightQuery(2, 2, 5, 1, 1, 0, U), params) == 0
@@ -231,6 +244,22 @@ class TestWnmHypergeometric:
             assert w_nm_hypergeometric(q, other) == w_nm_sum(q, other)
 
 
+
+def _fraction_sides(k, n, l, u, v, wsp, boundary, params):
+    """Reference: both sides of the face Yang-Baxter identity as Fraction
+    sums of w_nm_sum over every internal height within reach of the labels."""
+    a, b, c, d, e, f = boundary
+
+    def weight(nn, mm, aa, bb, bbp, cc, x):
+        return w_nm_sum(WeightQuery(nn, mm, aa, bb, bbp, cc, x), params)
+
+    heights = range(min(boundary) - k - n - l, max(boundary) + k + n + l + 1)
+    lhs = rhs = Fraction(0)
+    for g in heights:
+        lhs += weight(k, n, f, g, e, d, v - wsp) * weight(k, l, a, b, f, g, u - wsp) * weight(n, l, b, c, g, d, u - v)
+        rhs += weight(n, l, a, g, f, e, u - v) * weight(k, l, g, c, e, d, u - wsp) * weight(k, n, a, b, g, c, v - wsp)
+    return lhs, rhs
+
 class TestSosYbe:
     def test_elementary_triple(self, params):
         rng = random.Random(61)
@@ -247,26 +276,54 @@ class TestSosYbe:
             u, v, w = rand_rat(rng), rand_rat(rng), rand_rat(rng)
             assert check_ybe_sos(*triple, u, v, w, bd, params)
 
-    def test_perturbation_detected(self, params):
-        # Recompute one side with a tampered weight: equality must fail.
-        rng = random.Random(63)
-        bd = sample_admissible_boundary(1, 1, 1, rng)
-        a, b, c, d, e, f = bd
+    def test_perturbation_detected(self, params, monkeypatch):
+        """One face weight off by one at the cache entry point breaks the
+        identity as check_ybe_sos sums it."""
+        bd = sample_admissible_boundary(2, 1, 1, random.Random(63))
+        point = (2, 1, 1, Fraction(5, 7), Fraction(2, 3), Fraction(1, 9), bd, params)
+        assert check_ybe_sos(*point)
+        weight, tampered = sos._w_nm_sum_at, []
+
+        def one_off(*key):
+            if not tampered:
+                tampered.append(key)
+            return weight(*key) + (key == tampered[0])
+
+        monkeypatch.setattr(sos, "_w_nm_sum_at", one_off)
+        assert not check_ybe_sos(*point)
+        assert tampered
+
+    def test_integer_sums_match_fraction_sums(self, params):
+        """Both integer sides equal the Fraction sums of w_nm_sum over every g
+        within reach of the boundary, at about 200 boundaries: admissible
+        ones, random labels with empty internal-height ranges, and ranges
+        whose faces are all zero."""
+        rng = random.Random(65)
+        kinds = Counter()
+        for i in range(200):
+            k, n, l = rng.choice([(1, 1, 1), (2, 1, 1), (1, 2, 1), (2, 2, 1), (1, 2, 2), (3, 1, 2)])
+            if i % 2:
+                bd = sample_admissible_boundary(k, n, l, rng)
+            else:
+                bd = tuple(rng.randint(-4, 4) for _ in range(6))
+            u, v, wsp = rand_rat(rng), rand_rat(rng), rand_rat(rng)
+            (lhs, lhs_den), (rhs, rhs_den) = sos._ybe_sides(k, n, l, u, v, wsp, bd, params.w)
+            ref_lhs, ref_rhs = _fraction_sides(k, n, l, u, v, wsp, bd, params)
+            assert (Fraction(lhs, lhs_den), Fraction(rhs, rhs_den)) == (ref_lhs, ref_rhs), (k, n, l, bd)
+            assert check_ybe_sos(k, n, l, u, v, wsp, bd, params) == (ref_lhs == ref_rhs)
+            a, b, c, d, e, f = bd
+            ranges = sos._g_range((f, k), (d, n), (b, l)), sos._g_range((a, n), (c, k), (e, l))
+            kinds["empty" if not any(ranges) else "zero" if ref_lhs == ref_rhs == 0 else "nonzero"] += 1
+        assert min(kinds["empty"], kinds["zero"], kinds["nonzero"]) >= 10, kinds
+
+    def test_one_denominator_per_spectral_point(self, params, monkeypatch):
+        calls = []
+        over = sos._over_common_denominator
+        monkeypatch.setattr(sos, "_over_common_denominator", lambda u, w: calls.append(u) or over(u, w))
+        bd = sample_admissible_boundary(2, 2, 1, random.Random(66))
         u, v, wsp = Fraction(5, 7), Fraction(2, 3), Fraction(1, 9)
-
-        def weight(aa, bb, bbp, cc, uu):
-            return w_nm_sum(WeightQuery(1, 1, aa, bb, bbp, cc, uu), params)
-
-        lhs = rhs = Fraction(0)
-        for g in range(min(bd) - 1, max(bd) + 2):
-            lhs += (
-                weight(f, g, e, d, v - wsp) * weight(a, b, f, g, u - wsp) * weight(b, c, g, d, u - v)
-            )
-            rhs += (
-                weight(a, g, f, e, u - v) * weight(g, c, e, d, u - wsp) * weight(a, b, g, c, v - wsp)
-            )
-        assert lhs == rhs
-        assert lhs + 1 != rhs
+        assert check_ybe_sos(2, 2, 1, u, v, wsp, bd, params)
+        assert sorted(calls) == sorted([v - wsp, u - wsp, u - v])
 
     def test_domain_checked_once_per_boundary(self, params, monkeypatch):
         """The domain is checked on entry, not again for each face weight."""
