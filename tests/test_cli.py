@@ -319,19 +319,23 @@ def test_verify_names_the_case_that_raised(capsys):
     ],
     ids=["verify", "weights"],
 )
-def test_closed_stdout_ends_quietly(capsys, monkeypatch, tmp_path, argv):
+@pytest.mark.parametrize("closed_at", ["write", "flush"])
+def test_closed_stdout_ends_quietly(capsys, monkeypatch, tmp_path, argv, closed_at):
     """A reader that went away, as ``verify all | head -n 1`` leaves it: exit
     141 with nothing on stderr, and stdout's descriptor now writes to
-    os.devnull, so the flush at exit cannot fail again."""
+    os.devnull, so the flush at exit cannot fail again.  Output small enough
+    to stay in the buffer meets the closed pipe only at the flush."""
     target = tmp_path / "stdout"
     fd = os.open(target, os.O_WRONLY | os.O_CREAT)
 
     class ClosedPipe:
         def write(self, text):
-            raise BrokenPipeError(32, "Broken pipe")
+            if closed_at == "write":
+                raise BrokenPipeError(32, "Broken pipe")
 
         def flush(self):
-            pass
+            if closed_at == "flush":
+                raise BrokenPipeError(32, "Broken pipe")
 
         def fileno(self):
             return fd
