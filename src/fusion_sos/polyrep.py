@@ -44,6 +44,14 @@ of the reciprocal factor always lie among those of the polynomial factor, so
 that product is a polynomial and each column of the sandwich is a sum of
 integer polynomial products.  The same expansion with C = D = 0 gives
 delta(-)^k entry by entry.
+
+One helper (``_sandwich_terms``) lists the sandwich in shift form, as the
+integer coefficients of each term g_s(z) T_{s alpha}.  The gamma form of the
+height-changing operator sums those terms into columns; the star-triangle
+check compares them, at C = k and D = l, with the shift form of
+delta(-)^l gamma(k + l) delta(-)^k and builds no matrix.  An operator
+sum_s D_s(z) T_{s alpha} vanishes on degree <= d exactly when the moments
+sum_s s^i D_s vanish for i <= min(d, B) (see ``star_triangle_check``).
 """
 
 from __future__ import annotations
@@ -171,27 +179,41 @@ def gamma_poly(p: int, shift: ScalarLike, params: ModelParams) -> ExactPolynomia
 def star_triangle_check(
     k: int, l: int, shift: ScalarLike, degree_bound: int, params: ModelParams
 ) -> bool:
-    """Exact operator test of gamma(k) delta-^(k+l) gamma(l) = delta-^l gamma(k+l) delta-^k.
+    """Exact operator test of gamma(k) delta-^(k+l) gamma(l) = delta-^l gamma(k+l) delta-^k
+    on polynomials of degree <= degree_bound, with gamma(p) = gamma(z - shift, p).
 
-    Both sides are built independently as matrices on polynomials of degree
-    <= degree_bound and compared entrywise.
+    Both sides are finite sums sum_s g_s(z) T_{s alpha} over the B + 1 shifts
+    s = -B, -B+2, .., B, B = k + l, and are compared through their integer
+    coefficient lists over 2^B den^B; no matrix is built.  The left side is
+    the expansion of the gamma form of the height-changing operator
+    (:func:`_sandwich_terms`), the right side is :func:`_delta_gamma_delta_terms`.
+
+    Let D_s be the difference of the two sides' s-terms.  Their difference
+    sends z^j to sum_s D_s(z) (z + s alpha)^j = sum_i C(j, i) z^(j-i) alpha^i M_i(z)
+    with the moments M_i = sum_s s^i D_s.  By induction on j (the i = j term
+    is alpha^j M_j and alpha != 0) it vanishes on degree <= d exactly when
+    M_i = 0 for every i <= d.  For d >= B the moments M_0, .., M_B are a
+    Vandermonde system on the B + 1 distinct shifts, so they force every
+    D_s = 0 and with it every higher moment; checking i <= min(d, B)
+    decides the relation for every degree_bound >= 0.
     """
     if k < 0 or l < 0:
         raise ValueError("k and l must be nonnegative")
-    shift = rat(shift)
-    d = degree_bound
-    gk = gamma_poly(k, shift, params)
-    gl = gamma_poly(l, shift, params)
-    gkl = gamma_poly(k + l, shift, params)
-
-    lhs = mul_poly(gl, d + 1)
-    lhs = delta_minus_power(k + l, lhs.rows, params) @ lhs
-    lhs = mul_poly(gk, lhs.rows) @ lhs
-
-    rhs = delta_minus_power(k, d + 1, params)
-    rhs = mul_poly(gkl, rhs.rows) @ rhs
-    rhs = delta_minus_power(l, rhs.rows, params) @ rhs
-    return _truncate(lhs, d + 1) == _truncate(rhs, d + 1)
+    if degree_bound < 0:
+        raise ShapeMismatchError("matrix must have at least one row and column")
+    b = k + l
+    den, (x0, step) = common_denominator(rat(shift), params.alpha)
+    left = _sandwich_terms(k, l, den, x0, step)
+    right = _delta_gamma_delta_terms(k, l, den, x0, step)
+    diffs = [(s, [x - y for x, y in zip(g, right[s])]) for s, g in left.items()]
+    for i in range(min(degree_bound, b) + 1):
+        moment = [0] * (b + 1)
+        for s, diff in diffs:
+            w = s**i
+            moment = [m + w * x for m, x in zip(moment, diff)]
+        if any(moment):
+            return False
+    return True
 
 
 def r_n1_matrix(n: int, u: ScalarLike, params: ModelParams) -> tuple[tuple[ExactMatrix, ExactMatrix], ...]:
@@ -328,33 +350,23 @@ def o_m_product_form(m: int, u: ScalarLike, b: int, c: int, params: ModelParams,
     return ExactMatrix.from_integers(zip(*cols), den)
 
 
-def _gamma_sandwich(c: int, d: int, center: Fraction, dim: int, params: ModelParams) -> ExactMatrix:
-    """gamma(z - center, c) delta(-)^(c+d) gamma(z - center, d) on degree < dim.
+def _sandwich_terms(c: int, d: int, den: int, x0: int, step: int) -> dict[int, list[int]]:
+    """gamma(z - center, c) delta(-)^B gamma(z - center, d), B = c + d, in shift
+    form: {s: g} with the sandwich equal to sum_s g_s(z) T_{s alpha} / (2^B den^B),
+    center = x0 / den and alpha = step / den.
 
-    Either exponent may be negative (a reciprocal factor) as long as
-    B = c + d >= 0.  With delta(-)^B = 2^-B sum_k (-1)^k C(B, k) T_{s alpha},
-    s = B - 2k, the sandwich is 2^-B sum_k (-1)^k C(B, k) g_s T_{s alpha}
-    with g_s(z) = gamma(z - center, c) gamma(z - center + s alpha, d).  In
-    units of alpha from ``center`` the roots of g_s are {c-1, c-3, .., 1-c}
+    With delta(-)^B = 2^-B sum_k (-1)^k C(B, k) T_{s alpha}, s = B - 2k, 2^B
+    times the term at s is (-1)^k C(B, k) gamma(z - center, c) gamma(z - center + s alpha, d).
+    In units of alpha from ``center`` its roots are {c-1, c-3, .., 1-c}
     counted with the sign of c and {d-1-s, .., 1-d-s} with the sign of d;
     for |s| <= B and s = B (mod 2) the reciprocal run lies inside the
-    polynomial run, so every g_s is a polynomial of degree B.
-
-    Column j is 2^-B sum_k (-1)^k C(B, k) g_s(z) (z + s alpha)^j, summed as
-    integer coefficients over 2^B den^B q^(dim-1), where den is the common
-    denominator of ``center`` and alpha = p/q: den^B g_s has the integer
-    coefficients of :func:`_root_product` at z^i times den^i, and
-    (z + s alpha)^j those of the shift by s p / q (:func:`_shift_entries`).
-    The operator preserves the degree; the coefficients at z^dim and above
-    must vanish and are cut off by :func:`_truncate`.
+    polynomial run, so every term is a polynomial of degree B.  Its B
+    integer roots x0 + step r over den give den^B times it the coefficients
+    of :func:`_root_product` at z^i times den^i, listed lowest power first.
     """
     b = c + d
-    if b < 0:
-        raise ValueError("gamma sandwich needs c + d >= 0")
-    alpha = params.alpha
-    den, (x0, step) = common_denominator(center, alpha)
     den_powers = [den**i for i in range(b + 1)]
-    cols = [[0] * (dim + b) for _ in range(dim)]
+    terms = {}
     for k in range(b + 1):
         s = b - 2 * k
         mult = Counter()
@@ -364,7 +376,60 @@ def _gamma_sandwich(c: int, d: int, center: Fraction, dim: int, params: ModelPar
         if any(e < 0 for e in mult.values()):
             raise ValueError("gamma sandwich left a reciprocal factor")
         weight = (-1) ** k * comb(b, k)
-        g = [weight * x * y for x, y in zip(_root_product([x0 + step * r for r in mult.elements()]), den_powers)]
+        roots = _root_product([x0 + step * r for r in mult.elements()])
+        terms[s] = [weight * x * y for x, y in zip(roots, den_powers)]
+    return terms
+
+
+def _delta_gamma_delta_terms(k: int, l: int, den: int, x0: int, step: int) -> dict[int, list[int]]:
+    """delta(-)^l gamma(z - center, k + l) delta(-)^k in shift form, as in
+    :func:`_sandwich_terms`: {s: g} over 2^B den^B, B = k + l.
+
+    Expanding both powers binomially and moving T_{s1 alpha} past the gamma
+    factor gives 2^-B sum (-1)^(t1+t2) C(l, t1) C(k, t2)
+    gamma(z - center + s1 alpha, B) T_{(s1+s2) alpha} with s1 = l - 2 t1 and
+    s2 = k - 2 t2.  The shifted gamma factor has the roots
+    center + alpha (r - s1), r = B-1, B-3, .., 1-B.
+    """
+    b = k + l
+    den_powers = [den**i for i in range(b + 1)]
+    terms = {s: [0] * (b + 1) for s in range(-b, b + 1, 2)}
+    for t1 in range(l + 1):
+        s1 = l - 2 * t1
+        roots = _root_product([x0 + step * (r - s1) for r in range(b - 1, -b, -2)])
+        gamma = [x * y for x, y in zip(roots, den_powers)]
+        for t2 in range(k + 1):
+            weight = (-1) ** (t1 + t2) * comb(l, t1) * comb(k, t2)
+            term = terms[s1 + k - 2 * t2]
+            for i, x in enumerate(gamma):
+                term[i] += weight * x
+    return terms
+
+
+def _gamma_sandwich(c: int, d: int, center: Fraction, dim: int, params: ModelParams) -> ExactMatrix:
+    """gamma(z - center, c) delta(-)^(c+d) gamma(z - center, d) on degree < dim.
+
+    Either exponent may be negative (a reciprocal factor) as long as
+    B = c + d >= 0.  The sandwich is sum_s g_s T_{s alpha} with the
+    polynomial terms g_s of :func:`_sandwich_terms`, the same expansion that
+    :func:`star_triangle_check` compares with the other side of the
+    star-triangle relation.
+
+    Column j is sum_s g_s(z) (z + s alpha)^j, summed as integer coefficients
+    over 2^B den^B q^(dim-1), where den is the common denominator of
+    ``center`` and alpha = p/q: the terms are integers over 2^B den^B, and
+    (z + s alpha)^j has the coefficients of the shift by s p / q
+    (:func:`_shift_entries`).  The operator preserves the degree; the
+    coefficients at z^dim and above must vanish and are cut off by
+    :func:`_truncate`.
+    """
+    b = c + d
+    if b < 0:
+        raise ValueError("gamma sandwich needs c + d >= 0")
+    alpha = params.alpha
+    den, (x0, step) = common_denominator(center, alpha)
+    cols = [[0] * (dim + b) for _ in range(dim)]
+    for s, g in _sandwich_terms(c, d, den, x0, step).items():
         shift = _shift_entries(s * alpha.numerator, alpha.denominator, dim)
         for j, col in enumerate(cols):
             for i in range(j + 1):

@@ -10,10 +10,12 @@ from fusion_sos.exactcore import (
     ExactMatrix,
     ExactPolynomial,
     ShapeMismatchError,
+    common_denominator,
     kron,
     lagrange_interpolate,
     mat_mul,
     poly_shift,
+    rat,
 )
 from fusion_sos import correspondence, polyrep
 from fusion_sos.fusion import fuse_nm
@@ -271,7 +273,76 @@ class TestGammaSandwich:
             _gamma_sandwich(-2, 1, SANDWICH_CENTER, SANDWICH_DIM, params)
 
 
+def reference_star_sides(k, l, shift, degree_bound, params):
+    """Both sides of the star-triangle relation as composed matrices on
+    degree <= degree_bound, before they are cut back: gamma(k) delta-^(k+l)
+    gamma(l) and delta-^l gamma(k+l) delta-^k, each with dim + k + l rows."""
+    shift = rat(shift)
+    d = degree_bound
+    gk = gamma_poly(k, shift, params)
+    gl = gamma_poly(l, shift, params)
+    gkl = gamma_poly(k + l, shift, params)
+
+    lhs = mul_poly(gl, d + 1)
+    lhs = delta_minus_power(k + l, lhs.rows, params) @ lhs
+    lhs = mul_poly(gk, lhs.rows) @ lhs
+
+    rhs = delta_minus_power(k, d + 1, params)
+    rhs = mul_poly(gkl, rhs.rows) @ rhs
+    rhs = delta_minus_power(l, rhs.rows, params) @ rhs
+    return lhs, rhs
+
+
+def reference_star_triangle(k, l, shift, degree_bound, params):
+    """The star-triangle check as it was built before the shift-coefficient
+    comparison: both sides composed as matrices and compared entrywise."""
+    lhs, rhs = reference_star_sides(k, l, shift, degree_bound, params)
+    return _truncate(lhs, degree_bound + 1) == _truncate(rhs, degree_bound + 1)
+
+
+def shift_form_matrix(terms, b, shift, dim, params):
+    """sum_s g_s T_{s alpha} / (2^B den^B) on degree < dim, from Fraction
+    polynomials and Fraction shifts, with dim + B rows."""
+    den, _ = common_denominator(rat(shift), params.alpha)
+    scale = Fraction(1, 2**b * den**b)
+    total = ExactMatrix.zeros(dim + b, dim)
+    for s, g in terms.items():
+        poly = ExactPolynomial([scale * x for x in g])
+        total = total + _pad(mul_poly(poly, dim) @ fraction_shift(s * params.alpha, dim), dim + b)
+    return total
+
+
+def shift_terms(k, l, shift, params):
+    """The two sides' shift-form terms, as star_triangle_check forms them."""
+    den, (x0, step) = common_denominator(rat(shift), params.alpha)
+    return polyrep._sandwich_terms(k, l, den, x0, step), polyrep._delta_gamma_delta_terms(k, l, den, x0, step)
+
+
+def sandwich_verdict(k, l, shift, degree_bound, params):
+    """The relation decided on matrices with the left side taken from
+    _gamma_sandwich, so a perturbed _sandwich_terms reaches it; a nonzero
+    coefficient past the degree bound is a failure, as _truncate refuses it."""
+    _, rhs = reference_star_sides(k, l, shift, degree_bound, params)
+    try:
+        return _gamma_sandwich(k, l, rat(shift), degree_bound + 1, params) == _truncate(rhs, degree_bound + 1)
+    except ShapeMismatchError:
+        return False
+
+
+STAR_ALPHAS = [Fraction(3, 2), Fraction(-2, 3), Fraction(5, 7)]
+STAR_SHIFTS = [Fraction(0), Fraction(2, 7), Fraction(-3, 5)]
+# The 48 cases of ``fusion-sos verify star-triangle``, at its degree bound 8.
+STAR_SUITE = [(k, l, shift) for k in range(4) for l in range(4) for shift in STAR_SHIFTS]
+
+
+def star_degree_bounds(k, l):
+    return sorted({0, 1, k + l - 1, k + l, 8} - {-1})
+
+
 class TestStarTriangle:
+    """The relation is checked on the shift-form coefficients of both sides;
+    the matrix compositions it replaced are the reference."""
+
     def test_trivial(self, params):
         assert star_triangle_check(0, 0, Fraction(0), 4, params)
 
@@ -280,6 +351,101 @@ class TestStarTriangle:
 
     def test_k2_l3(self, params):
         assert star_triangle_check(2, 3, Fraction(2, 7), 8, params)
+
+    @pytest.mark.parametrize("alpha", STAR_ALPHAS)
+    def test_matches_matrix_reference(self, alpha):
+        """Equal to the composed-matrix check for k, l <= 4, also at bounds
+        d < k + l, where only the moments 0..d are compared."""
+        params = ModelParams(alpha)
+        calls = 0
+        for k in range(5):
+            for l in range(5):
+                for shift in STAR_SHIFTS:
+                    for d in star_degree_bounds(k, l):
+                        assert star_triangle_check(k, l, shift, d, params) == reference_star_triangle(
+                            k, l, shift, d, params
+                        ), (k, l, shift, d)
+                        calls += 1
+        assert calls == 345
+
+    @pytest.mark.parametrize("alpha", STAR_ALPHAS)
+    def test_each_side_is_its_matrix(self, alpha):
+        """Each side's terms, summed as operators, are that side's composed matrix."""
+        params = ModelParams(alpha)
+        for k in range(4):
+            for l in range(4):
+                for shift in STAR_SHIFTS:
+                    lhs, rhs = reference_star_sides(k, l, shift, 4, params)
+                    left, right = shift_terms(k, l, shift, params)
+                    assert shift_form_matrix(left, k + l, shift, 5, params) == lhs, (k, l, shift)
+                    assert shift_form_matrix(right, k + l, shift, 5, params) == rhs, (k, l, shift)
+
+    def test_perturbed_left_terms_fail(self, params, monkeypatch):
+        """1 added to the constant coefficient of the s = B term of the left
+        side fails every suite case, in the check and in the gamma sandwich."""
+        terms = polyrep._sandwich_terms
+
+        def mutant(c, d, den, x0, step):
+            out = terms(c, d, den, x0, step)
+            out[c + d][0] += 1
+            return out
+
+        monkeypatch.setattr(polyrep, "_sandwich_terms", mutant)
+        for k, l, shift in STAR_SUITE:
+            assert not star_triangle_check(k, l, shift, 8, params), (k, l, shift)
+            assert not sandwich_verdict(k, l, shift, 8, params), (k, l, shift)
+
+    def test_perturbed_right_terms_fail(self, params, monkeypatch):
+        """1 added to the top coefficient of the s = -B term of the right side
+        fails every suite case; summed as operators, the perturbed terms
+        differ from the composed left side too."""
+        terms = polyrep._delta_gamma_delta_terms
+
+        def mutant(k, l, den, x0, step):
+            out = terms(k, l, den, x0, step)
+            out[-k - l][-1] += 1
+            return out
+
+        monkeypatch.setattr(polyrep, "_delta_gamma_delta_terms", mutant)
+        for k, l, shift in STAR_SUITE:
+            assert not star_triangle_check(k, l, shift, 8, params), (k, l, shift)
+            lhs, _ = reference_star_sides(k, l, shift, 8, params)
+            _, right = shift_terms(k, l, shift, params)
+            assert shift_form_matrix(right, k + l, shift, 9, params) != lhs, (k, l, shift)
+
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_perturbation_seen_from_its_degree(self, order, params, monkeypatch):
+        """An order-j difference of shifts, sum_t (-1)^t C(j, t) T_{(B-2t) alpha}
+        added to the left side, kills every polynomial of degree < j and no
+        other: the check and the gamma-sandwich matrices both pass exactly
+        when d < j."""
+        terms = polyrep._sandwich_terms
+
+        def mutant(c, d, den, x0, step):
+            out = terms(c, d, den, x0, step)
+            for t in range(order + 1):
+                out[c + d - 2 * t][0] += (-1) ** t * comb(order, t)
+            return out
+
+        monkeypatch.setattr(polyrep, "_sandwich_terms", mutant)
+        for k, l in [(k, l) for k in range(4) for l in range(4) if k + l >= order]:
+            for d in range(k + l + 2):
+                expected = d < order
+                assert star_triangle_check(k, l, Fraction(2, 7), d, params) == expected, (k, l, d)
+                assert sandwich_verdict(k, l, Fraction(2, 7), d, params) == expected, (k, l, d)
+
+    def test_negative_degree_bound_raises(self, params):
+        """An empty space is refused, as the empty matrix of the composed check was."""
+        for d in (-1, -3):
+            with pytest.raises(ShapeMismatchError, match="at least one row and column"):
+                star_triangle_check(1, 2, Fraction(2, 7), d, params)
+            with pytest.raises(ShapeMismatchError):
+                reference_star_triangle(1, 2, Fraction(2, 7), d, params)
+
+    @pytest.mark.parametrize("k, l", [(-1, 0), (0, -1), (-2, 3)])
+    def test_negative_exponent_raises(self, k, l, params):
+        with pytest.raises(ValueError, match="nonnegative"):
+            star_triangle_check(k, l, Fraction(0), 4, params)
 
 
 @pytest.mark.parametrize("p", [1, 2, 3, 4])
