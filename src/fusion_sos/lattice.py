@@ -8,8 +8,10 @@ summed two independent ways, and each route is the other's oracle:
   walk over the row's edges, last site first, that pushes each auxiliary
   state through the local R factors as a sparse integer vector once per
   shared row suffix; the first site keeps only the terms that close the
-  trace.  The matrix is reduced once at the end.  No operator on the row
-  space tensored with the auxiliary space is formed;
+  trace.  No operator on the row space tensored with the auxiliary space
+  is formed.  The partition sum runs the same walk on the
+  charge-conserving entries of R only and takes sum_q trace(T_qq^M) over
+  the charge sectors q (below);
 * height (SOS) model: trace(T^M) of the height transfer matrix on the
   admissible periodic height rows inside a window, against a depth-first
   enumeration of the heights.
@@ -23,6 +25,22 @@ The sizes stay small because the enumerations still grow exponentially in
 the number of sites and the transfer matrices in the row length.  Commuting
 transfer matrices are the operational meaning of exact solvability at this
 scale.
+
+Charge.  The charge of a basis index (x, c) of the fused operator is
+x + c, the number of second basis vectors, and the charge of a row of
+edges is the sum of its states.  R is graded: the row charge of a nonzero
+entry minus its column charge is one of 0, 2, 4, ...; in the seven-vertex R
+only the corner entry alpha^2 u (u + 1) changes it.  On the torus every edge
+leaves one vertex and enters another, so the charge changes of all
+vertices, none negative, sum to zero and each vanishes: only
+charge-conserving entries, which do not involve alpha, reach a partition
+sum, and trace(T^M) = sum_q trace(T_qq^M) (the conserved line number of
+Baxter, 1982, ch. 8).  The converse is what the lattice cannot see: no
+torus partition sum, by either route, detects an error in a
+charge-changing entry.  Zeroing the alpha^2 u (u + 1) entry of ``r7v``
+leaves every vertex partition sum, and the lattice benchmark's digest,
+unchanged; the Yang-Baxter checks and the transfer matrices themselves
+see it.
 
 Conventions: the weight of a vertex is the matrix element with row index
 (state above, state right) and column index (state below, state left); a row
@@ -88,38 +106,39 @@ def _trace_power(t: ExactMatrix, periods: int) -> Fraction:
     return trace_product(power, t)
 
 
-def transfer_matrix_vertex(spec: LatticeSpec, params: ModelParams) -> ExactMatrix:
-    """Row-to-row transfer matrix on the (n+1)^N-dimensional row space.
-
-    T = tr_aux(R_{N-1,a} ... R_{1a} R_{0a}) on the integer numerators of R,
-    built by one depth-first walk over the row's edges s_{N-1}, ..., s_1.
-    The level of the suffix s_i ... s_{N-1} holds, per auxiliary start a,
-    the sparse row vector {(column index so far, auxiliary state):
-    numerator} pushed through sites N-1 ... i, each site replacing s_i by
-    every column edge t_i that R allows; every row with that suffix reuses
-    it.  Site 0 closes the trace: only the entries of R that return to the
-    start a are added, straight into the output rows.  The one denominator
-    is den(R)^N, reduced once.
-    """
-    n, m, N = spec.n, spec.m, spec.N
-    r = fuse_nm(n, m, spec.u, params)
-    qdim, adim = n + 1, m + 1
-    # local[x][a] lists the nonzero entries (y, b, numerator) of row (x, a)
-    # of R: edge x to edge y, auxiliary state a to b.
+def _local_entries(r: ExactMatrix, qdim: int, adim: int) -> list:
+    """local[x][c] lists the nonzero entries (y, b, numerator) of row (x, c)
+    of R's integer numerators: edge x to edge y, auxiliary state c to b."""
     num = r.numerators
-    local = [
+    return [
         [
             [(y, b, v) for y in range(qdim) for b in range(adim) if (v := row[y * adim + b])]
             for row in num[x * adim : (x + 1) * adim]
         ]
         for x in range(qdim)
     ]
+
+
+def _transfer_walk(N: int, local: list, rows: list, place) -> None:
+    """Add the integer numerators of T = tr_aux(R_{N-1,a} ... R_{0a}),
+    built from the local entries ``local`` (:func:`_local_entries`, or a
+    subset of them), into the output rows: full row s of T goes to
+    ``rows[s]``, and its entry in full column t to ``rows[s][place[t]]``.
+
+    One depth-first walk over the row's edges s_{N-1}, ..., s_1.  The level
+    of the suffix s_i ... s_{N-1} holds, per auxiliary start a, the sparse
+    row vector {(column index so far, auxiliary state): numerator} pushed
+    through sites N-1 ... i, each site replacing s_i by every column edge
+    t_i that R allows; every row with that suffix reuses it.  Site 0 closes
+    the trace: only the entries of R that return to the start a are added,
+    straight into the output rows.
+    """
+    qdim, adim = len(local), len(local[0])
     strides = [qdim ** (N - 1 - i) for i in range(N)]
     # close[x][c][a]: (column offset, numerator) of row (x, c)'s entries ending in state a.
     close = [
         [[[(y * strides[0], v) for y, b, v in e if b == a] for a in range(adim)] for e in x_rows] for x_rows in local
     ]
-    rows = [[0] * qdim**N for _ in range(qdim**N)]
     # Entry (i, row, states, x) takes edge x at site i below the level
     # `states`, its next sibling waiting beneath it: only the current path is
     # alive.  A recursive closure would be a cycle keeping `rows` until gc.
@@ -130,25 +149,91 @@ def transfer_matrix_vertex(spec: LatticeSpec, params: ModelParams) -> ExactMatri
             stack.append((i, row, states, x + 1))
         row += x * strides[i]
         if i == 0:
-            out = rows[row]
+            out, ends = rows[row], close[x]
             for a, state in enumerate(states):
                 for (t, c), v in state.items():
-                    for offset, w in close[x][c][a]:
-                        out[t + offset] += v * w
+                    for offset, w in ends[c][a]:
+                        out[place[t + offset]] += v * w
             continue
         children = [{} for _ in states]
+        entries, stride = local[x], strides[i]
         for state, pushed in zip(states, children):
             for (t, c), v in state.items():
-                for y, b, w in local[x][c]:
-                    key = (t + y * strides[i], b)
+                for y, b, w in entries[c]:
+                    key = (t + y * stride, b)
                     pushed[key] = pushed.get(key, 0) + v * w
         stack.append((i - 1, row, children, 0))
+
+
+def transfer_matrix_vertex(spec: LatticeSpec, params: ModelParams) -> ExactMatrix:
+    """Row-to-row transfer matrix on the (n+1)^N-dimensional row space.
+
+    T = tr_aux(R_{N-1,a} ... R_{1a} R_{0a}) on the integer numerators of R,
+    from every nonzero entry of R by the one depth-first walk
+    (:func:`_transfer_walk`) into full rows.  The one denominator is
+    den(R)^N, reduced once.
+    """
+    n, m, N = spec.n, spec.m, spec.N
+    r = fuse_nm(n, m, spec.u, params)
+    size = (n + 1) ** N
+    rows = [[0] * size for _ in range(size)]
+    _transfer_walk(N, _local_entries(r, n + 1, m + 1), rows, list(range(size)))
     return ExactMatrix.from_integers(rows, r.denominator**N)
 
 
 def partition_vertex_transfer(spec: LatticeSpec, params: ModelParams) -> Fraction:
-    """Partition sum as trace of the M-th transfer-matrix power."""
-    return _trace_power(transfer_matrix_vertex(spec, params), spec.M)
+    """Partition sum trace(T^M), taken as the sum over the charge sectors q
+    of trace(T_qq^M).
+
+    The charge of a basis index (x, c) of R is x + c, and of a row of T the
+    sum of its edge states.  R must be graded: the row charge of each
+    nonzero entry is at least its column charge, otherwise ``ValueError``
+    names the entry.  Then T has no entry from charge q to a higher charge,
+    so it is block-triangular and trace(T^M) = sum_q trace(T_qq^M), and
+    T_qq takes only the charge-conserving entries of R: around the row the
+    auxiliary charge closes, so the vertex charge changes, none negative,
+    sum to zero.  The walk of :func:`transfer_matrix_vertex`
+    (:func:`_transfer_walk`) runs on those entries alone, each row written into its sector's block at its position
+    in the sector; the full T is never formed.  For M = 1 and for 1 x 1
+    blocks the sum is taken on the integer numerators.
+
+    So the sum cannot see the charge-changing entries: for the seven-vertex
+    R it does not depend on alpha, and a wrong alpha^2 u (u + 1) entry leaves
+    it unchanged.
+    """
+    n, m, N, M = spec.n, spec.m, spec.N, spec.M
+    r = fuse_nm(n, m, spec.u, params)
+    local = _local_entries(r, n + 1, m + 1)
+    for x, x_rows in enumerate(local):
+        for c, entries in enumerate(x_rows):
+            for y, b, _ in entries:
+                if y + b > x + c:
+                    raise ValueError(
+                        f"operator is not charge-graded: its entry at row ({x}, {c}), column ({y}, {b})"
+                        f" has column charge {y + b} > row charge {x + c}"
+                    )
+    conserving = [
+        [[e for e in entries if e[0] + e[1] == x + c] for c, entries in enumerate(x_rows)]
+        for x, x_rows in enumerate(local)
+    ]
+    charges = [sum(s) for s in product(range(n + 1), repeat=N)]
+    sizes = [0] * (n * N + 1)
+    place = []
+    for q in charges:
+        place.append(sizes[q])
+        sizes[q] += 1
+    blocks = [[[0] * size for _ in range(size)] for size in sizes]
+    _transfer_walk(N, conserving, [blocks[q][k] for q, k in zip(charges, place)], place)
+    den = r.denominator**N
+    whole, z = 0, Fraction(0)
+    for block in blocks:
+        if M == 1:
+            whole += sum(row[k] for k, row in enumerate(block))
+        elif len(block) == 1:
+            whole += block[0][0] ** M
+        else:
+            z += _trace_power(ExactMatrix.from_integers(block, den), M)
+    return z + Fraction(whole, den**M)
 
 
 def _height_rows(spec: LatticeSpec, window: tuple[int, int]) -> list[tuple[int, ...]]:

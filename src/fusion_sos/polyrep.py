@@ -17,11 +17,11 @@ source of shift entries); multiplication by z or by a polynomial has the
 polynomial's numerators over their least common denominator; gamma factors
 and intertwining polynomials expand the integer product of their roots over
 one common denominator.  Nothing built from shifts is composed factor by
-factor.  delta(-)^k and the gamma sandwich are assembled in closed form on
-integers from the shift expansion below, each with one
-``from_integers``; the m first-order factors of the height-changing operator
-act on integer coefficient columns (``_o_m_apply``), the identity's for the
-matrix and one intertwining polynomial's for the face weights.
+factor.  The gamma sandwich is assembled in closed form on integers from
+the shift expansion below, with one ``from_integers``; the m first-order
+factors of the height-changing operator act on integer coefficient columns
+(``_o_m_apply``), the identity's for the matrix and one intertwining
+polynomial's for the face weights.
 
 The averaged shift operators
 
@@ -42,8 +42,7 @@ turns each term into multiplication by gamma(z, C) gamma(z + (B - 2k) alpha, D)
 followed by a shift.  Since |B - 2k| <= B and B - 2k = B (mod 2), the roots
 of the reciprocal factor always lie among those of the polynomial factor, so
 that product is a polynomial and each column of the sandwich is a sum of
-integer polynomial products.  The same expansion with C = D = 0 gives
-delta(-)^k entry by entry.
+integer polynomial products.
 
 One helper (``_sandwich_terms``) lists the sandwich in shift form, as the
 integer coefficients of each term g_s(z) T_{s alpha}.  The gamma form of the
@@ -145,27 +144,6 @@ def mul_poly(q: ExactPolynomial, in_dim: int) -> ExactMatrix:
         for i, c in enumerate(nums):
             rows[i + j][j] = c
     return ExactMatrix.from_integers(rows, den)
-
-
-def delta_minus_power(k: int, dim: int, params: ModelParams) -> ExactMatrix:
-    """delta(-)^k on polynomials of degree < dim, in closed form.
-
-    delta(-)^k = 2^-k sum_t (-1)^t C(k, t) T_{(k-2t) alpha}, so entry (i, j)
-    is C(j, i) alpha^e S(k, e) / 2^k with e = j - i and
-    S(k, e) = sum_t (-1)^t C(k, t) (k - 2t)^e, which vanishes for e < k and
-    for odd e - k.  Over alpha = p/q the entries are the shift entries
-    (:func:`_shift_entries`) times S(k, e), over q^(dim-1) 2^k.
-    """
-    if k < 0:
-        raise ValueError("delta_minus_power needs a nonnegative exponent")
-    alpha = params.alpha
-    sums = [
-        sum((-1) ** t * comb(k, t) * (k - 2 * t) ** e for t in range(k + 1)) if e >= k and (e - k) % 2 == 0 else 0
-        for e in range(dim)
-    ]
-    rows = _shift_entries(alpha.numerator, alpha.denominator, dim)
-    rows = [[x * sums[j - i] if j >= i else 0 for j, x in enumerate(row)] for i, row in enumerate(rows)]
-    return ExactMatrix.from_integers(rows, 2**k * alpha.denominator ** (dim - 1))
 
 
 def gamma_poly(p: int, shift: ScalarLike, params: ModelParams) -> ExactPolynomial:

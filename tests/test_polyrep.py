@@ -23,10 +23,10 @@ from fusion_sos.polyrep import (
     UnsupportedEvaluationPoint,
     _gamma_sandwich,
     _pad,
+    _shift_entries,
     _shift_op,
     _truncate,
     assemble_2x2,
-    delta_minus_power,
     delta_op,
     gamma_poly,
     intertwiner_poly,
@@ -78,6 +78,28 @@ class TestDeltaOps:
             delta_minus_power(-1, 3, params)
 
 
+def delta_minus_power(k, dim, params):
+    """delta(-)^k on polynomials of degree < dim, in closed form: the
+    reference the composed form below is checked against.
+
+    delta(-)^k = 2^-k sum_t (-1)^t C(k, t) T_{(k-2t) alpha}, so entry (i, j)
+    is C(j, i) alpha^e S(k, e) / 2^k with e = j - i and
+    S(k, e) = sum_t (-1)^t C(k, t) (k - 2t)^e, which vanishes for e < k and
+    for odd e - k.  Over alpha = p/q the entries are the shift entries
+    (``polyrep._shift_entries``) times S(k, e), over q^(dim-1) 2^k.
+    """
+    if k < 0:
+        raise ValueError("delta_minus_power needs a nonnegative exponent")
+    alpha = params.alpha
+    sums = [
+        sum((-1) ** t * comb(k, t) * (k - 2 * t) ** e for t in range(k + 1)) if e >= k and (e - k) % 2 == 0 else 0
+        for e in range(dim)
+    ]
+    rows = _shift_entries(alpha.numerator, alpha.denominator, dim)
+    rows = [[x * sums[j - i] if j >= i else 0 for j, x in enumerate(row)] for i, row in enumerate(rows)]
+    return ExactMatrix.from_integers(rows, 2**k * alpha.denominator ** (dim - 1))
+
+
 def composed_delta_minus_power(k, dim, params):
     """delta(-)^k as the k-fold composition of delta_op(-1)."""
     op = ExactMatrix.identity(dim)
@@ -92,8 +114,8 @@ nonzero_alphas = st.builds(Fraction, st.integers(-9, 9).filter(bool), st.integer
 
 
 class TestDeltaMinusPowerClosedForm:
-    """delta(-)^k is built from its shift expansion in one step; the k-fold
-    composition of delta(-) is the reference."""
+    """The closed form of delta(-)^k from its shift expansion, the reference
+    helper above, equals the k-fold composition of delta(-)."""
 
     @settings(max_examples=80, deadline=None)
     @given(st.integers(0, 6), st.integers(1, 9), nonzero_alphas)
