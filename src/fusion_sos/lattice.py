@@ -193,9 +193,10 @@ def partition_vertex_transfer(spec: LatticeSpec, params: ModelParams) -> Fractio
     T_qq takes only the charge-conserving entries of R: around the row the
     auxiliary charge closes, so the vertex charge changes, none negative,
     sum to zero.  The walk of :func:`transfer_matrix_vertex`
-    (:func:`_transfer_walk`) runs on those entries alone, each row written into its sector's block at its position
-    in the sector; the full T is never formed.  For M = 1 and for 1 x 1
-    blocks the sum is taken on the integer numerators.
+    (:func:`_transfer_walk`) runs on those entries alone, each row written
+    into its sector's block at its position in the sector; the full T is
+    never formed.  For M = 1 and for 1 x 1 blocks the sum is taken on the
+    integer numerators.
 
     So the sum cannot see the charge-changing entries: for the seven-vertex
     R it does not depend on alpha, and a wrong alpha^2 u (u + 1) entry leaves

@@ -91,6 +91,22 @@ def test_transfer_equals_embedded_product(N, n, m, alpha, w, u):
 DENSE_SHAPES = [(1, 1, 1), (1, 2, 3), (2, 1, 3), (3, 1, 2), (2, 3, 1), (3, 2, 2), (4, 1, 1)]
 
 
+def _random_operator(n, m, seed, graded):
+    """A random rational (n, m) operator with no zero entry, or, when
+    graded, nonzero exactly on the entries whose row charge x + c is at
+    least the column charge y + b (row index (x, c), column index (y, b))."""
+    rng = random.Random(seed)
+    adim = m + 1
+    dim = (n + 1) * adim
+
+    def entry(row, col):
+        if graded and sum(divmod(col, adim)) > sum(divmod(row, adim)):
+            return 0
+        return Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 7))
+
+    return ExactMatrix([[entry(row, col) for col in range(dim)] for row in range(dim)])
+
+
 @pytest.mark.parametrize("N, n, m", DENSE_SHAPES)
 def test_transfer_equals_embedded_product_of_dense_operator(N, n, m, monkeypatch, params_unit):
     """The seven-vertex R has one charge-raising entry, so its fused
@@ -98,15 +114,71 @@ def test_transfer_equals_embedded_product_of_dense_operator(N, n, m, monkeypatch
     30 of 81 at (2, 2)) and leave closing triples (x, c, a) and pushed keys
     unreached.  A random rational operator with no zero entry reaches every
     one: dropping the b == a filter of the closing step at site 0 makes
-    this test fail."""
-    rng = random.Random(f"dense {N} {n} {m}")
-    dim = (n + 1) * (m + 1)
-    op = ExactMatrix(
-        [[Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 7)) for _ in range(dim)] for _ in range(dim)]
-    )
+    this test fail.  It is not charge-graded, so the partition sum, which
+    needs the grading, refuses it and names its first entry that raises the
+    charge."""
+    op = _random_operator(n, m, f"dense {N} {n} {m}", graded=False)
     monkeypatch.setattr(lattice, "fuse_nm", lambda *args: op)
     spec = LatticeSpec(N, 1, n, m, U)
     assert transfer_matrix_vertex(spec, params_unit).entries == _transfer_by_embedding(spec, op).entries
+    message = "operator is not charge-graded: its entry at row (0, 0), column (0, 1) has column charge 1 > row charge 0"
+    with pytest.raises(ValueError) as info:
+        partition_vertex_transfer(spec, params_unit)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("N, n, m", DENSE_SHAPES)
+@pytest.mark.parametrize("periods", [1, 2, 3])
+def test_sector_sum_equals_trace_of_power_of_graded_operator(N, n, m, periods, monkeypatch, params_unit):
+    """On a random graded operator, nonzero on every entry that keeps or
+    lowers the charge (by odd amounts too), the sum over the charge sectors
+    equals trace(T^M) of the embedded product.  M = 1 and the 1 x 1 end
+    sectors (charge 0 and n N) take the integer shortcut; the other blocks
+    take _trace_power."""
+    op = _random_operator(n, m, f"graded {N} {n} {m}", graded=True)
+    monkeypatch.setattr(lattice, "fuse_nm", lambda *args: op)
+    spec = LatticeSpec(N, periods, n, m, U)
+    t = _transfer_by_embedding(spec, op)
+    power = t
+    for _ in range(periods - 1):
+        power = mat_mul(power, t)
+    assert partition_vertex_transfer(spec, params_unit) == power.trace()
+
+
+def _charge(index, n, N):
+    """The charge of a row of edge states: the sum of its base-(n+1) digits."""
+    return sum(index // (n + 1) ** i % (n + 1) for i in range(N))
+
+
+ALPHAS = (Fraction(3, 2), Fraction(-5, 3))
+
+
+@pytest.mark.parametrize("shape", [(4, 2, 1, 1), (3, 2, 2, 1), (2, 3, 1, 2), (2, 2, 2, 2)])
+def test_partition_sum_does_not_depend_on_alpha(shape):
+    """Only charge-conserving entries of R reach a torus partition sum, and
+    none of them involves alpha."""
+    spec = LatticeSpec(*shape, Fraction(-11, 4))
+    values = {partition_vertex_transfer(spec, _params_w(alpha, Fraction(2, 7))) for alpha in ALPHAS}
+    assert len(values) == 1 and values != {0}
+    assert values == {partition_vertex_bruteforce(spec, _params_w(ALPHAS[0], Fraction(2, 7)))}
+
+
+@pytest.mark.parametrize("N, n, m", ROW_SHAPES)
+def test_transfer_is_block_triangular_by_charge(N, n, m):
+    """T has no entry from a row to a column of higher charge, and its
+    charge-diagonal blocks do not depend on alpha.  Its blocks below the
+    diagonal do: there the charge-raising alpha^2 u (u + 1) entries act,
+    which no partition sum sees."""
+    spec = LatticeSpec(N, 1, n, m, Fraction(7, 2))
+    t1, t2 = (transfer_matrix_vertex(spec, _params_w(alpha, Fraction(1, 5))).entries for alpha in ALPHAS)
+    charges = [_charge(k, n, N) for k in range(len(t1))]
+    above = [(s, t) for s, p in enumerate(charges) for t, q in enumerate(charges) if q > p]
+    diagonal = [(s, t) for s, p in enumerate(charges) for t, q in enumerate(charges) if q == p]
+    below = [(s, t) for s, p in enumerate(charges) for t, q in enumerate(charges) if q < p]
+    assert all(t1[s][t] == t2[s][t] == 0 for s, t in above)
+    assert all(t1[s][t] == t2[s][t] for s, t in diagonal)
+    assert any(t1[s][t] for s, t in diagonal)
+    assert any(t1[s][t] != t2[s][t] for s, t in below)
 
 
 def test_degenerate_fusion_normalization_is_a_pole():
