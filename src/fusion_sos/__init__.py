@@ -38,6 +38,7 @@ from .polyrep import (
     gamma_poly,
     intertwiner_poly,
     o_m_gamma_form,
+    o_m_identity_check,
     o_m_product_form,
     r_n1_matrix,
     star_triangle_check,

@@ -16,12 +16,12 @@ C(j, i) p^(j-i) q^(dim-1-(j-i)) over q^(dim-1) (``_shift_entries``, the one
 source of shift entries); multiplication by z or by a polynomial has the
 polynomial's numerators over their least common denominator; gamma factors
 and intertwining polynomials expand the integer product of their roots over
-one common denominator.  Nothing built from shifts is composed factor by
-factor.  The gamma sandwich is assembled in closed form on integers from
+one common denominator.  No matrix built from shifts is composed factor
+by factor.  The gamma sandwich is assembled in closed form on integers from
 the shift expansion below, with one ``from_integers``; the m first-order
-factors of the height-changing operator act on integer coefficient columns
-(``_o_m_apply``), the identity's for the matrix and one intertwining
-polynomial's for the face weights.
+factors of the height-changing operator, listed once (``_o_m_factors``),
+act on integer coefficient columns (``_o_m_apply``), the identity's for the
+matrix and one intertwining polynomial's for the face weights.
 
 The averaged shift operators
 
@@ -45,12 +45,18 @@ that product is a polynomial and each column of the sandwich is a sum of
 integer polynomial products.
 
 One helper (``_sandwich_terms``) lists the sandwich in shift form, as the
-integer coefficients of each term g_s(z) T_{s alpha}.  The gamma form of the
-height-changing operator sums those terms into columns; the star-triangle
-check compares them, at C = k and D = l, with the shift form of
-delta(-)^l gamma(k + l) delta(-)^k and builds no matrix.  An operator
-sum_s D_s(z) T_{s alpha} vanishes on degree <= d exactly when the moments
-sum_s s^i D_s vanish for i <= min(d, B) (see ``star_triangle_check``).
+integer coefficients of each term g_s(z) T_{s alpha}.  Shift forms compose
+on their coefficients (``_compose_shift_forms``): T_{s alpha} moves past a
+coefficient by shifting its argument.  The gamma form of the height-changing
+operator is the composition of its two sandwiches, summed into columns by
+the one shift-form-to-matrix helper (``_shift_form_matrix``).  The
+identity checks build no matrix: the star-triangle check compares the
+sandwich, at C = k and D = l, with the shift form of
+delta(-)^l gamma(k + l) delta(-)^k, and ``o_m_identity_check`` compares the
+composed gamma form with the composed first-order factors of the product
+form.  Two shift forms over the B + 1 shifts s = -B, -B+2, .., B agree on
+degree <= d exactly when their moments sum_s s^i D_s agree for
+i <= min(d, B) (see ``_moments``).
 """
 
 from __future__ import annotations
@@ -161,37 +167,56 @@ def star_triangle_check(
     on polynomials of degree <= degree_bound, with gamma(p) = gamma(z - shift, p).
 
     Both sides are finite sums sum_s g_s(z) T_{s alpha} over the B + 1 shifts
-    s = -B, -B+2, .., B, B = k + l, and are compared through their integer
-    coefficient lists over 2^B den^B; no matrix is built.  The left side is
-    the expansion of the gamma form of the height-changing operator
-    (:func:`_sandwich_terms`), the right side is :func:`_delta_gamma_delta_terms`.
-
-    Let D_s be the difference of the two sides' s-terms.  Their difference
-    sends z^j to sum_s D_s(z) (z + s alpha)^j = sum_i C(j, i) z^(j-i) alpha^i M_i(z)
-    with the moments M_i = sum_s s^i D_s.  By induction on j (the i = j term
-    is alpha^j M_j and alpha != 0) it vanishes on degree <= d exactly when
-    M_i = 0 for every i <= d.  For d >= B the moments M_0, .., M_B are a
-    Vandermonde system on the B + 1 distinct shifts, so they force every
-    D_s = 0 and with it every higher moment; checking i <= min(d, B)
-    decides the relation for every degree_bound >= 0.
+    s = -B, -B+2, .., B, B = k + l, held as integer coefficient lists over
+    2^B den^B.  They agree when the moments i <= min(degree_bound, B) of the
+    differences of their s-terms vanish (:func:`_moments`); no matrix is
+    built.  The left side is the expansion of the gamma form of the
+    height-changing operator (:func:`_sandwich_terms`), the right side is
+    :func:`_delta_gamma_delta_terms`.
     """
     if k < 0 or l < 0:
         raise ValueError("k and l must be nonnegative")
     if degree_bound < 0:
         raise ShapeMismatchError("matrix must have at least one row and column")
-    b = k + l
+    top = min(degree_bound, k + l)
     den, (x0, step) = common_denominator(rat(shift), params.alpha)
     left = _sandwich_terms(k, l, den, x0, step)
     right = _delta_gamma_delta_terms(k, l, den, x0, step)
-    diffs = [(s, [x - y for x, y in zip(g, right[s])]) for s, g in left.items()]
-    for i in range(min(degree_bound, b) + 1):
-        moment = [0] * (b + 1)
-        for s, diff in diffs:
+    diffs = {s: [x - y for x, y in zip(g, right[s])] for s, g in left.items()}
+    return not any(map(any, _moments(diffs, top)))
+
+
+def _moments(terms: dict[int, list[int]], top: int) -> list[list[int]]:
+    """The moments M_i = sum_s s^i g_s, i = 0..top, of the shift form
+    sum_s g_s(z) T_{s alpha}, its terms integer coefficient lists (lowest
+    power first) of one length.
+
+    The form sends z^j to sum_s g_s(z) (z + s alpha)^j
+    = sum_i C(j, i) z^(j-i) alpha^i M_i(z).  By induction on j (the i = j
+    term is alpha^j M_j and alpha != 0):
+
+    - it sends every z^j, j <= d, to degree <= j exactly when deg M_i <= i
+      for every i <= d;
+    - it vanishes on degree <= d exactly when M_i = 0 for every i <= d, so
+      two forms over one denominator agree there exactly when their moments
+      i <= d are equal (the moments are linear in the terms).
+
+    When the shifts lie among the B + 1 values -B, -B+2, .., B, the
+    polynomial prod (x - s) over them has degree B + 1 and vanishes at every
+    shift, so for i > B, s^i is one fixed combination of s^0, .., s^B at every
+    shift, and M_i is the same combination of M_0, .., M_B.  Hence
+    deg M_i <= B < i, and M_0 = .. = M_B = 0 forces M_i = 0: both statements
+    are decided by the moments i <= min(d, B), for every d >= 0.
+    """
+    width = len(next(iter(terms.values())))
+    moments = []
+    for i in range(top + 1):
+        moment = [0] * width
+        for s, g in terms.items():
             w = s**i
-            moment = [m + w * x for m, x in zip(moment, diff)]
-        if any(moment):
-            return False
-    return True
+            moment = [m + w * x for m, x in zip(moment, g)]
+        moments.append(moment)
+    return moments
 
 
 def r_n1_matrix(n: int, u: ScalarLike, params: ModelParams) -> tuple[tuple[ExactMatrix, ExactMatrix], ...]:
@@ -276,33 +301,58 @@ def _delta_rows(p: int, q: int, dim: int):
     )
 
 
+def _o_m_up_steps(m: int, b: int, c: int) -> int:
+    """m+, the up steps from b to c at distance m, checked as every entry
+    point of the height-changing operator checks it: ``ValueError`` when
+    m < 0, then when b and c are not adjacent at distance m."""
+    if m < 0:
+        raise ValueError(f"the height-changing operator needs m >= 0, got m = {m}")
+    m_plus = up_steps(b, c, m)
+    if m_plus is None:
+        raise ValueError("heights b, c are not adjacent at distance m")
+    return m_plus
+
+
+def _o_m_factors(m: int, u: Fraction, b: int, c: int, st) -> tuple[int, list[tuple[int, int]]]:
+    """The m first-order factors of the height-changing operator, in the
+    order they act (rightmost first), as (e, [(Z, C), ..]): the factor is
+    [z - z0] delta(-) + alpha coef delta(+) with z0 = alpha Z / e and
+    coef = C / e, all over e = 2 den(u, s, t).  ``st`` is
+    ``common_denominator(s, t)``.
+
+    The second product acts first, ascending l', with
+    z0 = alpha(-u + (m + b + c)/2 + s) and coef = u - m+ - l'; then the
+    first, ascending l, with z0 = alpha(-u + (m - b - c)/2 - t) and coef = u - l.
+    """
+    m_plus = _o_m_up_steps(m, b, c)
+    st_den, (ds, dt) = st
+    d = lcm(st_den, u.denominator)
+    du, ds, dt = u.numerator * (d // u.denominator), ds * (d // st_den), dt * (d // st_den)
+    factors = [(2 * (ds - du) + (m + b + c) * d, 2 * (du - (m_plus + lp) * d)) for lp in range(m - m_plus)]
+    factors += [((m - b - c) * d - 2 * (du + dt), 2 * (du - l * d)) for l in range(m_plus)]
+    return 2 * d, factors
+
+
 def _o_m_apply(m: int, u: Fraction, b: int, c: int, params: ModelParams, st, cols, den: int):
     """The height-changing operator on ``cols``, integer coefficient vectors
     (lowest power first, degree < dim) over ``den`` > 0; returns the image
     columns and their denominator.  ``st`` is ``common_denominator(s, t)``,
-    which the caller already holds.  Each factor, divided by
-    alpha, acts on the integers through the cached rows of delta(+) and
-    delta(-) (:func:`_delta_rows`), and a gcd reduction follows.  A nonzero
-    top coefficient of delta(-) f would leave the space under z - z0:
-    ``ShapeMismatchError``.
+    which the caller already holds.  The factors are those of
+    :func:`_o_m_factors`; each, divided by alpha, acts on the integers
+    through the cached rows of delta(+) and delta(-) (:func:`_delta_rows`),
+    and a gcd reduction follows.  A nonzero top coefficient of delta(-) f
+    would leave the space under z - z0: ``ShapeMismatchError``.
     """
-    m_plus = up_steps(b, c, m)
-    if m_plus is None:
-        raise ValueError("heights b, c are not adjacent at distance m")
+    e, factors = _o_m_factors(m, u, b, c, st)
     alpha = params.alpha
     top = len(cols[0]) - 1
     dp, dm = _delta_rows(alpha.numerator, alpha.denominator, top + 1)
-    # Over alpha = p/q a factor is (z/alpha - Z) delta(-) + C delta(+), z0 = alpha Z, coef = C.
-    # Z, C are put over 2 den(u, s, t) and all times |p|: z/alpha is q sign(p), den stays > 0.
+    # Over alpha = p/q a factor is (z/alpha - Z/e) delta(-) + C/e delta(+),
+    # times e |p|: z/alpha is q sign(p), and den stays > 0.
     p, q = abs(alpha.numerator), alpha.denominator if alpha.numerator > 0 else -alpha.denominator
-    st_den, (ds, dt) = st
-    d = lcm(st_den, u.denominator)
-    du, ds, dt = u.numerator * (d // u.denominator), ds * (d // st_den), dt * (d // st_den)
-    lz, step = 2 * d * q, 2 * d * p * alpha.denominator**top
-    # Rightmost factors act first: the second product, ascending l' applied first.
-    factors = [(p * (2 * (ds - du) + (m + b + c) * d), 2 * p * (du - (m_plus + lp) * d)) for lp in range(m - m_plus)]
-    factors += [(p * ((m - b - c) * d - 2 * (du + dt)), 2 * p * (du - l * d)) for l in range(m_plus)]
-    for nz, nc in factors:
+    lz, step = e * q, e * p * alpha.denominator**top
+    for zn, cn in factors:
+        nz, nc = p * zn, p * cn
         out = []
         for f in cols:
             low = [sum([x * f[j] for j, x in row]) for row in dm]
@@ -384,30 +434,46 @@ def _delta_gamma_delta_terms(k: int, l: int, den: int, x0: int, step: int) -> di
     return terms
 
 
-def _gamma_sandwich(c: int, d: int, center: Fraction, dim: int, params: ModelParams) -> ExactMatrix:
-    """gamma(z - center, c) delta(-)^(c+d) gamma(z - center, d) on degree < dim.
+def _compose_shift_forms(outer, inner, alpha: Fraction):
+    """The composition (outer after inner) of two shift forms, each given as
+    (terms, den): the operator sum_s g_s(z) T_{s alpha} / den with {s: g}
+    integer coefficient lists (lowest power first), one length per form.
 
-    Either exponent may be negative (a reciprocal factor) as long as
-    B = c + d >= 0.  The sandwich is sum_s g_s T_{s alpha} with the
-    polynomial terms g_s of :func:`_sandwich_terms`, the same expansion that
-    :func:`star_triangle_check` compares with the other side of the
-    star-triangle relation.
+    T_{s alpha} moves past a coefficient by shifting its argument, so
+    (sum_s g_s T_{s alpha})(sum_t h_t T_{t alpha})
+    = sum_{s,t} g_s(z) h_t(z + s alpha) T_{(s+t) alpha}, and the term at s + t
+    collects g_s(z) h_t(z + s alpha).  For inner terms of length n and
+    alpha = p/q, q^(n-1) h_t(z + s alpha) has the integer coefficients of the
+    shift by s p / q (:func:`_shift_entries`), so the composition is over
+    den_outer den_inner q^(n-1).
+    """
+    (g_terms, g_den), (h_terms, h_den) = outer, inner
+    n = len(next(iter(h_terms.values())))
+    terms = {}
+    for s, g in g_terms.items():
+        shift = _shift_entries(s * alpha.numerator, alpha.denominator, n)
+        for t, h in h_terms.items():
+            moved = [sum([x * y for x, y in zip(row, h)]) for row in shift]
+            term = terms.setdefault(s + t, [0] * (len(g) + n - 1))
+            for i, x in enumerate(g):
+                for r, y in enumerate(moved, i):
+                    term[r] += x * y
+    return terms, g_den * h_den * alpha.denominator ** (n - 1)
+
+
+def _shift_form_matrix(terms: dict[int, list[int]], den: int, dim: int, alpha: Fraction) -> ExactMatrix:
+    """The matrix of sum_s g_s(z) T_{s alpha} / den on degree < dim, before
+    it is cut back: (dim + w - 1) x dim for terms of length w.
 
     Column j is sum_s g_s(z) (z + s alpha)^j, summed as integer coefficients
-    over 2^B den^B q^(dim-1), where den is the common denominator of
-    ``center`` and alpha = p/q: the terms are integers over 2^B den^B, and
-    (z + s alpha)^j has the coefficients of the shift by s p / q
-    (:func:`_shift_entries`).  The operator preserves the degree; the
-    coefficients at z^dim and above must vanish and are cut off by
-    :func:`_truncate`.
+    over den q^(dim-1) for alpha = p/q: (z + s alpha)^j has the coefficients
+    of the shift by s p / q (:func:`_shift_entries`).  A degree-preserving
+    form leaves the rows at z^dim and above zero, which :func:`_truncate`
+    checks as it cuts them off.
     """
-    b = c + d
-    if b < 0:
-        raise ValueError("gamma sandwich needs c + d >= 0")
-    alpha = params.alpha
-    den, (x0, step) = common_denominator(center, alpha)
-    cols = [[0] * (dim + b) for _ in range(dim)]
-    for s, g in _sandwich_terms(c, d, den, x0, step).items():
+    width = len(next(iter(terms.values())))
+    cols = [[0] * (dim + width - 1) for _ in range(dim)]
+    for s, g in terms.items():
         shift = _shift_entries(s * alpha.numerator, alpha.denominator, dim)
         for j, col in enumerate(cols):
             for i in range(j + 1):
@@ -415,8 +481,56 @@ def _gamma_sandwich(c: int, d: int, center: Fraction, dim: int, params: ModelPar
                 if x:
                     for r, y in enumerate(g, i):
                         col[r] += x * y
-    op = ExactMatrix.from_integers(zip(*cols), 2**b * den**b * alpha.denominator ** (dim - 1))
-    return _truncate(op, dim)
+    return ExactMatrix.from_integers(zip(*cols), den * alpha.denominator ** (dim - 1))
+
+
+def _sandwich_form(c: int, d: int, center: Fraction, alpha: Fraction):
+    """gamma(z - center, c) delta(-)^(c+d) gamma(z - center, d) in shift form,
+    as (terms, den) (see :func:`_compose_shift_forms`): the terms of
+    :func:`_sandwich_terms` over 2^B den^B, B = c + d, den the common
+    denominator of ``center`` and alpha."""
+    den, (x0, step) = common_denominator(center, alpha)
+    b = c + d
+    return _sandwich_terms(c, d, den, x0, step), 2**b * den**b
+
+
+def _gamma_sandwich(c: int, d: int, center: Fraction, dim: int, params: ModelParams) -> ExactMatrix:
+    """gamma(z - center, c) delta(-)^(c+d) gamma(z - center, d) on degree < dim.
+
+    Either exponent may be negative (a reciprocal factor) as long as
+    B = c + d >= 0.  The sandwich is sum_s g_s T_{s alpha} with the
+    polynomial terms g_s of :func:`_sandwich_terms` (:func:`_sandwich_form`):
+    the expansion that :func:`star_triangle_check` compares with the other
+    side of the star-triangle relation and :func:`o_m_gamma_form` composes.
+    Its columns come from :func:`_shift_form_matrix`, cut back to dim rows.
+    """
+    if c + d < 0:
+        raise ValueError("gamma sandwich needs c + d >= 0")
+    return _truncate(_shift_form_matrix(*_sandwich_form(c, d, center, params.alpha), dim, params.alpha), dim)
+
+
+def _o_m_gamma_terms(m: int, u: ScalarLike, b: int, c: int, params: ModelParams):
+    """alpha^m times the gamma form of the height-changing operator, in shift
+    form (terms, den) (see :func:`_compose_shift_forms`): the composition
+    S(m+ - u, u; u1) S(m - u, u - m+; u2) of two sandwiches
+    (:func:`_sandwich_form`), S(C, D; x0) = gamma(z - x0, C) delta(-)^(C+D)
+    gamma(z - x0, D).  Refuses m < 0 and heights that are not adjacent
+    (``ValueError``), then u off the integers 0..m
+    (``UnsupportedEvaluationPoint``).
+    """
+    m_plus = _o_m_up_steps(m, b, c)
+    u = rat(u)
+    if u.denominator != 1 or not (0 <= u <= m):
+        raise UnsupportedEvaluationPoint(
+            f"gamma exponents are integers only for integer u in 0..{m}, got {u}"
+        )
+    ui = int(u)
+    alpha, s, t = params.alpha, params.s, params.t
+    u1 = alpha * (-u + Fraction(m - b - c, 2) - t)
+    u2 = alpha * (-u + Fraction(m + b + c, 2) + s)
+    half1 = _sandwich_form(m_plus - ui, ui, u1, alpha)
+    half2 = _sandwich_form(m - ui, ui - m_plus, u2, alpha)
+    return _compose_shift_forms(half1, half2, alpha)
 
 
 def o_m_gamma_form(
@@ -425,24 +539,55 @@ def o_m_gamma_form(
     """The factorized form of the height-changing operator, at integer u in {0..m}.
 
     The operator is alpha^(-m) S(m+ - u, u; u1) S(m - u, u - m+; u2), where
-    S(C, D; x0) = gamma(z - x0, C) delta(-)^(C+D) gamma(z - x0, D) is built
-    by ``_gamma_sandwich`` without leaving the polynomial ring.  Away from
-    integer u the gamma exponents are non-integers, which the rational field
-    cannot represent, so those points are refused.
+    S(C, D; x0) = gamma(z - x0, C) delta(-)^(C+D) gamma(z - x0, D).  The two
+    sandwiches are composed in shift form (:func:`_o_m_gamma_terms`), without
+    leaving the polynomial ring, and the composition is summed into columns
+    once (:func:`_shift_form_matrix`).  Away from integer u the gamma
+    exponents are non-integers, which the rational field cannot represent,
+    so those points are refused.
     """
-    u = rat(u)
-    if u.denominator != 1 or not (0 <= u <= m):
-        raise UnsupportedEvaluationPoint(
-            f"gamma exponents are integers only for integer u in 0..{m}, got {u}"
-        )
-    ui = int(u)
-    m_plus = up_steps(b, c, m)
-    if m_plus is None:
-        raise ValueError("heights b, c are not adjacent at distance m")
-    alpha, s, t = params.alpha, params.s, params.t
-    u1 = alpha * (-u + Fraction(m - b - c, 2) - t)
-    u2 = alpha * (-u + Fraction(m + b + c, 2) + s)
+    terms, den = _o_m_gamma_terms(m, u, b, c, params)
     dim = degree_bound + 1
-    half2 = _gamma_sandwich(m - ui, ui - m_plus, u2, dim, params)
-    half1 = _gamma_sandwich(m_plus - ui, ui, u1, dim, params)
-    return (half1 @ half2).scale(alpha ** (-m))
+    return _truncate(_shift_form_matrix(terms, den, dim, params.alpha), dim).scale(params.alpha ** (-m))
+
+
+def o_m_identity_check(m: int, u: ScalarLike, b: int, c: int, params: ModelParams, degree_bound: int) -> bool:
+    """Exact test of o_m_product_form == o_m_gamma_form on polynomials of
+    degree <= degree_bound, at integer u in {0..m}; no matrix is built.
+
+    Both sides carry alpha^(-m); the check compares alpha^m times each as a
+    shift form sum_s D_s(z) T_{s alpha}, s = -m, -m+2, .., m, with integer
+    coefficient lists over one denominator per side.  The product side
+    composes the first-order factors of :func:`_o_m_factors`, rightmost
+    first (:func:`_compose_shift_forms`), each in shift form
+    [z - z0] delta(-) + alpha coef delta(+)
+    = 1/2 [(z - z0 + alpha coef) T_alpha + (-z + z0 + alpha coef) T_{-alpha}].
+    The gamma side is :func:`_o_m_gamma_terms`.
+
+    Each side must send z^j to degree <= j, that is deg M_i <= i for its
+    moments i <= min(d, m) (:func:`_moments`), or ``ShapeMismatchError`` is
+    raised, as the matrix forms refuse to cut off a nonzero coefficient.  The
+    sides agree when those moments, put over one denominator, are equal.
+    The refusals are those of :func:`o_m_gamma_form`: ``ValueError`` for
+    m < 0 and for heights that are not adjacent,
+    ``UnsupportedEvaluationPoint`` for u off the integers 0..m, and
+    ``ShapeMismatchError`` for degree_bound < 0.
+    """
+    gamma, gamma_den = _o_m_gamma_terms(m, u, b, c, params)
+    if degree_bound < 0:
+        raise ShapeMismatchError("matrix must have at least one row and column")
+    alpha = params.alpha
+    p, q = alpha.numerator, alpha.denominator
+    e, factors = _o_m_factors(m, rat(u), b, c, common_denominator(params.s, params.t))
+    # 2 q e times a factor, with z0 = alpha Z / e and coef = C / e.
+    form = ({0: [1]}, 1)
+    for zn, cn in factors:
+        factor = {1: [p * (cn - zn), q * e], -1: [p * (zn + cn), -q * e]}
+        form = _compose_shift_forms((factor, 2 * q * e), form, alpha)
+    product, product_den = form
+    top = min(degree_bound, m)
+    left, right = _moments(product, top), _moments(gamma, top)
+    for side in (left, right):
+        if any(any(moment[i + 1 :]) for i, moment in enumerate(side)):
+            raise ShapeMismatchError("the operator raises the degree of a polynomial")
+    return [[x * gamma_den for x in mo] for mo in left] == [[y * product_den for y in mo] for mo in right]

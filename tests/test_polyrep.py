@@ -1,3 +1,4 @@
+import random
 from collections import Counter
 from fractions import Fraction
 from math import comb
@@ -21,9 +22,11 @@ from fusion_sos import correspondence, polyrep
 from fusion_sos.fusion import fuse_nm
 from fusion_sos.polyrep import (
     UnsupportedEvaluationPoint,
+    _compose_shift_forms,
     _gamma_sandwich,
     _pad,
     _shift_entries,
+    _shift_form_matrix,
     _shift_op,
     _truncate,
     assemble_2x2,
@@ -34,6 +37,7 @@ from fusion_sos.polyrep import (
     mul_poly,
     mul_z,
     o_m_gamma_form,
+    o_m_identity_check,
     o_m_product_form,
     r_n1_matrix,
     star_triangle_check,
@@ -322,16 +326,21 @@ def reference_star_triangle(k, l, shift, degree_bound, params):
     return _truncate(lhs, degree_bound + 1) == _truncate(rhs, degree_bound + 1)
 
 
-def shift_form_matrix(terms, b, shift, dim, params):
-    """sum_s g_s T_{s alpha} / (2^B den^B) on degree < dim, from Fraction
-    polynomials and Fraction shifts, with dim + B rows."""
-    den, _ = common_denominator(rat(shift), params.alpha)
-    scale = Fraction(1, 2**b * den**b)
-    total = ExactMatrix.zeros(dim + b, dim)
+def fraction_form_matrix(terms, den, dim, alpha):
+    """sum_s g_s T_{s alpha} / den on degree < dim, from Fraction polynomials
+    and Fraction shifts, with dim + w - 1 rows for terms of length w."""
+    rows = dim + len(next(iter(terms.values()))) - 1
+    total = ExactMatrix.zeros(rows, dim)
     for s, g in terms.items():
-        poly = ExactPolynomial([scale * x for x in g])
-        total = total + _pad(mul_poly(poly, dim) @ fraction_shift(s * params.alpha, dim), dim + b)
+        poly = ExactPolynomial([Fraction(x, den) for x in g])
+        total = total + _pad(mul_poly(poly, dim) @ fraction_shift(s * alpha, dim), rows)
     return total
+
+
+def shift_form_matrix(terms, b, shift, dim, params):
+    """sum_s g_s T_{s alpha} / (2^B den^B) on degree < dim, with dim + B rows."""
+    den, _ = common_denominator(rat(shift), params.alpha)
+    return fraction_form_matrix(terms, 2**b * den**b, dim, params.alpha)
 
 
 def shift_terms(k, l, shift, params):
@@ -743,3 +752,170 @@ class TestColumnKernel:
         monkeypatch.setattr(polyrep, "_delta_rows", polyrep._delta_rows.__wrapped__)
         with pytest.raises(ShapeMismatchError):
             o_m_product_form(1, Fraction(5, 3), 0, 1, params, 3)
+
+
+# The 29 cases (m, c - b, u) of ``fusion-sos verify om``, at b = 0 and degree bound 6.
+OM_SUITE = [(m, diff, u) for m in range(1, 4) for diff in range(-m, m + 1, 2) for u in range(m + 1)]
+OM_ALPHAS = [Fraction(3, 2), Fraction(-2, 3), Fraction(5, 7)]
+
+
+def om_degree_bounds(m):
+    return sorted({0, 1, m - 1, m, 6} - {-1})
+
+
+def om_matrix_verdict(m, u, b, c, params, degree_bound):
+    """The identity decided on the two matrix forms; a nonzero coefficient
+    past the degree bound is a failure, as _truncate refuses it."""
+    try:
+        return o_m_product_form(m, u, b, c, params, degree_bound) == o_m_gamma_form(m, u, b, c, params, degree_bound)
+    except ShapeMismatchError:
+        return False
+
+
+def om_suite_verdicts(params):
+    return [o_m_identity_check(m, Fraction(u), 0, diff, params, 6) for m, diff, u in OM_SUITE]
+
+
+def random_shift_form(rng, width):
+    """Random integer terms of one length at three to five distinct shifts in
+    -3..3, of both parities, over a random denominator."""
+    shifts = rng.sample(range(-3, 4), rng.randint(3, 5))
+    return {s: [rng.randint(-9, 9) for _ in range(width)] for s in shifts}, rng.randint(1, 12)
+
+
+class TestOmIdentityCheck:
+    """The product form and the gamma form of the height-changing operator
+    are compared as composed shift forms; the two matrices are the reference."""
+
+    @pytest.mark.parametrize("alpha", OM_ALPHAS)
+    def test_matches_matrix_equality(self, alpha):
+        """Equal to (and, the identity being true, as true as) matrix equality
+        for m <= 4, every c - b, u in 0..m and three b, also at bounds d < m."""
+        params = ModelParams(alpha, Fraction(-2, 7), Fraction(3, 5))
+        calls = 0
+        for m in range(5):
+            for diff in range(-m, m + 1, 2):
+                for b in (0, 1, -2):
+                    for u in range(m + 1):
+                        for d in om_degree_bounds(m):
+                            verdict = o_m_identity_check(m, Fraction(u), b, b + diff, params, d)
+                            assert verdict == om_matrix_verdict(m, Fraction(u), b, b + diff, params, d)
+                            assert verdict, (m, b, diff, u, d)
+                            calls += 1
+        assert calls == 768
+
+    def test_perturbed_factor_fails(self, params, monkeypatch):
+        """1 added to z0 / alpha of the first factor fails every suite case:
+        the check and the product matrix read the one factor list."""
+        factors = polyrep._o_m_factors
+
+        def mutant(*args):
+            e, listed = factors(*args)
+            (z, c), *rest = listed
+            return e, [(z + 1, c), *rest]
+
+        monkeypatch.setattr(polyrep, "_o_m_factors", mutant)
+        assert not any(om_suite_verdicts(params))
+        for m, diff, u in OM_SUITE:
+            assert not om_matrix_verdict(m, Fraction(u), 0, diff, params, 6), (m, diff, u)
+
+    def test_perturbed_sandwich_terms_fail(self, params, monkeypatch):
+        """1 added to the constant coefficient of the s = B term of each
+        sandwich fails every suite case, in the check and in the gamma matrix."""
+        terms = polyrep._sandwich_terms
+
+        def mutant(c, d, den, x0, step):
+            out = terms(c, d, den, x0, step)
+            out[c + d][0] += 1
+            return out
+
+        monkeypatch.setattr(polyrep, "_sandwich_terms", mutant)
+        assert not any(om_suite_verdicts(params))
+        for m, diff, u in OM_SUITE:
+            assert not om_matrix_verdict(m, Fraction(u), 0, diff, params, 6), (m, diff, u)
+
+    def test_composition_without_shift_fails(self, params, monkeypatch):
+        """Composing with h_t(z) in place of h_t(z + s alpha) fails 22 of the
+        29 suite cases.  It passes the four m = 1 cases, which compose with a
+        constant form only, and the three m = 2, c = b cases, whose two
+        mutated sides still agree."""
+
+        def mutant(outer, inner, alpha):
+            (g_terms, g_den), (h_terms, h_den) = outer, inner
+            n = len(next(iter(h_terms.values())))
+            terms = {}
+            for s, g in g_terms.items():
+                for t, h in h_terms.items():
+                    term = terms.setdefault(s + t, [0] * (len(g) + n - 1))
+                    for i, x in enumerate(g):
+                        for r, y in enumerate(h, i):
+                            term[r] += x * y * alpha.denominator ** (n - 1)
+            return terms, g_den * h_den * alpha.denominator ** (n - 1)
+
+        monkeypatch.setattr(polyrep, "_compose_shift_forms", mutant)
+        assert om_suite_verdicts(params).count(False) == 22
+
+    def test_degree_raising_side_is_refused(self, params, monkeypatch):
+        """A sandwich term that raises the degree is refused by the check, as
+        the gamma matrix refuses to cut off its top coefficients."""
+        terms = polyrep._sandwich_terms
+
+        def mutant(c, d, den, x0, step):
+            out = terms(c, d, den, x0, step)
+            out[c + d][-1] += 1
+            return out
+
+        monkeypatch.setattr(polyrep, "_sandwich_terms", mutant)
+        for d in (0, 2, 6):
+            with pytest.raises(ShapeMismatchError, match="raises the degree"):
+                o_m_identity_check(2, Fraction(1), 0, 0, params, d)
+            with pytest.raises(ShapeMismatchError):
+                o_m_gamma_form(2, Fraction(1), 0, 0, params, d)
+
+    @pytest.mark.parametrize("u", [Fraction(3, 2), Fraction(3), Fraction(-1)])
+    def test_u_off_the_integers_0_to_m_is_refused(self, u, params):
+        for entry in (o_m_identity_check, o_m_gamma_form):
+            with pytest.raises(UnsupportedEvaluationPoint, match="integer u in 0..2"):
+                entry(2, u, 0, 0, params, 4)
+
+    @pytest.mark.parametrize("u", [Fraction(1), Fraction(1, 2)])
+    def test_heights_not_adjacent_are_refused(self, u, params):
+        """Both matrix forms and the check name the heights first, whatever u."""
+        for entry in (o_m_identity_check, o_m_gamma_form, o_m_product_form):
+            with pytest.raises(ValueError, match="not adjacent at distance m"):
+                entry(2, u, 0, 1, params, 4)
+
+    def test_negative_degree_bound_is_refused(self, params):
+        for entry in (o_m_identity_check, o_m_gamma_form):
+            with pytest.raises(ShapeMismatchError, match="at least one row and column"):
+                entry(2, Fraction(1), 0, 0, params, -1)
+
+    @pytest.mark.parametrize("m", [-1, -2])
+    def test_negative_m_is_refused_first(self, m, params):
+        """m < 0 gives one ValueError naming m on every entry point, before u
+        or the heights are looked at (and, in the check and the gamma form,
+        the degree bound)."""
+        cases = [(entry, u, c, 4) for entry in (o_m_identity_check, o_m_gamma_form, o_m_product_form)
+                 for u, c in [(Fraction(0), 0), (Fraction(1, 2), 5)]]
+        cases += [(o_m_identity_check, Fraction(0), 0, -1), (o_m_gamma_form, Fraction(0), 0, -1)]
+        for entry, u, c, d in cases:
+            with pytest.raises(ValueError, match=rf"^the height-changing operator needs m >= 0, got m = {m}$") as info:
+                entry(m, u, 0, c, params, d)
+            assert type(info.value) is ValueError
+
+    @pytest.mark.parametrize("alpha", OM_ALPHAS)
+    def test_composition_is_the_matrix_product(self, alpha):
+        """On seeded random shift forms, the matrix of the composition is the
+        product of the matrices, each matrix also equal to its Fraction
+        reference."""
+        rng = random.Random(24)
+        for _ in range(12):
+            outer = random_shift_form(rng, rng.randint(1, 3))
+            inner = random_shift_form(rng, rng.randint(1, 3))
+            width = len(next(iter(inner[0].values())))
+            composed = _compose_shift_forms(outer, inner, alpha)
+            for dim in (1, 4):
+                product = _shift_form_matrix(*outer, dim + width - 1, alpha) @ _shift_form_matrix(*inner, dim, alpha)
+                assert _shift_form_matrix(*composed, dim, alpha) == product
+                for form, size in ((outer, dim + width - 1), (inner, dim), (composed, dim)):
+                    assert _shift_form_matrix(*form, size, alpha) == fraction_form_matrix(*form, size, alpha)
