@@ -18,7 +18,6 @@ from .exactcore import (
 )
 from .vertex import (
     ModelParams,
-    apply_two_site,
     check_degeneracy,
     check_ybe_vertex,
     embed_two_site,

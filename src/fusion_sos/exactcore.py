@@ -11,10 +11,10 @@ dimension 256.  An :class:`ExactMatrix` therefore has one storage: rows of
 integer numerators over one positive common denominator, in lowest terms.
 The kernels (:func:`mat_mul`, :func:`kron`, :func:`trace_product` and the
 matrix arithmetic) compute on it and return it, and a matrix built from
-scalars is put over the lcm of their denominators at once.  ``entries``
-is a ``Fraction`` view of the same numbers, formed on first use and
-cached.  The integer form is canonical, so equality and hashing need no
-``Fraction`` at all.
+scalars is put over the lcm of their denominators at once.  ``entries``,
+``m[i, j]`` and :meth:`ExactMatrix.column_vector` form ``Fraction`` values
+from it on each read; nothing else is stored.  The integer form is
+canonical, so equality and hashing need no ``Fraction`` at all.
 
 :func:`solve_exact` and :func:`det` share one fraction-free elimination
 on the integer numerators (Bareiss, Math. Comp. 22, 1968), so they form no
@@ -98,14 +98,13 @@ class ExactMatrix:
     """A dense matrix of exact scalars, immutable after construction.
 
     It holds integer numerator rows over one positive common denominator,
-    in lowest terms (see the module docstring).  ``ExactMatrix(rows)`` puts
-    the given scalars over the lcm of their denominators and keeps them as
-    the cached ``entries`` view; :meth:`from_integers` takes the integers
-    directly.  Equal matrices compare and hash equal however they were
-    built.
+    in lowest terms, and nothing else (see the module docstring).
+    ``ExactMatrix(rows)`` puts the given scalars over the lcm of their
+    denominators; :meth:`from_integers` takes the integers directly.  Equal
+    matrices compare and hash equal however they were built.
     """
 
-    __slots__ = ("rows", "cols", "_frac", "_num", "_den")
+    __slots__ = ("rows", "cols", "_num", "_den")
 
     def __init__(self, entries: Iterable[Iterable[ScalarLike]]):
         rows = tuple(tuple(rat(x) for x in row) for row in entries)
@@ -114,7 +113,6 @@ class ExactMatrix:
         # lowest terms: no gcd pass is needed.
         den = lcm(*(x.denominator for row in rows for x in row))
         num = tuple(tuple(x.numerator * (den // x.denominator) for x in row) for row in rows)
-        object.__setattr__(self, "_frac", rows)
         object.__setattr__(self, "_num", num)
         object.__setattr__(self, "_den", den)
         object.__setattr__(self, "rows", len(rows))
@@ -124,7 +122,6 @@ class ExactMatrix:
     def _canonical(cls, num: tuple, den: int, ncols: int) -> "ExactMatrix":
         """Wrap integer rows (tuples) already in lowest terms over den > 0."""
         m = object.__new__(cls)
-        object.__setattr__(m, "_frac", None)
         object.__setattr__(m, "_num", num)
         object.__setattr__(m, "_den", den)
         object.__setattr__(m, "rows", len(num))
@@ -162,23 +159,13 @@ class ExactMatrix:
     def __setattr__(self, name, value):
         raise AttributeError("ExactMatrix is immutable")
 
-    # -- the storage and its Fraction view -------------------------------
+    # -- the storage and its Fraction reads -------------------------------
 
     @property
     def entries(self) -> tuple[tuple[Fraction, ...], ...]:
-        """The rows as tuples of ``Fraction``."""
-        frac = self._frac
-        if frac is None:
-            den = self._den
-            if den == 1:
-                frac = tuple(tuple(map(Fraction, row)) for row in self._num)
-            else:
-                frac = tuple(tuple(Fraction(x, den) for x in row) for row in self._num)
-            object.__setattr__(self, "_frac", frac)
-        return frac
-
-    def _ints(self) -> tuple[tuple[tuple[int, ...], ...], int]:
-        return self._num, self._den
+        """The rows as tuples of ``Fraction``, formed on each read."""
+        den = self._den
+        return tuple(tuple(Fraction(x, den) for x in row) for row in self._num)
 
     @property
     def numerators(self) -> tuple[tuple[int, ...], ...]:
@@ -208,7 +195,7 @@ class ExactMatrix:
 
     def __getitem__(self, ij) -> Fraction:
         i, j = ij
-        return self.entries[i][j]
+        return Fraction(self._num[i][j], self._den)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ExactMatrix):
@@ -218,7 +205,7 @@ class ExactMatrix:
         return self._den == other._den and self._num == other._num
 
     def __hash__(self):
-        return hash(self._ints())
+        return hash((self._num, self._den))
 
     def __repr__(self):
         body = "; ".join(" ".join(rat_to_str(x) for x in row) for row in self.entries)
@@ -227,8 +214,8 @@ class ExactMatrix:
     def _combine(self, other: "ExactMatrix", sign: int) -> "ExactMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ShapeMismatchError("addition needs equal shapes")
-        an, ad = self._ints()
-        bn, bd = other._ints()
+        an, ad = self._num, self._den
+        bn, bd = other._num, other._den
         den = lcm(ad, bd)
         fa, fb = den // ad, sign * (den // bd)
         out = [
@@ -244,7 +231,7 @@ class ExactMatrix:
 
     def scale(self, s: ScalarLike) -> "ExactMatrix":
         s = rat(s)
-        num, den = self._ints()
+        num, den = self._num, self._den
         p = s.numerator
         out = [[x * p for x in row] for row in num]
         return ExactMatrix._reduced(out, den * s.denominator, self.cols)
@@ -264,7 +251,8 @@ class ExactMatrix:
         return not any(map(any, self._num))
 
     def column_vector(self, j: int = 0) -> tuple[Fraction, ...]:
-        return tuple(row[j] for row in self.entries)
+        den = self._den
+        return tuple(Fraction(row[j], den) for row in self._num)
 
     # -- serialization ---------------------------------------------------
 
@@ -295,8 +283,8 @@ def mat_mul(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
     """
     if a.cols != b.rows:
         raise ShapeMismatchError(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
-    an, ad = a._ints()
-    bn, bd = b._ints()
+    an, ad = a._num, a._den
+    bn, bd = b._num, b._den
     ncols = b.cols
     bnz = [[(k, x) for k, x in enumerate(row) if x] for row in bn]
     out = []
@@ -316,8 +304,8 @@ def kron(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
     Runs on integer numerators; a zero entry of ``a`` gives a zero block
     without a multiplication.
     """
-    an, ad = a._ints()
-    bn, bd = b._ints()
+    an, ad = a._num, a._den
+    bn, bd = b._num, b._den
     zero = (0,) * b.cols
     out = []
     for arow in an:
@@ -336,8 +324,8 @@ def trace_product(a: ExactMatrix, b: ExactMatrix) -> Fraction:
     """trace(a @ b), summing a[i, j] * b[j, i] without forming the product."""
     if a.cols != b.rows or a.rows != b.cols:
         raise ShapeMismatchError(f"a @ b is not square for {a.rows}x{a.cols} and {b.rows}x{b.cols}")
-    an, ad = a._ints()
-    bn, bd = b._ints()
+    an, ad = a._num, a._den
+    bn, bd = b._num, b._den
     total = sum(sum(map(mul, arow, bcol)) for arow, bcol in zip(an, zip(*bn)))
     return Fraction(total, ad * bd)
 
@@ -388,8 +376,8 @@ def solve_exact(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
     if a.rows < a.cols:
         raise ShapeMismatchError("underdetermined systems are not supported")
     m = a.cols
-    an, ad = a._ints()
-    bn, bd = b._ints()
+    an, ad = a._num, a._den
+    bn, bd = b._num, b._den
     aug = [list(ra + rb) for ra, rb in zip(an, bn)]
     pivot, _ = _bareiss(aug, m)
     if not pivot:
@@ -406,7 +394,7 @@ def det(a: ExactMatrix) -> Fraction:
     """Exact determinant, by :func:`_bareiss` on the integer numerators."""
     if a.rows != a.cols:
         raise ShapeMismatchError("determinant needs a square matrix")
-    num, den = a._ints()
+    num, den = a._num, a._den
     pivot, sign = _bareiss([list(row) for row in num], a.rows)
     return Fraction(sign * pivot, den**a.rows)
 

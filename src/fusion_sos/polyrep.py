@@ -13,15 +13,16 @@ Every building block is built as integer numerators over one denominator
 (``ExactMatrix.from_integers``), so compositions run on the integer kernel
 without a ``Fraction`` per entry.  A shift by h = p/q has entry (i, j)
 C(j, i) p^(j-i) q^(dim-1-(j-i)) over q^(dim-1) (``_shift_entries``, the one
-source of shift entries); multiplication by z or by a polynomial has the
-polynomial's numerators over their least common denominator; gamma factors
-and intertwining polynomials expand the integer product of their roots over
-one common denominator.  No matrix built from shifts is composed factor
-by factor.  The gamma sandwich is assembled in closed form on integers from
-the shift expansion below, with one ``from_integers``; the m first-order
-factors of the height-changing operator, listed once (``_o_m_factors``),
-act on integer coefficient columns (``_o_m_apply``), the identity's for the
-matrix and one intertwining polynomial's for the face weights.
+source of shift entries); delta(+) and delta(-) are its even and odd terms,
+listed once per (alpha, dim) in the cached ``_delta_rows``, which both
+``delta_op`` and the height-changing operator read; multiplication by z or
+by a polynomial has the polynomial's numerators over their least common
+denominator; gamma factors and intertwining polynomials expand the integer
+product of their roots over one common denominator.  No matrix built from
+shifts is composed factor by factor.  The m first-order factors of the
+height-changing operator, listed once (``_o_m_factors``), act on integer
+coefficient columns (``_o_m_apply``), the identity's for the matrix and
+one intertwining polynomial's for the face weights.
 
 The averaged shift operators
 
@@ -107,11 +108,18 @@ def delta_op(sign: int, degree_bound: int, params: ModelParams) -> ExactMatrix:
     """The averaged shift operator on polynomials of degree <= degree_bound.
 
     ((z + alpha)^j +|- (z - alpha)^j) / 2 keeps the binomial terms of
-    (z + alpha)^j with j - i even (delta(+)) or odd (delta(-)).
+    (z + alpha)^j with j - i even (delta(+)) or odd (delta(-)).  Its rows
+    are the cached ones the height-changing operator reads
+    (:func:`_delta_rows`).
     """
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    return _shift_op(params.alpha, degree_bound + 1, parity=(1 - sign) // 2)
+    alpha, dim = params.alpha, degree_bound + 1
+    rows = [[0] * dim for _ in range(dim)]
+    for row, pairs in zip(rows, _delta_rows(alpha.numerator, alpha.denominator, dim)[(1 - sign) // 2]):
+        for j, x in pairs:
+            row[j] = x
+    return ExactMatrix.from_integers(rows, alpha.denominator**degree_bound)
 
 
 def _shift_entries(p: int, q: int, dim: int) -> list[list[int]]:
@@ -121,18 +129,6 @@ def _shift_entries(p: int, q: int, dim: int) -> list[list[int]]:
     top = dim - 1
     powers = [p**e * q ** (top - e) for e in range(dim)]
     return [[comb(j, i) * powers[j - i] if j >= i else 0 for j in range(dim)] for i in range(dim)]
-
-
-def _shift_op(h: Fraction, dim: int, parity: int | None = None) -> ExactMatrix:
-    """The shift f(z) -> f(z + h) on polynomials of degree < dim.
-
-    Entry (i, j) is C(j, i) h^(j-i), held as in :func:`_shift_entries`.
-    With ``parity``, only the terms with j - i = parity (mod 2) are kept.
-    """
-    rows = _shift_entries(h.numerator, h.denominator, dim)
-    if parity is not None:
-        rows = [[x if (j - i) % 2 == parity else 0 for j, x in enumerate(row)] for i, row in enumerate(rows)]
-    return ExactMatrix.from_integers(rows, h.denominator ** (dim - 1))
 
 
 def mul_z(in_dim: int) -> ExactMatrix:
@@ -492,21 +488,6 @@ def _sandwich_form(c: int, d: int, center: Fraction, alpha: Fraction):
     den, (x0, step) = common_denominator(center, alpha)
     b = c + d
     return _sandwich_terms(c, d, den, x0, step), 2**b * den**b
-
-
-def _gamma_sandwich(c: int, d: int, center: Fraction, dim: int, params: ModelParams) -> ExactMatrix:
-    """gamma(z - center, c) delta(-)^(c+d) gamma(z - center, d) on degree < dim.
-
-    Either exponent may be negative (a reciprocal factor) as long as
-    B = c + d >= 0.  The sandwich is sum_s g_s T_{s alpha} with the
-    polynomial terms g_s of :func:`_sandwich_terms` (:func:`_sandwich_form`):
-    the expansion that :func:`star_triangle_check` compares with the other
-    side of the star-triangle relation and :func:`o_m_gamma_form` composes.
-    Its columns come from :func:`_shift_form_matrix`, cut back to dim rows.
-    """
-    if c + d < 0:
-        raise ValueError("gamma sandwich needs c + d >= 0")
-    return _truncate(_shift_form_matrix(*_sandwich_form(c, d, center, params.alpha), dim, params.alpha), dim)
 
 
 def _o_m_gamma_terms(m: int, u: ScalarLike, b: int, c: int, params: ModelParams):

@@ -273,15 +273,10 @@ def _face_weight_at(n: int, m: int, a: int, b: int, bp: int, c: int, d: int, du:
     return _w_nm_sum_at(n, m, a, b, bp, c, d, du, dw)
 
 
-def _face_weight(n: int, m: int, a: int, b: int, bp: int, c: int, u: Fraction, w: Fraction) -> Fraction:
-    """:func:`_face_weight_at` at the spectral point (u, w)."""
-    return _face_weight_at(n, m, a, b, bp, c, *_over_common_denominator(u, w))
-
-
 def w_nm_sum(q: WeightQuery, params: ModelParams) -> Fraction:
     """General (n, m) face weight as a single sum over intermediate height drift."""
     check_weight_domain(params)
-    return _face_weight(q.n, q.m, q.a, q.b, q.bprime, q.c, q.u, params.w)
+    return _face_weight_at(q.n, q.m, q.a, q.b, q.bprime, q.c, *_over_common_denominator(q.u, params.w))
 
 
 def _gamma_ratio(top: int, bottom: int, d: int) -> tuple[int, int]:

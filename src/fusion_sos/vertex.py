@@ -13,11 +13,11 @@ plan to sparse rows, lists of (column, numerator) pairs in ascending
 column order with zeros dropped, and does not reduce: the result is over
 the product of the denominators that went in.  So two results made from
 the same denominators are equal exactly when their numerator rows are,
-and no gcd is needed to compare them.  :func:`apply_two_site` lists its
-right-hand side once and reduces once, :func:`check_ybe_vertex` compares
+and no gcd is needed to compare them.  :func:`check_ybe_vertex` compares
 unreduced sides, and the step of :func:`fusion_sos.fusion.fuse_nm` applies
 two two-site plans and the plan of a left product before its one
-reduction.
+reduction.  :func:`embed_two_site` writes a plan's own pairs as the rows of
+the embedding.
 """
 
 from __future__ import annotations
@@ -182,29 +182,17 @@ def _from_sparse_rows(rows: _Rows, den: int, ncols: int) -> ExactMatrix:
     return ExactMatrix._reduced(dense, den, ncols)
 
 
-def apply_two_site(
-    op: ExactMatrix, pos: tuple[int, int], dims: tuple[int, ...], rhs: ExactMatrix
-) -> ExactMatrix:
-    """``embed_two_site(op, pos, dims) @ rhs``, without forming the embedding.
-
-    Runs on integer numerators with the row kernel of the module docstring:
-    the rows of ``rhs`` are listed once as sparse rows, the row plan of
-    ``op`` is applied to them, and the result is reduced once.
-    """
-    plan = _two_site_plan(op, pos, dims)
-    if rhs.rows != len(plan):
-        raise ShapeMismatchError(f"cannot apply a {len(plan)}-row operator to {rhs.rows} rows")
-    rows = _apply_plan(plan, _sparse_rows(rhs), rhs.cols)
-    return _from_sparse_rows(rows, op.denominator * rhs.denominator, rhs.cols)
-
-
 def embed_two_site(op: ExactMatrix, pos: tuple[int, int], dims: tuple[int, ...]) -> ExactMatrix:
     """Embed a two-factor operator into a tensor product, identity elsewhere.
 
     ``op`` acts on factors ``pos = (p, q)`` (in that order) of the product of
-    spaces with the given dimensions.
+    spaces with the given dimensions.  Row i of the embedding is the plan
+    entry of row i (:func:`_two_site_plan`): numerator v in column
+    base + offset, over the denominator of ``op``.
     """
-    return apply_two_site(op, pos, dims, ExactMatrix.identity(prod(dims)))
+    plan = _two_site_plan(op, pos, dims)
+    rows = [[(base + offset, v) for offset, v in pairs] for base, pairs in plan]
+    return _from_sparse_rows(rows, op.denominator, len(plan))
 
 
 def check_ybe_vertex(

@@ -22,6 +22,26 @@ from fusion_sos.exactcore import (
     trace_product,
 )
 
+from fusion_sos.correspondence import (
+    check_vertex_sos_matrix,
+    independence_determinant,
+    intertwiner_set,
+    solve_weights_from_relation,
+)
+from fusion_sos.elevenvertex import r11v, similarity_fused
+from fusion_sos.fusion import check_fused_ybe
+from fusion_sos.lattice import (
+    LatticeSpec,
+    partition_sos,
+    partition_sos_transfer,
+    partition_vertex_bruteforce,
+    partition_vertex_transfer,
+    transfer_matrix_vertex,
+)
+from fusion_sos.polyrep import o_m_identity_check, star_triangle_check
+from fusion_sos.sos import WeightQuery, check_ybe_sos, sample_admissible_boundary, w_nm_sum
+from fusion_sos.vertex import ModelParams
+
 from conftest import rand_rat
 
 rationals = st.fractions(
@@ -164,6 +184,17 @@ class TestIntegerForm:
         for m in (ta + tb, ta - tb, ta.scale(s), ta.transpose()):
             assert_canonical(m)
 
+    @settings(max_examples=60, deadline=None)
+    @given(fraction_matrices(), extras)
+    def test_entry_and_column_reads_match_entries(self, m, extra):
+        for x in (m, integer_twin(m, extra)):
+            rows = x.entries
+            for i in range(x.rows):
+                for j in range(x.cols):
+                    assert x[i, j] == rows[i][j] and type(x[i, j]) is Fraction
+            for j in range(x.cols):
+                assert x.column_vector(j) == tuple(row[j] for row in rows)
+
     @settings(max_examples=30, deadline=None)
     @given(st.data(), extras)
     def test_trace_product(self, data, extra):
@@ -208,6 +239,39 @@ class TestIntegerForm:
         assert ExactMatrix.identity(3) == ExactMatrix([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
         z = ExactMatrix.zeros(2, 3)
         assert z.is_zero() and z == ExactMatrix([[0] * 3] * 2) and z.denominator == 1
+
+
+def test_workload_entry_points_never_read_the_fraction_view(monkeypatch):
+    """The entry points the benchmark workloads call run on the integer
+    storage alone: with ``entries`` refusing every read they still return
+    their values.  The parameters are used by no other test, so no library
+    cache answers for them."""
+
+    def refuse(self):
+        raise AssertionError("the Fraction view of a matrix was read")
+
+    monkeypatch.setattr(ExactMatrix, "entries", property(refuse))
+    params = ModelParams(Fraction(7, 5), Fraction(1, 4), Fraction(-2, 9))
+    u, v = Fraction(11, 7), Fraction(-3, 8)
+    assert check_fused_ybe(2, 1, 1, u, v, params)
+    boundary = sample_admissible_boundary(1, 2, 1, random.Random(5))
+    assert check_ybe_sos(1, 2, 1, u, v, Fraction(2, 5), boundary, params)
+    weights = solve_weights_from_relation(2, 1, 0, 2, 1, u, params)
+    assert weights == {bp: w_nm_sum(WeightQuery(2, 1, 0, 2, bp, 1, u), params) for bp in weights}
+    assert check_vertex_sos_matrix(2, 2, 0, 2, 2, u, v, params)
+    assert independence_determinant(intertwiner_set(3, u, 1, "outgoing", params)) != 0
+    spec = LatticeSpec(3, 2, 1, 1, u)
+    z = partition_vertex_transfer(spec, params)
+    t = transfer_matrix_vertex(spec, params)
+    assert trace_product(t, t) == z
+    z_sos = partition_sos(spec, (-1, 1), params)
+    conjugated = similarity_fused(1, 1, u, v, params)
+    assert star_triangle_check(1, 2, Fraction(2, 7), 8, params)
+    assert o_m_identity_check(2, 1, 0, 2, params, 6)
+    monkeypatch.undo()
+    assert z == partition_vertex_bruteforce(spec, params)
+    assert z_sos == partition_sos_transfer(spec, (-1, 1), params)
+    assert conjugated == r11v(u - v, params)
 
 
 class TestMatMul:

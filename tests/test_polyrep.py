@@ -23,11 +23,10 @@ from fusion_sos.fusion import fuse_nm
 from fusion_sos.polyrep import (
     UnsupportedEvaluationPoint,
     _compose_shift_forms,
-    _gamma_sandwich,
     _pad,
+    _sandwich_form,
     _shift_entries,
     _shift_form_matrix,
-    _shift_op,
     _truncate,
     assemble_2x2,
     delta_op,
@@ -155,9 +154,10 @@ class TestIntegerBuildersMatchFractionReferences:
     constructions they replaced are the references."""
 
     @pytest.mark.parametrize("h", STEPS)
-    def test_shift_op_is_poly_shift_of_monomials(self, h):
+    def test_shift_entries_are_poly_shift_of_monomials(self, h):
         for dim in (1, 2, 5, 7):
-            assert _shift_op(h, dim) == fraction_shift(h, dim)
+            rows = _shift_entries(h.numerator, h.denominator, dim)
+            assert ExactMatrix.from_integers(rows, h.denominator ** (dim - 1)) == fraction_shift(h, dim)
 
     @pytest.mark.parametrize("alpha", STEPS)
     def test_delta_ops_are_averaged_shifts(self, alpha):
@@ -224,6 +224,13 @@ def _mul_gamma(p, dim, params):
     return mul_poly(gamma_poly(p, SANDWICH_CENTER, params), dim)
 
 
+def sandwich(c, d, center, dim, params):
+    """gamma(z - center, c) delta-^(c+d) gamma(z - center, d) on degree < dim,
+    read out of its shift form as o_m_gamma_form reads its composition."""
+    alpha = params.alpha
+    return _truncate(_shift_form_matrix(*_sandwich_form(c, d, center, alpha), dim, alpha), dim)
+
+
 def per_term_sandwich(c, d, center, dim, params):
     """The sandwich summed term by term as operators:
     2^-B sum_k (-1)^k C(B, k) g_s T_{s alpha}, s = B - 2k, with g_s the
@@ -244,8 +251,11 @@ def per_term_sandwich(c, d, center, dim, params):
 
 
 class TestGammaSandwich:
-    """The sandwich is summed on integer columns in one pass; the operator
-    compositions it replaced are the references."""
+    """The sandwich, read out of its shift form (``sandwich``), is summed on
+    integer columns in one pass; the operator compositions it replaced are
+    the references.  A sandwich with c + d < 0 has no shift form, and no
+    public path asks for one: star_triangle_check refuses k, l < 0, and the
+    two sandwiches of the gamma form have B = m+ and B = m - m+."""
 
     @pytest.mark.parametrize("alpha", STEPS)
     def test_matches_per_term_operator_sum(self, alpha):
@@ -254,7 +264,7 @@ class TestGammaSandwich:
             for c in range(-3, 4):
                 for d in range(-c, 4):
                     for dim in (1, 6):
-                        assert _gamma_sandwich(c, d, center, dim, params) == per_term_sandwich(
+                        assert sandwich(c, d, center, dim, params) == per_term_sandwich(
                             c, d, center, dim, params
                         ), (c, d, dim)
 
@@ -266,7 +276,7 @@ class TestGammaSandwich:
         inner = _mul_gamma(l, dim, params)
         inner = composed_delta_minus_power(k + l, inner.rows, params) @ inner
         expected = _truncate(_mul_gamma(k, inner.rows, params) @ inner, dim)
-        assert _gamma_sandwich(k, l, SANDWICH_CENTER, dim, params) == expected
+        assert sandwich(k, l, SANDWICH_CENTER, dim, params) == expected
 
     @pytest.mark.parametrize(
         "c, d", [(c, d) for c in range(-3, 4) for d in range(-3, 4) if c + d >= 0 and min(c, d) < 0]
@@ -276,11 +286,11 @@ class TestGammaSandwich:
         dim, b = SANDWICH_DIM, c + d
         if d < 0:
             # S(c, d) gamma(|d|) = gamma(c) delta-^b
-            lhs = _gamma_sandwich(c, d, SANDWICH_CENTER, dim - d, params) @ _mul_gamma(-d, dim, params)
+            lhs = sandwich(c, d, SANDWICH_CENTER, dim - d, params) @ _mul_gamma(-d, dim, params)
             rhs = _mul_gamma(c, dim, params) @ composed_delta_minus_power(b, dim, params)
         else:
             # gamma(|c|) S(c, d) = delta-^b gamma(d)
-            lhs = _mul_gamma(-c, dim, params) @ _gamma_sandwich(c, d, SANDWICH_CENTER, dim, params)
+            lhs = _mul_gamma(-c, dim, params) @ sandwich(c, d, SANDWICH_CENTER, dim, params)
             inner = _mul_gamma(d, dim, params)
             rhs = composed_delta_minus_power(b, inner.rows, params) @ inner
         assert _truncate(rhs, lhs.rows) == lhs
@@ -292,11 +302,7 @@ class TestGammaSandwich:
         entries = polyrep._shift_entries
         monkeypatch.setattr(polyrep, "_shift_entries", lambda p, q, dim: entries(p * p, q, dim))
         with pytest.raises(ShapeMismatchError):
-            _gamma_sandwich(1, 1, SANDWICH_CENTER, SANDWICH_DIM, params)
-
-    def test_negative_power_raises(self, params):
-        with pytest.raises(ValueError):
-            _gamma_sandwich(-2, 1, SANDWICH_CENTER, SANDWICH_DIM, params)
+            sandwich(1, 1, SANDWICH_CENTER, SANDWICH_DIM, params)
 
 
 def reference_star_sides(k, l, shift, degree_bound, params):
@@ -350,12 +356,13 @@ def shift_terms(k, l, shift, params):
 
 
 def sandwich_verdict(k, l, shift, degree_bound, params):
-    """The relation decided on matrices with the left side taken from
-    _gamma_sandwich, so a perturbed _sandwich_terms reaches it; a nonzero
-    coefficient past the degree bound is a failure, as _truncate refuses it."""
+    """The relation decided on matrices with the left side read out of the
+    shift form of _sandwich_terms (``sandwich``), so a perturbed
+    _sandwich_terms reaches it; a nonzero coefficient past the degree bound
+    is a failure, as _truncate refuses it."""
     _, rhs = reference_star_sides(k, l, shift, degree_bound, params)
     try:
-        return _gamma_sandwich(k, l, rat(shift), degree_bound + 1, params) == _truncate(rhs, degree_bound + 1)
+        return sandwich(k, l, rat(shift), degree_bound + 1, params) == _truncate(rhs, degree_bound + 1)
     except ShapeMismatchError:
         return False
 
@@ -551,12 +558,11 @@ def test_builders_return_matrices_of_documented_shape(params):
     shapes = [
         (delta_op(1, 4, params), (5, 5)),
         (delta_op(-1, 4, params), (5, 5)),
-        (_shift_op(Fraction(-4, 3), 6), (6, 6)),
         (mul_z(3), (4, 3)),
         (mul_poly(q, 3), (5, 3)),
         (mul_poly(ExactPolynomial.zero(), 3), (1, 3)),
         (delta_minus_power(2, 6, params), (6, 6)),
-        (_gamma_sandwich(-1, 3, SANDWICH_CENTER, 4, params), (4, 4)),
+        (sandwich(-1, 3, SANDWICH_CENTER, 4, params), (4, 4)),
         (o_m_product_form(2, Fraction(5, 3), 0, 2, params, 4), (5, 5)),
         (o_m_gamma_form(2, Fraction(1), 0, 2, params, 4), (5, 5)),
     ]

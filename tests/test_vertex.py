@@ -15,7 +15,6 @@ from fusion_sos.polyrep import intertwiner_poly, o_m_gamma_form, o_m_product_for
 from fusion_sos.sos import WeightQuery, gauge_w11_float
 from fusion_sos.vertex import (
     ModelParams,
-    apply_two_site,
     check_degeneracy,
     check_ybe_vertex,
     embed_two_site,
@@ -186,7 +185,7 @@ SCALARS = st.one_of(st.just(Fraction(0)), st.fractions(-6, 6, max_denominator=9)
 
 @settings(max_examples=40, deadline=None)
 @given(st.data())
-def test_apply_two_site_matches_kron_reference(data):
+def test_embed_two_site_matches_kron_reference(data):
     dims = tuple(data.draw(st.lists(st.integers(1, 3), min_size=3, max_size=4)))
     p, q = data.draw(st.permutations(range(len(dims))))[:2]
     local, total = dims[p] * dims[q], 1
@@ -206,8 +205,9 @@ def test_apply_two_site_matches_kron_reference(data):
         return ExactMatrix.from_integers(m.numerators, m.denominator * data.draw(st.sampled_from((1, -1))))
 
     op, rhs = matrix(local, local), matrix(total, ncols)
-    assert apply_two_site(op, (p, q), dims, rhs) == kron_reference(op, (p, q), dims, rhs)
-    assert embed_two_site(op, (p, q), dims) == kron_reference(op, (p, q), dims, ExactMatrix.identity(total))
+    embedded = embed_two_site(op, (p, q), dims)
+    assert embedded @ rhs == kron_reference(op, (p, q), dims, rhs)
+    assert embedded == kron_reference(op, (p, q), dims, ExactMatrix.identity(total))
 
 
 @settings(max_examples=60, deadline=None)
@@ -247,14 +247,12 @@ def test_check_ybe_vertex_is_homogeneous_in_each_operator(params):
     assert not check_ybe_vertex(r12.scale(Fraction(3, 7)), r13.scale(Fraction(5, 2)), r23 + ExactMatrix.identity(6), dims)
 
 
-def test_apply_two_site_refuses_mismatched_shapes(params_unit):
+def test_embed_two_site_refuses_mismatched_shapes(params_unit):
     r = r7v(Fraction(3), params_unit)
     with pytest.raises(ShapeMismatchError):
-        apply_two_site(r, (0, 1), (2, 3, 2), ExactMatrix.identity(12))
-    with pytest.raises(ShapeMismatchError):
-        apply_two_site(r, (0, 1), (2, 2, 2), ExactMatrix.identity(4))
+        embed_two_site(r, (0, 1), (2, 3, 2))
     with pytest.raises(ValueError):
-        apply_two_site(r, (1, 1), (2, 2, 2), ExactMatrix.identity(8))
+        embed_two_site(r, (1, 1), (2, 2, 2))
 
 
 # -- the adjacency rule --------------------------------------------------------
