@@ -33,7 +33,6 @@ from .fusion import (
 )
 from .polyrep import (
     UnsupportedEvaluationPoint,
-    delta_op,
     gamma_poly,
     intertwiner_poly,
     o_m_gamma_form,

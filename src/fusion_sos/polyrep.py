@@ -1,63 +1,55 @@
 """Difference-operator realization on spaces of polynomials.
 
 Fused operators and intertwining vectors act on polynomials of bounded
-degree.  An operator is a plain ``ExactMatrix`` on coefficient vectors
-(lowest power first) of shape (out_dim, in_dim), and operators compose with
-``@``.  The shape is rectangular because individual building blocks
-(multiplication by z, by a linear factor) temporarily raise the degree even
-when the composite operator preserves it.  Truncation back to the target
-bound (``_truncate``) asserts that the dropped coefficients vanish, so a
-wrong composition cannot pass silently.
+degree.  Every operator is held as a shift form
 
-Every building block is built as integer numerators over one denominator
-(``ExactMatrix.from_integers``), so compositions run on the integer kernel
-without a ``Fraction`` per entry.  A shift by h = p/q has entry (i, j)
-C(j, i) p^(j-i) q^(dim-1-(j-i)) over q^(dim-1) (``_shift_entries``, the one
-source of shift entries); delta(+) and delta(-) are its even and odd terms,
-listed once per (alpha, dim) in the cached ``_delta_rows``, which both
-``delta_op`` and the height-changing operator read; multiplication by z or
-by a polynomial has the polynomial's numerators over their least common
-denominator; gamma factors and intertwining polynomials expand the integer
-product of their roots over one common denominator.  No matrix built from
-shifts is composed factor by factor.  The m first-order factors of the
-height-changing operator, listed once (``_o_m_factors``), act on integer
-coefficient columns (``_o_m_apply``), the identity's for the matrix and
-one intertwining polynomial's for the face weights.
+    sum_s g_s(z) T_{s alpha} / den,    T_h f(z) = f(z + h),
+
+its terms {s: g_s} integer coefficient lists (lowest power first) over one
+denominator.  Every operator matrix the module returns is read out of its
+form once: ``_shift_form_matrix`` sums the terms into coefficient columns,
+and ``_truncate`` cuts them back to the degree bound and refuses to drop a
+nonzero coefficient, so a wrong form cannot pass silently.  A shift by
+h = p/q has entry (i, j) C(j, i) p^(j-i) q^(dim-1-(j-i)) over q^(dim-1)
+(``_shift_entries``, the one source of shift entries).
 
 The averaged shift operators
 
     [delta(+|-) f](z) = (f(z + alpha) +|- f(z - alpha)) / 2
 
 are the primitive moves: delta(-) lowers the degree by one, delta(+)
-preserves the leading coefficient.  The factor gamma(z, p) is the finite
+preserves the leading coefficient.  The four entries of the fused (n,1)
+operator (``r_n1_matrix``) and the m first-order factors of the product
+form of the height-changing operator (``_o_m_factors``) are first-order
+forms g(z) T_alpha + h(z) T_{-alpha}.  The factor gamma(z, p) is the finite
 product prod_{j=0}^{p-1} (z + alpha (2j + 1 - p)) for integer p >= 0 and its
-reciprocal for p < 0.
+reciprocal for p < 0; gamma factors and intertwining polynomials expand the
+integer product of their roots over one common denominator.
 
 A reciprocal factor only appears inside a sandwich
 gamma(z, C) delta(-)^B gamma(z, D) with B = C + D >= 0.  Expanding
 
-    delta(-)^B = 2^-B sum_k (-1)^k C(B, k) T_{(B - 2k) alpha},
-    T_h f(z) = f(z + h),
+    delta(-)^B = 2^-B sum_k (-1)^k C(B, k) T_{(B - 2k) alpha}
 
 turns each term into multiplication by gamma(z, C) gamma(z + (B - 2k) alpha, D)
 followed by a shift.  Since |B - 2k| <= B and B - 2k = B (mod 2), the roots
 of the reciprocal factor always lie among those of the polynomial factor, so
-that product is a polynomial and each column of the sandwich is a sum of
-integer polynomial products.
+that product is a polynomial and each sandwich term is an integer
+polynomial product (``_sandwich_terms``).
 
-One helper (``_sandwich_terms``) lists the sandwich in shift form, as the
-integer coefficients of each term g_s(z) T_{s alpha}.  Shift forms compose
-on their coefficients (``_compose_shift_forms``): T_{s alpha} moves past a
-coefficient by shifting its argument.  The gamma form of the height-changing
-operator is the composition of its two sandwiches, summed into columns by
-the one shift-form-to-matrix helper (``_shift_form_matrix``).  The
-identity checks build no matrix: the star-triangle check compares the
-sandwich, at C = k and D = l, with the shift form of
-delta(-)^l gamma(k + l) delta(-)^k, and ``o_m_identity_check`` compares the
-composed gamma form with the composed first-order factors of the product
-form.  Two shift forms over the B + 1 shifts s = -B, -B+2, .., B agree on
-degree <= d exactly when their moments sum_s s^i D_s agree for
-i <= min(d, B) (see ``_moments``).
+Shift forms compose on their coefficients (``_compose_shift_forms``):
+T_{s alpha} moves past a coefficient by shifting its argument.  The product
+form of the height-changing operator is the composition of its first-order
+factors (``_o_m_product_terms``), the gamma form the composition of its two
+sandwiches (``_o_m_gamma_terms``).  The identity checks build no matrix: the
+star-triangle check compares the sandwich, at C = k and D = l, with the
+shift form of delta(-)^l gamma(k + l) delta(-)^k, and ``o_m_identity_check``
+compares the two composed forms of the height-changing operator.  Two shift
+forms over the B + 1 shifts s = -B, -B+2, .., B agree on degree <= d exactly
+when their moments sum_s s^i D_s agree for i <= min(d, B) (see
+``_moments``).  The linear-solve weights apply the m first-order factors to
+one integer coefficient column instead (``_o_m_apply``), through the cached
+rows of delta(+) and delta(-) (``_delta_rows``).
 """
 
 from __future__ import annotations
@@ -96,32 +88,6 @@ def _truncate(op: ExactMatrix, rows: int) -> ExactMatrix:
     return ExactMatrix.from_integers(num[:rows], op.denominator)
 
 
-def _pad(op: ExactMatrix, rows: int) -> ExactMatrix:
-    """``op`` with zero rows appended up to ``rows``: its action into a larger space."""
-    if rows < op.rows:
-        raise ShapeMismatchError("cannot pad to a smaller output space")
-    zeros = ((0,) * op.cols,) * (rows - op.rows)
-    return ExactMatrix.from_integers(op.numerators + zeros, op.denominator)
-
-
-def delta_op(sign: int, degree_bound: int, params: ModelParams) -> ExactMatrix:
-    """The averaged shift operator on polynomials of degree <= degree_bound.
-
-    ((z + alpha)^j +|- (z - alpha)^j) / 2 keeps the binomial terms of
-    (z + alpha)^j with j - i even (delta(+)) or odd (delta(-)).  Its rows
-    are the cached ones the height-changing operator reads
-    (:func:`_delta_rows`).
-    """
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
-    alpha, dim = params.alpha, degree_bound + 1
-    rows = [[0] * dim for _ in range(dim)]
-    for row, pairs in zip(rows, _delta_rows(alpha.numerator, alpha.denominator, dim)[(1 - sign) // 2]):
-        for j, x in pairs:
-            row[j] = x
-    return ExactMatrix.from_integers(rows, alpha.denominator**degree_bound)
-
-
 def _shift_entries(p: int, q: int, dim: int) -> list[list[int]]:
     """The shift f(z) -> f(z + p/q) on polynomials of degree < dim as integer
     rows over q^(dim-1): entry (i, j) is C(j, i) p^e q^(dim-1-e), e = j - i,
@@ -129,23 +95,6 @@ def _shift_entries(p: int, q: int, dim: int) -> list[list[int]]:
     top = dim - 1
     powers = [p**e * q ** (top - e) for e in range(dim)]
     return [[comb(j, i) * powers[j - i] if j >= i else 0 for j in range(dim)] for i in range(dim)]
-
-
-def mul_z(in_dim: int) -> ExactMatrix:
-    """Multiplication by z: raises the degree bound by one."""
-    return mul_poly(ExactPolynomial((0, 1)), in_dim)
-
-
-def mul_poly(q: ExactPolynomial, in_dim: int) -> ExactMatrix:
-    """Multiplication by a fixed polynomial."""
-    if q.is_zero():
-        return ExactMatrix.zeros(1, in_dim)
-    den, nums = common_denominator(*q.coeffs)
-    rows = [[0] * in_dim for _ in range(in_dim + q.degree)]
-    for j in range(in_dim):
-        for i, c in enumerate(nums):
-            rows[i + j][j] = c
-    return ExactMatrix.from_integers(rows, den)
 
 
 def gamma_poly(p: int, shift: ScalarLike, params: ModelParams) -> ExactPolynomial:
@@ -218,28 +167,30 @@ def _moments(terms: dict[int, list[int]], top: int) -> list[list[int]]:
 def r_n1_matrix(n: int, u: ScalarLike, params: ModelParams) -> tuple[tuple[ExactMatrix, ExactMatrix], ...]:
     """The fused (n,1) operator as a 2x2 matrix of difference operators.
 
-    Entries act on polynomials of degree <= n and map that space into
-    itself.  delta(-) lowers the degree, so z delta(-) stays in the space;
-    in the lower left entry z^2 delta(-) and z delta(+) overshoot by one
-    degree, and their sum is cut back with a zero-loss check.
+    The entries are u delta(+) + (z/alpha) delta(-), -delta(-)/alpha,
+    (z^2/alpha) delta(-) - n z delta(+) - alpha u(u + n) delta(-) and
+    (u + n) delta(+) - (z/alpha) delta(-).  With
+    delta(+|-) = (T_alpha +|- T_{-alpha}) / 2 each is the first-order shift
+    form (g(z) T_alpha + h(z) T_{-alpha}) / 2, its coefficients put over one
+    denominator and read out on polynomials of degree <= n.  Each maps that
+    space into itself; in the lower left entry the z^(n+1) terms of
+    (z^2/alpha) delta(-) and n z delta(+) cancel, and the read-out checks that.
     """
     u = rat(u)
-    alpha = params.alpha
-    dim = n + 1
-    dp = delta_op(1, n, params)
-    dm = delta_op(-1, n, params)
-    zdm = mul_z(dim) @ dm
-    zdm_cut = _truncate(zdm, dim)
-
-    a11 = dp.scale(u) + zdm_cut.scale(1 / alpha)
-    a12 = dm.scale(-1 / alpha)
-    a21 = (
-        _truncate(mul_z(dim + 1) @ zdm, dim + 1).scale(1 / alpha)
-        + (mul_z(dim) @ dp).scale(-n)
-        + _pad(dm, dim + 1).scale(-alpha * u * (u + n))
+    alpha, dim, c = params.alpha, n + 1, params.alpha * u * (u + n)
+    # (g, h), lowest power first.
+    entries = (
+        ((u, 1 / alpha), (u, -1 / alpha)),
+        ((-1 / alpha,), (1 / alpha,)),
+        ((-c, -n, 1 / alpha), (c, -n, -1 / alpha)),
+        ((u + n, -1 / alpha), (u + n, 1 / alpha)),
     )
-    a22 = dp.scale(u + n) + zdm_cut.scale(-1 / alpha)
-    return ((a11, a12), (_truncate(a21, dim), a22))
+    ops = []
+    for g, h in entries:
+        den, nums = common_denominator(*g, *h)
+        terms = {1: nums[: len(g)], -1: nums[len(g) :]}
+        ops.append(_truncate(_shift_form_matrix(terms, 2 * den, dim, alpha), dim))
+    return ((ops[0], ops[1]), (ops[2], ops[3]))
 
 
 def assemble_2x2(ops: tuple[tuple[ExactMatrix, ExactMatrix], ...]) -> ExactMatrix:
@@ -332,7 +283,9 @@ def _o_m_factors(m: int, u: Fraction, b: int, c: int, st) -> tuple[int, list[tup
 def _o_m_apply(m: int, u: Fraction, b: int, c: int, params: ModelParams, st, cols, den: int):
     """The height-changing operator on ``cols``, integer coefficient vectors
     (lowest power first, degree < dim) over ``den`` > 0; returns the image
-    columns and their denominator.  ``st`` is ``common_denominator(s, t)``,
+    columns and their denominator: the column kernel of the linear-solve
+    weights (``correspondence.solve_weights_from_relation``), which never
+    form the operator's matrix.  ``st`` is ``common_denominator(s, t)``,
     which the caller already holds.  The factors are those of
     :func:`_o_m_factors`; each, divided by alpha, acts on the integers
     through the cached rows of delta(+) and delta(-) (:func:`_delta_rows`),
@@ -362,16 +315,39 @@ def _o_m_apply(m: int, u: Fraction, b: int, c: int, params: ModelParams, st, col
     return cols, den
 
 
+def _o_m_product_terms(m: int, u: ScalarLike, b: int, c: int, params: ModelParams):
+    """alpha^m times the product form of the height-changing operator, in
+    shift form (terms, den) (see :func:`_compose_shift_forms`): the
+    first-order factors of :func:`_o_m_factors` composed rightmost first,
+    each in shift form [z - z0] delta(-) + alpha coef delta(+)
+    = 1/2 [(z - z0 + alpha coef) T_alpha + (-z + z0 + alpha coef) T_{-alpha}].
+    Refuses m < 0 and heights that are not adjacent (``ValueError``)."""
+    alpha = params.alpha
+    p, q = alpha.numerator, alpha.denominator
+    e, factors = _o_m_factors(m, rat(u), b, c, common_denominator(params.s, params.t))
+    # 2 q e times a factor, with z0 = alpha Z / e and coef = C / e.
+    form = ({0: [1]}, 1)
+    for zn, cn in factors:
+        factor = {1: [p * (cn - zn), q * e], -1: [p * (zn + cn), -q * e]}
+        form = _compose_shift_forms((factor, 2 * q * e), form, alpha)
+    return form
+
+
+def _o_m_matrix(m: int, form, degree_bound: int, alpha: Fraction) -> ExactMatrix:
+    """alpha^(-m) times the shift form (terms, den), read out on degree <= degree_bound."""
+    dim = degree_bound + 1
+    return _truncate(_shift_form_matrix(*form, dim, alpha), dim).scale(alpha ** (-m))
+
+
 def o_m_product_form(m: int, u: ScalarLike, b: int, c: int, params: ModelParams, degree_bound: int) -> ExactMatrix:
     """The height-changing operator as an ordered product of first-order factors.
 
     Each factor is {[z - z0] delta(-) + alpha(u - shift) delta(+)} and
-    preserves the degree bound; the whole operator carries alpha^(-m).  Its
-    columns are those of the identity, put through :func:`_o_m_apply`.
+    preserves the degree bound; the whole operator carries alpha^(-m).  The
+    factors are composed in shift form (:func:`_o_m_product_terms`) and the
+    composition is read out once.
     """
-    unit = ExactMatrix.identity(degree_bound + 1).numerators
-    cols, den = _o_m_apply(m, rat(u), b, c, params, common_denominator(params.s, params.t), unit, 1)
-    return ExactMatrix.from_integers(zip(*cols), den)
+    return _o_m_matrix(m, _o_m_product_terms(m, u, b, c, params), degree_bound, params.alpha)
 
 
 def _sandwich_terms(c: int, d: int, den: int, x0: int, step: int) -> dict[int, list[int]]:
@@ -527,9 +503,7 @@ def o_m_gamma_form(
     exponents are non-integers, which the rational field cannot represent,
     so those points are refused.
     """
-    terms, den = _o_m_gamma_terms(m, u, b, c, params)
-    dim = degree_bound + 1
-    return _truncate(_shift_form_matrix(terms, den, dim, params.alpha), dim).scale(params.alpha ** (-m))
+    return _o_m_matrix(m, _o_m_gamma_terms(m, u, b, c, params), degree_bound, params.alpha)
 
 
 def o_m_identity_check(m: int, u: ScalarLike, b: int, c: int, params: ModelParams, degree_bound: int) -> bool:
@@ -538,12 +512,9 @@ def o_m_identity_check(m: int, u: ScalarLike, b: int, c: int, params: ModelParam
 
     Both sides carry alpha^(-m); the check compares alpha^m times each as a
     shift form sum_s D_s(z) T_{s alpha}, s = -m, -m+2, .., m, with integer
-    coefficient lists over one denominator per side.  The product side
-    composes the first-order factors of :func:`_o_m_factors`, rightmost
-    first (:func:`_compose_shift_forms`), each in shift form
-    [z - z0] delta(-) + alpha coef delta(+)
-    = 1/2 [(z - z0 + alpha coef) T_alpha + (-z + z0 + alpha coef) T_{-alpha}].
-    The gamma side is :func:`_o_m_gamma_terms`.
+    coefficient lists over one denominator per side: the forms the two
+    matrix forms read out, :func:`_o_m_product_terms` and
+    :func:`_o_m_gamma_terms`.
 
     Each side must send z^j to degree <= j, that is deg M_i <= i for its
     moments i <= min(d, m) (:func:`_moments`), or ``ShapeMismatchError`` is
@@ -557,15 +528,7 @@ def o_m_identity_check(m: int, u: ScalarLike, b: int, c: int, params: ModelParam
     gamma, gamma_den = _o_m_gamma_terms(m, u, b, c, params)
     if degree_bound < 0:
         raise ShapeMismatchError("matrix must have at least one row and column")
-    alpha = params.alpha
-    p, q = alpha.numerator, alpha.denominator
-    e, factors = _o_m_factors(m, rat(u), b, c, common_denominator(params.s, params.t))
-    # 2 q e times a factor, with z0 = alpha Z / e and coef = C / e.
-    form = ({0: [1]}, 1)
-    for zn, cn in factors:
-        factor = {1: [p * (cn - zn), q * e], -1: [p * (zn + cn), -q * e]}
-        form = _compose_shift_forms((factor, 2 * q * e), form, alpha)
-    product, product_den = form
+    product, product_den = _o_m_product_terms(m, u, b, c, params)
     top = min(degree_bound, m)
     left, right = _moments(product, top), _moments(gamma, top)
     for side in (left, right):

@@ -48,9 +48,11 @@ def valid_quads(n: int, m: int, span: int):
 
 def reference_solve_weights(n, m, a, b, c, u, params) -> dict:
     """The linear-solve face weights from public matrices: ``solve_exact`` with
-    the intertwining polynomials psi(0)^b'_c as basis and the height-changing
-    operator applied to psi(0)^a_b as right-hand side.  It refuses what the
-    route refuses, in the same order and with the same message."""
+    the intertwining polynomials psi(0)^b'_c as basis and the matrix of the
+    height-changing operator, read out of its product shift form
+    (``o_m_product_form``, not the route's column kernel), applied to
+    psi(0)^a_b as right-hand side.  It refuses what the route refuses, in the
+    same order and with the same message."""
     check_weight_domain(params)
     if up_steps(a, b, n) is None:
         raise ValueError("heights a, b are not adjacent at distance n")

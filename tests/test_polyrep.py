@@ -1,6 +1,7 @@
 import random
 from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
 
 import pytest
@@ -23,18 +24,14 @@ from fusion_sos.fusion import fuse_nm
 from fusion_sos.polyrep import (
     UnsupportedEvaluationPoint,
     _compose_shift_forms,
-    _pad,
     _sandwich_form,
     _shift_entries,
     _shift_form_matrix,
     _truncate,
     assemble_2x2,
-    delta_op,
     gamma_poly,
     intertwiner_poly,
     monomial_to_coeff_matrix,
-    mul_poly,
-    mul_z,
     o_m_gamma_form,
     o_m_identity_check,
     o_m_product_form,
@@ -57,15 +54,23 @@ def apply(op, p):
     return ExactPolynomial(mat_mul(op, column).column_vector())
 
 
+def cached_delta(sign, dim, alpha):
+    """delta(+) (sign 1) or delta(-) (sign -1) on degree < dim, read from the
+    cached rows of ``polyrep._delta_rows``, the one delta source."""
+    pairs = polyrep._delta_rows(alpha.numerator, alpha.denominator, dim)[(1 - sign) // 2]
+    rows = [[dict(row).get(j, 0) for j in range(dim)] for row in pairs]
+    return ExactMatrix.from_integers(rows, alpha.denominator ** (dim - 1))
+
+
 class TestDeltaOps:
     def test_plus_fixes_constants(self, params):
-        dp = delta_op(1, 4, params)
+        dp = cached_delta(1, 5, params.alpha)
         assert apply(dp, ExactPolynomial.one()) == ExactPolynomial.one()
 
     def test_low_degree_actions(self, params):
         a = params.alpha
-        dm = delta_op(-1, 4, params)
-        dp = delta_op(1, 4, params)
+        dm = cached_delta(-1, 5, a)
+        dp = cached_delta(1, 5, a)
         assert apply(dm, Z) == ExactPolynomial((a,))
         assert apply(dm, Z * Z) == ExactPolynomial((0, 2 * a))
         assert apply(dp, Z * Z) == ExactPolynomial((a * a, 0, 1))
@@ -79,6 +84,12 @@ class TestDeltaOps:
     def test_minus_power_refuses_negative_exponent(self, params):
         with pytest.raises(ValueError):
             delta_minus_power(-1, 3, params)
+
+    @pytest.mark.parametrize("alpha", STEPS)
+    def test_rows_are_averaged_shifts(self, alpha):
+        for dim in (1, 2, 5, 7):
+            for sign in (1, -1):
+                assert cached_delta(sign, dim, alpha) == fraction_delta(sign, dim, alpha)
 
 
 def delta_minus_power(k, dim, params):
@@ -104,9 +115,9 @@ def delta_minus_power(k, dim, params):
 
 
 def composed_delta_minus_power(k, dim, params):
-    """delta(-)^k as the k-fold composition of delta_op(-1)."""
+    """delta(-)^k as the k-fold composition of delta(-)."""
     op = ExactMatrix.identity(dim)
-    dm = delta_op(-1, dim - 1, params)
+    dm = fraction_delta(-1, dim, params.alpha)
     for _ in range(k):
         op = dm @ op
     return op
@@ -134,10 +145,25 @@ class TestDeltaMinusPowerClosedForm:
                 assert delta_minus_power(k, dim, params) == composed_delta_minus_power(k, dim, params)
 
 
+@lru_cache(maxsize=None)
 def fraction_shift(h, dim):
     """The shift f(z) -> f(z + h) from Fraction rows: column j is poly_shift of z^j."""
     cols = [poly_shift(ExactPolynomial.monomial(j), h).coeff_vector(dim) for j in range(dim)]
     return ExactMatrix(list(zip(*cols)))
+
+
+def fraction_delta(sign, dim, alpha):
+    """delta(+) (sign 1) or delta(-) (sign -1) on degree < dim, averaged from
+    the Fraction shifts by alpha and -alpha."""
+    return (fraction_shift(alpha, dim) + fraction_shift(-alpha, dim).scale(sign)).scale(Fraction(1, 2))
+
+
+def fraction_mul(q, dim, rows=None):
+    """Multiplication by the polynomial q from degree < dim into degree < rows
+    (by default dim + deg q): column j is q z^j, entry (i, j) the Fraction
+    coefficient of q at z^(i-j)."""
+    rows = rows or dim + max(q.degree, 0)
+    return ExactMatrix([[q.coeff(i - j) for j in range(dim)] for i in range(rows)])
 
 
 def linear_product(roots, lead=1):
@@ -149,30 +175,14 @@ def linear_product(roots, lead=1):
 
 
 class TestIntegerBuildersMatchFractionReferences:
-    """The shift, averaged-shift and multiplication operators and the
-    polynomials with known roots are built on integer numerators; the Fraction
-    constructions they replaced are the references."""
+    """The shift entries and the polynomials with known roots are built on
+    integer numerators; Fraction constructions are the references."""
 
     @pytest.mark.parametrize("h", STEPS)
     def test_shift_entries_are_poly_shift_of_monomials(self, h):
         for dim in (1, 2, 5, 7):
             rows = _shift_entries(h.numerator, h.denominator, dim)
             assert ExactMatrix.from_integers(rows, h.denominator ** (dim - 1)) == fraction_shift(h, dim)
-
-    @pytest.mark.parametrize("alpha", STEPS)
-    def test_delta_ops_are_averaged_shifts(self, alpha):
-        params = ModelParams(alpha, Fraction(1, 3), Fraction(2, 3))
-        for d in (0, 1, 4, 6):
-            forward, backward = fraction_shift(alpha, d + 1), fraction_shift(-alpha, d + 1)
-            assert delta_op(1, d, params) == (forward + backward).scale(Fraction(1, 2))
-            assert delta_op(-1, d, params) == (forward - backward).scale(Fraction(1, 2))
-
-    def test_multiplication_operators(self):
-        q = ExactPolynomial((Fraction(-2, 7), Fraction(5, 3), 0, Fraction(1, 21)))
-        p = ExactPolynomial((Fraction(1, 2), -3, Fraction(7, 4)))
-        assert apply(mul_poly(q, 3), p) == q * p
-        assert apply(mul_poly(ExactPolynomial.zero(), 3), p).is_zero()
-        assert apply(mul_z(3), p) == Z * p
 
     @pytest.mark.parametrize("alpha", STEPS)
     def test_gamma_poly_is_product_of_linear_factors(self, alpha):
@@ -221,7 +231,7 @@ SANDWICH_DIM = 5
 
 
 def _mul_gamma(p, dim, params):
-    return mul_poly(gamma_poly(p, SANDWICH_CENTER, params), dim)
+    return fraction_mul(gamma_poly(p, SANDWICH_CENTER, params), dim)
 
 
 def sandwich(c, d, center, dim, params):
@@ -245,7 +255,7 @@ def per_term_sandwich(c, d, center, dim, params):
             for r in range(abs(p) - 1, -abs(p), -2):
                 mult[r - offset] += 1 if p > 0 else -1
         g = linear_product([center + alpha * r for r in mult.elements()])
-        term = _pad(mul_poly(g, dim) @ fraction_shift(s * alpha, dim), dim + b)
+        term = fraction_mul(g, dim, dim + b) @ fraction_shift(s * alpha, dim)
         total = total + term.scale((-1) ** k * comb(b, k))
     return _truncate(total.scale(Fraction(1, 2**b)), dim)
 
@@ -315,12 +325,12 @@ def reference_star_sides(k, l, shift, degree_bound, params):
     gl = gamma_poly(l, shift, params)
     gkl = gamma_poly(k + l, shift, params)
 
-    lhs = mul_poly(gl, d + 1)
+    lhs = fraction_mul(gl, d + 1)
     lhs = delta_minus_power(k + l, lhs.rows, params) @ lhs
-    lhs = mul_poly(gk, lhs.rows) @ lhs
+    lhs = fraction_mul(gk, lhs.rows) @ lhs
 
     rhs = delta_minus_power(k, d + 1, params)
-    rhs = mul_poly(gkl, rhs.rows) @ rhs
+    rhs = fraction_mul(gkl, rhs.rows) @ rhs
     rhs = delta_minus_power(l, rhs.rows, params) @ rhs
     return lhs, rhs
 
@@ -339,7 +349,7 @@ def fraction_form_matrix(terms, den, dim, alpha):
     total = ExactMatrix.zeros(rows, dim)
     for s, g in terms.items():
         poly = ExactPolynomial([Fraction(x, den) for x in g])
-        total = total + _pad(mul_poly(poly, dim) @ fraction_shift(s * alpha, dim), rows)
+        total = total + fraction_mul(poly, dim, rows) @ fraction_shift(s * alpha, dim)
     return total
 
 
@@ -493,29 +503,27 @@ def test_commutation_identities(p, params):
     a = params.alpha
     gp = gamma_poly(p, Fraction(0), params)
     gp1 = gamma_poly(p - 1, Fraction(0), params)
-    dm = delta_op(-1, d + p, params)
-    dp_small = delta_op(1, d, params)
-    dm_small = delta_op(-1, d, params)
+    pa = ExactPolynomial((p * a,))
 
-    lhs = dm @ mul_poly(gp, d + 1)
-    bracket = mul_z(d + 1) @ dm_small + _pad(dp_small.scale(p * a), d + 2)
-    rhs = mul_poly(gp1, d + 2) @ bracket
-    assert _pad(lhs, rhs.rows) == rhs
+    lhs = fraction_delta(-1, d + p + 1, a) @ fraction_mul(gp, d + 1)
+    bracket = fraction_mul(Z, d + 1) @ fraction_delta(-1, d + 1, a)
+    bracket += fraction_mul(pa, d + 1, d + 2) @ fraction_delta(1, d + 1, a)
+    assert lhs == fraction_mul(gp1, d + 2) @ bracket
 
-    lhs2 = mul_poly(gp, d + 1) @ delta_op(-1, d, params)
+    lhs2 = fraction_mul(gp, d + 1) @ fraction_delta(-1, d + 1, a)
     gdim = d + p  # degree bound after multiplying by gamma(p - 1)
-    bracket2 = delta_op(-1, gdim, params) @ mul_z(gdim) - _pad(delta_op(1, gdim - 1, params).scale(p * a), gdim + 1)
-    rhs2 = bracket2 @ mul_poly(gp1, d + 1)
-    assert _pad(lhs2, rhs2.rows) == rhs2
+    bracket2 = fraction_delta(-1, gdim + 1, a) @ fraction_mul(Z, gdim)
+    bracket2 -= fraction_mul(pa, gdim, gdim + 1) @ fraction_delta(1, gdim, a)
+    assert lhs2 == bracket2 @ fraction_mul(gp1, d + 1)
 
 
-class TestTruncateAndPad:
-    """The two shape helpers: ``_truncate`` cuts an operator back to a smaller
-    output space and refuses to drop a nonzero row; ``_pad`` adds zero rows."""
+class TestTruncate:
+    """``_truncate`` cuts an operator back to a smaller output space and
+    refuses to drop a nonzero row."""
 
     def test_truncate_refuses_nonzero_integer_rows(self):
-        # A kernel result (integer form) whose top row is z^2 * z^2 / 3.
-        op = (mul_z(4) @ mul_z(3)).scale(Fraction(1, 3))
+        # Multiplication by z^2 / 3 on degree < 3; its top row holds z^2 -> z^4 / 3.
+        op = fraction_mul(Z * Z, 3).scale(Fraction(1, 3))
         assert op.rows == 5
         with pytest.raises(ShapeMismatchError):
             _truncate(op, 4)
@@ -528,39 +536,17 @@ class TestTruncateAndPad:
 
     def test_truncate_keeps_exact_action(self, params):
         # delta(-) lowers the degree, so z * delta(-) fits back in degree < 4.
-        dm = delta_op(-1, 3, params).scale(Fraction(2, 5))
-        op = mul_z(4) @ dm
+        dm = fraction_delta(-1, 4, params.alpha).scale(Fraction(2, 5))
+        op = fraction_mul(Z, 4) @ dm
         cut = _truncate(op, 4)
         assert cut.rows == 4
         p = ExactPolynomial((Fraction(1, 2), -3, Fraction(7, 4), 2))
         assert apply(cut, p) == apply(op, p) == Z * apply(dm, p)
 
-    def test_pad_refuses_smaller_space(self, params):
-        with pytest.raises(ShapeMismatchError):
-            _pad(delta_op(1, 3, params), 3)
-        with pytest.raises(ShapeMismatchError):
-            _pad(mul_z(4) @ mul_z(3), 4)
-
-    def test_pad_then_truncate_round_trip(self, params):
-        for op in (
-            delta_op(1, 3, params),
-            mul_z(3),
-            (mul_z(4) @ delta_op(-1, 3, params)).scale(Fraction(-3, 7)),
-        ):
-            padded = _pad(op, op.rows + 3)
-            assert padded.rows == op.rows + 3
-            assert _truncate(padded, op.rows) == op
-
 
 def test_builders_return_matrices_of_documented_shape(params):
     """Every operator builder returns a plain (out_dim x in_dim) ExactMatrix."""
-    q = ExactPolynomial((Fraction(1, 3), 0, 2))
     shapes = [
-        (delta_op(1, 4, params), (5, 5)),
-        (delta_op(-1, 4, params), (5, 5)),
-        (mul_z(3), (4, 3)),
-        (mul_poly(q, 3), (5, 3)),
-        (mul_poly(ExactPolynomial.zero(), 3), (1, 3)),
         (delta_minus_power(2, 6, params), (6, 6)),
         (sandwich(-1, 3, SANDWICH_CENTER, 4, params), (4, 4)),
         (o_m_product_form(2, Fraction(5, 3), 0, 2, params, 4), (5, 5)),
@@ -636,9 +622,9 @@ class TestOmOperators:
         op = o_m_product_form(1, u, b, c, params, d)
         a = params.alpha
         z0 = a * (-u + Fraction(1 + b + c, 2) + params.s)
-        dm = delta_op(-1, d, params)
-        dp = delta_op(1, d, params)
-        manual = (_truncate(mul_poly(ExactPolynomial((-z0, 1)), d + 1) @ dm, d + 1) + dp.scale(a * u)).scale(1 / a)
+        dm = fraction_delta(-1, d + 1, a)
+        dp = fraction_delta(1, d + 1, a)
+        manual = (_truncate(fraction_mul(ExactPolynomial((-z0, 1)), d + 1) @ dm, d + 1) + dp.scale(a * u)).scale(1 / a)
         assert op == manual
 
     @pytest.mark.parametrize("m", [1, 2, 3])
@@ -664,7 +650,7 @@ class TestOmOperators:
         u2 = a * (Fraction(m + b + c, 2) + params.s)
         g1 = gamma_poly(m_plus, u1, params)
         g2 = gamma_poly(m_minus, u2, params)
-        expected = _truncate(mul_poly(g1 * g2, d + 1) @ composed_delta_minus_power(m, d + 1, params), d + 1)
+        expected = _truncate(fraction_mul(g1 * g2, d + 1) @ composed_delta_minus_power(m, d + 1, params), d + 1)
         expected = expected.scale(a ** (-m))
         assert o_m_gamma_form(m, Fraction(0), b, c, params, d) == expected
 
@@ -679,7 +665,7 @@ class TestOmOperators:
         u2 = a * (-m + Fraction(m + b + c, 2) + params.s)
         g1 = gamma_poly(m_plus, u1, params)
         g2 = gamma_poly(m_minus, u2, params)
-        expected = _truncate(composed_delta_minus_power(m, d + 1 + m, params) @ mul_poly(g1 * g2, d + 1), d + 1)
+        expected = _truncate(composed_delta_minus_power(m, d + 1 + m, params) @ fraction_mul(g1 * g2, d + 1), d + 1)
         expected = expected.scale(a ** (-m))
         assert o_m_gamma_form(m, Fraction(m), b, c, params, d) == expected
 
@@ -706,10 +692,10 @@ def composed_product_form(m, u, b, c, params, degree_bound):
     first, times alpha^(-m)."""
     m_plus = up_steps(b, c, m)
     alpha, dim = params.alpha, degree_bound + 1
-    dp, dm = delta_op(1, degree_bound, params), delta_op(-1, degree_bound, params)
+    dp, dm = fraction_delta(1, dim, alpha), fraction_delta(-1, dim, alpha)
 
     def factor(z0, coef):
-        return _truncate(mul_poly(ExactPolynomial((-z0, 1)), dim) @ dm, dim) + dp.scale(alpha * coef)
+        return _truncate(fraction_mul(ExactPolynomial((-z0, 1)), dim) @ dm, dim) + dp.scale(alpha * coef)
 
     op = ExactMatrix.identity(dim)
     for lp in range(m - m_plus):
@@ -719,10 +705,15 @@ def composed_product_form(m, u, b, c, params, degree_bound):
     return op.scale(alpha ** (-m))
 
 
+# Faces (n, m, a, b, c) of the solve route past n = m = 1.
+SOLVE_FACES = [(1, 1, 0, 1, 0), (2, 1, 1, -1, 0), (2, 3, 0, 0, 3), (3, 2, -1, 2, 2)]
+
+
 class TestColumnKernel:
-    """``o_m_product_form`` and the solve route apply the m factors to
-    integer columns (``_o_m_apply``); the operator composed factor by factor
-    is the reference."""
+    """``o_m_product_form`` reads the composed shift form of the m factors;
+    the solve route applies them to one integer column (``_o_m_apply``).
+    The operator composed factor by factor is the reference of the first,
+    ``reference_solve_weights``, which reads the product form, of the second."""
 
     @pytest.mark.parametrize("alpha", STEPS)
     @pytest.mark.parametrize("u", [Fraction(2), Fraction(-5, 3)], ids=["u-int", "u-frac"])
@@ -746,9 +737,26 @@ class TestColumnKernel:
         basis is invertible, so equal weights mean an equal image."""
         params = ModelParams(alpha, Fraction(-2, 5), Fraction(3, 7))
         u = Fraction(7, 3)
-        for n, m, a, b, c in [(1, 1, 0, 1, 0), (2, 1, 1, -1, 0), (2, 3, 0, 0, 3), (3, 2, -1, 2, 2)]:
-            table = correspondence.solve_weights_from_relation(n, m, a, b, c, u, params)
-            assert table == reference_solve_weights(n, m, a, b, c, u, params), (n, m, a, b, c)
+        for face in SOLVE_FACES:
+            table = correspondence.solve_weights_from_relation(*face, u, params)
+            assert table == reference_solve_weights(*face, u, params), face
+
+    def test_reference_is_independent_of_the_kernel(self, monkeypatch):
+        """A wrong kernel, bound wherever ``_o_m_apply`` is, doubles the
+        constant coefficient of each image column: the solve route and
+        ``reference_solve_weights`` then disagree on every face above."""
+        kernel = polyrep._o_m_apply
+
+        def doubled(*args):
+            cols, den = kernel(*args)
+            return [[2 * col[0], *col[1:]] for col in cols], den
+
+        for module in (polyrep, correspondence):
+            monkeypatch.setattr(module, "_o_m_apply", doubled)
+        params, u = ModelParams(Fraction(3, 2), Fraction(-2, 5), Fraction(3, 7)), Fraction(7, 3)
+        for face in SOLVE_FACES:
+            table = correspondence.solve_weights_from_relation(*face, u, params)
+            assert table != reference_solve_weights(*face, u, params), face
 
     def test_zero_loss_check(self, params, monkeypatch):
         """A delta(-) that does not lower the degree is refused, not truncated.
@@ -756,8 +764,9 @@ class TestColumnKernel:
         entries = polyrep._shift_entries
         monkeypatch.setattr(polyrep, "_shift_entries", lambda p, q, dim: [list(c) for c in zip(*entries(p, q, dim))])
         monkeypatch.setattr(polyrep, "_delta_rows", polyrep._delta_rows.__wrapped__)
-        with pytest.raises(ShapeMismatchError):
-            o_m_product_form(1, Fraction(5, 3), 0, 1, params, 3)
+        for face in [(1, 1, 0, 1, 0), (2, 1, 1, -1, 0), (3, 2, -1, 2, 2)]:
+            with pytest.raises(ShapeMismatchError, match="truncation would discard nonzero coefficients"):
+                correspondence.solve_weights_from_relation(*face, Fraction(5, 3), params)
 
 
 # The 29 cases (m, c - b, u) of ``fusion-sos verify om``, at b = 0 and degree bound 6.
@@ -892,7 +901,7 @@ class TestOmIdentityCheck:
                 entry(2, u, 0, 1, params, 4)
 
     def test_negative_degree_bound_is_refused(self, params):
-        for entry in (o_m_identity_check, o_m_gamma_form):
+        for entry in (o_m_identity_check, o_m_gamma_form, o_m_product_form):
             with pytest.raises(ShapeMismatchError, match="at least one row and column"):
                 entry(2, Fraction(1), 0, 0, params, -1)
 
