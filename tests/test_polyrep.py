@@ -85,12 +85,6 @@ class TestDeltaOps:
         with pytest.raises(ValueError):
             delta_minus_power(-1, 3, params)
 
-    @pytest.mark.parametrize("alpha", STEPS)
-    def test_rows_are_averaged_shifts(self, alpha):
-        for dim in (1, 2, 5, 7):
-            for sign in (1, -1):
-                assert cached_delta(sign, dim, alpha) == fraction_delta(sign, dim, alpha)
-
 
 def delta_minus_power(k, dim, params):
     """delta(-)^k on polynomials of degree < dim, in closed form: the
@@ -175,14 +169,34 @@ def linear_product(roots, lead=1):
 
 
 class TestIntegerBuildersMatchFractionReferences:
-    """The shift entries and the polynomials with known roots are built on
-    integer numerators; Fraction constructions are the references."""
+    """The shift entries, the delta rows, the multiplication forms and the
+    polynomials with known roots are built on integer numerators; Fraction
+    constructions are the references."""
 
     @pytest.mark.parametrize("h", STEPS)
     def test_shift_entries_are_poly_shift_of_monomials(self, h):
         for dim in (1, 2, 5, 7):
             rows = _shift_entries(h.numerator, h.denominator, dim)
             assert ExactMatrix.from_integers(rows, h.denominator ** (dim - 1)) == fraction_shift(h, dim)
+
+    @pytest.mark.parametrize("alpha", STEPS)
+    def test_delta_ops_are_averaged_shifts(self, alpha):
+        for dim in (1, 2, 5, 7):
+            for sign in (1, -1):
+                assert cached_delta(sign, dim, alpha) == fraction_delta(sign, dim, alpha)
+
+    def test_multiplication_operators(self):
+        """Multiplication by q is the shift form with one term, at shift 0:
+        its integer matrix is the Fraction one and acts as q * p."""
+        q = ExactPolynomial((Fraction(-2, 7), Fraction(5, 3), 0, Fraction(1, 21)))
+        p = ExactPolynomial((Fraction(1, 2), -3, Fraction(7, 4)))
+        den, g = common_denominator(*q.coeff_vector(q.degree + 1))
+        for alpha in STEPS:
+            op = _shift_form_matrix({0: g}, den, 3, alpha)
+            assert op == fraction_mul(q, 3)
+            assert apply(op, p) == q * p
+        assert apply(_shift_form_matrix({0: [1, 0]}, 1, 3, STEPS[0]), p) == p
+        assert apply(_shift_form_matrix({0: [0, 1]}, 1, 3, STEPS[0]), p) == Z * p
 
     @pytest.mark.parametrize("alpha", STEPS)
     def test_gamma_poly_is_product_of_linear_factors(self, alpha):
@@ -517,9 +531,9 @@ def test_commutation_identities(p, params):
     assert lhs2 == bracket2 @ fraction_mul(gp1, d + 1)
 
 
-class TestTruncate:
-    """``_truncate`` cuts an operator back to a smaller output space and
-    refuses to drop a nonzero row."""
+class TestTruncateAndPad:
+    """``_truncate`` cuts an operator back to a smaller output space, drops
+    zero rows padded below it exactly, and refuses to drop a nonzero row."""
 
     def test_truncate_refuses_nonzero_integer_rows(self):
         # Multiplication by z^2 / 3 on degree < 3; its top row holds z^2 -> z^4 / 3.
@@ -542,6 +556,19 @@ class TestTruncate:
         assert cut.rows == 4
         p = ExactPolynomial((Fraction(1, 2), -3, Fraction(7, 4), 2))
         assert apply(cut, p) == apply(op, p) == Z * apply(dm, p)
+
+    def test_pad_then_truncate_round_trip(self, params):
+        # Zero rows appended below an operator are exactly what _truncate drops.
+        a = params.alpha
+        for op in (
+            fraction_delta(1, 4, a),
+            fraction_mul(Z, 3),
+            (fraction_mul(Z, 4) @ fraction_delta(-1, 4, a)).scale(Fraction(-3, 7)),
+        ):
+            zero_rows = [[0] * len(op.numerators[0])] * 3
+            padded = ExactMatrix.from_integers(op.numerators + tuple(zero_rows), op.denominator)
+            assert padded.rows == op.rows + 3
+            assert _truncate(padded, op.rows) == op
 
 
 def test_builders_return_matrices_of_documented_shape(params):
