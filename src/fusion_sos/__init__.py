@@ -56,13 +56,14 @@ from .sos import (
 )
 from .correspondence import (
     IntertwinerSet,
+    check_shifted_correspondence,
     check_vertex_sos_matrix,
     fused_intertwiner_tensor,
     independence_determinant,
     intertwiner_set,
     solve_weights_from_relation,
 )
-from .elevenvertex import psi_const, r11v, shift_op, similarity_fused
+from .elevenvertex import r11v, shift_op, similarity_fused
 from .lattice import (
     LatticeSpec,
     partition_sos,

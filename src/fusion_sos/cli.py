@@ -35,7 +35,7 @@ from .sos import (
     w_nm_hypergeometric,
     w_nm_sum,
 )
-from .vertex import ModelParams
+from .vertex import ModelParams, r7v
 from .elevenvertex import similarity_fused
 
 USAGE_ERROR = 2
@@ -137,12 +137,14 @@ def cmd_rmatrix(args) -> int:
     if args.family == "seven":
         if args.u is None:
             raise UsageError("rmatrix --family seven needs --u")
-        from .vertex import r7v
-
+        if args.d is not None:
+            raise UsageError("--d only applies to rmatrix --family eleven")
         mat = r7v(_parse_rat(args.u), params)
     else:
         if args.d is None:
             raise UsageError("rmatrix --family eleven needs --d")
+        if args.u is not None:
+            raise UsageError("--u only applies to rmatrix --family seven")
         d = _parse_rat(args.d)
         mat = similarity_fused(args.n, args.m, d, Fraction(0), params)
     _emit({"family": args.family, "matrix": mat.to_jsonable()}, args.format)
@@ -195,6 +197,8 @@ def cmd_partition(args) -> int:
     params = _params_from_args(args)
     spec = lattice_mod.LatticeSpec(args.N, args.M, args.n, args.m, _parse_rat(args.u))
     if args.model == "vertex":
+        if args.range is not None:
+            raise UsageError("--range only applies to partition --model sos")
         value = lattice_mod.partition_vertex_transfer(spec, params)
         payload = {"model": "vertex", "value": rat_to_str(value)}
     else:

@@ -11,6 +11,11 @@ until each weight becomes one ``Fraction``: the intertwining polynomials are
 integer columns over one shared denominator, the height-changing operator
 acts on the source column (``polyrep._o_m_apply``) without its matrix ever
 being formed, and one fraction-free elimination solves for the weights.
+
+One body checks the correspondence for both families, with the weights at
+u - v: :func:`check_vertex_sos_matrix` for the fused seven-vertex operators,
+vectors read at (u, v), and :func:`check_shifted_correspondence` for their
+shift conjugates (the eleven-vertex family), vectors read at u = 0.
 """
 
 from __future__ import annotations
@@ -31,6 +36,7 @@ from .exactcore import (
     mat_mul,
     rat,
 )
+from .elevenvertex import similarity_fused
 from .fusion import fuse_nm, symmetrizer
 from .polyrep import _intertwiner_roots, _o_m_apply, intertwiner_poly
 from .sos import check_weight_domain
@@ -163,6 +169,25 @@ def solve_weights_from_relation(
     return {bp: Fraction(row[n + 1] * scale[n], pivot * image_den) for bp, row in zip(heights, rows)}
 
 
+def _correspondence_holds(r: ExactMatrix, n, m, a, b, c, x, y, d, params: ModelParams) -> bool:
+    """r (psi_n(x)^a_b (x) psi_m(y)^b_c) = sum_b' W(d) psi_n(x)^b'_c (x) psi_m(y)^a_b',
+    checked exactly on the symmetric coordinates, with the weights W(d) of
+    :func:`solve_weights_from_relation`."""
+    psi_n = intertwiner_sym_coords(n, x, a, b, params)
+    psi_m = intertwiner_sym_coords(m, y, b, c, params)
+    vec = [p * q for p in psi_n for q in psi_m]
+    lhs = mat_mul(r, ExactMatrix.column(vec)).column_vector()
+
+    weights = solve_weights_from_relation(n, m, a, b, c, d, params)
+    rhs = [Fraction(0)] * len(lhs)
+    for bp, weight in weights.items():
+        if weight:
+            left = intertwiner_sym_coords(n, x, bp, c, params)
+            right = intertwiner_sym_coords(m, y, a, bp, params)
+            rhs = [z + weight * p * q for z, (p, q) in zip(rhs, product(left, right))]
+    return list(lhs) == rhs
+
+
 def check_vertex_sos_matrix(
     n: int,
     m: int,
@@ -176,21 +201,22 @@ def check_vertex_sos_matrix(
     """Exact test of the correspondence at the level of restricted tensors.
 
     The fused operator at spectral difference u - v, applied to the pair of
-    fused intertwining vectors, must equal the weight-weighted sum of the
-    transposed pair.
+    fused intertwining vectors at (u, v), must equal the weight-weighted sum
+    of the transposed pair.
     """
     u, v = rat(u), rat(v)
     r = fuse_nm(n, m, u - v, params)
-    psi_n = intertwiner_sym_coords(n, u, a, b, params)
-    psi_m = intertwiner_sym_coords(m, v, b, c, params)
-    vec = [x * y for x in psi_n for y in psi_m]
-    lhs = mat_mul(r, ExactMatrix.column(vec)).column_vector()
+    return _correspondence_holds(r, n, m, a, b, c, u, v, u - v, params)
 
-    weights = solve_weights_from_relation(n, m, a, b, c, u - v, params)
-    rhs = [Fraction(0)] * len(lhs)
-    for bp, weight in weights.items():
-        if weight:
-            left = intertwiner_sym_coords(n, u, bp, c, params)
-            right = intertwiner_sym_coords(m, v, a, bp, params)
-            rhs = [z + weight * x * y for z, (x, y) in zip(rhs, product(left, right))]
-    return list(lhs) == rhs
+
+def check_shifted_correspondence(
+    n: int, m: int, a: int, b: int, c: int, u: ScalarLike, v: ScalarLike, params: ModelParams
+) -> bool:
+    """The same correspondence for the shift-conjugated (eleven-vertex)
+    family: the operator is :func:`fusion_sos.elevenvertex.similarity_fused`
+    at (u, v), its intertwining vectors are read at spectral parameter 0
+    whatever u and v are, and the weights are the seven-vertex ones at u - v.
+    """
+    u, v = rat(u), rat(v)
+    r = similarity_fused(n, m, u, v, params)
+    return _correspondence_holds(r, n, m, a, b, c, Fraction(0), Fraction(0), u - v, params)

@@ -3,17 +3,20 @@
 Conjugating by lower-triangular shift operators whose polynomial action is
 z -> z + alpha*u turns the fused family into a new solution family whose
 simplest member is the eleven-vertex matrix.  The conjugated operators
-depend only on the spectral difference, and the intertwining vectors become
-spectral-parameter independent while the face weights stay unchanged.
+depend only on the spectral difference.  The shift removes the spectral
+parameter from the intertwining vectors, so the family's vectors are the
+seven-vertex ones read at u = 0 (``polyrep.intertwiner_poly(n, 0, a, b)``),
+and its face weights are the seven-vertex ones unchanged:
+:func:`fusion_sos.correspondence.check_shifted_correspondence` checks this.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .exactcore import ExactMatrix, ExactPolynomial, ScalarLike, kron, mat_mul, rat
+from .exactcore import ExactMatrix, ScalarLike, kron, mat_mul, rat
 from .fusion import fuse_nm
-from .polyrep import _shift_entries, intertwiner_poly
+from .polyrep import _shift_entries
 from .vertex import ModelParams
 
 
@@ -58,11 +61,3 @@ def similarity_fused(
     right = kron(shift_op(n, -u, params), shift_op(m, -v, params))
     return mat_mul(mat_mul(left, fuse_nm(n, m, u - v, params)), right)
 
-
-def psi_const(n: int, a: int, b: int, params: ModelParams) -> ExactPolynomial:
-    """Spectral-parameter-free intertwining polynomial of the shifted family.
-
-    This is the u = 0 intertwiner: the shift z -> z + alpha*u removes the
-    spectral parameter, so every u gives this polynomial after the shift.
-    """
-    return intertwiner_poly(n, 0, a, b, params)

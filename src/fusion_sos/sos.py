@@ -480,8 +480,9 @@ def check_ybe_sos(
 def sample_admissible_boundary(k: int, n: int, l: int, rng, spread: int = 3):
     """Random boundary labels satisfying every outer adjacency constraint.
 
-    Retries until at least one side of the face identity has a nonzero term,
-    so the returned tuple exercises the identity nontrivially.
+    Retries until at least one side of the face identity has a term whose
+    three faces (those of :func:`_ybe_sides`) are all admissible, so the
+    returned tuple exercises the identity nontrivially.
     """
     while True:
         a = rng.randint(-spread, spread)
@@ -492,18 +493,13 @@ def sample_admissible_boundary(k: int, n: int, l: int, rng, spread: int = 3):
         e = f - rng.choice(range(-n, n + 1, 2))
         if up_steps(d, e, k) is None:
             continue
-        has_term = any(
-            up_steps(g, f, k) is not None
-            and up_steps(d, g, n) is not None
-            and up_steps(g, b, l) is not None
+        if any(
+            _admissible(k, n, f, g, e, d) and _admissible(k, l, a, b, f, g) and _admissible(n, l, b, c, g, d)
             for g in _g_range((f, k), (d, n), (b, l))
         ) or any(
-            up_steps(g, a, n) is not None
-            and up_steps(c, g, k) is not None
-            and up_steps(e, g, l) is not None
+            _admissible(n, l, a, g, f, e) and _admissible(k, l, g, c, e, d) and _admissible(k, n, a, b, g, c)
             for g in _g_range((a, n), (c, k), (e, l))
-        )
-        if has_term:
+        ):
             return (a, b, c, d, e, f)
 
 

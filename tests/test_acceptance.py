@@ -12,11 +12,11 @@ from fractions import Fraction
 from itertools import permutations
 
 from fusion_sos.correspondence import (
+    check_shifted_correspondence,
     check_vertex_sos_matrix,
     fused_intertwiner_tensor,
     independence_determinant,
     intertwiner_set,
-    intertwiner_sym_coords,
     solve_weights_from_relation,
 )
 from fusion_sos.elevenvertex import r11v, similarity_fused
@@ -295,22 +295,7 @@ def test_12_eleven_vertex_family():
             b = a - rng.choice(range(-n, n + 1, 2))
             c = b - rng.choice(range(-m, m + 1, 2))
             u, v = spectral_pair(rng)
-            rbar = similarity_fused(n, m, u, v, PARAMS)
-            left = intertwiner_sym_coords(n, 0, a, b, PARAMS)
-            right = intertwiner_sym_coords(m, 0, b, c, PARAMS)
-            vec = [x * y for x in left for y in right]
-            lhs = mat_mul(rbar, ExactMatrix.column(vec)).column_vector()
-            weights = solve_weights_from_relation(n, m, a, b, c, u - v, PARAMS)
-            rhs = [Fraction(0)] * len(lhs)
-            for bp, weight in weights.items():
-                if weight == 0:
-                    continue
-                lv = intertwiner_sym_coords(n, 0, bp, c, PARAMS)
-                rv = intertwiner_sym_coords(m, 0, a, bp, PARAMS)
-                for i, x in enumerate(lv):
-                    for j, y in enumerate(rv):
-                        rhs[i * (m + 1) + j] += weight * x * y
-            assert list(lhs) == rhs
+            assert check_shifted_correspondence(n, m, a, b, c, u, v, PARAMS)
     report(12, "eleven-vertex family (conjugation, difference-only, weights)", t0)
 
 

@@ -241,6 +241,23 @@ def test_verify_refuses_options_the_suite_ignores(capsys, argv, named):
     assert f"{named} only apply to the correspondence suite" in captured.err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ("rmatrix --family seven --u 1/3 --d 2", "--d only applies to rmatrix --family eleven"),
+        ("rmatrix --family eleven --d 1/3 --u 5", "--u only applies to rmatrix --family seven"),
+        ("partition --model vertex --N 2 --M 2 --u 7/3 --range 0..3", "--range only applies to partition --model sos"),
+    ],
+    ids=["rmatrix-seven-d", "rmatrix-eleven-u", "partition-vertex-range"],
+)
+def test_refuses_options_the_mode_ignores(capsys, argv, message):
+    code = main(argv.split())
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert message in captured.err
+
+
 def test_verify_correspondence_orders_default_to_one(capsys):
     code, out = run_cli(capsys, "verify", "correspondence", "--samples", "2")
     assert code == 0

@@ -3,12 +3,17 @@ from fractions import Fraction
 
 import pytest
 
-from fusion_sos.correspondence import intertwiner_sym_coords, solve_weights_from_relation
-from fusion_sos.elevenvertex import psi_const, r11v, shift_op, similarity_fused
+from fusion_sos import correspondence
+from fusion_sos.correspondence import (
+    check_shifted_correspondence,
+    check_vertex_sos_matrix,
+    solve_weights_from_relation,
+)
+from fusion_sos.elevenvertex import r11v, shift_op, similarity_fused
 from fusion_sos.exactcore import ExactMatrix, ExactPolynomial, kron, mat_mul, poly_shift
 from fusion_sos.fusion import sym_basis, symmetrizer
 from fusion_sos.polyrep import intertwiner_poly, monomial_to_coeff_matrix
-from fusion_sos.vertex import ModelParams, check_ybe_vertex
+from fusion_sos.vertex import ModelParams, check_ybe_vertex, up_steps
 
 from conftest import spectral_pair
 
@@ -119,17 +124,17 @@ class TestConstantIntertwiners:
     def test_elementary_example(self, params):
         # One up-step from height 0: -(z + alpha t).
         expected = ExactPolynomial((params.alpha * params.t, 1)).scale(-1)
-        assert psi_const(1, 0, 1, params) == expected
+        assert intertwiner_poly(1, 0, 0, 1, params) == expected
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_u_independence(self, n, params):
         for u in (Fraction(1, 3), Fraction(-7, 5), Fraction(9, 2)):
             for b in range(-n, n + 1, 2):
                 shifted = poly_shift(intertwiner_poly(n, u, 0, b, params), params.alpha * u)
-                assert shifted == psi_const(n, 0, b, params)
+                assert shifted == intertwiner_poly(n, 0, 0, b, params)
 
     def test_adjacency_violation(self, params):
-        assert psi_const(2, 0, 1, params).is_zero()
+        assert intertwiner_poly(2, 0, 0, 1, params).is_zero()
 
     @pytest.mark.parametrize("nm", [(1, 1), (2, 1), (1, 2), (2, 2)])
     def test_correspondence_with_unchanged_weights(self, nm, params):
@@ -141,19 +146,39 @@ class TestConstantIntertwiners:
             b = a - rng.choice(range(-n, n + 1, 2))
             c = b - rng.choice(range(-m, m + 1, 2))
             u, v = spectral_pair(rng)
-            rbar = similarity_fused(n, m, u, v, params)
-            left = intertwiner_sym_coords(n, 0, a, b, params)
-            right = intertwiner_sym_coords(m, 0, b, c, params)
-            vec = [x * y for x in left for y in right]
-            lhs = mat_mul(rbar, ExactMatrix.column(vec)).column_vector()
-            weights = solve_weights_from_relation(n, m, a, b, c, u - v, params)
-            rhs = [Fraction(0)] * len(lhs)
-            for bp, weight in weights.items():
-                if weight == 0:
-                    continue
-                lvec = intertwiner_sym_coords(n, 0, bp, c, params)
-                rvec = intertwiner_sym_coords(m, 0, a, bp, params)
-                for i, x in enumerate(lvec):
-                    for j, y in enumerate(rvec):
-                        rhs[i * (m + 1) + j] += weight * x * y
-            assert list(lhs) == rhs
+            assert check_shifted_correspondence(n, m, a, b, c, u, v, params)
+
+
+U, V = Fraction(7, 5), Fraction(1, 3)
+
+
+def bumped_operator(*args):
+    rows = [list(row) for row in similarity_fused(*args).entries]
+    rows[0][1] += 1
+    return ExactMatrix(rows)
+
+
+def bumped_weights(n, m, a, b, c, u, p):
+    weights = solve_weights_from_relation(n, m, a, b, c, u, p)
+    weights[next(bp for bp in weights if up_steps(a, bp, m) is not None)] += 1
+    return weights
+
+
+# What each mutant replaces in ``correspondence``, and the check that must then fail.
+MUTANTS = {
+    "operator": ("similarity_fused", bumped_operator, check_shifted_correspondence),
+    "weights": ("solve_weights_from_relation", bumped_weights, check_shifted_correspondence),
+    # The shifted operator with the vectors read at (u, v) instead of at 0.
+    "vectors": ("fuse_nm", lambda n, m, d, p: similarity_fused(n, m, U, V, p), check_vertex_sos_matrix),
+}
+
+
+@pytest.mark.parametrize("mutant", MUTANTS)
+@pytest.mark.parametrize("nm", [(1, 1), (2, 1), (1, 2), (2, 2)])
+def test_shifted_correspondence_mutant_fails(nm, mutant, params, monkeypatch):
+    n, m = nm
+    a, b, c = 0, n % 2, (n + m) % 2
+    assert check_shifted_correspondence(n, m, a, b, c, U, V, params)
+    name, replacement, check = MUTANTS[mutant]
+    monkeypatch.setattr(correspondence, name, replacement)
+    assert not check(n, m, a, b, c, U, V, params)
