@@ -137,8 +137,9 @@ def cmd_rmatrix(args) -> int:
     if args.family == "seven":
         if args.u is None:
             raise UsageError("rmatrix --family seven needs --u")
-        if args.d is not None:
-            raise UsageError("--d only applies to rmatrix --family eleven")
+        for name in ("d", "n", "m"):
+            if getattr(args, name) is not None:
+                raise UsageError(f"--{name} only applies to rmatrix --family eleven")
         mat = r7v(_parse_rat(args.u), params)
     else:
         if args.d is None:
@@ -146,7 +147,8 @@ def cmd_rmatrix(args) -> int:
         if args.u is not None:
             raise UsageError("--u only applies to rmatrix --family seven")
         d = _parse_rat(args.d)
-        mat = similarity_fused(args.n, args.m, d, Fraction(0), params)
+        n, m = (1 if x is None else x for x in (args.n, args.m))
+        mat = similarity_fused(n, m, d, Fraction(0), params)
     _emit({"family": args.family, "matrix": mat.to_jsonable()}, args.format)
     return 0
 
@@ -202,6 +204,8 @@ def cmd_partition(args) -> int:
         value = lattice_mod.partition_vertex_transfer(spec, params)
         payload = {"model": "vertex", "value": rat_to_str(value)}
     else:
+        if args.alpha is not None:
+            raise UsageError("--alpha only applies to partition --model vertex")
         if args.range is None:
             raise UsageError("partition --model sos needs --range LO..HI")
         try:
@@ -392,8 +396,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_rm.add_argument("--family", choices=("seven", "eleven"), default="seven")
     p_rm.add_argument("--u", default=None, help="spectral parameter (seven-vertex)")
     p_rm.add_argument("--d", default=None, help="spectral difference (eleven-vertex family)")
-    p_rm.add_argument("--n", type=int, default=1)
-    p_rm.add_argument("--m", type=int, default=1)
+    p_rm.add_argument("--n", type=int, default=None, help="fusion order n (eleven-vertex family, default 1)")
+    p_rm.add_argument("--m", type=int, default=None, help="fusion order m (eleven-vertex family, default 1)")
     add_params(p_rm)
     p_rm.set_defaults(handler=cmd_rmatrix)
 
@@ -425,7 +429,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_part.add_argument("--u", required=True)
     p_part.add_argument("--range", default=None, help="height window LO..HI (sos only)")
     add_params(p_part, with_w=True)
-    p_part.set_defaults(handler=cmd_partition)
+    # None tells an --alpha given to the height model, whose face weights do
+    # not depend on it, from an absent one; _params_from_args reads it as 1.
+    p_part.set_defaults(alpha=None, handler=cmd_partition)
 
     p_ver = sub.add_parser("verify", help="run exact identity suites")
     p_ver.add_argument(

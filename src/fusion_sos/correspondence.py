@@ -8,9 +8,12 @@ basis of neighbouring ones is an exact linear solve, and the weights it
 produces are the ground truth against which the closed-form and series
 formulas in :mod:`fusion_sos.sos` are tested.  That route runs on integers
 until each weight becomes one ``Fraction``: the intertwining polynomials are
-integer columns over one shared denominator, the height-changing operator
-acts on the source column (``polyrep._o_m_apply``) without its matrix ever
-being formed, and one fraction-free elimination solves for the weights.
+integer columns over one shared denominator, and the height-changing
+operator acts on the source column (``polyrep._o_m_apply``) without its
+matrix ever being formed.  The basis at the far corner depends on
+(n, c, alpha, s, t) alone, so it is eliminated once against the identity
+(:func:`_corner_basis`), and each call multiplies the cached rows of
+pivot * basis^-1 into its image column.
 
 One body checks the correspondence for both families, with the weights at
 u - v: :func:`check_vertex_sos_matrix` for the fused seven-vertex operators,
@@ -22,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 
 from .exactcore import (
@@ -146,27 +150,55 @@ def solve_weights_from_relation(
 
     The source psi(0)^a_b and the basis psi(0)^b'_c are integer columns over
     one denominator, D^n with D = den(alpha) den(s, t); the operator acts on
-    the source (``polyrep._o_m_apply``), and one fraction-free elimination
-    of the rows [basis | image] (``exactcore._bareiss``) solves for them.
+    the source (``polyrep._o_m_apply``).  The basis does not depend on m, a,
+    b or u: one fraction-free elimination of the rows [basis | identity]
+    (``exactcore._bareiss``), cached per (n, c, alpha, s, t) by
+    :func:`_corner_basis`, leaves pivot * basis^-1, and weight j is row j of
+    it times the image, over the pivot.  The pivot is the one the
+    elimination of [basis | image] would reach, since it depends on the
+    basis columns alone.  Refusals come in order: integer w, a and b not
+    adjacent, the operator's refusals, then a singular basis
+    (``SingularMatrixError("singular")``).
     """
     check_weight_domain(params)
     if up_steps(a, b, n) is None:
         raise ValueError("heights a, b are not adjacent at distance n")
+    p, q = params.alpha.numerator, params.alpha.denominator
     den, (ds, dt) = common_denominator(params.s, params.t)
-    scale = [(den * params.alpha.denominator) ** j for j in range(n + 1)]
+    scale = (den * q) ** n
+    source = _psi_column(n, a, b, p, q, den, ds, dt)
+    (image,), image_den = _o_m_apply(m, rat(u), b, c, params, (den, (ds, dt)), [source], scale)
+    heights, pivot, inverse = _corner_basis(n, c, p, q, den, ds, dt)
+    # pivot * y = inverse @ image solves basis @ y = image; weight j is y_j D^n / image_den.
+    return {
+        bp: Fraction(sum([x * y for x, y in zip(row, image)]) * scale, pivot * image_den)
+        for bp, row in zip(heights, inverse)
+    }
 
-    def column(x: int, y: int) -> list[int]:
-        roots = _intertwiner_roots(n, x, y, params.alpha.numerator, den, 0, ds, dt)
-        return [k * d for k, d in zip(_root_product(roots, (-1) ** n), scale)]
 
-    (image,), image_den = _o_m_apply(m, rat(u), b, c, params, (den, (ds, dt)), [column(a, b)], scale[n])
-    heights = [c - n + 2 * j for j in range(n + 1)]
-    rows = [[*row, x] for row, x in zip(zip(*(column(bp, c) for bp in heights)), image)]
+def _psi_column(n: int, a: int, b: int, p: int, q: int, den: int, ds: int, dt: int) -> list[int]:
+    """psi(0)^a_b at alpha = p/q, s = ds/den and t = dt/den as integer
+    coefficients (lowest power first) over D^n, D = q den."""
+    roots = _intertwiner_roots(n, a, b, p, den, 0, ds, dt)
+    return [k * (den * q) ** j for j, k in enumerate(_root_product(roots, (-1) ** n))]
+
+
+@lru_cache(maxsize=None)
+def _corner_basis(n: int, c: int, p: int, q: int, den: int, ds: int, dt: int):
+    """The far-corner basis psi(0)^b'_c, b' = c - n, ..., c + n, of
+    :func:`solve_weights_from_relation`, eliminated once: one fraction-free
+    elimination of the rows [basis | identity] (``exactcore._bareiss``)
+    leaves pivot * basis^-1 on the right.  Returns the heights b', the pivot
+    and the rows of pivot * basis^-1.  It depends on (n, c, alpha, s, t)
+    alone, not on m, a, b or u.  A singular basis raises
+    ``SingularMatrixError``, which is not cached."""
+    heights = tuple(range(c - n, c + n + 1, 2))
+    basis = zip(*(_psi_column(n, bp, c, p, q, den, ds, dt) for bp in heights))
+    rows = [[*row, *(int(i == k) for k in range(n + 1))] for i, row in enumerate(basis)]
     pivot, _ = _bareiss(rows, n + 1)
     if not pivot:
         raise SingularMatrixError("singular")
-    # Pivot row j reads pivot * y_j = row[n + 1], and weight j is y_j D^n / image_den.
-    return {bp: Fraction(row[n + 1] * scale[n], pivot * image_den) for bp, row in zip(heights, rows)}
+    return heights, pivot, tuple(tuple(row[n + 1 :]) for row in rows)
 
 
 def _correspondence_holds(r: ExactMatrix, n, m, a, b, c, x, y, d, params: ModelParams) -> bool:

@@ -34,7 +34,9 @@ D = 2 lcm(2, den u, den w): then D u and D w are even, so the halved
 parameters stay integral, a parameter is a nonpositive integer exactly when
 its numerator is a nonpositive multiple of D, and Pochhammer products are
 products of ints.  Each weight becomes one :class:`~fractions.Fraction` at
-the end.
+the end.  A term of the sum multiplies out its four height ladders (over
+k+, k-, r+ and r-) in one loop each: a step of a ladder multiplies two
+factors into the term's numerator and one into its denominator.
 
 A spectral point is put over its denominator once, by whoever holds it:
 :func:`check_ybe_sos` has three points per boundary, and each height-lattice
@@ -249,13 +251,20 @@ def _w_nm_sum_at(n: int, m: int, a: int, b: int, bp: int, c: int, d: int, du: in
         th7 = (n + nu + sig + m_minus) * h
         th8 = du + (c + mu) * d + (n + nu + sig - m_minus) * h + dw
         num = (x + mu_prime * d) * comb(m_minus, kp) * comb(m_plus, rp)
-        num *= _poch(th1, kp, -d) * _poch(th2, kp, d)
-        num *= _poch(th3, km, -d) * _poch(th4, km, -d)
-        num *= _poch(th5, rp, -d) * _poch(th6, rp, d)
-        num *= _poch(th7, rm, -d) * _poch(th8, rm, -d)
         den = x
-        den *= _poch(x + d, kp, d) * _poch(x - d, km, -d)
-        den *= _poch(x + (sig + 1) * d, rp, d) * _poch(x + (sig - 1) * d, rm, -d)
+        # The four height ladders, each step two factors above and one below.
+        for jd in range(0, kp * d, d):
+            num *= (th1 - jd) * (th2 + jd)
+            den *= x + d + jd
+        for jd in range(0, km * d, d):
+            num *= (th3 - jd) * (th4 - jd)
+            den *= x - d - jd
+        for jd in range(0, rp * d, d):
+            num *= (th5 - jd) * (th6 + jd)
+            den *= x + (sig + 1) * d + jd
+        for jd in range(0, rm * d, d):
+            num *= (th7 - jd) * (th8 - jd)
+            den *= x + (sig - 1) * d - jd
         if den == 0:
             raise PoleError("height-ladder denominator vanished")
         total_num = total_num * den + num * total_den

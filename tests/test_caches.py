@@ -24,6 +24,9 @@ KEPT_CACHES = {
     "fusion_sos.fusion._peel_last",
     # face-weights 560/563, verify-cli 241/251 (one entry per (alpha, dim)).
     "fusion_sos.polyrep._delta_rows",
+    # Keyed on seven ints, (n, c, alpha, s, t): face-weights 524/563,
+    # verify-cli 106/164.
+    "fusion_sos.correspondence._corner_basis",
 }
 
 

@@ -246,9 +246,22 @@ def test_verify_refuses_options_the_suite_ignores(capsys, argv, named):
     [
         ("rmatrix --family seven --u 1/3 --d 2", "--d only applies to rmatrix --family eleven"),
         ("rmatrix --family eleven --d 1/3 --u 5", "--u only applies to rmatrix --family seven"),
+        ("rmatrix --family seven --u 1/3 --n 2", "--n only applies to rmatrix --family eleven"),
+        ("rmatrix --u 1/3 --m 1", "--m only applies to rmatrix --family eleven"),
         ("partition --model vertex --N 2 --M 2 --u 7/3 --range 0..3", "--range only applies to partition --model sos"),
+        (
+            "partition --model sos --N 2 --M 2 --u 7/3 --w 1/2 --range -2..2 --alpha 1",
+            "--alpha only applies to partition --model vertex",
+        ),
     ],
-    ids=["rmatrix-seven-d", "rmatrix-eleven-u", "partition-vertex-range"],
+    ids=[
+        "rmatrix-seven-d",
+        "rmatrix-eleven-u",
+        "rmatrix-seven-n",
+        "rmatrix-seven-m",
+        "partition-vertex-range",
+        "partition-sos-alpha",
+    ],
 )
 def test_refuses_options_the_mode_ignores(capsys, argv, message):
     code = main(argv.split())

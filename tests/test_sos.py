@@ -640,6 +640,31 @@ MUTANT_POINTS = [
 ]
 
 
+@pytest.fixture
+def fresh_corner_basis():
+    """An empty far-corner basis cache before and after the test: no basis
+    cached by an earlier test bypasses a monkeypatch, and none made under
+    one outlives it."""
+    correspondence._corner_basis.cache_clear()
+    yield correspondence._corner_basis
+    correspondence._corner_basis.cache_clear()
+
+
+# Pairs of parameter points whose far-corner basis keys differ in one
+# place: q alone (alpha = 3/2 and 3/4), or ds and dt alone over one den
+# (s, t = 1/6, 1/3 and 1/2, -1/6, den 6).
+CORNER_KEY_PAIRS = {
+    "q": (
+        ModelParams(Fraction(3, 2), Fraction(-2, 7), Fraction(3, 5)),
+        ModelParams(Fraction(3, 4), Fraction(-2, 7), Fraction(3, 5)),
+    ),
+    "ds-dt": (
+        ModelParams(Fraction(5, 7), Fraction(1, 6), Fraction(1, 3)),
+        ModelParams(Fraction(5, 7), Fraction(1, 2), Fraction(-1, 6)),
+    ),
+}
+
+
 class TestSolveRouteAgainstReference:
     """The solve route runs one fraction-free elimination on integer columns;
     ``solve_exact`` on the public matrices (``reference_solve_weights``) is
@@ -655,13 +680,13 @@ class TestSolveRouteAgainstReference:
     @pytest.mark.parametrize(
         "name, make", [("_o_m_apply", _image_plus_one), ("_bareiss", _basis_reversed)], ids=["image+1", "basis-reversed"]
     )
-    def test_mutants_fail(self, name, make, monkeypatch):
+    def test_mutants_fail(self, name, make, monkeypatch, fresh_corner_basis):
         monkeypatch.setattr(correspondence, name, make(getattr(correspondence, name)))
         for point in MUTANT_POINTS:
             with pytest.raises(AssertionError):
                 _check_solve_route(point)
 
-    def test_singular_basis_is_refused_as_by_solve_exact(self, monkeypatch):
+    def test_singular_basis_is_refused_as_by_solve_exact(self, monkeypatch, fresh_corner_basis):
         """With every intertwining polynomial made equal (test-local), the
         basis is singular: both routes raise SingularMatrixError("singular")."""
         roots = polyrep._intertwiner_roots
@@ -674,6 +699,31 @@ class TestSolveRouteAgainstReference:
         for face, params in MUTANT_POINTS:
             assert _outcome(lambda: solve_weights_from_relation(*face, params)) == (SingularMatrixError, "singular")
             _check_solve_route((face, params))
+
+    @pytest.mark.parametrize("pair", CORNER_KEY_PAIRS.values(), ids=CORNER_KEY_PAIRS)
+    @pytest.mark.parametrize("order", [1, -1], ids=["forward", "reversed"])
+    def test_corner_basis_key_separates_points(self, pair, order, fresh_corner_basis):
+        """Calls alternating between two parameter points at one (n, c)
+        each read their own basis, in either order."""
+        faces = [(2, 1, 0, 2, 1, Fraction(7, 3)), (2, 2, 1, 1, 1, Fraction(-5, 4)), (2, 1, 2, 0, 1, Fraction(2))]
+        for face in faces * 2:
+            for params in pair[::order]:
+                _check_solve_route((face, params))
+        info = fresh_corner_basis.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (10, 2, 2)
+
+    def test_corner_basis_is_reused_across_faces(self, fresh_corner_basis):
+        """Every (m, a, b, u) at one (n, c) and one parameter point reads the
+        one basis eliminated on the first call."""
+        face_params = MUTANT_POINTS[1][1]
+        n, c, calls = 3, 1, 0
+        for m, u in product((1, 2, 3), (Fraction(2), Fraction(-5, 4))):
+            for b in range(c - m, c + m + 1, 2):
+                for a in range(b - n, b + n + 1, 2):
+                    _check_solve_route(((n, m, a, b, c, u), face_params))
+                    calls += 1
+        info = fresh_corner_basis.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (calls - 1, 1, 1)
 
 
 class TestHypergeometricAtIntegerU:
