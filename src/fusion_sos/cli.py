@@ -11,6 +11,12 @@ suite and the case that raised it.  141 (128 + SIGPIPE, as shells report a
 process ended by a closed pipe) when the reader of stdout went away, as
 ``fusion-sos verify all | head -n 1`` does: stdout is pointed at
 ``os.devnull`` and the command ends quietly, without a traceback.
+
+Where a mode picks the flags a command reads (``rmatrix --family``,
+``partition --model``, the ``verify`` suite), ``_MODE_FLAGS`` lists each
+mode's optional flags; any other flag given is a usage error, reported before
+any value is checked.  No parser defines a flag that no mode reads, or a
+format the command cannot print (``verify --format`` aside, not yet read).
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ from fractions import Fraction
 from . import lattice as lattice_mod
 from .correspondence import check_vertex_sos_matrix, solve_weights_from_relation
 from .exactcore import rat_to_str
-from .fusion import check_fused_ybe, fuse_nm
+from .fusion import check_fused_ybe, check_fusion_orders, fuse_nm
 from .polyrep import o_m_identity_check, star_triangle_check
 from .sos import (
     WeightQuery,
@@ -54,11 +60,12 @@ def _parse_rat(text: str) -> Fraction:
         raise UsageError(f"not a rational number: {text!r}") from exc
 
 
+def _alpha(args) -> Fraction:
+    return Fraction(1) if args.alpha is None else _parse_rat(args.alpha)
+
+
 def _params_from_args(args) -> ModelParams:
-    alpha = _parse_rat(getattr(args, "alpha", "1") or "1")
-    w = getattr(args, "w", None)
-    s = getattr(args, "s", None)
-    t = getattr(args, "t", None)
+    alpha, w, s, t = _alpha(args), args.w, args.s, args.t
     if w is not None and (s is not None or t is not None):
         raise UsageError("give either --w or --s/--t, not both")
     if w is not None:
@@ -73,8 +80,6 @@ def _emit(payload: dict, fmt: str, csv_header: list[str] | None = None) -> None:
     if fmt == "json":
         print(json.dumps(payload, indent=2, sort_keys=True))
     elif fmt == "csv":
-        if csv_header is None:
-            raise UsageError("csv output is not available for this command")
         print(",".join(csv_header))
         print(",".join(str(payload[k]) for k in csv_header))
     else:
@@ -133,28 +138,22 @@ def _random_spectral_pair(rng: random.Random) -> tuple[Fraction, Fraction]:
 
 
 def cmd_rmatrix(args) -> int:
-    params = _params_from_args(args)
+    params = ModelParams(_alpha(args))
     if args.family == "seven":
         if args.u is None:
             raise UsageError("rmatrix --family seven needs --u")
-        for name in ("d", "n", "m"):
-            if getattr(args, name) is not None:
-                raise UsageError(f"--{name} only applies to rmatrix --family eleven")
         mat = r7v(_parse_rat(args.u), params)
     else:
         if args.d is None:
             raise UsageError("rmatrix --family eleven needs --d")
-        if args.u is not None:
-            raise UsageError("--u only applies to rmatrix --family seven")
-        d = _parse_rat(args.d)
         n, m = (1 if x is None else x for x in (args.n, args.m))
-        mat = similarity_fused(n, m, d, Fraction(0), params)
+        mat = similarity_fused(n, m, _parse_rat(args.d), Fraction(0), params)
     _emit({"family": args.family, "matrix": mat.to_jsonable()}, args.format)
     return 0
 
 
 def cmd_fuse(args) -> int:
-    params = _params_from_args(args)
+    params = ModelParams(_alpha(args))
     mat = fuse_nm(args.n, args.m, _parse_rat(args.u), params)
     _emit(
         {"n": args.n, "m": args.m, "u": args.u, "matrix": mat.to_jsonable()},
@@ -199,13 +198,9 @@ def cmd_partition(args) -> int:
     params = _params_from_args(args)
     spec = lattice_mod.LatticeSpec(args.N, args.M, args.n, args.m, _parse_rat(args.u))
     if args.model == "vertex":
-        if args.range is not None:
-            raise UsageError("--range only applies to partition --model sos")
         value = lattice_mod.partition_vertex_transfer(spec, params)
         payload = {"model": "vertex", "value": rat_to_str(value)}
     else:
-        if args.alpha is not None:
-            raise UsageError("--alpha only applies to partition --model vertex")
         if args.range is None:
             raise UsageError("partition --model sos needs --range LO..HI")
         try:
@@ -228,11 +223,11 @@ def cmd_partition(args) -> int:
 # -- verification suites -------------------------------------------------------
 
 
-def _suite_ybe_vertex(params: ModelParams, max_sum: int, samples: int, seed: int) -> int:
-    rng = random.Random(seed)
+def _suite_ybe_vertex(params: ModelParams, args) -> int:
+    rng = random.Random(args.seed)
     cases = []
-    for triple in _triples(max_sum):
-        for _ in range(samples):
+    for triple in _triples(args.max_sum):
+        for _ in range(args.samples):
             cases.append((triple, *_random_spectral_pair(rng)))
 
     def check(case):
@@ -242,11 +237,11 @@ def _suite_ybe_vertex(params: ModelParams, max_sum: int, samples: int, seed: int
     return _run_suite("ybe-vertex", cases, check)
 
 
-def _suite_ybe_sos(params: ModelParams, max_sum: int, boundaries: int, seed: int) -> int:
-    rng = random.Random(seed)
+def _suite_ybe_sos(params: ModelParams, args) -> int:
+    rng = random.Random(args.seed)
     cases = []
-    for triple in _triples(max_sum):
-        for _ in range(boundaries):
+    for triple in _triples(args.max_sum):
+        for _ in range(args.samples):
             bd = sample_admissible_boundary(*triple, rng)
             spect = (_random_rat(rng), _random_rat(rng), _random_rat(rng))
             cases.append((triple, bd, spect))
@@ -258,7 +253,7 @@ def _suite_ybe_sos(params: ModelParams, max_sum: int, boundaries: int, seed: int
     return _run_suite("ybe-sos", cases, check)
 
 
-def _suite_star_triangle(params: ModelParams) -> int:
+def _suite_star_triangle(params: ModelParams, args) -> int:
     cases = [
         (k, l, shift)
         for k in range(4)
@@ -273,7 +268,7 @@ def _suite_star_triangle(params: ModelParams) -> int:
     return _run_suite("star-triangle", cases, check)
 
 
-def _suite_om(params: ModelParams) -> int:
+def _suite_om(params: ModelParams, args) -> int:
     cases = []
     for m in range(1, 4):
         for diff in range(-m, m + 1, 2):
@@ -288,26 +283,15 @@ def _suite_om(params: ModelParams) -> int:
     return _run_suite("om-identity", cases, check)
 
 
-def _suite_correspondence(
-    params: ModelParams,
-    n: int,
-    m: int,
-    samples: int,
-    seed: int,
-    u: Fraction | None = None,
-    v: Fraction | None = None,
-) -> int:
-    rng = random.Random(seed)
+def _suite_correspondence(params: ModelParams, args) -> int:
+    rng = random.Random(args.seed)
     cases = []
-    for _ in range(samples):
+    for _ in range(args.samples):
         a = rng.randint(-3, 3)
-        b = a - rng.choice(range(-n, n + 1, 2))
-        c = b - rng.choice(range(-m, m + 1, 2))
-        if u is None:
-            uu, vv = _random_spectral_pair(rng)
-        else:
-            uu, vv = u, v
-        cases.append((n, m, a, b, c, uu, vv))
+        b = a - rng.choice(range(-args.n, args.n + 1, 2))
+        c = b - rng.choice(range(-args.m, args.m + 1, 2))
+        u, v = _random_spectral_pair(rng) if args.u is None else (args.u, args.v)
+        cases.append((args.n, args.m, a, b, c, u, v))
 
     def check(case):
         return check_vertex_sos_matrix(*case, params)
@@ -315,7 +299,7 @@ def _suite_correspondence(
     return _run_suite("correspondence", cases, check)
 
 
-def _suite_weights(params: ModelParams) -> int:
+def _suite_weights(params: ModelParams, args) -> int:
     cases = []
     for (n, m) in ((1, 1), (2, 1), (1, 2), (2, 2)):
         for a in range(-2, 3):
@@ -339,40 +323,61 @@ def _suite_weights(params: ModelParams) -> int:
     return _run_suite("weights-three-way", cases, check)
 
 
+# The verify suites in the order ``verify all`` runs them, and the flags each reads.
+_SUITES = {
+    "ybe-vertex": (_suite_ybe_vertex, ("max_sum", "samples")),
+    "ybe-sos": (_suite_ybe_sos, ("max_sum", "samples")),
+    "star-triangle": (_suite_star_triangle, ()),
+    "om": (_suite_om, ()),
+    "correspondence": (_suite_correspondence, ("samples", "u", "v", "n", "m")),
+    "weights": (_suite_weights, ()),
+}
+
+
 def cmd_verify(args) -> int:
     params = _params_from_args(args)
-    failures = 0
-    suite = args.suite
-    if suite not in ("correspondence", "all"):
-        ignored = [f"--{name}" for name in ("u", "v", "n", "m") if getattr(args, name) is not None]
-        if ignored:
-            raise UsageError(f"{', '.join(ignored)} only apply to the correspondence suite")
-    elif (args.u is None) != (args.v is None):
+    if (args.u is None) != (args.v is None):
         raise UsageError("give both --u and --v, or neither")
+    # Every value is resolved and checked before the first suite prints.
+    args.u, args.v = (None if x is None else _parse_rat(x) for x in (args.u, args.v))
+    args.n, args.m = (1 if x is None else x for x in (args.n, args.m))
+    args.max_sum = 5 if args.max_sum is None else args.max_sum
+    args.samples = 3 if args.samples is None else args.samples
     if args.samples < 1:
         raise UsageError("--samples must be at least 1")
-    if suite in ("ybe-vertex", "ybe-sos", "all") and args.max_sum < 3:
+    if args.max_sum < 3:
         raise UsageError("--max-sum must be at least 3, the smallest k + n + l")
-    if suite in ("ybe-vertex", "all"):
-        failures += _suite_ybe_vertex(params, args.max_sum, args.samples, args.seed)
-    if suite in ("ybe-sos", "all"):
-        failures += _suite_ybe_sos(params, args.max_sum, args.samples, args.seed)
-    if suite in ("star-triangle", "all"):
-        failures += _suite_star_triangle(params)
-    if suite in ("om", "all"):
-        failures += _suite_om(params)
-    if suite in ("correspondence", "all"):
-        u = _parse_rat(args.u) if args.u is not None else None
-        v = _parse_rat(args.v) if args.v is not None else None
-        n, m = (1 if x is None else x for x in (args.n, args.m))
-        failures += _suite_correspondence(params, n, m, args.samples, args.seed, u, v)
-    if suite in ("weights", "all"):
-        failures += _suite_weights(params)
+    check_fusion_orders(args.n, args.m)
+    failures = sum(run(params, args) for name, (run, _) in _SUITES.items() if args.suite in (name, "all"))
     if failures:
         print(f"{failures} identity check(s) FAILED")
         return IDENTITY_FAILURE
     print("all identity checks passed")
     return 0
+
+
+# Per command with modes: the argument that picks it, a refusal's verb for one flag
+# (verify's has always said "apply"), how it names modes, and each mode's flags.
+_MODE_FLAGS = {
+    "rmatrix": ("family", "applies", "rmatrix --family {}", {"seven": ("u",), "eleven": ("d", "n", "m")}),
+    "partition": ("model", "applies", "partition --model {}", {"vertex": ("alpha",), "sos": ("range", "w", "s", "t")}),
+    "verify": ("suite", "apply", "the {} suite", {name: flags for name, (_, flags) in _SUITES.items()}),
+}
+
+
+def _refuse_unread_flags(args, selector, verb, where, modes) -> None:
+    """Raise UsageError naming each flag given to a mode that does not read it."""
+    every = dict.fromkeys(flag for flags in modes.values() for flag in flags)
+    reads = modes.get(getattr(args, selector), every)  # verify all reads every flag
+    refused = {}
+    for flag in every:
+        if flag not in reads and getattr(args, flag) is not None:
+            readers = " or ".join(mode for mode, flags in modes.items() if flag in flags)
+            refused.setdefault(where.format(readers), []).append("--" + flag.replace("_", "-"))
+    messages = [f"{', '.join(names)} only {verb if len(names) == 1 else 'apply'} to {place}"
+                for place, names in refused.items()]
+    if messages:
+        raise UsageError("; ".join(messages))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -382,15 +387,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_params(p, with_w=False):
-        p.add_argument("--alpha", default="1", help="model constant alpha (rational, nonzero)")
-        p.add_argument("--s", default=None, help="model constant s (rational)")
-        p.add_argument("--t", default=None, help="model constant t (rational)")
-        if with_w:
-            p.add_argument("--w", default=None, help="shortcut for (s+t)/2, setting s = w - 1/2, t = w + 1/2; not with --s/--t")
-        p.add_argument(
-            "--format", choices=("json", "csv", "pretty"), default="json", help="output format"
-        )
+    def add_params(p, formats=("json", "pretty"), with_s_t=True):
+        p.add_argument("--alpha", help="model constant alpha (rational, nonzero; default 1)")
+        if with_s_t:
+            p.add_argument("--s", help="model constant s (rational)")
+            p.add_argument("--t", help="model constant t (rational)")
+            p.add_argument("--w", help="shortcut for (s+t)/2, setting s = w - 1/2, t = w + 1/2; not with --s/--t")
+        p.add_argument("--format", choices=formats, default="json", help="output format")
 
     p_rm = sub.add_parser("rmatrix", help="dump an elementary or shifted-family matrix")
     p_rm.add_argument("--family", choices=("seven", "eleven"), default="seven")
@@ -398,14 +401,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_rm.add_argument("--d", default=None, help="spectral difference (eleven-vertex family)")
     p_rm.add_argument("--n", type=int, default=None, help="fusion order n (eleven-vertex family, default 1)")
     p_rm.add_argument("--m", type=int, default=None, help="fusion order m (eleven-vertex family, default 1)")
-    add_params(p_rm)
+    add_params(p_rm, with_s_t=False)
     p_rm.set_defaults(handler=cmd_rmatrix)
 
     p_fuse = sub.add_parser("fuse", help="dump a fused operator matrix")
     p_fuse.add_argument("--n", type=int, required=True)
     p_fuse.add_argument("--m", type=int, required=True)
     p_fuse.add_argument("--u", required=True)
-    add_params(p_fuse)
+    add_params(p_fuse, with_s_t=False)
     p_fuse.set_defaults(handler=cmd_fuse)
 
     p_w = sub.add_parser("weights", help="evaluate one face weight")
@@ -417,7 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_w.add_argument("--c", type=int, required=True)
     p_w.add_argument("--u", required=True)
     p_w.add_argument("--method", choices=("sum", "hyper", "solve"), default="sum")
-    add_params(p_w, with_w=True)
+    add_params(p_w, formats=("json", "csv", "pretty"))
     p_w.set_defaults(handler=cmd_weights)
 
     p_part = sub.add_parser("partition", help="small-lattice partition sums")
@@ -428,24 +431,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_part.add_argument("--m", type=int, default=1)
     p_part.add_argument("--u", required=True)
     p_part.add_argument("--range", default=None, help="height window LO..HI (sos only)")
-    add_params(p_part, with_w=True)
-    # None tells an --alpha given to the height model, whose face weights do
-    # not depend on it, from an absent one; _params_from_args reads it as 1.
-    p_part.set_defaults(alpha=None, handler=cmd_partition)
+    add_params(p_part)
+    p_part.set_defaults(handler=cmd_partition)
 
     p_ver = sub.add_parser("verify", help="run exact identity suites")
-    p_ver.add_argument(
-        "suite",
-        choices=("ybe-vertex", "ybe-sos", "star-triangle", "om", "correspondence", "weights", "all"),
-    )
-    p_ver.add_argument("--max-sum", type=int, default=5, help="bound on k+n+l for YBE suites")
-    p_ver.add_argument("--samples", type=int, default=3, help="random tuples per case")
+    p_ver.add_argument("suite", choices=(*_SUITES, "all"))
+    p_ver.add_argument("--max-sum", type=int, help="bound on k+n+l for YBE suites (default 5)")
+    p_ver.add_argument("--samples", type=int, help="random tuples per case (ybe and correspondence suites, default 3)")
     p_ver.add_argument("--seed", type=int, default=2024)
     p_ver.add_argument("--n", type=int, default=None, help="fusion order n (correspondence suite, default 1)")
     p_ver.add_argument("--m", type=int, default=None, help="fusion order m (correspondence suite, default 1)")
     p_ver.add_argument("--u", default=None, help="fixed spectral parameter (correspondence suite)")
     p_ver.add_argument("--v", default=None, help="fixed spectral parameter (correspondence suite)")
-    add_params(p_ver, with_w=True)
+    add_params(p_ver, formats=("json", "csv", "pretty"))
     p_ver.set_defaults(handler=cmd_verify)
 
     return parser
@@ -478,6 +476,8 @@ def main(argv=None) -> int:
         _PARSER = build_parser()
     try:
         args = _PARSER.parse_args(_attach_negative_values(sys.argv[1:] if argv is None else argv))
+        if args.command in _MODE_FLAGS:
+            _refuse_unread_flags(args, *_MODE_FLAGS[args.command])
         code = args.handler(args)
         sys.stdout.flush()
         return code

@@ -15,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .exactcore import ExactMatrix, ScalarLike, kron, mat_mul, rat
-from .fusion import fuse_nm
+from .fusion import check_fusion_orders, fuse_nm
 from .polyrep import _shift_entries
 from .vertex import ModelParams
 
@@ -54,8 +54,10 @@ def similarity_fused(
     """[A(u) (x) A(v)] R(u - v) [A(u) (x) A(v)]^(-1) on the restricted spaces.
 
     Inverses are shift operators at the negated argument (group property),
-    so the whole conjugation stays exact.
+    so the whole conjugation stays exact.  Orders below 1 raise ``ValueError``
+    (:func:`~fusion_sos.fusion.check_fusion_orders`) before anything is built.
     """
+    check_fusion_orders(n, m)
     u, v = rat(u), rat(v)
     left = kron(shift_op(n, u, params), shift_op(m, v, params))
     right = kron(shift_op(n, -u, params), shift_op(m, -v, params))

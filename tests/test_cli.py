@@ -136,12 +136,12 @@ def test_partition_sos_readme_example(capsys):
     assert payload["range"] == "-2..2"
 
 
-@pytest.mark.parametrize("model", [["vertex"], ["sos", "--range", "-2..2"]], ids=["vertex", "sos"])
+@pytest.mark.parametrize(
+    "model", [["vertex", "--alpha", "1"], ["sos", "--range", "-2..2"]], ids=["vertex", "sos"]
+)
 @pytest.mark.parametrize("size", [("0", "2"), ("-1", "2"), ("2", "0"), ("2", "-1")])
 def test_partition_rejects_empty_lattice(capsys, model, size):
-    code = main([
-        "partition", "--model", *model, "--N", size[0], "--M", size[1], "--u", "7/3", "--alpha", "1",
-    ])
+    code = main(["partition", "--model", *model, "--N", size[0], "--M", size[1], "--u", "7/3"])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
@@ -156,8 +156,13 @@ def test_partition_rejects_empty_lattice(capsys, model, size):
         ["partition", "--model", "vertex", "--n", "0", "--N", "2", "--M", "2", "--u", "7/3"],
         ["partition", "--model", "sos", "--m", "0", "--N", "2", "--M", "2", "--u", "7/3",
          "--w", "1/2", "--range", "-2..2"],
+        ["rmatrix", "--family", "eleven", "--d", "1/3", "--m", "-1"],
+        ["verify", "correspondence", "--n", "-1", "--samples", "1"],
+        ["verify", "correspondence", "--m", "-2", "--samples", "1"],
+        ["verify", "all", "--max-sum", "3", "--samples", "1", "--n", "0"],
     ],
-    ids=["fuse-n0", "fuse-m-1", "partition-vertex-n0", "partition-sos-m0"],
+    ids=["fuse-n0", "fuse-m-1", "partition-vertex-n0", "partition-sos-m0", "rmatrix-eleven-m-1",
+         "verify-correspondence-n-1", "verify-correspondence-m-2", "verify-all-n0"],
 )
 def test_orders_below_one_rejected(capsys, argv):
     code = main(argv)
@@ -224,21 +229,25 @@ def test_verify_refuses_an_empty_suite(capsys, argv, message):
 
 
 @pytest.mark.parametrize(
-    "argv, named",
+    "argv, message",
     [
-        (["om", "--u", "1/3", "--v", "5"], "--u, --v"),
-        (["ybe-vertex", "--n", "2"], "--n"),
-        (["weights", "--m", "1"], "--m"),
-        (["star-triangle", "--n", "1", "--m", "1"], "--n, --m"),
+        (["om", "--u", "1/3", "--v", "5"], "--u, --v only apply to the correspondence suite"),
+        (["ybe-vertex", "--n", "2"], "--n only apply to the correspondence suite"),
+        (["weights", "--m", "1"], "--m only apply to the correspondence suite"),
+        (["star-triangle", "--n", "1", "--m", "1"], "--n, --m only apply to the correspondence suite"),
+        (["om", "--samples", "2"], "--samples only apply to the ybe-vertex or ybe-sos or correspondence suite"),
+        (["star-triangle", "--max-sum", "4"], "--max-sum only apply to the ybe-vertex or ybe-sos suite"),
+        (["weights", "--samples", "1"], "--samples only apply to the ybe-vertex or ybe-sos or correspondence suite"),
     ],
-    ids=["om-u-v", "ybe-vertex-n", "weights-m", "star-triangle-n-m"],
+    ids=["om-u-v", "ybe-vertex-n", "weights-m", "star-triangle-n-m", "om-samples", "star-triangle-max-sum",
+         "weights-samples"],
 )
-def test_verify_refuses_options_the_suite_ignores(capsys, argv, named):
+def test_verify_refuses_options_the_suite_ignores(capsys, argv, message):
     code = main(["verify", *argv])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
-    assert f"{named} only apply to the correspondence suite" in captured.err
+    assert message in captured.err
 
 
 @pytest.mark.parametrize(
@@ -249,6 +258,13 @@ def test_verify_refuses_options_the_suite_ignores(capsys, argv, named):
         ("rmatrix --family seven --u 1/3 --n 2", "--n only applies to rmatrix --family eleven"),
         ("rmatrix --u 1/3 --m 1", "--m only applies to rmatrix --family eleven"),
         ("partition --model vertex --N 2 --M 2 --u 7/3 --range 0..3", "--range only applies to partition --model sos"),
+        ("partition --model vertex --N 2 --M 2 --u 7/3 --w 1/3", "--w only applies to partition --model sos"),
+        ("partition --model vertex --N 2 --M 2 --u 7/3 --s 1/3", "--s only applies to partition --model sos"),
+        ("partition --model vertex --N 2 --M 2 --u 7/3 --t 5", "--t only applies to partition --model sos"),
+        (
+            "partition --model vertex --N 2 --M 2 --u 7/3 --w 1/2 --range 0..3",
+            "--range, --w only apply to partition --model sos",
+        ),
         (
             "partition --model sos --N 2 --M 2 --u 7/3 --w 1/2 --range -2..2 --alpha 1",
             "--alpha only applies to partition --model vertex",
@@ -260,6 +276,10 @@ def test_verify_refuses_options_the_suite_ignores(capsys, argv, named):
         "rmatrix-seven-n",
         "rmatrix-seven-m",
         "partition-vertex-range",
+        "partition-vertex-w",
+        "partition-vertex-s",
+        "partition-vertex-t",
+        "partition-vertex-range-w",
         "partition-sos-alpha",
     ],
 )
@@ -269,6 +289,37 @@ def test_refuses_options_the_mode_ignores(capsys, argv, message):
     assert code == 2
     assert captured.out == ""
     assert message in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv, explicit",
+    [
+        (["rmatrix", "--family", "eleven", "--d", "1/3"], ["--n", "1"]),
+        (["rmatrix", "--family", "eleven", "--d", "1/3"], ["--n", "1", "--m", "1"]),
+        (["verify", "correspondence", "--samples", "2"], ["--n", "1"]),
+        (["verify", "correspondence", "--samples", "2"], ["--n", "1", "--m", "1"]),
+        (["verify", "ybe-vertex", "--samples", "1"], ["--max-sum", "5"]),
+        (["verify", "ybe-sos", "--max-sum", "3"], ["--samples", "3"]),
+    ],
+    ids=["rmatrix-eleven-n", "rmatrix-eleven-n-m", "correspondence-n", "correspondence-n-m",
+         "ybe-vertex-max-sum", "ybe-sos-samples"],
+)
+def test_explicit_defaults_are_accepted(capsys, argv, explicit):
+    """None, not a falsy value, marks an absent flag: a flag given at its
+    default value is read, and gives the output of the default."""
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    assert run_cli(capsys, *argv, *explicit) == (0, out)
+
+
+def test_verify_all_runs_every_suite_in_order(capsys):
+    code, out = run_cli(capsys, "verify", "all", "--max-sum", "3", "--samples", "1")
+    assert code == 0
+    tags = [line.split("]")[0] + "]" for line in out.splitlines() if line.startswith("[")]
+    assert list(dict.fromkeys(tags)) == [
+        "[ybe-vertex]", "[ybe-sos]", "[star-triangle]", "[om-identity]", "[correspondence]", "[weights-three-way]",
+    ]
+    assert out.endswith("all identity checks passed\n")
 
 
 def test_verify_correspondence_orders_default_to_one(capsys):
@@ -389,6 +440,28 @@ def _in_process(argv):
         except SystemExit as exc:
             code = exc.code
     return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ("rmatrix --u 7/3 --s 1/3", "unrecognized arguments: --s 1/3"),
+        ("rmatrix --family eleven --d 1/3 --t 5", "unrecognized arguments: --t 5"),
+        ("fuse --n 2 --m 1 --u 7/3 --s 1/3", "unrecognized arguments: --s 1/3"),
+        ("fuse --n 2 --m 1 --u 7/3 --t 1/3", "unrecognized arguments: --t 1/3"),
+        ("rmatrix --u 7/3 --format csv", "argument --format: invalid choice: 'csv'"),
+        ("fuse --n 2 --m 1 --u 7/3 --format csv", "argument --format: invalid choice: 'csv'"),
+        ("partition --model vertex --N 7 --M 1 --u 7/2 --format csv", "argument --format: invalid choice: 'csv'"),
+    ],
+    ids=["rmatrix-s", "rmatrix-eleven-t", "fuse-s", "fuse-t", "rmatrix-csv", "fuse-csv", "partition-csv"],
+)
+def test_parser_refuses_what_the_command_never_reads(argv, message):
+    """A flag no mode of the command reads, or a format it cannot print, is
+    refused by argparse before anything is computed."""
+    code, out, err = _in_process(argv.split())
+    assert code == 2
+    assert out == ""
+    assert message in err
 
 
 def _fresh_process(argv, env):
