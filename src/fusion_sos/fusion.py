@@ -28,11 +28,12 @@ restricted space.  One recursion, over m, results:
 raw(n, m, u) = [P_m (E_{m-1} (x) I)] raw(n, u)_{aux m}
 (raw(n, m-1, u-1) (x) I) [(P_{m-1} (x) I) E_m], on
 Sym_n (x) Sym_{m-1} (x) C^2 (dimension 2m(n+1)).  Each step runs on the
-row kernel of :mod:`fusion_sos.vertex`: it takes the sparse rows of the
-split, applies the inner operator and then the factor locally, multiplies
-by the merge on the left, and reduces once, at the end.  It forms no
-matrix product, and the split rows and merge plan are listed once per
-shape (``_peel_last``).
+row kernel of :mod:`fusion_sos.vertex`: it starts from the packed
+identity, at the width that bounds the step's entries, applies the split,
+then the inner operator and the factor locally, then the merge, and
+unpacks and reduces once, at the end.  It forms no matrix product, and the
+split and merge plans and their entry bound are listed once per shape
+(``_peel_last``).
 
 Its factors are the raw (n,1) operators raw(n, x) = P_n T_n(x) E_n with
 T_n(x) = R_{0a}(x+n-1) ... R_{n-1,a}(x).  For n = 1 that is R(x).  For
@@ -68,10 +69,10 @@ from .exactcore import ExactMatrix, PoleError, kron, mat_mul, rat
 from .vertex import (
     ModelParams,
     _apply_plan,
-    _from_sparse_rows,
     _left_product_plan,
-    _sparse_rows,
     _two_site_plan,
+    _unpack,
+    _width,
     check_ybe_vertex,
     embed_two_site,
     r7v,
@@ -170,15 +171,20 @@ def fuse_nm_unrestricted(n: int, m: int, u: Fraction, params: ModelParams) -> Ex
 @lru_cache(maxsize=None)
 def _peel_last(k: int, outer: int):
     """merge = I_outer (x) P_k (E_{k-1} (x) I) and split = I_outer (x) (P_{k-1} (x) I) E_k
-    as the step of :func:`_fuse_nm` uses them: merge's left-product row plan,
-    split's sparse rows, the product of their denominators and split's width.
-    merge maps Sym_{k-1} (x) C^2 onto Sym_k and split embeds Sym_k back.
+    as the step of :func:`_fuse_nm` uses them: their left-product row plans,
+    the merge-split entry bound (the product of their largest row sums of
+    absolute numerators), the product of their denominators and split's
+    width.  merge maps Sym_{k-1} (x) C^2 onto Sym_k and split embeds Sym_k
+    back.
     """
     big, small, eye = sym_basis(k), sym_basis(k - 1), ExactMatrix.identity(2)
     lift = ExactMatrix.identity(outer)
     merge = kron(lift, mat_mul(big.project, kron(small.embed, eye)))
     split = kron(lift, mat_mul(kron(small.project, eye), big.embed))
-    return _left_product_plan(merge), _sparse_rows(split), merge.denominator * split.denominator, split.cols
+    bound = 1
+    for m in (merge, split):
+        bound *= max(sum(map(abs, row)) for row in m.numerators)
+    return _left_product_plan(merge), _left_product_plan(split), bound, merge.denominator * split.denominator, split.cols
 
 
 def _swap_factors(op: ExactMatrix, d1: int, d2: int) -> ExactMatrix:
@@ -241,12 +247,14 @@ def _fuse_nm(n: int, m: int, u: Fraction, params: ModelParams) -> ExactMatrix:
     op = raw_n1(u - m + 1)
     # With u' = u - m + j: raw(n, j, u') = merge raw(n, 1, u')_{aux j} (raw(n, j-1, u'-1) (x) I) split.
     for j in range(2, m + 1):
-        merge, split, den, ncols = _peel_last(j, n + 1)
+        merge, split, bound, den, ncols = _peel_last(j, n + 1)
         dims, r = (n + 1, j, 2), raw_n1(u - m + j)
-        rows = _apply_plan(_two_site_plan(op, (0, 1), dims), split, ncols)
-        rows = _apply_plan(_two_site_plan(r, (0, 2), dims), rows, ncols)
-        rows = _apply_plan(merge, rows, ncols)
-        op = _from_sparse_rows(rows, den * r.denominator * op.denominator, ncols)
+        w = _width(bound, op, r)
+        rows = _apply_plan(split, [1 << (w * i) for i in range(ncols)])
+        rows = _apply_plan(_two_site_plan(op, (0, 1), dims), rows)
+        rows = _apply_plan(_two_site_plan(r, (0, 2), dims), rows)
+        rows = _apply_plan(merge, rows)
+        op = ExactMatrix._reduced(_unpack(rows, w, ncols), den * r.denominator * op.denominator, ncols)
     # At n = 1, which covers the (1,n) operators the swapped factors reuse, scale is 1.
     return op if scale == 1 else op.scale(1 / scale)
 

@@ -9,15 +9,24 @@ Two-site operators act through one private row kernel, on integer
 numerators.  Its first part is a row plan (:func:`_two_site_plan`): for
 each row of the product space, which input rows a two-site operator
 combines, and with which of its numerators.  Its second part applies a
-plan to sparse rows, lists of (column, numerator) pairs in ascending
-column order with zeros dropped, and does not reduce: the result is over
-the product of the denominators that went in.  So two results made from
-the same denominators are equal exactly when their numerator rows are,
-and no gcd is needed to compare them.  :func:`check_ybe_vertex` compares
-unreduced sides, and the step of :func:`fusion_sos.fusion.fuse_nm` applies
-two two-site plans and the plan of a left product before its one
-reduction.  :func:`embed_two_site` writes a plan's own pairs as the rows of
-the embedding.
+plan to packed rows and does not reduce: the result is over the product
+of the denominators that went in.  A packed row is one Python ``int``,
+the row's integers x_k put in slots of w bits, sum_k x_k 2^(w k)
+(Kronecker substitution), so applying a plan row is one multiply-add of
+whole packed rows per (offset, numerator) pair.  Every caller starts from
+the packed identity, row i = 2^(w i), so the product B of the applied
+plans' largest row sums of absolute numerators bounds every entry, and
+the width is w = B.bit_length() + 1 (:func:`_width`), so 2B < 2^w.  Two
+packed rows with entries bounded by B are then equal exactly when the
+rows are: the lowest nonzero digit of their difference is at most
+2B < 2^w in size, yet it would have to be a nonzero multiple of 2^w for
+the higher digits to cancel it.  So two results made from the same
+denominators are equal exactly when their packed rows are, with no
+unpacking and no gcd.  :func:`check_ybe_vertex` compares unreduced sides
+that way, and the step of :func:`fusion_sos.fusion.fuse_nm` applies the
+plans of two left products and two two-site plans before it unpacks
+(:func:`_unpack`) and reduces once.  :func:`embed_two_site` writes a
+plan's own pairs as the rows of the embedding.
 """
 
 from __future__ import annotations
@@ -108,10 +117,8 @@ def check_degeneracy(params: ModelParams) -> Fraction:
     return c
 
 
-# A sparse row: its nonzero (column, numerator) pairs, in ascending column
-# order.  A row plan: per output row, a base input row and the (offset,
-# numerator) pairs that weight input row base + offset.
-_Rows = list[list[tuple[int, int]]]
+# A row plan: per output row, a base input row and the (offset, numerator)
+# pairs that weight input row base + offset.
 _Plan = list[tuple[int, list[tuple[int, int]]]]
 
 
@@ -123,9 +130,12 @@ def _two_site_plan(op: ExactMatrix, pos: tuple[int, int], dims: tuple[int, ...])
     the entries of ``op`` in row (i_p, i_q).  Its plan entry is the index
     ``base`` of the input row with j_p = j_q = 0 and that rest, and the
     nonzero numerators of the ``op`` row as (offset, numerator) pairs: the
-    input row ``base + offset`` enters with that weight.
+    input row ``base + offset`` enters with that weight.  Positions must be
+    distinct factors, in ``range(len(dims))``.
     """
     p, q = pos
+    if not (0 <= p < len(dims) and 0 <= q < len(dims)):
+        raise ValueError(f"positions {pos} are not factors of a {len(dims)}-factor space")
     if p == q:
         raise ValueError("positions must be distinct")
     if op.rows != op.cols or op.rows != dims[p] * dims[q]:
@@ -143,43 +153,57 @@ def _two_site_plan(op: ExactMatrix, pos: tuple[int, int], dims: tuple[int, ...])
     return plan
 
 
-def _apply_plan(plan: _Plan, rows: _Rows, ncols: int) -> _Rows:
-    """Apply a row plan to sparse integer rows, without reducing.
+def _width(bound: int, *ops: ExactMatrix) -> int:
+    """The slot width w of packed rows that start as the packed identity
+    and pass through the plans of ``ops`` and of other operators whose
+    largest row sums of absolute numerators multiply to ``bound``.
 
-    The result is over the product of the plan's and the rows'
-    denominators.  Its rows are sparse rows again, so equal results are
-    equal lists.
+    B = ``bound`` times each operator's largest row sum bounds every
+    entry, and w = B.bit_length() + 1 makes 2B < 2^w, which the module
+    docstring's equality argument needs.
     """
+    for op in ops:
+        bound *= max(sum(map(abs, row)) for row in op.numerators)
+    return bound.bit_length() + 1
+
+
+def _unpack(packed: list[int], w: int, ncols: int) -> list[list[int]]:
+    """The integer rows of packed rows of slot width w and ncols slots.
+
+    Every entry must be below 2^(w-1) in size.  Adding 2^(w-1) to every
+    slot makes every digit nonnegative and below 2^w, so no slot borrows
+    from the next and each is read off with a shift and a mask.
+    """
+    half, mask = 1 << (w - 1), (1 << w) - 1
+    bias = half * (((1 << (w * ncols)) - 1) // mask)
+    shifts = range(0, w * ncols, w)
     out = []
-    for base, pairs in plan:
-        acc = [0] * ncols
-        for offset, v in pairs:
-            for k, x in rows[base + offset]:
-                acc[k] += v * x
-        out.append([(k, x) for k, x in enumerate(acc) if x])
+    for x in packed:
+        x += bias
+        out.append([(x >> s & mask) - half for s in shifts])
     return out
 
 
-def _sparse_rows(m: ExactMatrix) -> _Rows:
-    """The numerator rows of ``m`` as sparse rows."""
-    return [[(k, x) for k, x in enumerate(row) if x] for row in m.numerators]
+def _apply_plan(plan: _Plan, rows: list[int]) -> list[int]:
+    """Apply a row plan to packed rows, without reducing.
+
+    The result is over the product of the plan's and the rows'
+    denominators, packed at the same width, which must leave room for
+    the entries of the result (:func:`_width`).
+    """
+    out = []
+    for base, pairs in plan:
+        acc = 0
+        for offset, v in pairs:
+            acc += v * rows[base + offset]
+        out.append(acc)
+    return out
 
 
 def _left_product_plan(m: ExactMatrix) -> _Plan:
     """The row plan of the left product by ``m``: output row i weights input
     row j by the numerator of m[i, j]."""
-    return [(0, pairs) for pairs in _sparse_rows(m)]
-
-
-def _from_sparse_rows(rows: _Rows, den: int, ncols: int) -> ExactMatrix:
-    """The matrix with the given sparse numerator rows over den > 0, reduced once."""
-    dense = []
-    for row in rows:
-        acc = [0] * ncols
-        for k, x in row:
-            acc[k] = x
-        dense.append(acc)
-    return ExactMatrix._reduced(dense, den, ncols)
+    return [(0, [(j, x) for j, x in enumerate(row) if x]) for row in m.numerators]
 
 
 def embed_two_site(op: ExactMatrix, pos: tuple[int, int], dims: tuple[int, ...]) -> ExactMatrix:
@@ -191,8 +215,14 @@ def embed_two_site(op: ExactMatrix, pos: tuple[int, int], dims: tuple[int, ...])
     base + offset, over the denominator of ``op``.
     """
     plan = _two_site_plan(op, pos, dims)
-    rows = [[(base + offset, v) for offset, v in pairs] for base, pairs in plan]
-    return _from_sparse_rows(rows, op.denominator, len(plan))
+    total = len(plan)
+    rows = []
+    for base, pairs in plan:
+        row = [0] * total
+        for offset, v in pairs:
+            row[base + offset] = v
+        rows.append(row)
+    return ExactMatrix._reduced(rows, op.denominator, total)
 
 
 def check_ybe_vertex(
@@ -204,19 +234,22 @@ def check_ybe_vertex(
     """Exact test of r12 r13 r23 = r23 r13 r12 on the full product space.
 
     The operators are local: r12 acts on factors (0, 1), r13 on (0, 2) and
-    r23 on (1, 2) of the space with the given dimensions; pass them
+    r23 on (1, 2) of the space with the given three dimensions; pass them
     evaluated at the argument pattern (v, u, u - v).  Each side starts from
-    the sparse identity and applies the row plans of its three factors,
-    rightmost first, with the row kernel of the module docstring.  Neither
-    side is reduced: both are integer rows over the same denominator
-    d12 d13 d23, the product of the operators' denominators, so the sides
-    are equal exactly when their numerator rows are.
+    the packed identity and applies the row plans of its three factors,
+    rightmost first, with the row kernel of the module docstring, at the
+    width both sides share (:func:`_width`).  Neither side is reduced: both
+    are integer rows over the same denominator d12 d13 d23, the product of
+    the operators' denominators, so the sides are equal exactly when their
+    packed rows are.  ``dims`` of another length raise ``ValueError``.
     """
-    total = prod(dims)
+    if len(dims) != 3:
+        raise ValueError(f"the Yang-Baxter check needs three factor dimensions, got {len(dims)}")
     plans = [_two_site_plan(op, pos, dims) for op, pos in ((r12, (0, 1)), (r13, (0, 2)), (r23, (1, 2)))]
-    lhs = rhs = [[(i, 1)] for i in range(total)]
+    w = _width(1, r12, r13, r23)
+    lhs = rhs = [1 << (w * i) for i in range(prod(dims))]
     for plan in reversed(plans):
-        lhs = _apply_plan(plan, lhs, total)
+        lhs = _apply_plan(plan, lhs)
     for plan in plans:
-        rhs = _apply_plan(plan, rhs, total)
+        rhs = _apply_plan(plan, rhs)
     return lhs == rhs

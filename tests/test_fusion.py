@@ -67,9 +67,13 @@ def test_fuse_nm_trivial_case(params):
     assert fuse_nm(1, 1, u, params) == r7v(u, params)
 
 
+@pytest.mark.parametrize("alpha", [Fraction(3, 2), Fraction(1000003, 999983)], ids=str)
 @pytest.mark.parametrize("n,m", [(n, m) for n in range(1, 6) for m in range(1, 7 - n)])
-def test_fuse_nm_matches_dense_definition(n, m, params):
+def test_fuse_nm_matches_dense_definition(n, m, alpha):
     # The restricted recursive build against the literal 2**(n+m) product.
+    # At alpha = 1000003/999983 every step packs its rows in slots of 91 to
+    # 224 bits, so a single entry spans more than one machine word.
+    params = ModelParams(alpha, Fraction(1, 3), Fraction(2, 3))
     bn, bm = sym_basis(n), sym_basis(m)
     left, right = kron(bn.project, bm.project), kron(bn.embed, bm.embed)
     for u in (Fraction(5, 3), Fraction(-11, 4), Fraction(22, 7)):

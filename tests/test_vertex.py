@@ -213,10 +213,12 @@ def test_embed_two_site_matches_kron_reference(data):
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_check_ybe_vertex_is_the_embedded_product_identity(data):
-    """The unreduced sparse check against the definition, whose two sides
+    """The unreduced packed check against the definition, whose two sides
     are products of embedded operators compared as reduced matrices.  The
     three operators have distinct denominators, so the unreduced sides lie
-    over a product of three different ones; most random triples fail."""
+    over a product of three different ones; most random triples fail.
+    Numerators are small, or up to 2^70 in size, so that a packed row spans
+    several machine words and negative entries borrow across slots."""
     dims = tuple(data.draw(st.lists(st.sampled_from((2, 3)), min_size=3, max_size=3)))
     dens = data.draw(st.permutations(range(1, 10)))[:3]
     positions = ((0, 1), (0, 2), (1, 2))
@@ -225,11 +227,12 @@ def test_check_ybe_vertex_is_the_embedded_product_identity(data):
     ops = []
     for (p, q), den in zip(positions, dens):
         size = dims[p] * dims[q]
+        top = data.draw(st.sampled_from((3, 2**70)))
         if scalar:
-            c = data.draw(st.integers(-5, 5).filter(bool))
+            c = data.draw(st.integers(-top, top).filter(bool))
             nums = [[c if i == j else 0 for j in range(size)] for i in range(size)]
         else:
-            nums = [data.draw(st.lists(st.integers(-3, 3), min_size=size, max_size=size)) for _ in range(size)]
+            nums = [data.draw(st.lists(st.integers(-top, top), min_size=size, max_size=size)) for _ in range(size)]
         ops.append(ExactMatrix.from_integers(nums, den))
     assume(len({op.denominator for op in ops}) == 3)
     r12, r13, r23 = (embed_two_site(op, pos, dims) for op, pos in zip(ops, positions))
@@ -253,6 +256,109 @@ def test_embed_two_site_refuses_mismatched_shapes(params_unit):
         embed_two_site(r, (0, 1), (2, 3, 2))
     with pytest.raises(ValueError):
         embed_two_site(r, (1, 1), (2, 2, 2))
+
+
+@pytest.mark.parametrize("pos", [(-1, 0), (0, -1), (0, 3), (3, 1), (-3, 1)], ids=str)
+def test_two_site_positions_outside_the_factors_are_refused(pos, params_unit):
+    # (-3, 1) would pick the same factor twice by negative indexing.
+    with pytest.raises(ValueError, match=r"not factors of a 3-factor space"):
+        embed_two_site(r7v(Fraction(1, 3), params_unit), pos, (2, 2, 2))
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (2, 2, 2, 2), (4,), ()], ids=str)
+def test_check_ybe_vertex_refuses_other_than_three_factors(dims, params_unit):
+    r = r7v(Fraction(1, 3), params_unit)
+    with pytest.raises(ValueError, match=f"three factor dimensions, got {len(dims)}"):
+        check_ybe_vertex(r, r, r, dims)
+
+
+# -- the packed rows of the row kernel -----------------------------------------
+
+
+def pack(row, w):
+    """A packed row by its definition: sum_k row[k] 2^(w k)."""
+    return sum(x << (w * k) for k, x in enumerate(row))
+
+
+BOUNDS = {"1": 1, "2": 2, "3": 3, "7": 7, "8": 8, "255": 255, "2^63-1": 2**63 - 1, "2^64": 2**64, "2^64+1": 2**64 + 1,
+          "3^100": 3**100}
+
+
+def test_width_multiplies_the_largest_row_sums():
+    ops = (ExactMatrix.from_integers([[1, -2], [0, 1]]), ExactMatrix.from_integers([[0, 0], [-5, 0]], 3))
+    assert vertex._width(7) == 4
+    assert vertex._width(7, *ops) == (7 * 3 * 5).bit_length() + 1
+    assert vertex._width(0, *ops) == 1
+
+
+@pytest.mark.parametrize("bound", BOUNDS.values(), ids=list(BOUNDS))
+def test_width_rule_keeps_rows_within_the_bound_apart(bound):
+    """Two rows with entries within B that differ by (2^v, -1) in adjacent
+    columns, v = B.bit_length(), pack to one int at width v, one bit
+    narrower than the rule, and to different ints at the rule's width."""
+    w = vertex._width(bound)
+    narrow = bound.bit_length()
+    assert w == narrow + 1
+    half = 1 << (narrow - 1)
+    assert half <= bound
+    lhs, rhs = [0, half, 0, -bound], [0, -half, 1, -bound]
+    assert pack(lhs, narrow) == pack(rhs, narrow)
+    assert pack(lhs, w) != pack(rhs, w)
+
+
+# Pairs (a, c) with a c != c a whose products agree in every row once packed
+# at width 2: one row of a c - c a is (-4, 1, 0) or (0, 4, -1), and packs to 0.
+NARROW_PAIRS = {
+    # Entries within B = 3: the rule's width is 3, one bit fewer is 2.
+    "one-bit-narrower": ([[0, 0, 0], [0, 0, 0], [1, 0, 0]], [[-2, 1, 0], [0, 0, 0], [0, 0, 2]]),
+    # Largest row sums 2 and 2 but largest entries 1: the rule's width is 4,
+    # a bound made of the largest entries would give 2.
+    "largest-entries": ([[0, 1, -1], [0, -1, 0], [0, 0, -1]], [[-1, 1, 0], [0, 1, 0], [0, -1, 0]]),
+}
+
+
+@pytest.mark.parametrize("pair", NARROW_PAIRS)
+@pytest.mark.parametrize("swap", [False, True], ids=["ac", "ca"])
+@pytest.mark.parametrize("dims", [(3, 1, 1), (1, 3, 1), (1, 1, 3)], ids=str)
+def test_check_ybe_vertex_is_not_fooled_by_a_narrow_width(pair, swap, dims):
+    """With two factors of dimension 1 the check compares x y with y x on
+    C^3, x and y the operators on the factor of dimension 3 in the order
+    r12, r13, r23.  Each placement puts c, whose row sums a too narrow
+    bound would leave out, in another slot."""
+    a, c = (ExactMatrix.from_integers(m) for m in NARROW_PAIRS[pair])
+    x, y = (c, a) if swap else (a, c)
+    lhs, rhs = mat_mul(x, y).numerators, mat_mul(y, x).numerators
+    assert lhs != rhs
+    assert [pack(row, 2) for row in lhs] == [pack(row, 2) for row in rhs]
+    one = ExactMatrix.identity(1)
+
+    def placed(x, y):
+        return {(3, 1, 1): (x, y, one), (1, 3, 1): (x, one, y), (1, 1, 3): (one, x, y)}[dims]
+
+    assert not check_ybe_vertex(*placed(x, y), dims)
+    assert check_ybe_vertex(*placed(x, x), dims)
+
+
+@pytest.mark.parametrize("bound", BOUNDS.values(), ids=list(BOUNDS))
+def test_pack_unpack_round_trip_at_the_slot_limits(bound):
+    # Entries +-(2^(w-1) - 1), the largest a slot holds, next to zeros and +-1.
+    w = vertex._width(bound)
+    top = (1 << (w - 1)) - 1
+    assert top >= bound
+    rows = [[top, -top, 0, -top, top], [-top] * 5, [top] * 5, [0, 0, 0, 0, -top], [1, -1, top, -1, 0], [0] * 5]
+    assert vertex._unpack([pack(row, w) for row in rows], w, 5) == rows
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_packing_is_injective_within_the_bound(data):
+    bound = data.draw(st.one_of(st.integers(1, 9), st.integers(1, 2**200)))
+    ncols = data.draw(st.integers(1, 6))
+    w = vertex._width(bound)
+    entries = st.lists(st.integers(-bound, bound), min_size=ncols, max_size=ncols)
+    a, b = data.draw(entries), data.draw(entries)
+    assert vertex._unpack([pack(a, w), pack(b, w)], w, ncols) == [a, b]
+    assert (pack(a, w) == pack(b, w)) is (a == b)
 
 
 # -- the adjacency rule --------------------------------------------------------
