@@ -19,7 +19,8 @@ summed two independent ways, and each route is the other's oracle:
 The enumerations assign one edge state or height at a time in a fixed
 order.  Each vertex or face factor is applied at the depth where its last
 variable is assigned, and a subtree is pruned at the first zero factor (a
-zero entry of R, a non-adjacent pair of heights, a vanishing face weight).
+zero entry of R, a non-adjacent pair of heights, a vanishing face weight);
+a face weight is taken only behind the adjacency of its four edges.
 They stay exhaustive: every configuration with a nonzero weight is visited.
 The sizes stay small because the enumerations still grow exponentially in
 the number of sites and the transfer matrices in the row length.  Commuting
@@ -59,7 +60,7 @@ from itertools import product
 
 from .exactcore import ExactMatrix, ScalarLike, mat_mul, rat, trace_product
 from .fusion import check_fusion_orders, fuse_nm
-from .sos import _face_weight_at, _over_common_denominator, check_weight_domain
+from .sos import _over_common_denominator, _w_nm_sum_at, check_weight_domain
 from .vertex import ModelParams, up_steps
 
 
@@ -254,8 +255,9 @@ def _height_transfer(
 ) -> ExactMatrix:
     """T[s, s'] = product over i of the face weight with top corners s_i,
     s_{i+1} and bottom corners s'_i, s'_{i+1}; zero at the first
-    non-m-adjacent corner pair or vanishing face.  The spectral point is put
-    over one denominator once, for every face weight of the matrix."""
+    non-m-adjacent corner pair or vanishing face; the rows are n-adjacent, so
+    every face weighed is admissible.  The spectral point is put over one
+    denominator once, for every face weight of the matrix."""
     n, m, N = spec.n, spec.m, spec.N
     d, du, dw = _over_common_denominator(spec.u, params.w)
 
@@ -265,7 +267,7 @@ def _height_transfer(
         weight = Fraction(1)
         for i in range(N):
             k = (i + 1) % N
-            weight *= _face_weight_at(n, m, s[i], s[k], t[i], t[k], d, du, dw)
+            weight *= _w_nm_sum_at(n, m, s[i], s[k], t[i], t[k], d, du, dw)
             if weight == 0:
                 break
         return weight
@@ -376,10 +378,11 @@ def partition_sos(
     and M).  The height lattice is unbounded, so the sum is over the window
     [lo, hi] and the result is reported as window-dependent.  Heights are
     assigned in raster order h(0, 0), h(0, 1), ...; each neighbouring pair
-    is checked for adjacency once both are set, and each face weight is
-    taken once its last corner is set, at the one spectral point put over one
-    denominator before the sum.  Integer w, outside the domain of the face
-    weights, is refused before any height is assigned.
+    is checked for adjacency once both are set, before any face weight at
+    that depth, and each face weight is taken once its last corner is set,
+    at the one spectral point put over one denominator before the sum.
+    Integer w, outside the domain of the face weights, is refused before
+    any height is assigned.
     """
     check_weight_domain(params)
     lo, hi = state_range
@@ -396,7 +399,7 @@ def partition_sos(
         a, b, bp, c = site(i, j), site(i + 1, j), site(i, j + 1), site(i + 1, j + 1)
 
         def weight(x):
-            return _face_weight_at(n, m, x[a], x[b], x[bp], x[c], d, du, dw)
+            return _w_nm_sum_at(n, m, x[a], x[b], x[bp], x[c], d, du, dw)
 
         return (a, b, bp, c), weight
 

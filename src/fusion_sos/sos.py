@@ -43,9 +43,10 @@ A spectral point is put over its denominator once, by whoever holds it:
 sum of :mod:`fusion_sos.lattice` has one.  The sum route keeps one cache,
 :func:`_w_nm_sum_at`, keyed on nine ints, the face and (D, D u, D w): no
 ``Fraction`` is hashed, and one point has one key however u and w were
-written.  The face-model Yang-Baxter check sums each side as an integer
-numerator over an integer denominator and compares the two sides by
-cross-multiplying.
+written.  It tests no edge: adjacency is decided where faces are
+enumerated, for the face Yang-Baxter sums in one list, :func:`_ybe_terms`.
+The exact check sums each side as an integer numerator over an integer
+denominator and compares the two sides by cross-multiplying.
 """
 
 from __future__ import annotations
@@ -221,7 +222,9 @@ def _w_nm_sum_at(n: int, m: int, a: int, b: int, bp: int, c: int, d: int, du: in
     """The sum-route weight of an admissible face at u = du/d and w = dw/d,
     where (d, du, dw) is :func:`_over_common_denominator` of (u, w): the
     cache key is nine ints, and one spectral point has one key however its
-    u and w were written."""
+    u and w were written.  The face is not tested: :func:`w_nm_sum` tests
+    its query, :func:`_ybe_terms` lists admissible faces only, and the
+    height-lattice routes build their faces from adjacent heights."""
     # Every theta and ladder factor is held as D times its value.
     h = d // 2
     mu = b - c
@@ -237,14 +240,11 @@ def _w_nm_sum_at(n: int, m: int, a: int, b: int, bp: int, c: int, d: int, du: in
     if x == 0:
         raise PoleError("a + w vanished")
     total_num, total_den = 0, 1
-    for sig in range(-m_minus, m_minus + 1, 2):
+    # The drifts with 0 <= kp <= m_- and 0 <= rp <= m_+, all of the parity of m_-.
+    for sig in range(max(-m_minus, mu_prime - m_plus), min(m_minus, mu_prime + m_plus) + 1, 2):
         kp = (m_minus + sig) // 2
         km = (m_minus - sig) // 2
-        t_shift = mu_prime - sig
-        rp2 = m_plus + t_shift
-        if rp2 % 2 or rp2 < 0 or rp2 > 2 * m_plus:
-            continue
-        rp = rp2 // 2
+        rp = (m_plus + mu_prime - sig) // 2
         rm = m_plus - rp
         th5 = du + (n - nu - sig - m_minus) * h
         th6 = (c + mu) * d - (n - nu - sig + m_minus) * h + dw
@@ -273,19 +273,13 @@ def _w_nm_sum_at(n: int, m: int, a: int, b: int, bp: int, c: int, d: int, du: in
     return Fraction(total_num, total_den * d ** (m_plus + m_minus))
 
 
-def _face_weight_at(n: int, m: int, a: int, b: int, bp: int, c: int, d: int, du: int, dw: int) -> Fraction:
-    """The sum-route weight at a spectral point put over one denominator
-    once by the caller, for callers that checked the domain on entry: zero
-    off adjacency, else the cached :func:`_w_nm_sum_at`."""
-    if not _admissible(n, m, a, b, bp, c):
-        return Fraction(0)
-    return _w_nm_sum_at(n, m, a, b, bp, c, d, du, dw)
-
-
 def w_nm_sum(q: WeightQuery, params: ModelParams) -> Fraction:
-    """General (n, m) face weight as a single sum over intermediate height drift."""
+    """General (n, m) face weight as a single sum over intermediate height
+    drift: zero off adjacency, else the cached :func:`_w_nm_sum_at`."""
     check_weight_domain(params)
-    return _face_weight_at(q.n, q.m, q.a, q.b, q.bprime, q.c, *_over_common_denominator(q.u, params.w))
+    if not q.is_valid():
+        return Fraction(0)
+    return _w_nm_sum_at(q.n, q.m, q.a, q.b, q.bprime, q.c, *_over_common_denominator(q.u, params.w))
 
 
 def _gamma_ratio(top: int, bottom: int, d: int) -> tuple[int, int]:
@@ -426,40 +420,51 @@ def w_nm_hypergeometric(q: WeightQuery, params: ModelParams) -> Fraction:
 
 
 def _g_range(*constraints: tuple[int, int]) -> range:
-    lo = max(center - reach for center, reach in constraints)
-    hi = min(center + reach for center, reach in constraints)
-    return range(lo, hi + 1)
+    """The g adjacent at distance ``reach`` to each ``centre``, of one parity."""
+    if len({(centre + reach) % 2 for centre, reach in constraints}) > 1:
+        return range(0)
+    lo = max(centre - reach for centre, reach in constraints)
+    hi = min(centre + reach for centre, reach in constraints)
+    return range(lo, hi + 1, 2)
 
 
-def _sum_of_products(terms) -> tuple[int, int]:
-    """The sum of x y z over the (x, y, z) of ``terms``, as an integer
-    numerator over an integer denominator, with no gcd taken."""
-    num, den = 0, 1
-    for x, y, z in terms:
-        top = x.numerator * y.numerator * z.numerator
-        if top:
-            bottom = x.denominator * y.denominator * z.denominator
-            num, den = num * bottom + top * den, den * bottom
-    return num, den
-
-
-def _ybe_sides(k, n, l, u, v, wspec, boundary, w) -> tuple[tuple[int, int], tuple[int, int]]:
-    """Both sides of the face Yang-Baxter identity as (numerator,
-    denominator) pairs.  Each of the three spectral points is put over one
-    denominator once, and a term whose first factor is 0 is skipped."""
+def _ybe_terms(k, n, l, boundary, points):
+    """Both sides' terms of the face Yang-Baxter identity at the boundary
+    (a, b, c, d, e, f): lists of (g, three (face, point) pairs), a face being
+    the arguments of :func:`_admissible` and its point the entry of
+    ``points`` = (v - wspec, u - wspec, u - v) for its orders (k, n), (k, l)
+    or (n, l).  Each hexagon edge lies on one face of every term, so it is
+    checked once; g steps over the heights adjacent to its three neighbours.
+    So every listed face is admissible."""
     a, b, c, d, e, f = boundary
-    vw, uw, uv = (_over_common_denominator(x, w) for x in (v - wspec, u - wspec, u - v))
-    lhs = _sum_of_products(
-        (x, _face_weight_at(k, l, a, b, f, g, *uw), _face_weight_at(n, l, b, c, g, d, *uv))
-        for g in _g_range((f, k), (d, n), (b, l))
-        if (x := _face_weight_at(k, n, f, g, e, d, *vw))
+    hexagon = ((a, b, k), (b, c, n), (c, d, l), (d, e, k), (e, f, n), (f, a, l))
+    if any(up_steps(x, y, r) is None for x, y, r in hexagon):
+        return [], []
+    kn, kl, nl = points
+    lhs, rhs = _g_range((f, k), (d, n), (b, l)), _g_range((a, n), (c, k), (e, l))
+    return (
+        [(g, (((k, n, f, g, e, d), kn), ((k, l, a, b, f, g), kl), ((n, l, b, c, g, d), nl))) for g in lhs],
+        [(g, (((n, l, a, g, f, e), nl), ((k, l, g, c, e, d), kl), ((k, n, a, b, g, c), kn))) for g in rhs],
     )
-    rhs = _sum_of_products(
-        (x, _face_weight_at(k, l, g, c, e, d, *uw), _face_weight_at(k, n, a, b, g, c, *vw))
-        for g in _g_range((a, n), (c, k), (e, l))
-        if (x := _face_weight_at(n, l, a, g, f, e, *uv))
-    )
-    return lhs, rhs
+
+
+def _ybe_sides(k, n, l, u, v, wspec, boundary, w) -> tuple[tuple[int, int], ...]:
+    """Both sides of the face Yang-Baxter identity, over the terms of
+    :func:`_ybe_terms`, as integer numerators over integer denominators with
+    no gcd taken.  Each of the three spectral points is put over one
+    denominator once, and a term whose first factor is 0 is skipped."""
+    points = tuple(_over_common_denominator(x, w) for x in (v - wspec, u - wspec, u - v))
+    sides = []
+    for terms in _ybe_terms(k, n, l, boundary, points):
+        num, den = 0, 1
+        for _, ((face1, p1), (face2, p2), (face3, p3)) in terms:
+            if x := _w_nm_sum_at(*face1, *p1):
+                y, z = _w_nm_sum_at(*face2, *p2), _w_nm_sum_at(*face3, *p3)
+                if top := x.numerator * y.numerator * z.numerator:
+                    bottom = x.denominator * y.denominator * z.denominator
+                    num, den = num * bottom + top * den, den * bottom
+        sides.append((num, den))
+    return tuple(sides)
 
 
 def check_ybe_sos(
@@ -474,12 +479,12 @@ def check_ybe_sos(
 ) -> bool:
     """Exact face-weight Yang-Baxter identity for the boundary (a, b, c, d, e, f).
 
-    Both sides are finite sums over the internal height g; adjacency makes
-    all out-of-range terms vanish, so empty sums compare as 0 = 0.  Each
-    side is summed as an integer numerator over an integer denominator, and
-    the two are compared by cross-multiplying.  Integer w is refused on
-    entry (:func:`check_weight_domain`), even where both sums are empty, as
-    on every other weight route.
+    Both sides are sums over the terms of :func:`_ybe_terms`; an inadmissible
+    hexagon has none, so its empty sums compare as 0 = 0, with no weight
+    evaluated.  Each side is summed as an integer numerator over an integer
+    denominator, and the two are compared by cross-multiplying.  Integer w
+    is refused on entry (:func:`check_weight_domain`), even where both sums
+    are empty, as on every other weight route.
     """
     check_weight_domain(params)
     (lhs, lhs_den), (rhs, rhs_den) = _ybe_sides(k, n, l, rat(u), rat(v), rat(wspec), boundary, params.w)
@@ -489,9 +494,9 @@ def check_ybe_sos(
 def sample_admissible_boundary(k: int, n: int, l: int, rng, spread: int = 3):
     """Random boundary labels satisfying every outer adjacency constraint.
 
-    Retries until at least one side of the face identity has a term whose
-    three faces (those of :func:`_ybe_sides`) are all admissible, so the
-    returned tuple exercises the identity nontrivially.
+    Retries until at least one side of the face identity has a term
+    (:func:`_ybe_terms`), so the returned tuple exercises the identity
+    nontrivially.
     """
     while True:
         a = rng.randint(-spread, spread)
@@ -500,15 +505,7 @@ def sample_admissible_boundary(k: int, n: int, l: int, rng, spread: int = 3):
         d = c - rng.choice(range(-l, l + 1, 2))
         f = a - rng.choice(range(-l, l + 1, 2))
         e = f - rng.choice(range(-n, n + 1, 2))
-        if up_steps(d, e, k) is None:
-            continue
-        if any(
-            _admissible(k, n, f, g, e, d) and _admissible(k, l, a, b, f, g) and _admissible(n, l, b, c, g, d)
-            for g in _g_range((f, k), (d, n), (b, l))
-        ) or any(
-            _admissible(n, l, a, g, f, e) and _admissible(k, l, g, c, e, d) and _admissible(k, n, a, b, g, c)
-            for g in _g_range((a, n), (c, k), (e, l))
-        ):
+        if any(_ybe_terms(k, n, l, (a, b, c, d, e, f), (None, None, None))):
             return (a, b, c, d, e, f)
 
 
@@ -568,19 +565,12 @@ def sos_ybe_residual_gauge(
     ``g_min`` restricts the internal height (used to drop the terms that
     leave the nonnegative-height model when w approaches 1).
     """
-    a, b, c, d, e, f = boundary
-
-    def weight(aa, bb, bbp, cc, uu):
-        return gauge_w11_float(aa, bb, bbp, cc, uu, w)
-
-    lhs = 0.0
-    for g in _g_range((f, 1), (d, 1), (b, 1)):
-        if g_min is not None and g < g_min:
-            continue
-        lhs += weight(f, g, e, d, v - wspec) * weight(a, b, f, g, u - wspec) * weight(b, c, g, d, u - v)
-    rhs = 0.0
-    for g in _g_range((a, 1), (c, 1)):
-        if g_min is not None and g < g_min:
-            continue
-        rhs += weight(a, g, f, e, u - v) * weight(g, c, e, d, u - wspec) * weight(a, b, g, c, v - wspec)
-    return abs(lhs - rhs)
+    sides = [0.0, 0.0]
+    for i, terms in enumerate(_ybe_terms(1, 1, 1, boundary, (v - wspec, u - wspec, u - v))):
+        for g, faces in terms:
+            if g_min is None or g >= g_min:
+                term = 1.0
+                for face, point in faces:
+                    term *= gauge_w11_float(*face[2:], point, w)
+                sides[i] += term
+    return abs(sides[0] - sides[1])

@@ -131,13 +131,15 @@ def _two_site_plan(op: ExactMatrix, pos: tuple[int, int], dims: tuple[int, ...])
     ``base`` of the input row with j_p = j_q = 0 and that rest, and the
     nonzero numerators of the ``op`` row as (offset, numerator) pairs: the
     input row ``base + offset`` enters with that weight.  Positions must be
-    distinct factors, in ``range(len(dims))``.
+    distinct factors, in ``range(len(dims))``, all of dimension at least 1.
     """
     p, q = pos
     if not (0 <= p < len(dims) and 0 <= q < len(dims)):
         raise ValueError(f"positions {pos} are not factors of a {len(dims)}-factor space")
     if p == q:
         raise ValueError("positions must be distinct")
+    if min(dims) < 1:
+        raise ShapeMismatchError(f"factor dimensions must be at least 1, got {dims}")
     if op.rows != op.cols or op.rows != dims[p] * dims[q]:
         raise ShapeMismatchError("operator does not match the selected factors")
     sp, sq = prod(dims[p + 1 :]), prod(dims[q + 1 :])

@@ -2,13 +2,14 @@ import random
 from collections import Counter
 from fractions import Fraction
 from itertools import product
+from math import comb
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fusion_sos
-from fusion_sos import correspondence, exactcore, polyrep, sos
+from fusion_sos import correspondence, exactcore, lattice, polyrep, sos
 from fusion_sos.correspondence import solve_weights_from_relation
 from fusion_sos.exactcore import DegeneratePointError, SingularMatrixError, lagrange_interpolate
 from fusion_sos.sos import (
@@ -295,9 +296,10 @@ class TestSosYbe:
 
     def test_integer_sums_match_fraction_sums(self, params):
         """Both integer sides equal the Fraction sums of w_nm_sum over every g
-        within reach of the boundary, at about 200 boundaries: admissible
-        ones, random labels with empty internal-height ranges, and ranges
-        whose faces are all zero."""
+        within reach of the boundary, at about 200 boundaries: random labels,
+        most of them without terms (:func:`sos._ybe_terms`), and admissible
+        ones, half of them at u = wspec, where the (k, l) faces sit at
+        spectral parameter 0 and both sides often vanish."""
         rng = random.Random(65)
         kinds = Counter()
         for i in range(200):
@@ -307,13 +309,14 @@ class TestSosYbe:
             else:
                 bd = tuple(rng.randint(-4, 4) for _ in range(6))
             u, v, wsp = rand_rat(rng), rand_rat(rng), rand_rat(rng)
+            if i % 4 == 3:
+                wsp = u
             (lhs, lhs_den), (rhs, rhs_den) = sos._ybe_sides(k, n, l, u, v, wsp, bd, params.w)
             ref_lhs, ref_rhs = _fraction_sides(k, n, l, u, v, wsp, bd, params)
             assert (Fraction(lhs, lhs_den), Fraction(rhs, rhs_den)) == (ref_lhs, ref_rhs), (k, n, l, bd)
             assert check_ybe_sos(k, n, l, u, v, wsp, bd, params) == (ref_lhs == ref_rhs)
-            a, b, c, d, e, f = bd
-            ranges = sos._g_range((f, k), (d, n), (b, l)), sos._g_range((a, n), (c, k), (e, l))
-            kinds["empty" if not any(ranges) else "zero" if ref_lhs == ref_rhs == 0 else "nonzero"] += 1
+            terms = sos._ybe_terms(k, n, l, bd, (None, None, None))
+            kinds["empty" if not any(terms) else "zero" if ref_lhs == ref_rhs == 0 else "nonzero"] += 1
         assert min(kinds["empty"], kinds["zero"], kinds["nonzero"]) >= 10, kinds
 
     def test_one_denominator_per_spectral_point(self, params, monkeypatch):
@@ -343,6 +346,153 @@ class TestSosYbe:
                 1, 1, 1, Fraction(1, 3), Fraction(1, 5), Fraction(1, 7),
                 (0, 0, 10, 10, 0, 0), ModelParams(1, Fraction(1, 2), Fraction(3, 2)),
             )
+
+
+def _g_range_without_parity(*constraints):
+    """Mutant of sos._g_range: every g within reach, of either parity."""
+    lo = max(centre - reach for centre, reach in constraints)
+    hi = min(centre + reach for centre, reach in constraints)
+    return range(lo, hi + 1)
+
+
+def _ybe_terms_without_hexagon(k, n, l, boundary, points):
+    """Mutant of sos._ybe_terms: the same terms, with no check of the
+    boundary hexagon."""
+    a, b, c, d, e, f = boundary
+    kn, kl, nl = points
+    lhs = [
+        (g, (((k, n, f, g, e, d), kn), ((k, l, a, b, f, g), kl), ((n, l, b, c, g, d), nl)))
+        for g in sos._g_range((f, k), (d, n), (b, l))
+    ]
+    rhs = [
+        (g, (((n, l, a, g, f, e), nl), ((k, l, g, c, e, d), kl), ((k, n, a, b, g, c), kn)))
+        for g in sos._g_range((a, n), (c, k), (e, l))
+    ]
+    return lhs, rhs
+
+
+def _residual_two_loops(u, v, wspec, boundary, w, g_min=None):
+    """Reference: the float face-YBE residual of the gauge family as two
+    loops over every internal height within reach, each weight testing
+    its own adjacency."""
+    a, b, c, d, e, f = boundary
+
+    def weight(aa, bb, bbp, cc, uu):
+        return gauge_w11_float(aa, bb, bbp, cc, uu, w)
+
+    lhs = 0.0
+    for g in _g_range_without_parity((f, 1), (d, 1), (b, 1)):
+        if g_min is not None and g < g_min:
+            continue
+        lhs += weight(f, g, e, d, v - wspec) * weight(a, b, f, g, u - wspec) * weight(b, c, g, d, u - v)
+    rhs = 0.0
+    for g in _g_range_without_parity((a, 1), (c, 1)):
+        if g_min is not None and g < g_min:
+            continue
+        rhs += weight(a, g, f, e, u - v) * weight(g, c, e, d, u - wspec) * weight(a, b, g, c, v - wspec)
+    return abs(lhs - rhs)
+
+
+class TestAdmissibleByConstruction:
+    """The sum-route cache entry point tests no edge: every caller hands it
+    admissible faces only, by how it enumerates them."""
+
+    TRIPLES = [(1, 1, 1), (2, 1, 1), (1, 2, 1), (2, 2, 1), (1, 2, 2), (3, 1, 2)]
+
+    @staticmethod
+    def _spy(monkeypatch):
+        """Install, at both binding sites, a wrapper of _w_nm_sum_at that
+        refuses an inadmissible face; return the list of faces it saw."""
+        weight, seen = sos._w_nm_sum_at, []
+
+        def spy(*key):
+            assert sos._admissible(*key[:6]), f"inadmissible face {key[:6]}"
+            seen.append(key[:6])
+            return weight(*key)
+
+        monkeypatch.setattr(sos, "_w_nm_sum_at", spy)
+        monkeypatch.setattr(lattice, "_w_nm_sum_at", spy)
+        return seen
+
+    def _face_ybe(self, seen, params):
+        """check_ybe_sos on sampled boundaries and on random six-tuples; a
+        six-tuple without terms evaluates no weight and compares 0 = 0."""
+        rng = random.Random(67)
+        for i in range(120):
+            k, n, l = rng.choice(self.TRIPLES)
+            if i % 2:
+                bd = sample_admissible_boundary(k, n, l, rng)
+            else:
+                bd = tuple(rng.randint(-4, 4) for _ in range(6))
+            u, v, wsp = rand_rat(rng), rand_rat(rng), rand_rat(rng)
+            before = len(seen)
+            holds = check_ybe_sos(k, n, l, u, v, wsp, bd, params)
+            if not any(sos._ybe_terms(k, n, l, bd, (None, None, None))):
+                assert holds and len(seen) == before, bd
+
+    def test_face_ybe_weighs_admissible_faces_only(self, params, monkeypatch):
+        seen = self._spy(monkeypatch)
+        self._face_ybe(seen, params)
+        assert len(seen) > 400
+
+    def test_weight_and_lattice_routes_weigh_admissible_faces_only(self, params, monkeypatch):
+        seen = self._spy(monkeypatch)
+        rng = random.Random(68)
+        for n, m in product((1, 2, 3), repeat=2):
+            for _ in range(10):
+                q = WeightQuery(n, m, *(rng.randint(-3, 3) for _ in range(4)), U)
+                value = w_nm_sum(q, params)
+                assert q.is_valid() or value == 0
+        shapes = [((2, 2, 2, 1), (-2, 2)), ((1, 2, 2, 2), (-2, 2)), ((3, 2, 2, 1), (-1, 1)), ((2, 3, 1, 2), (-1, 1))]
+        for shape, window in shapes:
+            spec = lattice.LatticeSpec(*shape, U)
+            before = len(seen)
+            enumerated = lattice.partition_sos(spec, window, params)
+            assert len(seen) > before
+            before = len(seen)
+            assert lattice.partition_sos_transfer(spec, window, params) == enumerated
+            assert len(seen) > before
+
+    @pytest.mark.parametrize(
+        "name, mutant",
+        [("_g_range", _g_range_without_parity), ("_ybe_terms", _ybe_terms_without_hexagon)],
+        ids=["g without parity", "terms without hexagon check"],
+    )
+    def test_mutant_term_lists_are_caught(self, name, mutant, params, monkeypatch):
+        """A term list that lets an inadmissible face through, by either
+        mutant, trips the spy on the same boundaries."""
+        seen = self._spy(monkeypatch)
+        monkeypatch.setattr(sos, name, mutant)
+        with pytest.raises(AssertionError, match="inadmissible face"):
+            self._face_ybe(seen, params)
+
+    def test_drift_loop_steps_over_the_admissible_drifts(self, monkeypatch):
+        """On all 3,416 admissible faces with n, m <= 4 and |a| <= 3, the
+        drift loop runs over exactly the drifts sig whose ladder lengths
+        kp and rp lie in [0, m_-] and [0, m_+], in increasing order: 4,606
+        terms, where the full parity-stepped range [-m_-, m_-] has 8,575.
+        Each term takes comb(m_-, kp) and comb(m_+, rp), so they are read
+        off a spy on comb."""
+        taken = []
+        monkeypatch.setattr(sos, "comb", lambda top, k: taken.append((top, k)) or comb(top, k))
+        point = sos._over_common_denominator(U, Fraction(1, 2))
+        faces = terms = full = 0
+        for n, m, a in product(range(1, 5), range(1, 5), range(-3, 4)):
+            for b in range(a - n, a + n + 1, 2):
+                for c in range(b - m, b + m + 1, 2):
+                    for bp in range(c - n, c + n + 1, 2):
+                        if not sos._admissible(n, m, a, b, bp, c):
+                            continue
+                        m_plus, m_minus = (m - b + c) // 2, (m + b - c) // 2
+                        drifts = [s for s in range(-m_minus, m_minus + 1, 2) if 0 <= m_plus + bp - a - s <= 2 * m_plus]
+                        taken.clear()
+                        sos._w_nm_sum_at.__wrapped__(n, m, a, b, bp, c, *point)
+                        expected = []
+                        for s in drifts:
+                            expected += [(m_minus, (m_minus + s) // 2), (m_plus, (m_plus + bp - a - s) // 2)]
+                        assert taken == expected, (n, m, a, b, bp, c)
+                        faces, terms, full = faces + 1, terms + len(drifts), full + m_minus + 1
+        assert (faces, terms, full) == (3416, 4606, 8575)
 
 
 class TestGaugeModel:
@@ -381,6 +531,32 @@ class TestGaugeModel:
             bd = tuple(x + 5 for x in sample_admissible_boundary(1, 1, 1, rng, spread=2))
             res = sos_ybe_residual_gauge(0.37, 0.81, 0.13, bd, 0.7)
             assert res < 1e-9
+
+    def test_residual_equals_the_two_loops_bit_for_bit(self):
+        """On admissible boundaries the residual over the shared term list
+        is the float the two loops over every g within reach gave, with
+        and without g_min."""
+        rng = random.Random(72)
+        for _ in range(40):
+            bd = tuple(x + 5 for x in sample_admissible_boundary(1, 1, 1, rng, spread=2))
+            u, v, wsp = (rng.uniform(-1, 1) for _ in range(3))
+            for w in (0.7, 1.6):
+                for g_min in (None, min(bd), bd[1]):
+                    got = sos_ybe_residual_gauge(u, v, wsp, bd, w, g_min)
+                    assert got.hex() == _residual_two_loops(u, v, wsp, bd, w, g_min).hex()
+        for w in (1 + 1e-6, 1 - 1e-6):
+            for bd in ((1, 0, 1, 0, 1, 0), (0, 1, 0, 1, 0, 1)):
+                got = sos_ybe_residual_gauge(0.4, 0.2, 0.1, bd, w, g_min=0)
+                assert got.hex() == _residual_two_loops(0.4, 0.2, 0.1, bd, w, 0).hex()
+
+    def test_residual_vanishes_on_a_non_admissible_hexagon(self):
+        """f = 3 and a = 0 are not adjacent, so neither side has a term;
+        the two loops raised there, from a negative radicand of a face of a
+        term that cannot contribute."""
+        bd = (0, 1, 0, 1, 0, 3)
+        assert sos_ybe_residual_gauge(0.37, 0.81, 0.13, bd, 0.7) == 0.0
+        with pytest.raises(ValueError, match="negative radicand"):
+            _residual_two_loops(0.37, 0.81, 0.13, bd, 0.7)
 
     def test_w_to_one_degeneration(self):
         for wval in (1 + 1e-6, 1 - 1e-6):

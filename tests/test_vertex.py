@@ -265,6 +265,18 @@ def test_two_site_positions_outside_the_factors_are_refused(pos, params_unit):
         embed_two_site(r7v(Fraction(1, 3), params_unit), pos, (2, 2, 2))
 
 
+@pytest.mark.parametrize("low", [0, -1])
+def test_factor_dimensions_below_one_are_refused(low, params_unit):
+    """An empty or negative factor is refused, not embedded as a 0 x 0
+    matrix, and check_ybe_vertex refuses it with the same exception type
+    as an operator of the wrong shape."""
+    r = r7v(Fraction(1, 3), params_unit)
+    with pytest.raises(ShapeMismatchError, match="at least 1"):
+        embed_two_site(r, (1, 2), (low, 2, 2))
+    with pytest.raises(ShapeMismatchError):
+        check_ybe_vertex(r, r, r, (low, 2, 2))
+
+
 @pytest.mark.parametrize("dims", [(2, 2), (2, 2, 2, 2), (4,), ()], ids=str)
 def test_check_ybe_vertex_refuses_other_than_three_factors(dims, params_unit):
     r = r7v(Fraction(1, 3), params_unit)
