@@ -33,7 +33,9 @@ identity, at the width that bounds the step's entries, applies the split,
 then the inner operator and the factor locally, then the merge, and
 unpacks and reduces once, at the end.  It forms no matrix product, and the
 split and merge plans and their entry bound are listed once per shape
-(``_peel_last``).
+(``_peel_last``).  The last step also folds in the normalization below:
+it multiplies its integer rows by the denominator of 1/scale and its
+denominator by the numerator, so that one reduction gives the result.
 
 Its factors are the raw (n,1) operators raw(n, x) = P_n T_n(x) E_n with
 T_n(x) = R_{0a}(x+n-1) ... R_{n-1,a}(x).  For n = 1 that is R(x).  For
@@ -50,10 +52,11 @@ and by 6 leaves P_n and E_n alone.
 The (1,n) operator carries no normalization (fusion_scalar(1, u) = 1), so
 the build needs no other recursion.
 
-The result is divided once by prod_{j<m} fusion_scalar(n, u-j).  The
-restriction uses the unnormalized monomial basis, so the matrices here
-agree entrywise with the difference-operator realization in
-:mod:`fusion_sos.polyrep` without any diagonal gauge.
+The result is divided once by scale = prod_{j<m} fusion_scalar(n, u-j):
+for m >= 2 inside the last step's reduction, for m = 1 by one
+``ExactMatrix.scale``.  The restriction uses the unnormalized monomial
+basis, so the matrices here agree entrywise with the difference-operator
+realization in :mod:`fusion_sos.polyrep` without any diagonal gauge.
 """
 
 from __future__ import annotations
@@ -229,7 +232,14 @@ def fuse_nm(n: int, m: int, u: Fraction, params: ModelParams) -> ExactMatrix:
 
 @lru_cache(maxsize=None)
 def _fuse_nm(n: int, m: int, u: Fraction, params: ModelParams) -> ExactMatrix:
-    """:func:`fuse_nm` for orders already checked, cached per argument tuple."""
+    """:func:`fuse_nm` for orders already checked, cached per argument tuple.
+
+    For m >= 2 the last step folds 1/scale into its one reduction: its
+    integer rows are multiplied by den(scale) and its denominator by
+    num(scale), with both signs flipped when that denominator is negative,
+    so the result comes out in lowest terms over a positive denominator
+    without a second pass.  For m = 1 the raw (n,1) operator is scaled once.
+    """
     u = rat(u)
     scale = Fraction(1)
     for j in range(m):
@@ -245,6 +255,9 @@ def _fuse_nm(n: int, m: int, u: Fraction, params: ModelParams) -> ExactMatrix:
         return _swap_factors(_fuse_nm(1, n, x + n - 1, params), 2, n + 1)
 
     op = raw_n1(u - m + 1)
+    if m == 1:
+        # At n = 1, which covers the (1,n) operators the swapped factors reuse, scale is 1.
+        return op if scale == 1 else op.scale(1 / scale)
     # With u' = u - m + j: raw(n, j, u') = merge raw(n, 1, u')_{aux j} (raw(n, j-1, u'-1) (x) I) split.
     for j in range(2, m + 1):
         merge, split, bound, den, ncols = _peel_last(j, n + 1)
@@ -254,9 +267,15 @@ def _fuse_nm(n: int, m: int, u: Fraction, params: ModelParams) -> ExactMatrix:
         rows = _apply_plan(_two_site_plan(op, (0, 1), dims), rows)
         rows = _apply_plan(_two_site_plan(r, (0, 2), dims), rows)
         rows = _apply_plan(merge, rows)
-        op = ExactMatrix._reduced(_unpack(rows, w, ncols), den * r.denominator * op.denominator, ncols)
-    # At n = 1, which covers the (1,n) operators the swapped factors reuse, scale is 1.
-    return op if scale == 1 else op.scale(1 / scale)
+        num, den = _unpack(rows, w, ncols), den * r.denominator * op.denominator
+        if j == m and scale != 1:
+            # Fold 1/scale into the last step's reduction, keeping den > 0.
+            k, den = scale.denominator, den * scale.numerator
+            if den < 0:
+                k, den = -k, -den
+            num = [[x * k for x in row] for row in num]
+        op = ExactMatrix._reduced(num, den, ncols)
+    return op
 
 
 def symmetric_residual(n: int, m: int, u: Fraction, params: ModelParams) -> ExactMatrix:

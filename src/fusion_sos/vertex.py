@@ -8,7 +8,10 @@ carries state -1, which pins the intertwining-vector coordinates used in
 Two-site operators act through one private row kernel, on integer
 numerators.  Its first part is a row plan (:func:`_two_site_plan`): for
 each row of the product space, which input rows a two-site operator
-combines, and with which of its numerators.  Its second part applies a
+combines, and with which of its numerators.  The index arithmetic of a
+plan depends only on the positions and dimensions and is cached once
+per pair of them (:func:`_skeleton`), so each operator pays only for
+listing its nonzero numerators.  The second part of the kernel applies a
 plan to packed rows and does not reduce: the result is over the product
 of the denominators that went in.  A packed row is one Python ``int``,
 the row's integers x_k put in slots of w bits, sum_k x_k 2^(w k)
@@ -52,9 +55,11 @@ class ModelParams:
     enter only through the intertwining vectors, and the derived combination
     ``w = (s + t)/2`` is the single parameter the face weights depend on.
     ``w`` is computed once, here, and is not a field: equality, hashing and
-    ``repr`` see only (alpha, s, t).  Integer ``w`` is accepted here because
-    degenerate-``w`` behaviour is itself under test; operations that need
-    ``w`` non-integer guard their own denominators.
+    ``repr`` see only (alpha, s, t).  The hash, ``hash((alpha, s, t))``, is
+    computed once here too, so the caches keyed on parameters do not hash
+    three ``Fraction`` objects per lookup.  Integer ``w`` is accepted here
+    because degenerate-``w`` behaviour is itself under test; operations that
+    need ``w`` non-integer guard their own denominators.
     """
 
     alpha: Fraction
@@ -66,8 +71,12 @@ class ModelParams:
         object.__setattr__(self, "s", rat(s))
         object.__setattr__(self, "t", rat(t))
         object.__setattr__(self, "w", (self.s + self.t) / 2)
+        object.__setattr__(self, "_hash", hash((self.alpha, self.s, self.t)))
         if self.alpha == 0:
             raise ValueError("alpha must be nonzero")
+
+    def __hash__(self) -> int:
+        return self._hash
 
 
 def up_steps(a: int, b: int, n: int) -> int | None:
@@ -91,8 +100,9 @@ def r7v(u: Fraction, params: ModelParams) -> ExactMatrix:
     # Integer rows over den(alpha)^2 den(u)^2, with u = p/q and alpha = a/b.
     p, q, a, b = u.numerator, u.denominator, alpha.numerator, alpha.denominator
     d, o, c = (p + q) * q * b * b, p * q * b * b, q * q * b * b
-    return ExactMatrix.from_integers(
-        [[d, 0, 0, 0], [0, o, c, 0], [0, c, o, 0], [a * a * p * (p + q), 0, 0, d]], c
+    # c > 0 and every entry is an int, which is all from_integers would check.
+    return ExactMatrix._reduced(
+        [[d, 0, 0, 0], [0, o, c, 0], [0, c, o, 0], [a * a * p * (p + q), 0, 0, d]], c, 4
     )
 
 
@@ -122,6 +132,35 @@ def check_degeneracy(params: ModelParams) -> Fraction:
 _Plan = list[tuple[int, list[tuple[int, int]]]]
 
 
+@lru_cache(maxsize=None)
+def _skeleton(
+    pos: tuple[int, int], dims: tuple[int, ...]
+) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...]]:
+    """The part of the row plan of a two-site operator on factors ``pos``
+    that does not depend on the operator.
+
+    Returns the column offsets jp sp + jq sq of the local columns
+    jp dq + jq, with sp, sq the strides of factors p, q, and, per output
+    row, ``(base, local row index)``.  Raises as :func:`_two_site_plan`
+    documents, except for the operator's shape.
+    """
+    p, q = pos
+    if not (0 <= p < len(dims) and 0 <= q < len(dims)):
+        raise ValueError(f"positions {pos} are not factors of a {len(dims)}-factor space")
+    if p == q:
+        raise ValueError("positions must be distinct")
+    if min(dims) < 1:
+        raise ShapeMismatchError(f"factor dimensions must be at least 1, got {dims}")
+    sp, sq = prod(dims[p + 1 :]), prod(dims[q + 1 :])
+    dp, dq = dims[p], dims[q]
+    offsets = tuple(jp * sp + jq * sq for jp in range(dp) for jq in range(dq))
+    rows = []
+    for i in range(prod(dims)):
+        ip, iq = i // sp % dp, i // sq % dq
+        rows.append((i - ip * sp - iq * sq, ip * dq + iq))
+    return offsets, tuple(rows)
+
+
 def _two_site_plan(op: ExactMatrix, pos: tuple[int, int], dims: tuple[int, ...]) -> _Plan:
     """The row plan of ``op`` acting on factors ``pos`` of the product space.
 
@@ -132,27 +171,17 @@ def _two_site_plan(op: ExactMatrix, pos: tuple[int, int], dims: tuple[int, ...])
     nonzero numerators of the ``op`` row as (offset, numerator) pairs: the
     input row ``base + offset`` enters with that weight.  Positions must be
     distinct factors, in ``range(len(dims))``, all of dimension at least 1.
+
+    The offsets and each row's (base, op row) depend on ``pos`` and ``dims``
+    only, and are cached (:func:`_skeleton`); per operator, the plan pairs
+    the offsets with the nonzero numerators of each op row and picks those
+    lists per output row.
     """
-    p, q = pos
-    if not (0 <= p < len(dims) and 0 <= q < len(dims)):
-        raise ValueError(f"positions {pos} are not factors of a {len(dims)}-factor space")
-    if p == q:
-        raise ValueError("positions must be distinct")
-    if min(dims) < 1:
-        raise ShapeMismatchError(f"factor dimensions must be at least 1, got {dims}")
-    if op.rows != op.cols or op.rows != dims[p] * dims[q]:
+    offsets, rows = _skeleton(tuple(pos), tuple(dims))
+    if op.rows != op.cols or op.rows != len(offsets):
         raise ShapeMismatchError("operator does not match the selected factors")
-    sp, sq = prod(dims[p + 1 :]), prod(dims[q + 1 :])
-    dp, dq = dims[p], dims[q]
-    local = [
-        [(jp * sp + jq * sq, v) for jp in range(dp) for jq in range(dq) if (v := orow[jp * dq + jq])]
-        for orow in op.numerators
-    ]
-    plan = []
-    for i in range(prod(dims)):
-        ip, iq = i // sp % dp, i // sq % dq
-        plan.append((i - ip * sp - iq * sq, local[ip * dq + iq]))
-    return plan
+    local = [[(o, v) for o, v in zip(offsets, orow) if v] for orow in op.numerators]
+    return [(base, local[k]) for base, k in rows]
 
 
 def _width(bound: int, *ops: ExactMatrix) -> int:

@@ -22,7 +22,10 @@ KEPT_CACHES = {
     "fusion_sos.fusion.sym_basis",
     # fused-ybe 291/297, lattice 101/103, verify-cli 81/83, face-weights 8/10.
     "fusion_sos.fusion._peel_last",
-    # face-weights 560/563, verify-cli 241/251 (one entry per (alpha, dim)).
+    # Keyed on (pos, dims): fused-ybe 714/774, lattice 202/206, verify-cli
+    # 250/262, face-weights 16/20.
+    "fusion_sos.vertex._skeleton",
+    # face-weights 560/563, verify-cli 157/164 (one entry per (alpha, dim)).
     "fusion_sos.polyrep._delta_rows",
     # Keyed on seven ints, (n, c, alpha, s, t): face-weights 524/563,
     # verify-cli 106/164.

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -14,7 +15,7 @@ from fusion_sos.fusion import (
     symmetric_residual,
     symmetrizer,
 )
-from fusion_sos.vertex import ModelParams, r7v
+from fusion_sos.vertex import ModelParams, embed_two_site, r7v
 
 from conftest import spectral_pair
 
@@ -82,6 +83,91 @@ def test_fuse_nm_matches_dense_definition(n, m, alpha):
             scale *= fusion_scalar(n, u - j)
         expected = mat_mul(mat_mul(left, fuse_nm_unrestricted(n, m, u, params)), right)
         assert fuse_nm(n, m, u, params) == expected.scale(1 / scale)
+
+
+def unscaled_then_scaled(n, m, u, params):
+    """The recursion of fuse_nm by dense restricted products, unnormalized,
+    then divided by its normalization in one ExactMatrix.scale."""
+    def raw(x):
+        return r7v(x, params) if n == 1 else fusion._swap_factors(fuse_nm(1, n, x + n - 1, params), 2, n + 1)
+
+    lift, eye = ExactMatrix.identity(n + 1), ExactMatrix.identity(2)
+    op = raw(u - m + 1)
+    for j in range(2, m + 1):
+        big, small, dims = sym_basis(j), sym_basis(j - 1), (n + 1, j, 2)
+        merge = kron(lift, mat_mul(big.project, kron(small.embed, eye)))
+        split = kron(lift, mat_mul(kron(small.project, eye), big.embed))
+        op = merge @ embed_two_site(raw(u - m + j), (0, 2), dims) @ embed_two_site(op, (0, 1), dims) @ split
+    scale = Fraction(1)
+    for j in range(m):
+        scale *= fusion_scalar(n, u - j)
+    return op.scale(1 / scale), scale
+
+
+@pytest.mark.parametrize("alpha", [Fraction(3, 2), Fraction(-5, 3)], ids=str)
+@pytest.mark.parametrize("n,m", [(n, m) for n in range(2, 5) for m in (2, 3)])
+def test_folded_normalization_equals_one_final_scale(n, m, alpha):
+    """For m >= 2 the build divides by its normalization inside its last
+    reduction; the result equals the unscaled build scaled once, in lowest
+    terms over a positive denominator, at normalizations of both signs."""
+    params = ModelParams(alpha, Fraction(1, 3), Fraction(2, 3))
+    signs = set()
+    # At (2, 2) and u = -1/2, scale = (u + 1) u = -1/4.
+    for u in (Fraction(-1, 2), Fraction(7, 3), Fraction(-13, 4), Fraction(-5, 2)):
+        expected, scale = unscaled_then_scaled(n, m, u, params)
+        op = fuse_nm(n, m, u, params)
+        assert op == expected
+        assert op.denominator > 0 and gcd(op.denominator, *(x for row in op.numerators for x in row)) == 1
+        signs.add(scale > 0)
+    assert signs == {True, False}
+
+
+def unitarity_scalar(forward, backward, n, m):
+    """c with forward S backward S^-1 = c I, S the swap of the two factors of
+    C^(m+1) (x) C^(n+1) that backward acts on, or None if there is none."""
+    product = forward @ fusion._swap_factors(backward, m + 1, n + 1)
+    c = product.entries[0][0]
+    return c if product == ExactMatrix.identity(product.rows).scale(c) else None
+
+
+UNITARITY_US = (Fraction(2, 7), Fraction(-5, 4), Fraction(7, 3))
+
+
+@pytest.mark.parametrize("n,m", [(n, m) for n in range(1, 4) for m in range(1, 4)])
+def test_unitarity(n, m):
+    """fuse_nm(n, m, u) S fuse_nm(m, n, -u) S^-1 is proportional to the
+    identity; at n = m = 1 the scalar is 1 - u^2 for every alpha."""
+    for u in UNITARITY_US:
+        scalars = set()
+        for alpha in (Fraction(3, 2), Fraction(-5, 3)):
+            params = ModelParams(alpha, Fraction(1, 3), Fraction(2, 3))
+            c = unitarity_scalar(fuse_nm(n, m, u, params), fuse_nm(m, n, -u, params), n, m)
+            assert c is not None and c != 0, (u, alpha)
+            scalars.add(c)
+        if n == m == 1:
+            assert scalars == {1 - u * u}
+
+
+def test_unitarity_fails_on_a_doubled_charge_changing_entry(params):
+    # Index a (m + 1) + b of Sym_n (x) Sym_m has a and b copies of e2: charge a + b.
+    n, m = 1, 2
+    for u in UNITARITY_US:
+        op = fuse_nm(n, m, u, params)
+        num = [list(row) for row in op.numerators]
+        changing = [(i, j) for i, row in enumerate(num) for j, x in enumerate(row)
+                    if x and sum(divmod(i, m + 1)) != sum(divmod(j, m + 1))]
+        assert changing
+        i, j = changing[0]
+        num[i][j] *= 2
+        mutant = ExactMatrix.from_integers(num, op.denominator)
+        assert unitarity_scalar(op, fuse_nm(m, n, -u, params), n, m) is not None
+        assert unitarity_scalar(mutant, fuse_nm(m, n, -u, params), n, m) is None
+
+
+@pytest.mark.parametrize("n,m", [(1, 1), (2, 1), (2, 3)])
+def test_unitarity_fails_at_u_in_place_of_minus_u(n, m, params):
+    for u in UNITARITY_US:
+        assert unitarity_scalar(fuse_nm(n, m, u, params), fuse_nm(m, n, u, params), n, m) is None
 
 
 @pytest.mark.parametrize("n,m", [(n, m) for n in range(1, 5) for m in range(1, 6 - n) if n + m > 2])

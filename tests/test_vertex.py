@@ -1,7 +1,11 @@
+import copy
 import dataclasses
+import pickle
 import random
+import re
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
+from math import prod
 
 import pytest
 from hypothesis import assume, given, settings
@@ -44,6 +48,42 @@ def test_params_w_is_computed_once_and_is_not_a_field():
     assert [f.name for f in dataclasses.fields(p)] == ["alpha", "s", "t"]
     with pytest.raises(dataclasses.FrozenInstanceError):
         p.w = Fraction(0)
+
+
+@pytest.mark.parametrize("alpha", ["3/2", Fraction(3, 2), Fraction(6, 4)], ids=repr)
+def test_params_hash_is_the_tuple_hash(alpha):
+    p = ModelParams(alpha, "-2/7", Fraction(3, 5))
+    same = ModelParams(Fraction(3, 2), Fraction(-2, 7), "3/5")
+    assert p == same and hash(p) == hash(same) == hash((p.alpha, p.s, p.t))
+    assert hash(p) != hash(ModelParams(Fraction(-3, 2), p.s, p.t))
+
+
+def test_params_hash_once(monkeypatch):
+    """A repeated hash does not hash the Fraction fields again."""
+    p = ModelParams(Fraction(3, 2), Fraction(1, 3), Fraction(2, 3))
+    calls = []
+    real = Fraction.__hash__
+
+    def spy(x):
+        calls.append(x)
+        return real(x)
+
+    monkeypatch.setattr(Fraction, "__hash__", spy)
+    hash(Fraction(1, 7))
+    assert len(calls) == 1  # the spy sees Fraction hashes
+    calls.clear()
+    first = hash(p)
+    assert hash(p) == first and hash((Fraction(5, 7), p)) == hash((Fraction(5, 7), p))
+    assert calls == [Fraction(5, 7)] * 2
+
+
+@pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy, lambda p: pickle.loads(pickle.dumps(p))],
+                         ids=["copy", "deepcopy", "pickle"])
+def test_params_copies_keep_equality_and_hash(clone):
+    p = ModelParams(Fraction(-5, 3), Fraction(1, 3), Fraction(2, 3))
+    q = clone(p)
+    assert q == p and hash(q) == hash(p) == hash((q.alpha, q.s, q.t)) and q.w == p.w
+    assert {p: 1}[q] == 1
 
 
 def test_r7v_at_zero_is_permutation(params_unit):
@@ -282,6 +322,67 @@ def test_check_ybe_vertex_refuses_other_than_three_factors(dims, params_unit):
     r = r7v(Fraction(1, 3), params_unit)
     with pytest.raises(ValueError, match=f"three factor dimensions, got {len(dims)}"):
         check_ybe_vertex(r, r, r, dims)
+
+
+def index_two_site_plan(op, pos, dims):
+    """The row plan by its index arithmetic, per operator, with no cached
+    skeleton: the reference for vertex._two_site_plan."""
+    p, q = pos
+    if not (0 <= p < len(dims) and 0 <= q < len(dims)):
+        raise ValueError(f"positions {pos} are not factors of a {len(dims)}-factor space")
+    if p == q:
+        raise ValueError("positions must be distinct")
+    if min(dims) < 1:
+        raise ShapeMismatchError(f"factor dimensions must be at least 1, got {dims}")
+    if op.rows != op.cols or op.rows != dims[p] * dims[q]:
+        raise ShapeMismatchError("operator does not match the selected factors")
+    sp, sq = prod(dims[p + 1 :]), prod(dims[q + 1 :])
+    dp, dq = dims[p], dims[q]
+    local = [
+        [(jp * sp + jq * sq, v) for jp in range(dp) for jq in range(dq) if (v := orow[jp * dq + jq])]
+        for orow in op.numerators
+    ]
+    plan = []
+    for i in range(prod(dims)):
+        ip, iq = i // sp % dp, i // sq % dq
+        plan.append((i - ip * sp - iq * sq, local[ip * dq + iq]))
+    return plan
+
+
+def local_op(size):
+    # Zero, negative and positive numerators over 3.
+    return ExactMatrix.from_integers([[(7 * i + 3 * j) % 5 - 2 for j in range(size)] for i in range(size)], 3)
+
+
+@pytest.mark.parametrize("factors", [2, 3, 4])
+def test_two_site_plan_equals_the_index_arithmetic(factors):
+    for dims in product(range(1, 5), repeat=factors):
+        for pos in permutations(range(factors), 2):
+            op = local_op(dims[pos[0]] * dims[pos[1]])
+            assert vertex._two_site_plan(op, pos, dims) == index_two_site_plan(op, pos, dims), (pos, dims)
+
+
+@pytest.mark.parametrize("pos, dims, size", [
+    ((0, 3), (2, 2, 2), 4), ((1, 1), (2, 2, 2), 4), ((1, 1), (0, 2, 2), 3), ((0, 3), (0, 2), 3),
+    ((0, 1), (0, 2, 2), 4), ((0, 1), (-1, 2, 2), 3), ((0, 2), (2, 3, 2), 6), ((2, 0), (2, 2, 3), 4),
+], ids=str)
+def test_two_site_plan_refuses_as_the_index_arithmetic(pos, dims, size):
+    """Every refusal keeps its type, message and precedence."""
+    op = local_op(size)
+    with pytest.raises((ValueError, ShapeMismatchError)) as expected:
+        index_two_site_plan(op, pos, dims)
+    with pytest.raises(expected.type, match=f"^{re.escape(str(expected.value))}$"):
+        vertex._two_site_plan(op, pos, dims)
+
+
+def test_two_site_positions_and_dimensions_may_be_lists(params_unit):
+    u, v = Fraction(7, 3), Fraction(-5, 4)
+    r = r7v(u, params_unit)
+    assert vertex._two_site_plan(r, [2, 0], [2, 3, 2]) == index_two_site_plan(r, (2, 0), (2, 3, 2))
+    assert embed_two_site(r, [0, 1], [2, 2, 2]) == embed_two_site(r, (0, 1), (2, 2, 2))
+    r12, r13, r23 = r7v(v, params_unit), r, r7v(u - v, params_unit)
+    assert check_ybe_vertex(r12, r13, r23, [2, 2, 2])
+    assert not check_ybe_vertex(r13, r12, r23, [2, 2, 2])
 
 
 # -- the packed rows of the row kernel -----------------------------------------
