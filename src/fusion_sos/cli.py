@@ -12,6 +12,14 @@ process ended by a closed pipe) when the reader of stdout went away, as
 ``fusion-sos verify all | head -n 1`` does: stdout is pointed at
 ``os.devnull`` and the command ends quietly, without a traceback.
 
+Each ``verify`` suite is one row of ``_SUITES``: the tag of its output
+lines, the flags it reads, a case builder ``cases(rng, *values)`` taking
+the values of those flags in that order, and a one-case check
+``check(params, case) -> bool``.  ``cmd_verify`` seeds a fresh
+``random.Random(--seed)`` for each suite, binds the model parameters to
+the check and runs the cases through ``_run_suite``; the tests that check
+a suite's cases read them from its row.
+
 Where a mode picks the flags a command reads (``rmatrix --family``,
 ``partition --model``, the ``verify`` suite), ``_MODE_FLAGS`` lists each
 mode's optional flags; any other flag given is a usage error, reported before
@@ -28,6 +36,7 @@ import random
 import re
 import sys
 from fractions import Fraction
+from functools import partial
 
 from . import lattice as lattice_mod
 from .correspondence import check_vertex_sos_matrix, solve_weights_from_relation
@@ -223,114 +232,89 @@ def cmd_partition(args) -> int:
 # -- verification suites -------------------------------------------------------
 
 
-def _suite_ybe_vertex(params: ModelParams, args) -> int:
-    rng = random.Random(args.seed)
+def _ybe_vertex_cases(rng: random.Random, max_sum: int, samples: int) -> list:
     cases = []
-    for triple in _triples(args.max_sum):
-        for _ in range(args.samples):
+    for triple in _triples(max_sum):
+        for _ in range(samples):
             cases.append((triple, *_random_spectral_pair(rng)))
-
-    def check(case):
-        (k, n, l), u, v = case[0], case[1], case[2]
-        return check_fused_ybe(k, n, l, u, v, params)
-
-    return _run_suite("ybe-vertex", cases, check)
+    return cases
 
 
-def _suite_ybe_sos(params: ModelParams, args) -> int:
-    rng = random.Random(args.seed)
+def _ybe_sos_cases(rng: random.Random, max_sum: int, samples: int) -> list:
     cases = []
-    for triple in _triples(args.max_sum):
-        for _ in range(args.samples):
+    for triple in _triples(max_sum):
+        for _ in range(samples):
             bd = sample_admissible_boundary(*triple, rng)
             spect = (_random_rat(rng), _random_rat(rng), _random_rat(rng))
             cases.append((triple, bd, spect))
-
-    def check(case):
-        (k, n, l), bd, (u, v, wsp) = case
-        return check_ybe_sos(k, n, l, u, v, wsp, bd, params)
-
-    return _run_suite("ybe-sos", cases, check)
+    return cases
 
 
-def _suite_star_triangle(params: ModelParams, args) -> int:
-    cases = [
-        (k, l, shift)
-        for k in range(4)
-        for l in range(4)
-        for shift in (Fraction(0), Fraction(2, 7), Fraction(-3, 5))
-    ]
-
-    def check(case):
-        k, l, shift = case
-        return star_triangle_check(k, l, shift, 8, params)
-
-    return _run_suite("star-triangle", cases, check)
+def _star_triangle_cases(rng: random.Random) -> list:
+    shifts = (Fraction(0), Fraction(2, 7), Fraction(-3, 5))
+    return [(k, l, shift) for k in range(4) for l in range(4) for shift in shifts]
 
 
-def _suite_om(params: ModelParams, args) -> int:
+def _om_cases(rng: random.Random) -> list:
+    """(m, c - b, u); the check takes b = 0."""
     cases = []
     for m in range(1, 4):
         for diff in range(-m, m + 1, 2):
             for u in range(m + 1):
                 cases.append((m, diff, u))
-
-    def check(case):
-        m, diff, u = case
-        b, c = 0, diff
-        return o_m_identity_check(m, Fraction(u), b, c, params, 6)
-
-    return _run_suite("om-identity", cases, check)
+    return cases
 
 
-def _suite_correspondence(params: ModelParams, args) -> int:
-    rng = random.Random(args.seed)
+def _correspondence_cases(rng: random.Random, samples: int, u, v, n: int, m: int) -> list:
+    """Random faces of orders (n, m), at (u, v) when given, else at a random pair."""
     cases = []
-    for _ in range(args.samples):
+    for _ in range(samples):
         a = rng.randint(-3, 3)
-        b = a - rng.choice(range(-args.n, args.n + 1, 2))
-        c = b - rng.choice(range(-args.m, args.m + 1, 2))
-        u, v = _random_spectral_pair(rng) if args.u is None else (args.u, args.v)
-        cases.append((args.n, args.m, a, b, c, u, v))
-
-    def check(case):
-        return check_vertex_sos_matrix(*case, params)
-
-    return _run_suite("correspondence", cases, check)
+        b = a - rng.choice(range(-n, n + 1, 2))
+        c = b - rng.choice(range(-m, m + 1, 2))
+        pair = _random_spectral_pair(rng) if u is None else (u, v)
+        cases.append((n, m, a, b, c, *pair))
+    return cases
 
 
-def _suite_weights(params: ModelParams, args) -> int:
+def _weights_cases(rng: random.Random) -> list:
     cases = []
     for (n, m) in ((1, 1), (2, 1), (1, 2), (2, 2)):
         for a in range(-2, 3):
             for b in range(a - n, a + n + 1, 2):
                 for c in range(b - m, b + m + 1, 2):
                     cases.append((n, m, a, b, c))
+    return cases
 
+
+def _weights_agree(params: ModelParams, case) -> bool:
+    """The sum and hypergeometric routes equal the linear solve at u = 7/3."""
+    n, m, a, b, c = case
     u = Fraction(7, 3)
-
-    def check(case):
-        n, m, a, b, c = case
-        table = solve_weights_from_relation(n, m, a, b, c, u, params)
-        for bp, expected in table.items():
-            q = WeightQuery(n, m, a, b, bp, c, u)
-            if w_nm_sum(q, params) != expected:
-                return False
-            if w_nm_hypergeometric(q, params) != expected:
-                return False
-        return True
-
-    return _run_suite("weights-three-way", cases, check)
+    table = solve_weights_from_relation(n, m, a, b, c, u, params)
+    for bp, expected in table.items():
+        q = WeightQuery(n, m, a, b, bp, c, u)
+        if w_nm_sum(q, params) != expected:
+            return False
+        if w_nm_hypergeometric(q, params) != expected:
+            return False
+    return True
 
 
-# The verify suites in the order ``verify all`` runs them, and the flags each reads.
+# The verify suites in the order ``verify all`` runs them; the module docstring
+# says what a row holds.
 _SUITES = {
-    "ybe-vertex": (_suite_ybe_vertex, ("max_sum", "samples")),
-    "ybe-sos": (_suite_ybe_sos, ("max_sum", "samples")),
-    "star-triangle": (_suite_star_triangle, ()),
-    "om": (_suite_om, ()),
-    "correspondence": (_suite_correspondence, ("samples", "u", "v", "n", "m")),
-    "weights": (_suite_weights, ()),
+    "ybe-vertex": ("ybe-vertex", ("max_sum", "samples"), _ybe_vertex_cases,
+                   lambda params, case: check_fused_ybe(*case[0], case[1], case[2], params)),
+    "ybe-sos": ("ybe-sos", ("max_sum", "samples"), _ybe_sos_cases,
+                lambda params, case: check_ybe_sos(*case[0], *case[2], case[1], params)),
+    "star-triangle": ("star-triangle", (), _star_triangle_cases,
+                      lambda params, case: star_triangle_check(*case, 8, params)),
+    "om": ("om-identity", (), _om_cases,
+           lambda params, case: o_m_identity_check(case[0], Fraction(case[2]), 0, case[1], params, 6)),
+    "correspondence": ("correspondence", ("samples", "u", "v", "n", "m"), _correspondence_cases,
+                       lambda params, case: check_vertex_sos_matrix(*case, params)),
+    "weights": ("weights-three-way", (), _weights_cases, _weights_agree),
 }
 
 
@@ -348,7 +332,11 @@ def cmd_verify(args) -> int:
     if args.max_sum < 3:
         raise UsageError("--max-sum must be at least 3, the smallest k + n + l")
     check_fusion_orders(args.n, args.m)
-    failures = sum(run(params, args) for name, (run, _) in _SUITES.items() if args.suite in (name, "all"))
+    failures = 0
+    for name, (tag, flags, cases, check) in _SUITES.items():
+        if args.suite in (name, "all"):
+            values = [getattr(args, flag) for flag in flags]
+            failures += _run_suite(tag, cases(random.Random(args.seed), *values), partial(check, params))
     if failures:
         print(f"{failures} identity check(s) FAILED")
         return IDENTITY_FAILURE
@@ -361,7 +349,7 @@ def cmd_verify(args) -> int:
 _MODE_FLAGS = {
     "rmatrix": ("family", "applies", "rmatrix --family {}", {"seven": ("u",), "eleven": ("d", "n", "m")}),
     "partition": ("model", "applies", "partition --model {}", {"vertex": ("alpha",), "sos": ("range", "w", "s", "t")}),
-    "verify": ("suite", "apply", "the {} suite", {name: flags for name, (_, flags) in _SUITES.items()}),
+    "verify": ("suite", "apply", "the {} suite", {name: flags for name, (_, flags, _, _) in _SUITES.items()}),
 }
 
 

@@ -196,8 +196,9 @@ def partition_vertex_transfer(spec: LatticeSpec, params: ModelParams) -> Fractio
     sum to zero.  The walk of :func:`transfer_matrix_vertex`
     (:func:`_transfer_walk`) runs on those entries alone, each row written
     into its sector's block at its position in the sector; the full T is
-    never formed.  For M = 1 and for 1 x 1 blocks the sum is taken on the
-    integer numerators.
+    never formed.  Each block holds the integer numerators of T_qq over
+    den(R)^N, so the traces are taken on the integers and the sum is divided
+    by den(R)^(N M) once.
 
     So the sum cannot see the charge-changing entries: for the seven-vertex
     R it does not depend on alpha, and a wrong alpha^2 u (u + 1) entry leaves
@@ -226,16 +227,7 @@ def partition_vertex_transfer(spec: LatticeSpec, params: ModelParams) -> Fractio
         sizes[q] += 1
     blocks = [[[0] * size for _ in range(size)] for size in sizes]
     _transfer_walk(N, conserving, [blocks[q][k] for q, k in zip(charges, place)], place)
-    den = r.denominator**N
-    whole, z = 0, Fraction(0)
-    for block in blocks:
-        if M == 1:
-            whole += sum(row[k] for k, row in enumerate(block))
-        elif len(block) == 1:
-            whole += block[0][0] ** M
-        else:
-            z += _trace_power(ExactMatrix.from_integers(block, den), M)
-    return z + Fraction(whole, den**M)
+    return sum(_trace_power(ExactMatrix.from_integers(block), M) for block in blocks) / r.denominator ** (N * M)
 
 
 def _height_rows(spec: LatticeSpec, window: tuple[int, int]) -> list[tuple[int, ...]]:

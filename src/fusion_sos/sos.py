@@ -70,13 +70,10 @@ def check_weight_domain(params: ModelParams) -> None:
 
     There some height label h + w vanishes, and the weight routes would
     each fail at different faces, or not at all.  Raises
-    :class:`DegenerateParameterPoint`.  w = (s + t)/2 is an integer exactly
-    when den(s) den(t) (s + t) is a multiple of 2 den(s) den(t), which
-    needs no ``Fraction``.
+    :class:`DegenerateParameterPoint`.  ``ModelParams`` stores w in lowest
+    terms once, so the test reads its denominator and does no arithmetic.
     """
-    s, t = params.s, params.t
-    den = s.denominator * t.denominator
-    if (s.numerator * t.denominator + t.numerator * s.denominator) % (2 * den) == 0:
+    if params.w.denominator == 1:
         raise DegenerateParameterPoint("w is an integer, outside the domain of the face weights")
 
 
@@ -93,7 +90,13 @@ def _admissible(n: int, m: int, a: int, b: int, bp: int, c: int) -> bool:
 
 @dataclass(frozen=True)
 class WeightQuery:
-    """One face: fused orders (n, m), heights (a, b, b', c), spectral parameter u."""
+    """One face: fused orders (n, m), heights (a, b, b', c), spectral parameter u.
+
+    The orders and heights must be integers; an integral value of another
+    type, such as 2.0, is stored as the int.  Any other value raises
+    ``ValueError`` naming the field, where truncating it would name a
+    different face.
+    """
 
     n: int
     m: int
@@ -104,12 +107,10 @@ class WeightQuery:
     u: Fraction
 
     def __init__(self, n, m, a, b, bprime, c, u: ScalarLike):
-        object.__setattr__(self, "n", int(n))
-        object.__setattr__(self, "m", int(m))
-        object.__setattr__(self, "a", int(a))
-        object.__setattr__(self, "b", int(b))
-        object.__setattr__(self, "bprime", int(bprime))
-        object.__setattr__(self, "c", int(c))
+        for name, value in (("n", n), ("m", m), ("a", a), ("b", b), ("bprime", bprime), ("c", c)):
+            if int(value) != value:
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         object.__setattr__(self, "u", rat(u))
 
     def is_valid(self) -> bool:

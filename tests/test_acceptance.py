@@ -11,9 +11,9 @@ import time
 from fractions import Fraction
 from itertools import permutations
 
+from fusion_sos import cli
 from fusion_sos.correspondence import (
     check_shifted_correspondence,
-    check_vertex_sos_matrix,
     fused_intertwiner_tensor,
     independence_determinant,
     intertwiner_set,
@@ -26,7 +26,7 @@ from fusion_sos.exactcore import (
     lagrange_interpolate,
     mat_mul,
 )
-from fusion_sos.fusion import check_fused_ybe, fuse_nm
+from fusion_sos.fusion import fuse_nm
 from fusion_sos.lattice import (
     LatticeSpec,
     partition_vertex_bruteforce,
@@ -39,7 +39,6 @@ from fusion_sos.polyrep import (
     o_m_gamma_form,
     o_m_product_form,
     r_n1_matrix,
-    star_triangle_check,
 )
 from fusion_sos.sos import (
     WeightQuery,
@@ -74,16 +73,6 @@ def report(number: int, name: str, started: float) -> None:
     print(f"ACCEPTANCE {number:02d} {name}: PASS ({time.time() - started:.2f}s)")
 
 
-def triples_with_sum_at_most(total: int):
-    return [
-        (k, n, l)
-        for k in range(1, total - 1)
-        for n in range(1, total - 1)
-        for l in range(1, total - 1)
-        if k + n + l <= total
-    ]
-
-
 def test_01_seven_vertex_ybe():
     t0 = time.time()
     rng = random.Random(1001)
@@ -108,11 +97,11 @@ def test_02_degeneracy_point():
 
 def test_03_fused_ybe():
     t0 = time.time()
-    rng = random.Random(1003)
-    for triple in triples_with_sum_at_most(6):
-        for _ in range(10):
-            u, v = spectral_pair(rng)
-            assert check_fused_ybe(*triple, u, v, PARAMS)
+    _, _, cases, check = cli._SUITES["ybe-vertex"]
+    suite = cases(random.Random(1003), 6, 10)
+    assert len(suite) == 200
+    for case in suite:
+        assert check(PARAMS, case)
     elapsed = time.time() - t0
     assert elapsed < 120.0, f"runtime budget exceeded: {elapsed:.2f}s"
     report(3, "fused YBE (k+n+l <= 6, 10 points each)", t0)
@@ -137,13 +126,12 @@ def test_04_representation_agreement():
 
 def test_05_star_triangle():
     t0 = time.time()
-    shifts = (Fraction(0), Fraction(2, 7), Fraction(-3, 5))
+    _, _, cases, check = cli._SUITES["star-triangle"]
     for alpha in ALPHAS:
-        p = ModelParams(alpha)
-        for k in range(4):
-            for l in range(4):
-                for shift in shifts:
-                    assert star_triangle_check(k, l, shift, 8, p)
+        suite = cases(random.Random(1005))
+        assert len(suite) == 48
+        for case in suite:
+            assert check(ModelParams(alpha), case)
     report(5, "star-triangle (k,l <= 3, degree <= 8)", t0)
 
 
@@ -216,7 +204,7 @@ def test_08_path_function():
 def test_09_sos_ybe():
     t0 = time.time()
     rng = random.Random(1009)
-    for triple in triples_with_sum_at_most(6):
+    for triple in cli._triples(6):
         spectral = [
             (rand_rat(rng), rand_rat(rng), rand_rat(rng)) for _ in range(5)
         ]
@@ -230,13 +218,12 @@ def test_09_sos_ybe():
 def test_10_vertex_sos_correspondence():
     t0 = time.time()
     rng = random.Random(1010)
+    _, _, cases, check = cli._SUITES["correspondence"]
     for (n, m) in ((1, 1), (2, 1), (1, 2), (2, 2)):
-        for _ in range(10):
-            a = rng.randint(-3, 3)
-            b = a - rng.choice(range(-n, n + 1, 2))
-            c = b - rng.choice(range(-m, m + 1, 2))
-            u, v = spectral_pair(rng)
-            assert check_vertex_sos_matrix(n, m, a, b, c, u, v, PARAMS)
+        suite = cases(rng, 10, None, None, n, m)
+        assert len(suite) == 10
+        for case in suite:
+            assert check(PARAMS, case)
     report(10, "vertex-to-face correspondence (matrix level)", t0)
 
 

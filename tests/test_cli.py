@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -9,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from fusion_sos import cli
 from fusion_sos.cli import main
 from fusion_sos.exactcore import ExactMatrix
 from fusion_sos.fusion import fuse_nm
@@ -375,6 +377,22 @@ def test_verify_weights_at_negative_alpha(capsys):
     code, out = run_cli(capsys, "verify", "weights", "--alpha", "-3/2", "--w", "1/5")
     assert code == 0
     assert out.endswith("all identity checks passed\n")
+
+
+def test_verify_exits_1_on_a_failed_identity(capsys, monkeypatch):
+    """The om row's check, made to fail on the suite's first case alone, gives
+    one FAIL line among passing ones and exit 1: verify runs the check its
+    row holds."""
+    tag, flags, cases, check = cli._SUITES["om"]
+    first = cases(random.Random(2024))[0]
+    monkeypatch.setitem(cli._SUITES, "om", (tag, flags, cases, lambda params, case: case != first and check(params, case)))
+    code, out = run_cli(capsys, "verify", "om")
+    *lines, last = out.splitlines()
+    assert code == 1
+    assert lines[0] == f"[om-identity] {first}: FAIL"
+    assert len(lines) == 29
+    assert all(line.startswith("[om-identity] ") and line.endswith(": pass") for line in lines[1:])
+    assert last == "1 identity check(s) FAILED"
 
 
 def test_verify_names_the_case_that_raised(capsys):

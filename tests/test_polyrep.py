@@ -19,7 +19,7 @@ from fusion_sos.exactcore import (
     poly_shift,
     rat,
 )
-from fusion_sos import correspondence, polyrep
+from fusion_sos import cli, correspondence, polyrep
 from fusion_sos.fusion import fuse_nm
 from fusion_sos.polyrep import (
     UnsupportedEvaluationPoint,
@@ -394,7 +394,8 @@ def sandwich_verdict(k, l, shift, degree_bound, params):
 STAR_ALPHAS = [Fraction(3, 2), Fraction(-2, 3), Fraction(5, 7)]
 STAR_SHIFTS = [Fraction(0), Fraction(2, 7), Fraction(-3, 5)]
 # The 48 cases of ``fusion-sos verify star-triangle``, at its degree bound 8.
-STAR_SUITE = [(k, l, shift) for k in range(4) for l in range(4) for shift in STAR_SHIFTS]
+_, _, star_cases, _ = cli._SUITES["star-triangle"]
+STAR_SUITE = star_cases(random.Random(0))
 
 
 def star_degree_bounds(k, l):
@@ -797,7 +798,8 @@ class TestColumnKernel:
 
 
 # The 29 cases (m, c - b, u) of ``fusion-sos verify om``, at b = 0 and degree bound 6.
-OM_SUITE = [(m, diff, u) for m in range(1, 4) for diff in range(-m, m + 1, 2) for u in range(m + 1)]
+_, _, om_cases, om_check = cli._SUITES["om"]
+OM_SUITE = om_cases(random.Random(0))
 OM_ALPHAS = [Fraction(3, 2), Fraction(-2, 3), Fraction(5, 7)]
 
 
@@ -815,7 +817,7 @@ def om_matrix_verdict(m, u, b, c, params, degree_bound):
 
 
 def om_suite_verdicts(params):
-    return [o_m_identity_check(m, Fraction(u), 0, diff, params, 6) for m, diff, u in OM_SUITE]
+    return [om_check(params, case) for case in OM_SUITE]
 
 
 def random_shift_form(rng, width):
@@ -895,7 +897,9 @@ class TestOmIdentityCheck:
             return terms, g_den * h_den * alpha.denominator ** (n - 1)
 
         monkeypatch.setattr(polyrep, "_compose_shift_forms", mutant)
-        assert om_suite_verdicts(params).count(False) == 22
+        verdicts = om_suite_verdicts(params)
+        assert len(verdicts) == 29
+        assert verdicts.count(False) == 22
 
     def test_degree_raising_side_is_refused(self, params, monkeypatch):
         """A sandwich term that raises the degree is refused by the check, as

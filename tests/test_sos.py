@@ -46,6 +46,33 @@ def random_valid_query(rng, n, m, span=3, u=U):
     return WeightQuery(n, m, a, b, bp, c, u)
 
 
+@pytest.mark.parametrize(
+    "fields, refused",
+    [
+        ((1, 1, 0.5, 1.7, 1, 0), "a must be an integer, got 0.5"),
+        ((1.5, 1, 2, 1, 1, 0), "n must be an integer, got 1.5"),
+        ((1, Fraction(3, 2), 2, 1, 1, 0), "m must be an integer, got Fraction(3, 2)"),
+        ((1, 1, 2, 1.25, 1, 0), "b must be an integer, got 1.25"),
+        ((1, 1, 2, 1, Fraction(-1, 3), 0), "bprime must be an integer, got Fraction(-1, 3)"),
+        ((1, 1, 2, 1, 1, -0.5), "c must be an integer, got -0.5"),
+    ],
+    ids=["a-float", "n-float", "m-fraction", "b-float", "bprime-fraction", "c-float"],
+)
+def test_query_refuses_orders_and_heights_that_are_not_integers(fields, refused):
+    """Truncating such a value would name another face, with its own weight."""
+    with pytest.raises(ValueError) as info:
+        WeightQuery(*fields, U)
+    assert str(info.value) == refused
+
+
+def test_query_stores_integral_values_as_ints(params):
+    q = WeightQuery(1.0, Fraction(1), 2.0, Fraction(2, 2), 1, 0.0, U)
+    assert (q.n, q.m, q.a, q.b, q.bprime, q.c) == (1, 1, 2, 1, 1, 0)
+    assert {type(x) for x in (q.n, q.m, q.a, q.b, q.bprime, q.c)} == {int}
+    assert q == WeightQuery(1, 1, 2, 1, 1, 0, U)
+    assert w_nm_sum(q, params) == U + 1
+
+
 class TestW11:
     def test_corner_family(self, params):
         for l in (-2, 0, 3):
