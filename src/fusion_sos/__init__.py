@@ -10,7 +10,6 @@ from .exactcore import (
     SingularMatrixError,
     kron,
     mat_mul,
-    poly_shift,
     rat,
     rat_to_str,
     solve_exact,
@@ -29,11 +28,9 @@ from .fusion import (
     check_fused_ybe,
     fuse_nm,
     sym_basis,
-    symmetrizer,
 )
 from .polyrep import (
     UnsupportedEvaluationPoint,
-    gamma_poly,
     intertwiner_poly,
     o_m_gamma_form,
     o_m_identity_check,

@@ -216,6 +216,8 @@ def cmd_partition(args) -> int:
             lo, hi = (int(x) for x in args.range.split(".."))
         except ValueError as exc:
             raise UsageError("--range must look like LO..HI") from exc
+        if lo > hi:
+            raise UsageError(f"--range LO..HI needs LO <= HI, got {args.range}")
         value = lattice_mod.partition_sos(spec, (lo, hi), params)
         payload = {"model": "sos", "value": rat_to_str(value), "range": args.range}
     payload["spec"] = {

@@ -3,7 +3,8 @@
 The fused intertwining vectors convert the action of a fused R-operator into
 face weights.  The checks read their coordinates off the intertwining
 polynomial; the paper's symmetrized tensor product defines them and is the
-tests' reference.  Expanding the image of one intertwining polynomial in the
+tests' reference (:func:`fused_intertwiner_tensor`, which symmetrizes by
+E_n P_n = Sym_n).  Expanding the image of one intertwining polynomial in the
 basis of neighbouring ones is an exact linear solve, and the weights it
 produces are the ground truth against which the closed-form and series
 formulas in :mod:`fusion_sos.sos` are tested.  That route runs on integers
@@ -41,7 +42,7 @@ from .exactcore import (
     rat,
 )
 from .elevenvertex import similarity_fused
-from .fusion import fuse_nm, symmetrizer
+from .fusion import fuse_nm, sym_basis
 from .polyrep import _intertwiner_roots, _o_m_apply, intertwiner_poly
 from .sos import check_weight_domain
 from .vertex import ModelParams, up_steps
@@ -61,7 +62,8 @@ def fused_intertwiner_tensor(
     or "canonical" for all up-steps first.  The i-th factor (leftmost first)
     is the elementary vector at spectral argument u + n - 1 - i for the step
     c_i -> c_{i+1}; the result is a coordinate vector in the 2**n tensor
-    space.
+    space.  The product is symmetrized by E_n P_n = Sym_n
+    (``sym_basis(n)``).
     """
     u = rat(u)
     ups = up_steps(a, b, n)
@@ -86,9 +88,8 @@ def fused_intertwiner_tensor(
         else:
             second = alpha * (arg + lvl + s)
         vec = [x * comp for x in vec for comp in (Fraction(1), second)]
-    tensor = ExactMatrix.column(vec)
-    symmetrized = mat_mul(symmetrizer(n), tensor) if n > 1 else tensor
-    return symmetrized.column_vector()
+    basis = sym_basis(n)
+    return mat_mul(basis.embed, mat_mul(basis.project, ExactMatrix.column(vec))).column_vector()
 
 
 def intertwiner_sym_coords(

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import chain, repeat
-from math import comb, gcd, lcm
+from math import gcd, lcm
 from operator import floordiv, mul
 from typing import Iterable, Sequence, Union
 
@@ -520,37 +520,3 @@ class ExactPolynomial:
             acc = acc * z + c
         return acc
 
-
-def poly_shift(p: ExactPolynomial, h: ScalarLike) -> ExactPolynomial:
-    """The polynomial z -> p(z + h), expanded by the binomial theorem."""
-    h = rat(h)
-    out = [Fraction(0)] * max(len(p.coeffs), 1)
-    for j, c in enumerate(p.coeffs):
-        if not c:
-            continue
-        hp = Fraction(1)
-        for i in range(j, -1, -1):
-            out[i] += c * comb(j, i) * hp
-            hp *= h
-    return ExactPolynomial(out)
-
-
-def lagrange_interpolate(points: Sequence[tuple[ScalarLike, ScalarLike]]) -> ExactPolynomial:
-    """The unique polynomial of degree < len(points) through the given points."""
-    xs = [rat(x) for x, _ in points]
-    if len(set(xs)) != len(xs):
-        raise ValueError("interpolation nodes must be distinct")
-    result = ExactPolynomial.zero()
-    for i, (xi, yi) in enumerate(points):
-        xi, yi = rat(xi), rat(yi)
-        if yi == 0:
-            continue
-        basis = ExactPolynomial.one()
-        denom = Fraction(1)
-        for j, xj in enumerate(xs):
-            if j == i:
-                continue
-            basis = basis * ExactPolynomial((-xj, 1))
-            denom *= xi - xj
-        result = result + basis.scale(yi / denom)
-    return result

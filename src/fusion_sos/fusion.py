@@ -4,10 +4,10 @@ The fused (n,m) operator is defined on (C^2)^(x n) (x) (C^2)^(x m) as the
 ordered product X of n*m elementary 4x4 factors, projected by
 Pi = Sym_n (x) Sym_m (the fusion procedure) and restricted to
 Sym_n (x) Sym_m.  The fusion lemma Pi X Pi = Pi X makes Pi X an operator on
-the symmetric space; :func:`symmetric_residual` returns Pi X (I - Pi).
-:func:`fuse_nm_unrestricted` evaluates Pi X literally in the
-2**(n+m)-dimensional space; :func:`fuse_nm` computes the same matrix
-without leaving restricted spaces.
+the symmetric space.  :func:`fuse_nm` computes that matrix without leaving
+restricted spaces.  The literal Pi X in the 2**(n+m)-dimensional space, with
+Sym_k averaged over permutations, and the lemma's residual Pi X (I - Pi)
+are the tests' reference, not library code.
 
 Write E_k, P_k for the embedding of Sym_k into (C^2)^(x k) and its
 projection (:func:`sym_basis`), and Sym_k for the symmetrizer.  The build
@@ -63,9 +63,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, reduce
-from itertools import permutations
-from math import comb, factorial
+from functools import lru_cache
+from math import comb
 from operator import itemgetter
 
 from .exactcore import ExactMatrix, PoleError, kron, mat_mul, rat
@@ -77,7 +76,6 @@ from .vertex import (
     _unpack,
     _width,
     check_ybe_vertex,
-    embed_two_site,
     r7v,
 )
 
@@ -87,22 +85,6 @@ def _bits(index: int, n: int) -> tuple[int, ...]:
     return tuple((index >> (n - 1 - s)) & 1 for s in range(n))
 
 
-def symmetrizer(n: int) -> ExactMatrix:
-    """Projector onto the symmetric component of (C^2)^(x n), by permutation averaging."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    dim = 1 << n
-    counts = [[0] * dim for _ in range(dim)]
-    for col in range(dim):
-        word = _bits(col, n)
-        for sigma in permutations(range(n)):
-            row = 0
-            for s in range(n):
-                row = (row << 1) | word[sigma[s]]
-            counts[row][col] += 1
-    return ExactMatrix.from_integers(counts, factorial(n))
-
-
 @dataclass(frozen=True)
 class SymBasis:
     """Embedding of the (n+1)-dimensional symmetric space into (C^2)^(x n).
@@ -110,7 +92,7 @@ class SymBasis:
     Column k of ``embed`` is the symmetrization of the word with k copies of
     e2, which corresponds to the monomial with k powers of the second
     variable; ``project`` recovers monomial coefficients.  They satisfy
-    project @ embed = identity and embed @ project = symmetrizer.
+    project @ embed = identity and embed @ project = Sym_n.
     """
 
     n: int
@@ -143,32 +125,6 @@ def fusion_scalar(n: int, u: Fraction) -> Fraction:
     for j in range(1, n):
         out *= u + j
     return out
-
-
-def _bare_product(n: int, m: int, u: Fraction, params: ModelParams) -> ExactMatrix:
-    """X: the n*m elementary factors of the (n,m) product on (C^2)^(x (n+m)).
-
-    Slots 0..n-1 carry the n quantum factors and slots n..n+m-1 the m
-    auxiliary ones; no symmetrizer is applied.
-    """
-    dims = (2,) * (n + m)
-    # Leftmost factor couples the last auxiliary slot at the undecremented argument.
-    return reduce(mat_mul, (
-        embed_two_site(r7v(u - (m - j) + n - i, params), (i - 1, n + j - 1), dims)
-        for j in range(m, 0, -1)
-        for i in range(1, n + 1)
-    ))
-
-
-def fuse_nm_unrestricted(n: int, m: int, u: Fraction, params: ModelParams) -> ExactMatrix:
-    """Pi X on (C^2)^(x (n+m)): the raw fused (n,m) product, unnormalized and unrestricted.
-
-    This is the defining product, evaluated literally in the full
-    2**(n+m)-dimensional space, with Pi = Sym_n (x) Sym_m and X the bare
-    product of :func:`_bare_product`.  It is the reference the restricted
-    build in :func:`fuse_nm` must reproduce.
-    """
-    return mat_mul(kron(symmetrizer(n), symmetrizer(m)), _bare_product(n, m, rat(u), params))
 
 
 @lru_cache(maxsize=None)
@@ -213,8 +169,9 @@ def check_fusion_orders(n: int, m: int) -> None:
 def fuse_nm(n: int, m: int, u: Fraction, params: ModelParams) -> ExactMatrix:
     """The fused (n,m) operator on Sym_n (x) Sym_m, (n+1)(m+1) square.
 
-    Equal to (P_n (x) P_m) fuse_nm_unrestricted(n, m, u) (E_n (x) E_m) divided
-    by prod_{j<m} fusion_scalar(n, u - j), but no intermediate leaves a
+    Equal to (P_n (x) P_m) Pi X (E_n (x) E_m) divided by
+    prod_{j<m} fusion_scalar(n, u - j), with Pi X the literal product of the
+    module docstring (the tests' reference), but no intermediate leaves a
     restricted space.  One recursion grows the product one auxiliary slot
     at a time on Sym_n (x) Sym_{j-1} (x) C^2.  Its factors are raw (n,1)
     operators: R itself for n = 1, and for n >= 2 the (1,n) operator with
@@ -276,13 +233,6 @@ def _fuse_nm(n: int, m: int, u: Fraction, params: ModelParams) -> ExactMatrix:
             num = [[x * k for x in row] for row in num]
         op = ExactMatrix._reduced(num, den, ncols)
     return op
-
-
-def symmetric_residual(n: int, m: int, u: Fraction, params: ModelParams) -> ExactMatrix:
-    """Pi X (I - Pi), zero by the fusion lemma, with Pi and X as in
-    :func:`fuse_nm_unrestricted`."""
-    pi = kron(symmetrizer(n), symmetrizer(m))
-    return mat_mul(mat_mul(pi, _bare_product(n, m, rat(u), params)), ExactMatrix.identity(pi.rows) - pi)
 
 
 def check_fused_ybe(k: int, n: int, l: int, u: Fraction, v: Fraction, params: ModelParams) -> bool:

@@ -179,7 +179,8 @@ def transfer_matrix_vertex(spec: LatticeSpec, params: ModelParams) -> ExactMatri
     size = (n + 1) ** N
     rows = [[0] * size for _ in range(size)]
     _transfer_walk(N, _local_entries(r, n + 1, m + 1), rows, list(range(size)))
-    return ExactMatrix.from_integers(rows, r.denominator**N)
+    # The walk writes ints and den(R)^N > 0: nothing for from_integers to check.
+    return ExactMatrix._reduced(rows, r.denominator**N, size)
 
 
 def partition_vertex_transfer(spec: LatticeSpec, params: ModelParams) -> Fraction:
@@ -227,7 +228,9 @@ def partition_vertex_transfer(spec: LatticeSpec, params: ModelParams) -> Fractio
         sizes[q] += 1
     blocks = [[[0] * size for _ in range(size)] for size in sizes]
     _transfer_walk(N, conserving, [blocks[q][k] for q, k in zip(charges, place)], place)
-    return sum(_trace_power(ExactMatrix.from_integers(block), M) for block in blocks) / r.denominator ** (N * M)
+    # Each block is int rows over 1, as the walk wrote them.
+    traces = (_trace_power(ExactMatrix._reduced(block, 1, len(block)), M) for block in blocks)
+    return sum(traces) / r.denominator ** (N * M)
 
 
 def _height_rows(spec: LatticeSpec, window: tuple[int, int]) -> list[tuple[int, ...]]:
@@ -368,7 +371,8 @@ def partition_sos(
 
     Heights live on the N x M torus of vertices (face corners wrap modulo N
     and M).  The height lattice is unbounded, so the sum is over the window
-    [lo, hi] and the result is reported as window-dependent.  Heights are
+    [lo, hi] and the result is reported as window-dependent; an empty
+    window (lo > hi) gives the empty sum, 0.  Heights are
     assigned in raster order h(0, 0), h(0, 1), ...; each neighbouring pair
     is checked for adjacency once both are set, before any face weight at
     that depth, and each face weight is taken once its last corner is set,

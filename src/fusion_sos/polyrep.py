@@ -97,14 +97,6 @@ def _shift_entries(p: int, q: int, dim: int) -> list[list[int]]:
     return [[comb(j, i) * powers[j - i] if j >= i else 0 for j in range(dim)] for i in range(dim)]
 
 
-def gamma_poly(p: int, shift: ScalarLike, params: ModelParams) -> ExactPolynomial:
-    """gamma(z - shift, p) = prod_{j=0}^{p-1} (z - shift + alpha(2j + 1 - p)) for p >= 0."""
-    if p < 0:
-        raise ValueError("gamma_poly needs a nonnegative exponent")
-    den, (x0, step) = common_denominator(rat(shift), params.alpha)
-    return ExactPolynomial.from_integer_roots([x0 + step * (p - 1 - 2 * j) for j in range(p)], den)
-
-
 def star_triangle_check(
     k: int, l: int, shift: ScalarLike, degree_bound: int, params: ModelParams
 ) -> bool:

@@ -1,10 +1,14 @@
 import random
 from fractions import Fraction
+from itertools import permutations
+from math import comb, factorial
+from typing import Sequence
 
 import pytest
 
 from fusion_sos import ModelParams
-from fusion_sos.exactcore import ExactMatrix, mat_mul, solve_exact
+from fusion_sos.exactcore import ExactMatrix, ExactPolynomial, ScalarLike, mat_mul, rat, solve_exact
+from fusion_sos.fusion import _bits
 from fusion_sos.polyrep import intertwiner_poly, o_m_product_form
 from fusion_sos.sos import check_weight_domain
 from fusion_sos.vertex import up_steps
@@ -62,6 +66,57 @@ def reference_solve_weights(n, m, a, b, c, u, params) -> dict:
     image = mat_mul(o_m_product_form(m, u, b, c, params, n), source)
     solution = solve_exact(ExactMatrix(list(zip(*columns))), image)
     return {bp: solution[j, 0] for j, bp in enumerate(heights)}
+
+
+def symmetrizer(n: int) -> ExactMatrix:
+    """Projector onto the symmetric component of (C^2)^(x n), by permutation averaging."""
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    dim = 1 << n
+    counts = [[0] * dim for _ in range(dim)]
+    for col in range(dim):
+        word = _bits(col, n)
+        for sigma in permutations(range(n)):
+            row = 0
+            for s in range(n):
+                row = (row << 1) | word[sigma[s]]
+            counts[row][col] += 1
+    return ExactMatrix.from_integers(counts, factorial(n))
+
+
+def poly_shift(p: ExactPolynomial, h: ScalarLike) -> ExactPolynomial:
+    """The polynomial z -> p(z + h), expanded by the binomial theorem."""
+    h = rat(h)
+    out = [Fraction(0)] * max(len(p.coeffs), 1)
+    for j, c in enumerate(p.coeffs):
+        if not c:
+            continue
+        hp = Fraction(1)
+        for i in range(j, -1, -1):
+            out[i] += c * comb(j, i) * hp
+            hp *= h
+    return ExactPolynomial(out)
+
+
+def lagrange_interpolate(points: Sequence[tuple[ScalarLike, ScalarLike]]) -> ExactPolynomial:
+    """The unique polynomial of degree < len(points) through the given points."""
+    xs = [rat(x) for x, _ in points]
+    if len(set(xs)) != len(xs):
+        raise ValueError("interpolation nodes must be distinct")
+    result = ExactPolynomial.zero()
+    for i, (xi, yi) in enumerate(points):
+        xi, yi = rat(xi), rat(yi)
+        if yi == 0:
+            continue
+        basis = ExactPolynomial.one()
+        denom = Fraction(1)
+        for j, xj in enumerate(xs):
+            if j == i:
+                continue
+            basis = basis * ExactPolynomial((-xj, 1))
+            denom *= xi - xj
+        result = result + basis.scale(yi / denom)
+    return result
 
 
 @pytest.fixture

@@ -20,12 +20,7 @@ from fusion_sos.correspondence import (
     solve_weights_from_relation,
 )
 from fusion_sos.elevenvertex import r11v, similarity_fused
-from fusion_sos.exactcore import (
-    ExactMatrix,
-    kron,
-    lagrange_interpolate,
-    mat_mul,
-)
+from fusion_sos.exactcore import ExactMatrix, kron, mat_mul
 from fusion_sos.fusion import fuse_nm
 from fusion_sos.lattice import (
     LatticeSpec,
@@ -59,7 +54,7 @@ from fusion_sos.vertex import (
     r7v,
 )
 
-from conftest import rand_rat, spectral_pair, valid_quads
+from conftest import lagrange_interpolate, rand_rat, spectral_pair, valid_quads
 
 ALPHAS = (Fraction(1), Fraction(5, 3), Fraction(-2, 7))
 PARAMS = ModelParams(Fraction(3, 2), Fraction(1, 3), Fraction(2, 3))  # w = 1/2

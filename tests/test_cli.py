@@ -123,6 +123,37 @@ def test_partition_sos_requires_range(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "window, message",
+    [
+        ("2..-2", "--range LO..HI needs LO <= HI, got 2..-2"),
+        ("2", "--range must look like LO..HI"),
+        ("a..b", "--range must look like LO..HI"),
+        ("1..2..3", "--range must look like LO..HI"),
+    ],
+    ids=["reversed", "one-number", "not-integers", "three-parts"],
+)
+def test_partition_sos_refuses_a_bad_range(capsys, window, message):
+    # A reversed window is an empty sum, 0, which would read as a partition sum.
+    code = main(["partition", "--model", "sos", "--N", "2", "--M", "2", "--u", "7/3", "--w", "1/2", "--range", window])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert message in captured.err
+
+
+def test_partition_sos_accepts_a_one_height_window(capsys):
+    # At n = m = 2 a height is adjacent to itself, so LO = HI is a nonzero sum.
+    code, out = run_cli(
+        capsys, "partition", "--model", "sos", "--N", "2", "--M", "2", "--n", "2", "--m", "2",
+        "--u", "7/3", "--w", "1/2", "--range", "1..1",
+    )
+    assert code == 0
+    expected = partition_sos(LatticeSpec(2, 2, 2, 2, Fraction(7, 3)), (1, 1), ModelParams(1, 0, 1))
+    assert expected != 0
+    assert Fraction(json.loads(out)["value"]) == expected
+
+
 def test_partition_sos_readme_example(capsys):
     code, out = run_cli(
         capsys,

@@ -4,7 +4,7 @@ from itertools import permutations
 
 import pytest
 
-from fusion_sos import correspondence, fusion
+from fusion_sos import correspondence
 from fusion_sos.correspondence import (
     check_vertex_sos_matrix,
     fused_intertwiner_tensor,
@@ -147,13 +147,11 @@ class TestMatrixCorrespondence:
 
     def test_checks_no_tensor(self, params, monkeypatch):
         # The check reads its vectors off the intertwining polynomial: it
-        # forms no symmetrized tensor and no symmetrizer.
+        # forms no symmetrized tensor.
         def refuse(*args):
             raise AssertionError("tensor route reached")
 
         monkeypatch.setattr(correspondence, "fused_intertwiner_tensor", refuse)
-        monkeypatch.setattr(correspondence, "symmetrizer", refuse)
-        monkeypatch.setattr(fusion, "symmetrizer", refuse)
         rng = random.Random(7)
         for n, m in ((2, 1), (3, 2)):
             u, v = spectral_pair(rng)

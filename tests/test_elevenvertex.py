@@ -10,12 +10,12 @@ from fusion_sos.correspondence import (
     solve_weights_from_relation,
 )
 from fusion_sos.elevenvertex import r11v, shift_op, similarity_fused
-from fusion_sos.exactcore import ExactMatrix, ExactPolynomial, kron, mat_mul, poly_shift
-from fusion_sos.fusion import sym_basis, symmetrizer
+from fusion_sos.exactcore import ExactMatrix, ExactPolynomial, kron, mat_mul
+from fusion_sos.fusion import sym_basis
 from fusion_sos.polyrep import intertwiner_poly, monomial_to_coeff_matrix
 from fusion_sos.vertex import ModelParams, check_ybe_vertex, up_steps
 
-from conftest import spectral_pair
+from conftest import poly_shift, spectral_pair, symmetrizer
 
 
 def kronecker_shift(n, u, params):

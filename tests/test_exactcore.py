@@ -14,9 +14,7 @@ from fusion_sos.exactcore import (
     SingularMatrixError,
     det,
     kron,
-    lagrange_interpolate,
     mat_mul,
-    poly_shift,
     rat_to_str,
     solve_exact,
     trace_product,
@@ -42,7 +40,7 @@ from fusion_sos.polyrep import o_m_identity_check, star_triangle_check
 from fusion_sos.sos import WeightQuery, check_ybe_sos, sample_admissible_boundary, w_nm_sum
 from fusion_sos.vertex import ModelParams
 
-from conftest import rand_rat
+from conftest import lagrange_interpolate, poly_shift, rand_rat
 
 rationals = st.fractions(
     min_value=-50, max_value=50, max_denominator=20

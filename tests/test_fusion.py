@@ -1,23 +1,16 @@
 import random
 from fractions import Fraction
+from functools import reduce
 from math import gcd
 
 import pytest
 
 from fusion_sos import fusion
-from fusion_sos.exactcore import ExactMatrix, kron, mat_mul
-from fusion_sos.fusion import (
-    check_fused_ybe,
-    fuse_nm,
-    fuse_nm_unrestricted,
-    fusion_scalar,
-    sym_basis,
-    symmetric_residual,
-    symmetrizer,
-)
+from fusion_sos.exactcore import ExactMatrix, kron, mat_mul, rat
+from fusion_sos.fusion import check_fused_ybe, fuse_nm, fusion_scalar, sym_basis
 from fusion_sos.vertex import ModelParams, embed_two_site, r7v
 
-from conftest import spectral_pair
+from conftest import spectral_pair, symmetrizer
 
 
 class TestSymmetrizer:
@@ -66,6 +59,39 @@ def test_fuse_nm_rejects_orders_below_one(n, m, params_unit):
 def test_fuse_nm_trivial_case(params):
     u = Fraction(3, 4)
     assert fuse_nm(1, 1, u, params) == r7v(u, params)
+
+
+def _bare_product(n: int, m: int, u: Fraction, params: ModelParams) -> ExactMatrix:
+    """X: the n*m elementary factors of the (n,m) product on (C^2)^(x (n+m)).
+
+    Slots 0..n-1 carry the n quantum factors and slots n..n+m-1 the m
+    auxiliary ones; no symmetrizer is applied.
+    """
+    dims = (2,) * (n + m)
+    # Leftmost factor couples the last auxiliary slot at the undecremented argument.
+    return reduce(mat_mul, (
+        embed_two_site(r7v(u - (m - j) + n - i, params), (i - 1, n + j - 1), dims)
+        for j in range(m, 0, -1)
+        for i in range(1, n + 1)
+    ))
+
+
+def fuse_nm_unrestricted(n: int, m: int, u: Fraction, params: ModelParams) -> ExactMatrix:
+    """Pi X on (C^2)^(x (n+m)): the raw fused (n,m) product, unnormalized and unrestricted.
+
+    This is the defining product, evaluated literally in the full
+    2**(n+m)-dimensional space, with Pi = Sym_n (x) Sym_m and X the bare
+    product of :func:`_bare_product`.  It is the reference the restricted
+    build in :func:`fuse_nm` must reproduce.
+    """
+    return mat_mul(kron(symmetrizer(n), symmetrizer(m)), _bare_product(n, m, rat(u), params))
+
+
+def symmetric_residual(n: int, m: int, u: Fraction, params: ModelParams) -> ExactMatrix:
+    """Pi X (I - Pi), zero by the fusion lemma, with Pi and X as in
+    :func:`fuse_nm_unrestricted`."""
+    pi = kron(symmetrizer(n), symmetrizer(m))
+    return mat_mul(mat_mul(pi, _bare_product(n, m, rat(u), params)), ExactMatrix.identity(pi.rows) - pi)
 
 
 @pytest.mark.parametrize("alpha", [Fraction(3, 2), Fraction(1000003, 999983)], ids=str)
@@ -181,7 +207,8 @@ def test_fusion_lemma(n, m, u):
 def test_fusion_lemma_fails_for_a_junk_r(monkeypatch, params):
     # The residual is a check: a 4x4 factor that is not R breaks the lemma.
     junk = ExactMatrix([[1, 2, 0, 0], [0, 3, 1, 0], [5, 0, 1, 0], [0, 0, 2, 7]])
-    monkeypatch.setattr(fusion, "r7v", lambda u, params: junk)
+    # The literal product reads the r7v of this module.
+    monkeypatch.setitem(globals(), "r7v", lambda u, params: junk)
     for n, m in ((2, 1), (1, 2), (2, 2)):
         assert not symmetric_residual(n, m, Fraction(5, 7), params).is_zero()
 

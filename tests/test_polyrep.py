@@ -11,12 +11,11 @@ from hypothesis import strategies as st
 from fusion_sos.exactcore import (
     ExactMatrix,
     ExactPolynomial,
+    ScalarLike,
     ShapeMismatchError,
     common_denominator,
     kron,
-    lagrange_interpolate,
     mat_mul,
-    poly_shift,
     rat,
 )
 from fusion_sos import cli, correspondence, polyrep
@@ -29,7 +28,6 @@ from fusion_sos.polyrep import (
     _shift_form_matrix,
     _truncate,
     assemble_2x2,
-    gamma_poly,
     intertwiner_poly,
     monomial_to_coeff_matrix,
     o_m_gamma_form,
@@ -40,7 +38,7 @@ from fusion_sos.polyrep import (
 )
 from fusion_sos.vertex import ModelParams, r7v, up_steps
 
-from conftest import reference_solve_weights
+from conftest import lagrange_interpolate, poly_shift, reference_solve_weights
 
 Z = ExactPolynomial((0, 1))
 
@@ -166,6 +164,14 @@ def linear_product(roots, lead=1):
     for r in roots:
         p = p * ExactPolynomial((-r, 1))
     return p
+
+
+def gamma_poly(p: int, shift: ScalarLike, params: ModelParams) -> ExactPolynomial:
+    """gamma(z - shift, p) = prod_{j=0}^{p-1} (z - shift + alpha(2j + 1 - p)) for p >= 0."""
+    if p < 0:
+        raise ValueError("gamma_poly needs a nonnegative exponent")
+    den, (x0, step) = common_denominator(rat(shift), params.alpha)
+    return ExactPolynomial.from_integer_roots([x0 + step * (p - 1 - 2 * j) for j in range(p)], den)
 
 
 class TestIntegerBuildersMatchFractionReferences:

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import fusion_sos
 from fusion_sos import correspondence, exactcore, lattice, polyrep, sos
 from fusion_sos.correspondence import solve_weights_from_relation
-from fusion_sos.exactcore import DegeneratePointError, SingularMatrixError, lagrange_interpolate
+from fusion_sos.exactcore import DegeneratePointError, SingularMatrixError
 from fusion_sos.sos import (
     DegenerateParameterPoint,
     PoleError,
@@ -31,7 +31,7 @@ from fusion_sos.sos import (
 )
 from fusion_sos.vertex import ModelParams
 
-from conftest import rand_rat, reference_solve_weights, valid_quads
+from conftest import lagrange_interpolate, rand_rat, reference_solve_weights, valid_quads
 
 U = Fraction(7, 3)
 
